@@ -104,6 +104,23 @@ class BoundReport:
         }
 
 
+def _exact_t(f: RadialDensity, n: int, p: float, R: float, r: float,
+             with_exact: bool | None, rel_tol: float):
+    """(log T, log mu(B_R), log mu(B_r), log mu(B~)) by exact quadrature.
+
+    All four are None when the quadrature is skipped; ``with_exact`` None
+    means run it for n <= T_EXACT_MAX_N.
+    """
+    if with_exact is None:
+        with_exact = n <= T_EXACT_MAX_N
+    if not with_exact:
+        return None, None, None, None
+    lb_R = log_ball_measure(f, n, R, rel_tol=rel_tol)
+    lb_r = log_ball_measure(f, n, r, rel_tol=rel_tol)
+    lb_off = off_center_ball_measure(f, n, R, R + r, rel_tol=rel_tol)
+    return lb_R - lb_off + (p - 1.0) / p * (lb_r - lb_R), lb_R, lb_r, lb_off
+
+
 def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float, *,
                 rel_tol: float = DEFAULT_REL_TOL) -> float:
     """log T(R, r) by exact quadrature of the three measures involved."""
@@ -113,10 +130,7 @@ def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float, *,
         raise ValueError("p must be >= 1")
     if not f.is_finite(n):
         raise NonFiniteMeasureError(f"{f.kind} measure is not finite in dimension {n}")
-    lb_R = log_ball_measure(f, n, R, rel_tol=rel_tol)
-    lb_r = log_ball_measure(f, n, r, rel_tol=rel_tol)
-    lb_off = off_center_ball_measure(f, n, R, R + r, rel_tol=rel_tol)
-    return lb_R - lb_off + (p - 1.0) / p * (lb_r - lb_R)
+    return _exact_t(f, n, p, R, r, True, rel_tol)[0]
 
 
 def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float, *,
@@ -182,9 +196,23 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float, *,
     return 0.5 * (lo + hi)
 
 
-def _annulus_integer(lam: float, log_s: float) -> int:
-    """Smallest integer l with sin(b0)^(-l) >= 2 + lam."""
-    return int(math.ceil(-math.log(2.0 + lam) / log_s))
+def _check_lam_p(lam: float, p: float):
+    if not 0.0 < lam < LAMBDA_MAX:
+        raise ValueError(f"lam must lie in (0, sqrt(2)-1), got {lam!r}")
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+
+
+def _general_parameters(lam: float):
+    """(b0, sin b0, log sin b0, l, k) of the general construction at lam.
+
+    l is the smallest integer with sin(b0)^(-l) >= 2 + lam; k = 1/(1+l).
+    """
+    beta0 = contact_angle(lam)
+    s = math.sin(beta0)
+    log_s = math.log(s)
+    l = int(math.ceil(-math.log(2.0 + lam) / log_s))
+    return beta0, s, log_s, l, 1.0 / (1.0 + l)
 
 
 def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
@@ -200,21 +228,14 @@ def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
 
         log T >= -log(Q + 1) + n log alpha,  alpha = lam^((p-1)/p) / sin(b0)^k.
     """
-    if not 0.0 < lam < LAMBDA_MAX:
-        raise ValueError(f"lam must lie in (0, sqrt(2)-1), got {lam!r}")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_lam_p(lam, p)
     if not f.is_finite(n):
         raise NonFiniteMeasureError(
             f"{f.kind} measure is not finite in dimension {n}")
-    beta0 = contact_angle(lam)
-    s, cos_b0 = math.sin(beta0), math.cos(beta0)
-    log_s = math.log(s)
-    l = _annulus_integer(lam, log_s)
-    k = 1.0 / (1.0 + l)
+    beta0, s, log_s, l, k = _general_parameters(lam)
     R = solve_radius_equation(f, n, beta0, k, rel_tol=rel_tol)
     r = lam * R
-    Q = 1.0 / (math.sqrt(math.pi) * s * cos_b0)
+    Q = 1.0 / (math.sqrt(math.pi) * s * math.cos(beta0))
     log_alpha = (p - 1.0) / p * math.log(lam) - k * log_s
     log_t_lower = -math.log1p(Q) + n * log_alpha
 
@@ -224,15 +245,9 @@ def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
         "outer_term_log": math.log(Q) + n * (1.0 - l * k) * log_s,
         "inner_term_log": n * k * log_s,
     }
-    exact = None
-    if with_exact is None:
-        with_exact = n <= T_EXACT_MAX_N
-    if with_exact:
-        lb_R = log_ball_measure(f, n, R, rel_tol=rel_tol)
-        lb_r = log_ball_measure(f, n, r, rel_tol=rel_tol)
-        lb_off = off_center_ball_measure(f, n, R, R + r, rel_tol=rel_tol)
+    exact, lb_R, lb_r, lb_off = _exact_t(f, n, p, R, r, with_exact, rel_tol)
+    if exact is not None:
         lb_cap = log_ball_measure(f, n, R * s, rel_tol=rel_tol)
-        exact = lb_R - lb_off + (p - 1.0) / p * (lb_r - lb_R)
         terms.update({
             "log_mu_ball_R": lb_R,
             "log_mu_ball_r": lb_r,
@@ -274,10 +289,7 @@ def radius_growth_report(f: RadialDensity, n_values, lam: float, *,
     allowance) and that the density value there decays at least like
     f(0) sin(b0)^(n (1-k)).
     """
-    beta0 = contact_angle(lam)
-    s = math.sin(beta0)
-    l = _annulus_integer(lam, math.log(s))
-    k = 1.0 / (1.0 + l)
+    beta0, s, _, _, k = _general_parameters(lam)
     log_f0 = f.log_density_at_zero
     rows = []
     nondecreasing = True
@@ -348,10 +360,7 @@ def gaussian_construction(n: int, p: float, lam: float, *,
     with alpha the Gaussian growth base; each displayed estimate of the
     derivation lands in ``terms``.
     """
-    if not 0.0 < lam < LAMBDA_MAX:
-        raise ValueError(f"lam must lie in (0, sqrt(2)-1), got {lam!r}")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_lam_p(lam, p)
     if n < 2:
         raise ValueError("needs n >= 2")
     beta0 = contact_angle(lam)
@@ -387,15 +396,8 @@ def gaussian_construction(n: int, p: float, lam: float, *,
         "growth_base_log": log_alpha,
         "decay_upper_bound": gaussian_upper_bound(n, p, R, r),
     }
-    exact = None
-    if with_exact is None:
-        with_exact = n <= T_EXACT_MAX_N
-    if with_exact:
-        f = Gaussian()
-        lb_R = log_ball_measure(f, n, R, rel_tol=rel_tol)
-        lb_r = log_ball_measure(f, n, r, rel_tol=rel_tol)
-        lb_off = off_center_ball_measure(f, n, R, R + r, rel_tol=rel_tol)
-        exact = lb_R - lb_off + (p - 1.0) / p * (lb_r - lb_R)
+    exact, lb_R, lb_r, lb_off = _exact_t(Gaussian(), n, p, R, r, with_exact, rel_tol)
+    if exact is not None:
         terms.update({
             "log_mu_ball_R": lb_R,
             "log_mu_ball_r": lb_r,
@@ -426,6 +428,12 @@ def gaussian_upper_bound(n: int, p: float, R: float, r: float) -> float:
             + n * (q * (0.5 * (1.0 - lam * lam) + math.log(lam)) - math.log(s)))
 
 
+def _unitball_growth_base(p: float, R: float, lam: float):
+    """(b0, log(R lam^((p-1)/p) / sin b0)), b0 the unit-sphere contact angle."""
+    beta0 = contact_angle_unit_ball(R, lam)
+    return beta0, math.log(R) + (p - 1.0) / p * math.log(lam) - math.log(math.sin(beta0))
+
+
 def unitball_sandwich(n: int, p: float, R: float, lam: float):
     """Two-sided bracket for log T against Lebesgue measure on the unit ball.
 
@@ -439,9 +447,7 @@ def unitball_sandwich(n: int, p: float, R: float, lam: float):
         raise ValueError("R must lie in (0, 1]")
     if R >= math.sqrt(2.0) / (1.0 + lam):
         raise ValueError("sandwich needs R < sqrt(2)/(1+lam)")
-    beta0 = contact_angle_unit_ball(R, lam)
-    base = math.log(R) + (p - 1.0) / p * math.log(lam) - math.log(math.sin(beta0))
-    lo = n * base
+    lo = n * _unitball_growth_base(p, R, lam)[1]
     return lo, math.log(math.sqrt(math.pi) * n) + lo
 
 
@@ -478,10 +484,8 @@ def unitball_construction(n: int, p: float, R: float, lam: float, *,
                           rel_tol: float = DEFAULT_REL_TOL) -> BoundReport:
     """BoundReport for the unit-ball measure at explicit (R, lam)."""
     lo, hi = unitball_sandwich(n, p, R, lam)
-    beta0 = contact_angle_unit_ball(R, lam)
+    beta0, log_alpha = _unitball_growth_base(p, R, lam)
     r = lam * R
-    log_alpha = (math.log(R) + (p - 1.0) / p * math.log(lam)
-                 - math.log(math.sin(beta0)))
     case_id, case_upper = unitball_case_analysis(n, p, R, lam)
     terms = {
         "sandwich_lower": lo,
@@ -489,15 +493,8 @@ def unitball_construction(n: int, p: float, R: float, lam: float, *,
         "case_id": float(case_id),
         "case_upper_bound": case_upper,
     }
-    exact = None
-    if with_exact is None:
-        with_exact = n <= T_EXACT_MAX_N
-    if with_exact:
-        f = UnitBallIndicator()
-        lb_R = log_ball_measure(f, n, R, rel_tol=rel_tol)
-        lb_r = log_ball_measure(f, n, r, rel_tol=rel_tol)
-        lb_off = off_center_ball_measure(f, n, R, R + r, rel_tol=rel_tol)
-        exact = lb_R - lb_off + (p - 1.0) / p * (lb_r - lb_R)
+    exact, lb_R, lb_r, lb_off = _exact_t(UnitBallIndicator(), n, p, R, r, with_exact, rel_tol)
+    if exact is not None:
         terms.update({
             "log_mu_ball_R": lb_R,
             "log_mu_ball_r": lb_r,

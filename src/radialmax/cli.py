@@ -87,39 +87,34 @@ def build_parser() -> _Parser:
                     help="argument tolerance of the refinement (default 1e-12)")
     p0.add_argument("--output", default=None)
 
-    bd = sub.add_parser("bound", help="run one lower-bound construction")
-    bd.add_argument("--measure", required=True,
-                    choices=["gaussian", "unitball", "lebesgue", "tabulated"])
-    bd.add_argument("--density-file", default=None)
+    shared = argparse.ArgumentParser(add_help=False)  # bound and sweep
+    shared.add_argument("--measure", required=True,
+                        choices=["gaussian", "unitball", "lebesgue", "tabulated"])
+    shared.add_argument("--density-file", default=None)
+    shared.add_argument("--construction", default=None,
+                        choices=["general", "gaussian", "unitball"],
+                        help="default: gaussian/unitball for those measures, else general")
+    shared.add_argument("--R", type=float, default=1.0,
+                        help="ball radius for the unitball construction (default 1)")
+    shared.add_argument("--texact-max-n", type=int, default=bounds.T_EXACT_MAX_N,
+                        help="skip exact quadrature above this dimension")
+    shared.add_argument("--rel-tol", type=float, default=1e-10)
+    shared.add_argument("--output", default=None)
+
+    # no abbreviations: a stray --r would otherwise be taken for --rel-tol
+    bd = sub.add_parser("bound", parents=[shared], allow_abbrev=False,
+                        help="run one lower-bound construction")
     bd.add_argument("--n", type=int, required=True)
     bd.add_argument("--p", type=float, required=True)
-    bd.add_argument("--lambda", dest="lam", type=float, default=None)
-    bd.add_argument("--R", type=float, default=None)
-    bd.add_argument("--r", type=float, default=None)
-    bd.add_argument("--construction", default=None,
-                    choices=["general", "gaussian", "unitball"],
-                    help="default: gaussian/unitball for those measures, else general")
-    bd.add_argument("--texact-max-n", type=int, default=bounds.T_EXACT_MAX_N,
-                    help="skip exact quadrature above this dimension")
-    bd.add_argument("--rel-tol", type=float, default=1e-10)
-    bd.add_argument("--output", default=None)
+    bd.add_argument("--lambda", dest="lam", type=float, required=True)
 
-    sw = sub.add_parser("sweep", help="tabulate constructions across dimensions")
-    sw.add_argument("--measure", required=True,
-                    choices=["gaussian", "unitball", "lebesgue", "tabulated"])
-    sw.add_argument("--density-file", default=None)
+    sw = sub.add_parser("sweep", parents=[shared],
+                        help="tabulate constructions across dimensions")
     sw.add_argument("--n-range", required=True,
                     help="'a:b:step' inclusive, or comma-separated values")
     sw.add_argument("--lambda", dest="lam", default="0.2",
                     help="comma-separated values (default 0.2)")
     sw.add_argument("--p", default="1.005", help="comma-separated values")
-    sw.add_argument("--construction", default=None,
-                    choices=["general", "gaussian", "unitball"])
-    sw.add_argument("--R", type=float, default=1.0,
-                    help="ball radius for the unitball construction")
-    sw.add_argument("--texact-max-n", type=int, default=bounds.T_EXACT_MAX_N)
-    sw.add_argument("--rel-tol", type=float, default=1e-10)
-    sw.add_argument("--output", default=None)
 
     vf = sub.add_parser("verify", help="run an invariant suite")
     vf.add_argument("suite", choices=["spheres", "gaussian-lemmas", "remark",
@@ -163,39 +158,30 @@ def _cmd_p0(args) -> int:
 def _pick_construction(args) -> str:
     if args.construction is not None:
         return args.construction
-    if args.measure == "gaussian":
-        return "gaussian"
-    if args.measure == "unitball" and args.R is not None:
-        return "unitball"
+    if args.measure in ("gaussian", "unitball"):
+        return args.measure
     return "general"
+
+
+def _construct(args, f, construction: str, n: int, p: float, lam: float):
+    """Run ``construction`` at (n, p, lam) after checking the measure fits it."""
+    if construction != "general" and args.measure != construction:
+        raise ValueError(f"the {construction} construction needs --measure {construction}")
+    with_exact = n <= args.texact_max_n
+    if construction == "gaussian":
+        return bounds.gaussian_construction(n, p, lam, with_exact=with_exact,
+                                            rel_tol=args.rel_tol)
+    if construction == "unitball":
+        return bounds.unitball_construction(n, p, args.R, lam, with_exact=with_exact,
+                                            rel_tol=args.rel_tol)
+    return bounds.general_construction(f, n, p, lam, with_exact=with_exact,
+                                       rel_tol=args.rel_tol)
 
 
 def _cmd_bound(args) -> int:
     f = density_from_name(args.measure, args.density_file)
     construction = _pick_construction(args)
-    with_exact = args.n <= args.texact_max_n
-    if construction == "gaussian":
-        if args.measure != "gaussian":
-            raise ValueError("the gaussian construction needs --measure gaussian")
-        if args.lam is None:
-            raise ValueError("--lambda is required")
-        rep = bounds.gaussian_construction(args.n, args.p, args.lam,
-                                           with_exact=with_exact,
-                                           rel_tol=args.rel_tol)
-    elif construction == "unitball":
-        if args.measure != "unitball":
-            raise ValueError("the unitball construction needs --measure unitball")
-        if args.lam is None:
-            raise ValueError("--lambda is required")
-        rep = bounds.unitball_construction(args.n, args.p, args.R or 1.0, args.lam,
-                                           with_exact=with_exact,
-                                           rel_tol=args.rel_tol)
-    else:
-        if args.lam is None:
-            raise ValueError("--lambda is required")
-        rep = bounds.general_construction(f, args.n, args.p, args.lam,
-                                          with_exact=with_exact,
-                                          rel_tol=args.rel_tol)
+    rep = _construct(args, f, construction, args.n, args.p, args.lam)
     if rep.log_t_exact is not None and rep.log_t_exact < rep.log_t_lower - 1e-9:
         print(f"error: certified chain violated: logT_exact={rep.log_t_exact!r} "
               f"< logT_lower={rep.log_t_lower!r}", file=sys.stderr)
@@ -222,19 +208,7 @@ def _cmd_sweep(args) -> int:
             for p in ps:
                 key = (lam, p)
                 try:
-                    with_exact = n <= args.texact_max_n
-                    if construction == "gaussian":
-                        rep = bounds.gaussian_construction(n, p, lam,
-                                                           with_exact=with_exact,
-                                                           rel_tol=args.rel_tol)
-                    elif construction == "unitball":
-                        rep = bounds.unitball_construction(n, p, args.R, lam,
-                                                           with_exact=with_exact,
-                                                           rel_tol=args.rel_tol)
-                    else:
-                        rep = bounds.general_construction(f, n, p, lam,
-                                                          with_exact=with_exact,
-                                                          rel_tol=args.rel_tol)
+                    rep = _construct(args, f, construction, n, p, lam)
                     slope = None
                     if key in prev:
                         n0, v0 = prev[key]

@@ -187,13 +187,6 @@ def log_mass(f: RadialDensity, n: int, *, rel_tol: float = DEFAULT_REL_TOL) -> f
     return log_ball_measure(f, n, math.inf, rel_tol=rel_tol)
 
 
-def log_ball_ratio_bound(f: RadialDensity, n: int, r: float, R: float) -> float:
-    """log of the scaling bound (R/r)^n on mu(B_R)/mu(B_r) for decreasing f."""
-    if not 0 < r < R:
-        raise ValueError("need 0 < r < R")
-    return n * math.log(R / r)
-
-
 def log_annulus_from_balls(f: RadialDensity, n: int, a: float, b: float, *,
                            rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Annulus measure as a log-difference of ball measures (consistency route)."""

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import gaussian_growth_base_log
+from .bounds import LAMBDA_MAX, gaussian_growth_base_log
 from .errors import BracketError
 
-LAMBDA_MAX = math.sqrt(2.0) - 1.0
 _ENDPOINT_GAP = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -62,13 +62,6 @@ class LogIntegralResult:
     window: tuple
 
 
-def fixed_gauss(f, a: float, b: float, order: int = 25) -> float:
-    """Single Gauss-Legendre panel of the given order."""
-    x, w = gauss_legendre_nodes(order)
-    h = 0.5 * (b - a)
-    return h * float(np.dot(w, f(a + h * (x + 1.0))))
-
-
 def _panel(f, a, b):
     x25, w25 = gauss_legendre_nodes(25)
     x12, w12 = gauss_legendre_nodes(12)

@@ -57,10 +57,3 @@ def lgamma(z):
     out = _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
     out = np.where(small, out - np.log(arr), out)
     return float(out[0]) if scalar else out
-
-
-def log_factorial(k: int) -> float:
-    """log(k!) through lgamma; convenience for tests and sphere areas."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return lgamma(k + 1.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -75,6 +76,37 @@ class TestBoundCommand:
         assert code == 2
         assert "error" in err
 
+    def test_unitball_radius_zero_exits_two(self, capsys):
+        code, out, err = run(capsys, "bound", "--measure", "unitball",
+                             "--construction", "unitball", "--R", "0", "--n", "20",
+                             "--p", "1.02", "--lambda", "0.15")
+        assert code == 2
+        assert out == ""
+        assert "R must lie in (0, 1]" in err
+
+    def test_unitball_measure_defaults_to_unitball_construction(self, capsys):
+        code, out, _ = run(capsys, "bound", "--measure", "unitball", "--n", "20",
+                           "--p", "1.02", "--lambda", "0.15")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["construction"] == "unitball"
+        assert payload["R"] == 1
+
+    def test_missing_lambda_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bound", "--measure", "gaussian", "--n", "10",
+                             "--p", "1.01")
+        assert code == 1
+        assert out == ""
+        assert "--lambda" in err
+
+    def test_lowercase_r_is_usage_error(self, capsys):
+        # bound has no --r; it must not be taken for an abbreviation of --rel-tol
+        code, out, err = run(capsys, "bound", "--measure", "gaussian", "--n", "10",
+                             "--p", "1.01", "--lambda", "0.2", "--r", "123")
+        assert code == 1
+        assert out == ""
+        assert "--r" in err
+
 
 class TestSweepCommand:
     def test_general_sweep_slope_column(self, capsys):
@@ -115,10 +147,53 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert all("NonFiniteMeasure" in row for row in rows)
 
+    def test_construction_measure_mismatch_recorded_per_row(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "lebesgue",
+                           "--construction", "gaussian", "--n-range", "10",
+                           "--lambda", "0.2", "--p", "1.01")
+        assert code == 0
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        header = lines[0].split(",")
+        assert len(lines) == 2
+        row = lines[1].split(",")
+        assert row[header.index("error")] == (
+            "ValueError: the gaussian construction needs --measure gaussian")
+        assert row[header.index("alpha")] == ""
+
     def test_empty_range_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--measure", "gaussian",
                          "--n-range", "", "--lambda", "0.2", "--p", "1.01")
         assert code == 1
+
+
+class TestBoundSweepAgree:
+    """bound and sweep run a construction through the same dispatch."""
+
+    @pytest.mark.parametrize("measure,construction,n,p,lam,upper_key", [
+        ("gaussian", "gaussian", 50, "1.005", "0.2", "decay_upper_bound"),
+        ("gaussian", "general", 30, "1.003", "0.2", None),
+        ("unitball", "unitball", 20, "1.02", "0.15", "sandwich_upper"),
+    ])
+    def test_sweep_row_matches_bound_json(self, capsys, measure, construction,
+                                          n, p, lam, upper_key):
+        common = ["--measure", measure, "--construction", construction,
+                  "--R", "1", "--lambda", lam, "--p", p]
+        code, bound_out, _ = run(capsys, "bound", *common, "--n", str(n))
+        assert code == 0
+        assert json.loads(bound_out)["logT_exact"] is not None
+        code, sweep_out, _ = run(capsys, "sweep", *common, "--n-range", str(n))
+        assert code == 0
+        lines = [l for l in sweep_out.splitlines() if l and not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+
+        def printed(key):
+            found = re.search(rf'^ *"{key}": (.+?),?$', bound_out, re.MULTILINE)
+            assert found, key
+            return found.group(1)
+
+        for key in ("alpha", "logT_lower", "logT_exact"):
+            assert row[key] == printed(key)
+        assert row["logT_upper"] == (printed(upper_key) if upper_key else "")
 
 
 class TestVerifyCommand:

@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from radialmax.logspace import LOG_ZERO
-from radialmax.quadrature import (LogIntegralResult, fixed_gauss, integrate,
-                                  log_integral)
+from radialmax.quadrature import LogIntegralResult, integrate, log_integral
 
 
 def test_polynomial_is_exact():
     res = integrate(lambda x: 3.0 * x ** 2, 0.0, 2.0)
     assert res.value == pytest.approx(8.0, rel=1e-14)
     assert res.converged
-
-
-def test_fixed_gauss_cubic():
-    assert fixed_gauss(lambda x: x ** 3, 0.0, 1.0, order=5) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_oscillatory_to_tolerance():

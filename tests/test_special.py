@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radialmax.special import lgamma, log_factorial
+from radialmax.special import lgamma
 
 
 def test_gamma_half_is_sqrt_pi():
@@ -41,10 +41,3 @@ def test_domain_errors():
         lgamma(-1.5)
     with pytest.raises(ValueError):
         lgamma(float("nan"))
-
-
-def test_log_factorial():
-    assert log_factorial(0) == pytest.approx(0.0, abs=1e-15)
-    assert log_factorial(5) == pytest.approx(math.log(120.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        log_factorial(-1)
