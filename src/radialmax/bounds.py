@@ -35,7 +35,6 @@ from .errors import NoBalancedRadiusError, NonFiniteMeasureError
 from .geometry import contact_angle, contact_angle_unit_ball, off_center_ball_measure
 from .logspace import LOG_ZERO
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area)
-from .quadrature import DEFAULT_REL_TOL
 
 LAMBDA_MAX = math.sqrt(2.0) - 1.0
 T_EXACT_MAX_N = 10_000  # beyond this, quadrature adds nothing over closed forms
@@ -105,7 +104,7 @@ class BoundReport:
 
 
 def _exact_t(f: RadialDensity, n: int, p: float, R: float, r: float,
-             with_exact: bool | None, rel_tol: float):
+             with_exact: bool | None):
     """(log T, log mu(B_R), log mu(B_r), log mu(B~)) by exact quadrature.
 
     All four are None when the quadrature is skipped; ``with_exact`` None
@@ -115,14 +114,13 @@ def _exact_t(f: RadialDensity, n: int, p: float, R: float, r: float,
         with_exact = n <= T_EXACT_MAX_N
     if not with_exact:
         return None, None, None, None
-    lb_R = log_ball_measure(f, n, R, rel_tol=rel_tol)
-    lb_r = log_ball_measure(f, n, r, rel_tol=rel_tol)
-    lb_off = off_center_ball_measure(f, n, R, R + r, rel_tol=rel_tol)
+    lb_R = log_ball_measure(f, n, R)
+    lb_r = log_ball_measure(f, n, r)
+    lb_off = off_center_ball_measure(f, n, R, R + r)
     return lb_R - lb_off + (p - 1.0) / p * (lb_r - lb_R), lb_R, lb_r, lb_off
 
 
-def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float, *,
-                rel_tol: float = DEFAULT_REL_TOL) -> float:
+def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float) -> float:
     """log T(R, r) by exact quadrature of the three measures involved."""
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
@@ -130,12 +128,10 @@ def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float, *,
         raise ValueError("p must be >= 1")
     if not f.is_finite(n):
         raise NonFiniteMeasureError(f"{f.kind} measure is not finite in dimension {n}")
-    return _exact_t(f, n, p, R, r, True, rel_tol)[0]
+    return _exact_t(f, n, p, R, r, True)[0]
 
 
-def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float, *,
-                          rel_tol: float = DEFAULT_REL_TOL,
-                          scan_points: int = 10_000) -> float:
+def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> float:
     """Largest R with mu(B_{R sin b0}) = sin(b0)^(n k) mu(B_R).
 
     The log-ratio g(R) = log mu(B_{R s}) - log mu(B_R) - n k log s falls
@@ -156,13 +152,11 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float, *,
     target = n * k * math.log(s)
 
     def g(R):
-        return (log_ball_measure(f, n, R * s, rel_tol=rel_tol)
-                - log_ball_measure(f, n, R, rel_tol=rel_tol) - target)
+        return log_ball_measure(f, n, R * s) - log_ball_measure(f, n, R) - target
 
     R_max = 1.0
     for _ in range(200):
-        delta = (log_ball_measure(f, n, R_max * s, rel_tol=rel_tol)
-                 - log_ball_measure(f, n, R_max, rel_tol=rel_tol))
+        delta = log_ball_measure(f, n, R_max * s) - log_ball_measure(f, n, R_max)
         if delta >= -1e-6 and delta - target > 0.0:
             break
         R_max *= 2.0
@@ -170,6 +164,7 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float, *,
         raise NoBalancedRadiusError("ball-measure ratio never approached 1 while doubling")
 
     # one cumulative sweep gives the whole downward scan
+    scan_points = 10_000
     radii = R_max * (1.0 - np.arange(scan_points) / scan_points)
     merged = np.unique(np.concatenate([radii, radii * s]))
     lb = log_ball_measure_grid(f, n, merged)
@@ -216,8 +211,7 @@ def _general_parameters(lam: float):
 
 
 def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
-                         with_exact: bool | None = None,
-                         rel_tol: float = DEFAULT_REL_TOL) -> BoundReport:
+                         with_exact: bool | None = None) -> BoundReport:
     """Lower-bound construction valid for every finite radially decreasing density.
 
     Splits B~ at the sphere of radius R, covers the inner piece by the cap
@@ -233,7 +227,7 @@ def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
         raise NonFiniteMeasureError(
             f"{f.kind} measure is not finite in dimension {n}")
     beta0, s, log_s, l, k = _general_parameters(lam)
-    R = solve_radius_equation(f, n, beta0, k, rel_tol=rel_tol)
+    R = solve_radius_equation(f, n, beta0, k)
     r = lam * R
     Q = 1.0 / (math.sqrt(math.pi) * s * math.cos(beta0))
     log_alpha = (p - 1.0) / p * math.log(lam) - k * log_s
@@ -245,9 +239,9 @@ def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
         "outer_term_log": math.log(Q) + n * (1.0 - l * k) * log_s,
         "inner_term_log": n * k * log_s,
     }
-    exact, lb_R, lb_r, lb_off = _exact_t(f, n, p, R, r, with_exact, rel_tol)
+    exact, lb_R, lb_r, lb_off = _exact_t(f, n, p, R, r, with_exact)
     if exact is not None:
-        lb_cap = log_ball_measure(f, n, R * s, rel_tol=rel_tol)
+        lb_cap = log_ball_measure(f, n, R * s)
         terms.update({
             "log_mu_ball_R": lb_R,
             "log_mu_ball_r": lb_r,
@@ -281,8 +275,7 @@ class GrowthReport:
         return self.radii_nondecreasing and self.decay_holds
 
 
-def radius_growth_report(f: RadialDensity, n_values, lam: float, *,
-                         rel_tol: float = DEFAULT_REL_TOL) -> GrowthReport:
+def radius_growth_report(f: RadialDensity, n_values, lam: float) -> GrowthReport:
     """Track the balanced radius across dimensions.
 
     Checks that R_n does not shrink (up to a 1e-3 relative fluctuation
@@ -296,7 +289,7 @@ def radius_growth_report(f: RadialDensity, n_values, lam: float, *,
     decay = True
     prev = None
     for n in n_values:
-        R = solve_radius_equation(f, n, beta0, k, rel_tol=rel_tol)
+        R = solve_radius_equation(f, n, beta0, k)
         log_fR = float(f.log_density(np.asarray([R]))[0])
         bound = log_f0 + n * (1.0 - k) * math.log(s)
         rows.append(GrowthRow(n=n, R=R, log_f_at_R=log_fR, decay_bound_log=bound))
@@ -309,8 +302,7 @@ def radius_growth_report(f: RadialDensity, n_values, lam: float, *,
                         radii_nondecreasing=nondecreasing, decay_holds=decay)
 
 
-def gaussian_ball_sandwich(n: int, rho: float, *,
-                           rel_tol: float = DEFAULT_REL_TOL):
+def gaussian_ball_sandwich(n: int, rho: float):
     """Elementary bracket for the Gaussian ball measure below the mode radius.
 
     omega e^(-pi rho^2) rho^n / n <= mu(B_rho) <= omega e^(-pi rho^2) rho^n,
@@ -320,11 +312,11 @@ def gaussian_ball_sandwich(n: int, rho: float, *,
     if not 0.0 < rho < R_n:
         raise ValueError(f"need 0 < rho < {R_n!r}")
     core = log_sphere_area(n) - math.pi * rho * rho + n * math.log(rho)
-    mid = log_ball_measure(Gaussian(), n, rho, rel_tol=rel_tol)
+    mid = log_ball_measure(Gaussian(), n, rho)
     return core - math.log(n), mid, core
 
 
-def gaussian_mass_concentration(n: int, *, rel_tol: float = DEFAULT_REL_TOL):
+def gaussian_mass_concentration(n: int):
     """Mass inside B_{R_n}: quadrature value and the 1 - 2/(sqrt(pi) sqrt(n-1)) floor.
 
     The returned floor is the quoted one and holds only for n <= 5: the mass
@@ -332,23 +324,28 @@ def gaussian_mass_concentration(n: int, *, rel_tol: float = DEFAULT_REL_TOL):
     """
     if n < 2:
         raise ValueError("needs n >= 2")
-    log_mass = log_ball_measure(Gaussian(), n, gaussian_mode_radius(n), rel_tol=rel_tol)
+    log_mass = log_ball_measure(Gaussian(), n, gaussian_mode_radius(n))
     floor = 1.0 - 2.0 / (math.sqrt(math.pi) * math.sqrt(n - 1.0))
     return log_mass, floor
 
 
-def gaussian_growth_base_log(p: float, lam: float) -> float:
-    """log of the per-dimension growth base of the Gaussian lower construction."""
+def _gaussian_parameters(p: float, lam: float):
+    """(b0, sin b0, cos(b0)^2, log alpha) of the Gaussian construction at (p, lam)."""
     beta0 = contact_angle(lam)
     s = math.sin(beta0)
     c = math.cos(beta0) ** 2
-    return (-0.5 * c * math.exp(-c) - math.log(s)
-            + (p - 1.0) / p * (0.5 * math.exp(-c) * (1.0 - lam * lam) + math.log(lam)))
+    log_alpha = (-0.5 * c * math.exp(-c) - math.log(s)
+                 + (p - 1.0) / p * (0.5 * math.exp(-c) * (1.0 - lam * lam) + math.log(lam)))
+    return beta0, s, c, log_alpha
+
+
+def gaussian_growth_base_log(p: float, lam: float) -> float:
+    """log of the per-dimension growth base of the Gaussian lower construction."""
+    return _gaussian_parameters(p, lam)[3]
 
 
 def gaussian_construction(n: int, p: float, lam: float, *,
-                          with_exact: bool | None = None,
-                          rel_tol: float = DEFAULT_REL_TOL) -> BoundReport:
+                          with_exact: bool | None = None) -> BoundReport:
     """Sharper lower-bound construction for the Gaussian measure.
 
     Balancing the cap-cover and annulus estimates suggests the radius
@@ -363,9 +360,7 @@ def gaussian_construction(n: int, p: float, lam: float, *,
     _check_lam_p(lam, p)
     if n < 2:
         raise ValueError("needs n >= 2")
-    beta0 = contact_angle(lam)
-    s = math.sin(beta0)
-    c = math.cos(beta0) ** 2
+    beta0, s, c, log_alpha = _gaussian_parameters(p, lam)
     e_c = math.exp(-c)
     R_n = gaussian_mode_radius(n)
     R = math.exp(-0.5 * c) * R_n
@@ -373,7 +368,6 @@ def gaussian_construction(n: int, p: float, lam: float, *,
     lsa = log_sphere_area(n)
     log_K_half_n = 0.5 * n * (math.log(n - 1.0) - math.log(2.0 * math.pi)) if n > 1 else LOG_ZERO
 
-    log_alpha = gaussian_growth_base_log(p, lam)
     log_t_lower = -math.log(n) + n * log_alpha
 
     terms = {
@@ -396,7 +390,7 @@ def gaussian_construction(n: int, p: float, lam: float, *,
         "growth_base_log": log_alpha,
         "decay_upper_bound": gaussian_upper_bound(n, p, R, r),
     }
-    exact, lb_R, lb_r, lb_off = _exact_t(Gaussian(), n, p, R, r, with_exact, rel_tol)
+    exact, lb_R, lb_r, lb_off = _exact_t(Gaussian(), n, p, R, r, with_exact)
     if exact is not None:
         terms.update({
             "log_mu_ball_R": lb_R,
@@ -439,12 +433,16 @@ def unitball_sandwich(n: int, p: float, R: float, lam: float):
 
     n log(R lam^((p-1)/p) / sin b0)  <=  log T  <=  log(sqrt(pi) n) + same,
     with b0 the contact angle against the unit sphere; needs
-    0 < R <= 1 and R < sqrt(2)/(1 + lam).
+    R < sqrt(2)/(1 + lam).  The lower end is certified only at R = 1: below
+    it, it can exceed the exact T (n = 100, p = 1.02, R = 0.8, lam = 0.2
+    gives -8.29 against -12.45), so R < 1 is refused.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
     if not 0.0 < R <= 1.0:
         raise ValueError("R must lie in (0, 1]")
+    if R < 1.0:
+        raise ValueError("the unit-ball lower bound is only certified at R = 1")
     if R >= math.sqrt(2.0) / (1.0 + lam):
         raise ValueError("sandwich needs R < sqrt(2)/(1+lam)")
     lo = n * _unitball_growth_base(p, R, lam)[1]
@@ -480,8 +478,7 @@ def unitball_case_analysis(n: int, p: float, R: float, lam: float):
 
 
 def unitball_construction(n: int, p: float, R: float, lam: float, *,
-                          with_exact: bool | None = None,
-                          rel_tol: float = DEFAULT_REL_TOL) -> BoundReport:
+                          with_exact: bool | None = None) -> BoundReport:
     """BoundReport for the unit-ball measure at explicit (R, lam)."""
     lo, hi = unitball_sandwich(n, p, R, lam)
     beta0, log_alpha = _unitball_growth_base(p, R, lam)
@@ -493,7 +490,7 @@ def unitball_construction(n: int, p: float, R: float, lam: float, *,
         "case_id": float(case_id),
         "case_upper_bound": case_upper,
     }
-    exact, lb_R, lb_r, lb_off = _exact_t(UnitBallIndicator(), n, p, R, r, with_exact, rel_tol)
+    exact, lb_R, lb_r, lb_off = _exact_t(UnitBallIndicator(), n, p, R, r, with_exact)
     if exact is not None:
         terms.update({
             "log_mu_ball_R": lb_R,

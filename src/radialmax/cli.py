@@ -98,17 +98,17 @@ def build_parser() -> _Parser:
                         help="ball radius for the unitball construction (default 1)")
     shared.add_argument("--texact-max-n", type=int, default=bounds.T_EXACT_MAX_N,
                         help="skip exact quadrature above this dimension")
-    shared.add_argument("--rel-tol", type=float, default=1e-10)
     shared.add_argument("--output", default=None)
 
-    # no abbreviations: a stray --r would otherwise be taken for --rel-tol
+    # no abbreviations: argparse would otherwise expand a unique prefix, and
+    # read `sweep --n 10` as `--n-range 10`
     bd = sub.add_parser("bound", parents=[shared], allow_abbrev=False,
                         help="run one lower-bound construction")
     bd.add_argument("--n", type=int, required=True)
     bd.add_argument("--p", type=float, required=True)
     bd.add_argument("--lambda", dest="lam", type=float, required=True)
 
-    sw = sub.add_parser("sweep", parents=[shared],
+    sw = sub.add_parser("sweep", parents=[shared], allow_abbrev=False,
                         help="tabulate constructions across dimensions")
     sw.add_argument("--n-range", required=True,
                     help="'a:b:step' inclusive, or comma-separated values")
@@ -138,7 +138,6 @@ def build_parser() -> _Parser:
                      help="emit the empirical constant lower bound (JSON)")
     orc.add_argument("--profile-points", type=int, default=256)
     orc.add_argument("--t-points", type=int, default=512)
-    orc.add_argument("--rel-tol", type=float, default=1e-10)
     orc.add_argument("--output", default=None)
     return parser
 
@@ -169,13 +168,10 @@ def _construct(args, f, construction: str, n: int, p: float, lam: float):
         raise ValueError(f"the {construction} construction needs --measure {construction}")
     with_exact = n <= args.texact_max_n
     if construction == "gaussian":
-        return bounds.gaussian_construction(n, p, lam, with_exact=with_exact,
-                                            rel_tol=args.rel_tol)
+        return bounds.gaussian_construction(n, p, lam, with_exact=with_exact)
     if construction == "unitball":
-        return bounds.unitball_construction(n, p, args.R, lam, with_exact=with_exact,
-                                            rel_tol=args.rel_tol)
-    return bounds.general_construction(f, n, p, lam, with_exact=with_exact,
-                                       rel_tol=args.rel_tol)
+        return bounds.unitball_construction(n, p, args.R, lam, with_exact=with_exact)
+    return bounds.general_construction(f, n, p, lam, with_exact=with_exact)
 
 
 def _cmd_bound(args) -> int:
@@ -364,8 +360,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     f = density_from_name(args.measure, args.density_file)
     if args.rho is not None:
-        value = maximal_function_at(f, args.n, args.r, args.rho,
-                                    t_points=args.t_points, rel_tol=args.rel_tol)
+        value = maximal_function_at(f, args.n, args.r, args.rho, t_points=args.t_points)
         payload = {"measure": args.measure, "n": args.n, "r": args.r,
                    "rho": args.rho, "value": value,
                    "log_value": math.log(value)}
@@ -374,15 +369,14 @@ def _cmd_oracle(args) -> int:
     if args.p is not None:
         bound = empirical_constant_lower_bound(f, args.n, args.r, args.p,
                                                points=args.profile_points,
-                                               t_points=args.t_points,
-                                               rel_tol=args.rel_tol)
+                                               t_points=args.t_points)
         payload = {"measure": args.measure, "n": args.n, "r": args.r,
                    "p": args.p, "constant_lower_bound": bound,
                    "profile_points": args.profile_points}
         _emit(to_json(payload) + "\n", args.output)
         return 0
     prof = maximal_profile(f, args.n, args.r, points=args.profile_points,
-                           t_points=args.t_points, rel_tol=args.rel_tol)
+                           t_points=args.t_points)
     _emit(prof.to_csv(), args.output)
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 from .densities import RadialDensity
 from .logspace import LOG_ZERO, log_sub, log_sum
 from .measures import log_ball_measure, log_sphere_area, radial_log_integrand
-from .quadrature import DEFAULT_REL_TOL, gauss_legendre_nodes, log_integral
+from .quadrature import gauss_legendre_nodes, log_integral
 
 FULL_ANGLE = math.pi   # sphere entirely inside the ball
 EMPTY_ANGLE = 0.0      # sphere misses the ball
@@ -141,7 +141,7 @@ def _cap_j_log(n: int, theta):
     return float(out[0]) if scalar else out
 
 
-def cap_log_area(n: int, theta: float, *, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def cap_log_area(n: int, theta: float) -> float:
     """log surface measure of the cap of angular radius theta on S^(n-1).
 
     omega_{n-2} * int_0^theta sin^(n-2), by adaptive log-domain quadrature;
@@ -166,15 +166,15 @@ def cap_log_area(n: int, theta: float, *, rel_tol: float = DEFAULT_REL_TOL) -> f
             return np.where(sin_b > 0.0, m * np.log(np.maximum(sin_b, 1e-300)), LOG_ZERO)
 
     hint = min(theta, 0.5 * math.pi)
-    res = log_integral(phi, 0.0, theta, rel_tol=rel_tol, probe_points=[hint])
+    res = log_integral(phi, 0.0, theta, probe_points=[hint])
     return float(log_sphere_area(n - 1) + res.log_value)
 
 
-def cap_fraction_log(n: int, theta: float, *, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def cap_fraction_log(n: int, theta: float) -> float:
     """log of the share of the unit sphere's surface within angle theta of a pole."""
     if theta == 0.0:
         return LOG_ZERO
-    return cap_log_area(n, theta, rel_tol=rel_tol) - log_sphere_area(n)
+    return cap_log_area(n, theta) - log_sphere_area(n)
 
 
 def _off_center_1d(f: RadialDensity, d: float, t: float, rho: float) -> float:
@@ -198,8 +198,7 @@ def _off_center_1d(f: RadialDensity, d: float, t: float, rho: float) -> float:
     return log_sum(pieces)
 
 
-def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float, *,
-                    rel_tol: float = DEFAULT_REL_TOL) -> float:
+def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) -> float:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if d < 0 or t <= 0:
@@ -209,13 +208,13 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float, *,
     if n == 1:
         return _off_center_1d(f, d, t, rho)
     if d == 0.0:
-        return log_ball_measure(f, n, min(t, rho), rel_tol=rel_tol)
+        return log_ball_measure(f, n, min(t, rho))
     S = f.support_upper_bound
     hi = min(d + t, rho, S)
     full_hi = min(max(t - d, 0.0), rho, S)
     pieces = []
     if full_hi > 0.0:
-        pieces.append(log_ball_measure(f, n, full_hi, rel_tol=rel_tol))
+        pieces.append(log_ball_measure(f, n, full_hi))
     lo = max(abs(t - d), full_hi)
     if hi > lo:
         phi_radial = radial_log_integrand(f, n)
@@ -234,25 +233,23 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float, *,
             widest = math.sqrt(d * d - t * t)  # theta(s) is maximal here
             if lo < widest < hi:
                 hints.append(widest)
-        res = log_integral(phi, lo, hi, rel_tol=rel_tol, probe_points=hints)
+        res = log_integral(phi, lo, hi, probe_points=hints)
         pieces.append(log_sphere_area(n - 1) + res.log_value)
     return log_sum(pieces)
 
 
-def off_center_ball_measure(f: RadialDensity, n: int, d: float, t: float, *,
-                            rel_tol: float = DEFAULT_REL_TOL) -> float:
+def off_center_ball_measure(f: RadialDensity, n: int, d: float, t: float) -> float:
     """log mu(B(d xi, t)); reduces to the centered ball when d = 0."""
-    return _log_off_center(f, n, d, t, math.inf, rel_tol=rel_tol)
+    return _log_off_center(f, n, d, t, math.inf)
 
 
 def intersect_with_centered_ball(f: RadialDensity, n: int, d: float, t: float,
-                                 rho: float, *, rel_tol: float = DEFAULT_REL_TOL) -> float:
+                                 rho: float) -> float:
     """log mu(B(d xi, t) ∩ B_rho): the off-center integral with outer limit rho."""
-    return _log_off_center(f, n, d, t, rho, rel_tol=rel_tol)
+    return _log_off_center(f, n, d, t, rho)
 
 
-def cone_ball_measure(f: RadialDensity, n: int, theta: float, R: float, *,
-                      rel_tol: float = DEFAULT_REL_TOL) -> float:
+def cone_ball_measure(f: RadialDensity, n: int, theta: float, R: float) -> float:
     """log mu(E_theta ∩ B_R) for the cone of half-angle theta about xi.
 
     The angular section is s-independent, so the measure factors into the
@@ -262,5 +259,4 @@ def cone_ball_measure(f: RadialDensity, n: int, theta: float, R: float, *,
         raise ValueError("cones need dimension n >= 2")
     if R <= 0:
         raise ValueError("R must be positive")
-    return (log_ball_measure(f, n, R, rel_tol=rel_tol)
-            + cap_fraction_log(n, theta, rel_tol=rel_tol))
+    return log_ball_measure(f, n, R) + cap_fraction_log(n, theta)

@@ -18,7 +18,7 @@ import numpy as np
 from .densities import RadialDensity
 from .errors import NonFiniteMeasureError
 from .logspace import LOG_ZERO, log_sub
-from .quadrature import DEFAULT_REL_TOL, log_integral
+from .quadrature import log_integral
 from .special import lgamma
 
 
@@ -98,8 +98,7 @@ def upper_cutoff(f: RadialDensity, n: int) -> float:
         f"could not find a decay radius for {f.kind}; is the measure finite?")
 
 
-def log_ball_measure(f: RadialDensity, n: int, rho: float, *,
-                     rel_tol: float = DEFAULT_REL_TOL) -> float:
+def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
     """log mu(B_rho) for the centered ball; rho = inf means total mass."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -121,13 +120,11 @@ def log_ball_measure(f: RadialDensity, n: int, rho: float, *,
     if b <= 0.0:
         return LOG_ZERO
     phi = radial_log_integrand(f, n)
-    res = log_integral(phi, 0.0, b, rel_tol=rel_tol,
-                       probe_points=[h for h in _probe_hints(f, n) if h <= b])
+    res = log_integral(phi, 0.0, b, probe_points=[h for h in _probe_hints(f, n) if h <= b])
     return float(log_sphere_area(n) + res.log_value)
 
 
-def log_annulus_measure(f: RadialDensity, n: int, a: float, b: float, *,
-                        rel_tol: float = DEFAULT_REL_TOL) -> float:
+def log_annulus_measure(f: RadialDensity, n: int, a: float, b: float) -> float:
     """log mu(B_b \\ B_a) for 0 <= a <= b."""
     if a < 0 or b < a:
         raise ValueError("need 0 <= a <= b")
@@ -144,7 +141,7 @@ def log_annulus_measure(f: RadialDensity, n: int, a: float, b: float, *,
     if hi <= a:
         return LOG_ZERO
     phi = radial_log_integrand(f, n)
-    res = log_integral(phi, a, hi, rel_tol=rel_tol,
+    res = log_integral(phi, a, hi,
                        probe_points=[h for h in _probe_hints(f, n) if a <= h <= hi])
     return float(log_sphere_area(n) + res.log_value)
 
@@ -182,14 +179,13 @@ def log_ball_measure_grid(f: RadialDensity, n: int, radii, *, order: int = 12):
     return log_sphere_area(n) + out
 
 
-def log_mass(f: RadialDensity, n: int, *, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def log_mass(f: RadialDensity, n: int) -> float:
     """log of the total mass; raises NonFiniteMeasureError when infinite."""
-    return log_ball_measure(f, n, math.inf, rel_tol=rel_tol)
+    return log_ball_measure(f, n, math.inf)
 
 
-def log_annulus_from_balls(f: RadialDensity, n: int, a: float, b: float, *,
-                           rel_tol: float = DEFAULT_REL_TOL) -> float:
+def log_annulus_from_balls(f: RadialDensity, n: int, a: float, b: float) -> float:
     """Annulus measure as a log-difference of ball measures (consistency route)."""
-    outer = log_ball_measure(f, n, b, rel_tol=rel_tol)
-    inner = log_ball_measure(f, n, a, rel_tol=rel_tol)
+    outer = log_ball_measure(f, n, b)
+    inner = log_ball_measure(f, n, a)
     return log_sub(outer, min(inner, outer))

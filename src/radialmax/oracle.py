@@ -30,7 +30,7 @@ from .geometry import _cap_j_log, intersect_with_centered_ball, off_center_ball_
 from .logspace import LOG_ZERO
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area,
                        radial_log_integrand, upper_cutoff)
-from .quadrature import DEFAULT_REL_TOL, gauss_legendre_nodes, log_integral
+from .quadrature import gauss_legendre_nodes, log_integral
 
 MAX_ORACLE_DIMENSION = 6
 _SCAN_PANELS = 24
@@ -113,15 +113,14 @@ class _MaximalEvaluator:
     """
 
     def __init__(self, f: RadialDensity, n: int, r: float, *, max_rho: float,
-                 t_points: int = 512, rel_tol: float = DEFAULT_REL_TOL):
+                 t_points: int = 512):
         _check_dimension(n)
         if r <= 0:
             raise ValueError("test-function radius r must be positive")
         self.f, self.n, self.r = f, n, r
-        self.rel_tol = rel_tol
         self.t_points = t_points
         self.support = upper_cutoff(f, n)
-        self.log_mu_br = log_ball_measure(f, n, r, rel_tol=rel_tol)
+        self.log_mu_br = log_ball_measure(f, n, r)
         if self.log_mu_br == LOG_ZERO:
             raise ValueError("mu(B_r) vanishes; the test function is undefined")
         self.horizon = 2.0 * (max_rho + r) + self.support + 1.0
@@ -206,9 +205,8 @@ class _MaximalEvaluator:
             return np.where(mass > 0.0, np.log(np.maximum(mass, 1e-300)), LOG_ZERO)
 
     def _exact_ratio(self, rho: float, t: float) -> float:
-        num = intersect_with_centered_ball(self.f, self.n, rho, t, self.r,
-                                           rel_tol=self.rel_tol)
-        den = off_center_ball_measure(self.f, self.n, rho, t, rel_tol=self.rel_tol)
+        num = intersect_with_centered_ball(self.f, self.n, rho, t, self.r)
+        den = off_center_ball_measure(self.f, self.n, rho, t)
         if den == LOG_ZERO:
             return LOG_ZERO
         return num - den
@@ -248,17 +246,14 @@ class _MaximalEvaluator:
 
 
 def maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
-                        t_points: int = 512,
-                        rel_tol: float = DEFAULT_REL_TOL) -> float:
+                        t_points: int = 512) -> float:
     """Mg(rho) for the normalized indicator test function (linear scale)."""
-    ev = _MaximalEvaluator(f, n, r, max_rho=max(rho, r), t_points=t_points,
-                           rel_tol=rel_tol)
+    ev = _MaximalEvaluator(f, n, r, max_rho=max(rho, r), t_points=t_points)
     return math.exp(ev.log_maximal_at(rho))
 
 
 def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
                     rho_max: float | None = None, t_points: int = 512,
-                    rel_tol: float = DEFAULT_REL_TOL,
                     focus: float | None = None) -> RadialProfile:
     """Mg sampled on a radial grid graded toward 0 and toward the far end.
 
@@ -273,8 +268,7 @@ def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
     if focus is not None and 0 < focus < rho_max:
         extra = np.linspace(0.9 * focus, min(1.1 * focus, rho_max), points // 8)
         radii = np.unique(np.concatenate([radii, extra]))
-    ev = _MaximalEvaluator(f, n, r, max_rho=float(radii[-1]), t_points=t_points,
-                           rel_tol=rel_tol)
+    ev = _MaximalEvaluator(f, n, r, max_rho=float(radii[-1]), t_points=t_points)
     values = np.array([math.exp(ev.log_maximal_at(float(rho))) for rho in radii])
     meta = {"kind": f.kind, "n": n, "r": repr(r),
             "grid": f"smoothstep:{points}:0:{rho_max!r}", "seed": "none"}
@@ -282,8 +276,7 @@ def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
 
 
 def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
-                               n_points: int = 64, t_points: int = 512,
-                               rel_tol: float = DEFAULT_REL_TOL) -> InclusionReport:
+                               n_points: int = 64, t_points: int = 512) -> InclusionReport:
     """Check B_R ⊂ {Mg > 1/mu(B~)} pointwise on a radial grid.
 
     Evaluates Mg at n_points radii up to R (1 - 1e-6) and compares against
@@ -293,9 +286,9 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
     _check_dimension(n)
-    log_mu_btilde = off_center_ball_measure(f, n, R, R + r, rel_tol=rel_tol)
+    log_mu_btilde = off_center_ball_measure(f, n, R, R + r)
     log_threshold = -log_mu_btilde
-    ev = _MaximalEvaluator(f, n, r, max_rho=R, t_points=t_points, rel_tol=rel_tol)
+    ev = _MaximalEvaluator(f, n, r, max_rho=R, t_points=t_points)
     rows = []
     for rho in np.linspace(0.0, R * (1.0 - 1e-6), n_points):
         log_mg = ev.log_maximal_at(float(rho))
@@ -307,7 +300,6 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
 
 def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float, *,
                                    points: int = 256, t_points: int = 512,
-                                   rel_tol: float = DEFAULT_REL_TOL,
                                    profile: RadialProfile | None = None) -> float:
     """Empirical lower bound on the operator constant from the Mg profile.
 
@@ -320,12 +312,11 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
         raise ValueError("p must be >= 1")
     _check_dimension(n)
     if profile is None:
-        profile = maximal_profile(f, n, r, points=points, t_points=t_points,
-                                  rel_tol=rel_tol)
+        profile = maximal_profile(f, n, r, points=points, t_points=t_points)
     radii = profile.radii
     with np.errstate(divide="ignore"):
         log_mg = np.log(np.maximum(profile.values, 1e-300))
-    log_mu_br = log_ball_measure(f, n, r, rel_tol=rel_tol)
+    log_mu_br = log_ball_measure(f, n, r)
     if p == 1.0:
         cum = np.concatenate([[LOG_ZERO],
                               log_ball_measure_grid(f, n, radii[1:])])
@@ -343,7 +334,7 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
         s = np.asarray(s, dtype=float)
         return p * np.interp(s, radii, log_mg) + phi_radial(s)
 
-    res = log_integral(phi, float(radii[0]), float(radii[-1]), rel_tol=rel_tol,
+    res = log_integral(phi, float(radii[0]), float(radii[-1]),
                        probe_points=list(radii[:: max(len(radii) // 64, 1)]))
     log_num = log_sphere_area(n) + res.log_value
     log_den = (1.0 - p) * log_mu_br

@@ -11,7 +11,8 @@ thousands of log-units across its interval.  The recipe is
   4. run global adaptive Gauss-Legendre on ``exp(phi - m)`` inside the
      window.
 
-Truncation error is then below the quadrature tolerance and the shifted
+Truncation error is then below the quadrature tolerance, DEFAULT_REL_TOL,
+which is the one tolerance of every measure in the library, and the shifted
 integrand is O(1), so nothing ever under- or overflows.  Integrands must
 accept numpy arrays.
 
@@ -33,6 +34,7 @@ from .logspace import LOG_ZERO
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_EVALS = 10 ** 6
 WINDOW_DROP = 46.0
+N_PROBES = 257
 
 
 @lru_cache(maxsize=32)
@@ -129,28 +131,27 @@ def _bisect_crossing(log_f, below, above, tau):
     return below
 
 
-def log_integral(log_f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
-                 max_evals: int = DEFAULT_MAX_EVALS, splits=(), probe_points=(),
-                 n_probes: int = 257, window_drop: float = WINDOW_DROP) -> LogIntegralResult:
-    """log of the integral of exp(log_f) over [a, b].
+def log_integral(log_f, a: float, b: float, *, splits=(),
+                 probe_points=()) -> LogIntegralResult:
+    """log of the integral of exp(log_f) over [a, b], to DEFAULT_REL_TOL.
 
     ``probe_points`` should include any interior maxima the caller knows
     about (density peaks, tabulation knots); the uniform probe grid alone
-    only resolves peaks wider than (b - a) / n_probes.
+    only resolves peaks wider than (b - a) / N_PROBES.
     """
     if not b > a:
         return LogIntegralResult(LOG_ZERO, 0.0, 0, True, LOG_ZERO, (a, b))
     pts = {float(a), float(b)}
     pts.update(float(s) for s in splits if a < s < b)
     pts.update(float(p) for p in probe_points if a <= p <= b)
-    grid = np.unique(np.concatenate([np.linspace(a, b, n_probes),
+    grid = np.unique(np.concatenate([np.linspace(a, b, N_PROBES),
                                      np.array(sorted(pts))]))
     vals = np.asarray(log_f(grid), dtype=float)
     evals = grid.size
     m = float(np.max(vals))
     if m == LOG_ZERO:
         return LogIntegralResult(LOG_ZERO, 0.0, evals, True, LOG_ZERO, (a, b))
-    tau = m - window_drop
+    tau = m - WINDOW_DROP
     above = vals >= tau
     i_lo = int(np.argmax(above))
     i_hi = int(len(above) - 1 - np.argmax(above[::-1]))
@@ -164,8 +165,8 @@ def log_integral(log_f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
             return np.exp(np.asarray(log_f(x), dtype=float) - m)
 
     inner = [s for s in splits if lo < s < hi]
-    res = integrate(shifted, lo, hi, rel_tol=rel_tol,
-                    max_evals=max(max_evals - evals, 10 ** 4), splits=inner)
+    res = integrate(shifted, lo, hi, max_evals=max(DEFAULT_MAX_EVALS - evals, 10 ** 4),
+                    splits=inner)
     evals += res.evaluations
     if res.value <= 0.0:
         return LogIntegralResult(LOG_ZERO, 0.0, evals, res.converged, m, (lo, hi))

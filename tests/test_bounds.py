@@ -283,12 +283,24 @@ class TestGaussianUpperBound:
 
 
 class TestUnitBall:
-    @pytest.mark.parametrize("n", [5, 10, 20])
+    @pytest.mark.parametrize("n", [5, 10, 20, 50, 100])
     def test_sandwich_contains_exact(self, n):
-        p, lam = 1.02, 0.15
-        lo, hi = unitball_sandwich(n, p, 1.0, lam)
-        exact = log_t_exact(UnitBallIndicator(), n, p, 1.0, lam)
-        assert lo - 1e-9 <= exact <= hi + 1e-9
+        p = 1.02
+        for lam in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4):
+            lo, hi = unitball_sandwich(n, p, 1.0, lam)
+            exact = log_t_exact(UnitBallIndicator(), n, p, 1.0, lam)
+            assert lo - 1e-9 <= exact <= hi + 1e-9, lam
+
+    def test_sandwich_refuses_radius_below_one(self):
+        # below R = 1 the lower end can exceed the exact T (R = 0.8, n = 100,
+        # lam = 0.2: -8.29 against -12.45), so no R < 1 is certified
+        for n in (5, 10, 20, 50, 100):
+            for R in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99):
+                for lam in (0.05, 0.1, 0.2, 0.3, 0.4):
+                    with pytest.raises(ValueError, match="only certified at R = 1"):
+                        unitball_sandwich(n, 1.02, R, lam)
+        with pytest.raises(ValueError, match="only certified at R = 1"):
+            unitball_construction(100, 1.02, 0.8, 0.2)
 
     def test_small_ball_ratio_is_lambda_power_n(self):
         n, lam = 12, 0.3

@@ -84,6 +84,13 @@ class TestBoundCommand:
         assert out == ""
         assert "R must lie in (0, 1]" in err
 
+    def test_unitball_radius_below_one_exits_two(self, capsys):
+        code, out, err = run(capsys, "bound", "--measure", "unitball", "--n", "100",
+                             "--p", "1.02", "--R", "0.8", "--lambda", "0.2")
+        assert code == 2
+        assert out == ""
+        assert "only certified at R = 1" in err
+
     def test_unitball_measure_defaults_to_unitball_construction(self, capsys):
         code, out, _ = run(capsys, "bound", "--measure", "unitball", "--n", "20",
                            "--p", "1.02", "--lambda", "0.15")
@@ -100,7 +107,7 @@ class TestBoundCommand:
         assert "--lambda" in err
 
     def test_lowercase_r_is_usage_error(self, capsys):
-        # bound has no --r; it must not be taken for an abbreviation of --rel-tol
+        # bound has no --r, and takes no abbreviated options
         code, out, err = run(capsys, "bound", "--measure", "gaussian", "--n", "10",
                              "--p", "1.01", "--lambda", "0.2", "--r", "123")
         assert code == 1
@@ -109,6 +116,14 @@ class TestBoundCommand:
 
 
 class TestSweepCommand:
+    def test_abbreviated_option_is_usage_error(self, capsys):
+        # --n is bound's option; sweep must not expand it to --n-range
+        code, out, err = run(capsys, "sweep", "--measure", "gaussian", "--n", "10",
+                             "--lambda", "0.2", "--p", "1.01")
+        assert code == 1
+        assert out == ""
+        assert "--n" in err
+
     def test_general_sweep_slope_column(self, capsys):
         code, out, _ = run(capsys, "sweep", "--measure", "gaussian",
                            "--n-range", "50:150:50", "--lambda", "0.2",
@@ -276,3 +291,16 @@ class TestDeterminism:
             capsys.readouterr()
             assert code_a == code_b
             assert a.read_bytes() == b.read_bytes(), argv
+
+
+@pytest.mark.parametrize("command", [
+    ["bound", "--measure", "gaussian", "--n", "10", "--p", "1.01", "--lambda", "0.2"],
+    ["sweep", "--measure", "gaussian", "--n-range", "10"],
+    ["oracle", "--measure", "gaussian", "--n", "3", "--r", "0.2", "--rho", "0.5"],
+])
+def test_rel_tol_flag_is_gone(capsys, command):
+    # the quadrature tolerance is one library constant, not an option
+    code, out, err = run(capsys, *command, "--rel-tol", "1e-12")
+    assert code == 1
+    assert out == ""
+    assert "--rel-tol" in err

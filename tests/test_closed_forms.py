@@ -1,0 +1,85 @@
+"""Library measures against closed forms at high dimension, evaluated in mpmath.
+
+The Gaussian ball exp(-pi |x|^2) dx has mass P(n/2, pi rho^2), the
+regularized lower incomplete gamma function (DLMF 8.2).  The lens of the
+unit ball and B(d xi, t) is the sum of two spherical caps, one of each
+ball, cut by their common hyperplane; a cap is half the ball's volume
+times a regularized incomplete beta function (DLMF 8.17; S. Li, "Concise
+formulas for the area and volume of a hyperspherical cap", 2011).  Both
+reach far past the brute-force oracle's n <= 6.
+"""
+
+import math
+
+import pytest
+
+from radialmax.densities import Gaussian, UnitBallIndicator
+from radialmax.geometry import off_center_ball_measure
+from radialmax.measures import log_ball_measure
+
+mpmath = pytest.importorskip("mpmath")
+
+_DPS = 40
+
+
+def _log_gamma_p(a: float, x: float) -> float:
+    """log P(a, x).
+
+    Through Q for x >= a; below a, by the positive series
+    P = x^a e^-x / Gamma(a+1) * sum_k x^k / ((a+1)...(a+k)), because
+    mpmath.gammainc does not converge on the lower side at a ~ 5e4.
+    """
+    with mpmath.workdps(_DPS):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        if x >= a:
+            return float(mpmath.log1p(-mpmath.gammainc(a, x, mpmath.inf, regularized=True)))
+        total = term = mpmath.mpf(1)
+        k = 0
+        while term > total * mpmath.mpf(10) ** (5 - _DPS):
+            k += 1
+            term *= x / (a + k)
+            total += term
+        return float(a * mpmath.log(x) - x - mpmath.loggamma(a + 1) + mpmath.log(total))
+
+
+def _log_cap(n, rho, c):
+    """log volume of {x in B(0, rho): x_1 >= c} for -rho <= c <= rho (mpmath)."""
+    log_ball = (n / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2 + 1)
+                + n * mpmath.log(rho))
+    half = mpmath.betainc(mpmath.mpf(n + 1) / 2, mpmath.mpf(1) / 2, 0, 1 - (c / rho) ** 2,
+                          regularized=True) / 2
+    return log_ball + mpmath.log(half if c >= 0 else 1 - half)
+
+
+def _log_unit_ball_lens(n: int, d: float, t: float) -> float:
+    """log vol(B(0, 1) ∩ B(d xi, t)) for |1 - t| < d < 1 + t.
+
+    The boundary spheres meet in the hyperplane x_1 = c, at distance c from
+    the origin and d - c from the other centre, on the origin's side of it.
+    """
+    with mpmath.workdps(_DPS):
+        d, t = mpmath.mpf(d), mpmath.mpf(t)
+        c = (d * d + 1 - t * t) / (2 * d)
+        return float(mpmath.log(mpmath.exp(_log_cap(n, 1, c))
+                                + mpmath.exp(_log_cap(n, t, d - c))))
+
+
+@pytest.mark.parametrize("n,tol", [(2, 1e-10), (10, 1e-10), (100, 1e-10), (1000, 1e-10),
+                                   (10_000, 1e-10), (100_000, 5e-10)])
+@pytest.mark.parametrize("frac", [0.5, 0.9, 1.0, 1.1, 2.0])
+def test_gaussian_ball_is_incomplete_gamma(n, tol, frac):
+    # the tolerance widens at n = 1e5, where log terms of size ~1e5 cancel
+    rho = frac * math.sqrt((n - 1) / (2.0 * math.pi))
+    exact = _log_gamma_p(n / 2.0, math.pi * rho * rho)
+    assert abs(log_ball_measure(Gaussian(), n, rho) - exact) <= tol
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+@pytest.mark.parametrize("R,lam", [(1.0, 0.05), (1.0, 0.2), (1.0, 0.4), (0.8, 0.2),
+                                   (0.5, 0.3)])
+def test_unit_ball_lens_is_two_beta_caps(n, R, lam):
+    # at (0.5, 0.3) the cap of B(d xi, t) holds its centre (d - c < 0),
+    # which takes the complement branch of _log_cap
+    exact = _log_unit_ball_lens(n, R, R * (1.0 + lam))
+    lib = off_center_ball_measure(UnitBallIndicator(), n, R, R * (1.0 + lam))
+    assert abs(lib - exact) <= 1e-10 * max(1.0, abs(exact))
