@@ -21,6 +21,12 @@ whose base alpha > 1 drives exponential growth in the dimension:
 Every intermediate estimate of a construction is recorded in
 ``BoundReport.terms`` so each displayed inequality is individually
 testable, separately from the exact values.
+
+p enters T and the bounds only through (p-1)/p, so each construction runs
+in two stages: a p-free stage (domain checks, the radius, the exact
+measures) and a per-p stage of closed-form arithmetic.  Given a sequence of
+exponents, a construction runs the first stage once and the second for
+each p (see ``_per_p``).
 """
 
 from __future__ import annotations
@@ -103,32 +109,73 @@ class BoundReport:
         }
 
 
-def _exact_t(f: RadialDensity, n: int, p: float, R: float, r: float,
-             with_exact: bool | None):
-    """(log T, log mu(B_R), log mu(B_r), log mu(B~)) by exact quadrature.
+def _exact_measures(f: RadialDensity, n: int, R: float, r: float,
+                    with_exact: bool | None):
+    """(log mu(B_R), log mu(B_r), log mu(B~)) by exact quadrature.
 
-    All four are None when the quadrature is skipped; ``with_exact`` None
-    means run it for n <= T_EXACT_MAX_N.
+    None when the quadrature is skipped; ``with_exact`` None means run it
+    for n <= T_EXACT_MAX_N.
     """
     if with_exact is None:
         with_exact = n <= T_EXACT_MAX_N
     if not with_exact:
-        return None, None, None, None
-    lb_R = log_ball_measure(f, n, R)
-    lb_r = log_ball_measure(f, n, r)
-    lb_off = off_center_ball_measure(f, n, R, R + r)
-    return lb_R - lb_off + (p - 1.0) / p * (lb_r - lb_R), lb_R, lb_r, lb_off
+        return None
+    return (log_ball_measure(f, n, R), log_ball_measure(f, n, r),
+            off_center_ball_measure(f, n, R, R + r))
+
+
+def _log_t(p: float, lb_R: float, lb_r: float, lb_off: float) -> float:
+    """log T from the three exact measures."""
+    return lb_R - lb_off + (p - 1.0) / p * (lb_r - lb_R)
+
+
+def _check_p(p: float):
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+
+
+def _per_p(p, check, stage, report):
+    """Run a construction's p-free ``stage()`` once and ``report(state, p)`` per p.
+
+    For a float ``p`` the report is returned, or its error raised.  For a
+    sequence the result is a list with one entry per p: the report, or the
+    exception that a call with that p alone would raise.  ``check(p)`` holds
+    the checks the construction makes before its p-free work, so an error of
+    the stage surfaces only behind them, on every p that passes them; the
+    stage runs only if some p does.
+    """
+    scalar = np.ndim(p) == 0
+    out = []
+    staged = None  # (state, error) once the stage has run
+    for q in [p] if scalar else p:
+        try:
+            check(q)
+            if staged is None:
+                try:
+                    staged = stage(), None
+                except Exception as exc:  # re-raised for every p that reaches it
+                    staged = None, exc
+            state, error = staged
+            if error is not None:
+                raise error
+            out.append(report(state, q))
+        except Exception as exc:
+            out.append(exc)
+    if not scalar:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
 
 def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float) -> float:
     """log T(R, r) by exact quadrature of the three measures involved."""
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if not f.is_finite(n):
         raise NonFiniteMeasureError(f"{f.kind} measure is not finite in dimension {n}")
-    return _exact_t(f, n, p, R, r, True)[0]
+    return _log_t(p, *_exact_measures(f, n, R, r, True))
 
 
 def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> float:
@@ -194,8 +241,7 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> f
 def _check_lam_p(lam: float, p: float):
     if not 0.0 < lam < LAMBDA_MAX:
         raise ValueError(f"lam must lie in (0, sqrt(2)-1), got {lam!r}")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
 
 
 def _general_parameters(lam: float):
@@ -210,8 +256,8 @@ def _general_parameters(lam: float):
     return beta0, s, log_s, l, 1.0 / (1.0 + l)
 
 
-def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
-                         with_exact: bool | None = None) -> BoundReport:
+def general_construction(f: RadialDensity, n: int, p, lam: float, *,
+                         with_exact: bool | None = None) -> BoundReport | list:
     """Lower-bound construction valid for every finite radially decreasing density.
 
     Splits B~ at the sphere of radius R, covers the inner piece by the cap
@@ -221,37 +267,47 @@ def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
     equation and
 
         log T >= -log(Q + 1) + n log alpha,  alpha = lam^((p-1)/p) / sin(b0)^k.
-    """
-    _check_lam_p(lam, p)
-    if not f.is_finite(n):
-        raise NonFiniteMeasureError(
-            f"{f.kind} measure is not finite in dimension {n}")
-    beta0, s, log_s, l, k = _general_parameters(lam)
-    R = solve_radius_equation(f, n, beta0, k)
-    r = lam * R
-    Q = 1.0 / (math.sqrt(math.pi) * s * math.cos(beta0))
-    log_alpha = (p - 1.0) / p * math.log(lam) - k * log_s
-    log_t_lower = -math.log1p(Q) + n * log_alpha
 
-    terms = {
-        "ratio_lower_log": -math.log1p(Q) - n * k * log_s,
-        "annulus_power_margin": -l * log_s - math.log(2.0 + lam),
-        "outer_term_log": math.log(Q) + n * (1.0 - l * k) * log_s,
-        "inner_term_log": n * k * log_s,
-    }
-    exact, lb_R, lb_r, lb_off = _exact_t(f, n, p, R, r, with_exact)
-    if exact is not None:
-        lb_cap = log_ball_measure(f, n, R * s)
-        terms.update({
-            "log_mu_ball_R": lb_R,
-            "log_mu_ball_r": lb_r,
-            "log_mu_ball_R_sin": lb_cap,
-            "log_mu_offcenter": lb_off,
-            "radius_equation_residual": lb_cap - lb_R - n * k * log_s,
-        })
-    return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
-                       alpha=math.exp(log_alpha), log_t_lower=log_t_lower,
-                       log_t_exact=exact, l=l, k=k, Q=Q, terms=terms)
+    ``p`` may be a sequence: R and the measures are then computed once and
+    one report (or error) is returned per p, as ``_per_p`` describes.
+    """
+    def stage():
+        if not f.is_finite(n):
+            raise NonFiniteMeasureError(
+                f"{f.kind} measure is not finite in dimension {n}")
+        beta0, s, log_s, l, k = _general_parameters(lam)
+        R = solve_radius_equation(f, n, beta0, k)
+        r = lam * R
+        Q = 1.0 / (math.sqrt(math.pi) * s * math.cos(beta0))
+        terms = {
+            "ratio_lower_log": -math.log1p(Q) - n * k * log_s,
+            "annulus_power_margin": -l * log_s - math.log(2.0 + lam),
+            "outer_term_log": math.log(Q) + n * (1.0 - l * k) * log_s,
+            "inner_term_log": n * k * log_s,
+        }
+        measures = _exact_measures(f, n, R, r, with_exact)
+        if measures is not None:
+            lb_R, lb_r, lb_off = measures
+            lb_cap = log_ball_measure(f, n, R * s)
+            terms.update({
+                "log_mu_ball_R": lb_R,
+                "log_mu_ball_r": lb_r,
+                "log_mu_ball_R_sin": lb_cap,
+                "log_mu_offcenter": lb_off,
+                "radius_equation_residual": lb_cap - lb_R - n * k * log_s,
+            })
+        return beta0, log_s, l, k, R, r, Q, terms, measures
+
+    def report(state, p):
+        beta0, log_s, l, k, R, r, Q, terms, measures = state
+        log_alpha = (p - 1.0) / p * math.log(lam) - k * log_s
+        log_t_lower = -math.log1p(Q) + n * log_alpha
+        exact = None if measures is None else _log_t(p, *measures)
+        return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
+                           alpha=math.exp(log_alpha), log_t_lower=log_t_lower,
+                           log_t_exact=exact, l=l, k=k, Q=Q, terms=dict(terms))
+
+    return _per_p(p, lambda q: _check_lam_p(lam, q), stage, report)
 
 
 @dataclass
@@ -329,23 +385,26 @@ def gaussian_mass_concentration(n: int):
     return log_mass, floor
 
 
-def _gaussian_parameters(p: float, lam: float):
-    """(b0, sin b0, cos(b0)^2, log alpha) of the Gaussian construction at (p, lam)."""
+def _gaussian_parameters(lam: float):
+    """(b0, sin b0, cos(b0)^2, a, b) of the Gaussian construction at lam.
+
+    The log of the growth base at p is a + (p-1)/p b.
+    """
     beta0 = contact_angle(lam)
     s = math.sin(beta0)
     c = math.cos(beta0) ** 2
-    log_alpha = (-0.5 * c * math.exp(-c) - math.log(s)
-                 + (p - 1.0) / p * (0.5 * math.exp(-c) * (1.0 - lam * lam) + math.log(lam)))
-    return beta0, s, c, log_alpha
+    return (beta0, s, c, -0.5 * c * math.exp(-c) - math.log(s),
+            0.5 * math.exp(-c) * (1.0 - lam * lam) + math.log(lam))
 
 
 def gaussian_growth_base_log(p: float, lam: float) -> float:
     """log of the per-dimension growth base of the Gaussian lower construction."""
-    return _gaussian_parameters(p, lam)[3]
+    *_, a, b = _gaussian_parameters(lam)
+    return a + (p - 1.0) / p * b
 
 
-def gaussian_construction(n: int, p: float, lam: float, *,
-                          with_exact: bool | None = None) -> BoundReport:
+def gaussian_construction(n: int, p, lam: float, *,
+                          with_exact: bool | None = None) -> BoundReport | list:
     """Sharper lower-bound construction for the Gaussian measure.
 
     Balancing the cap-cover and annulus estimates suggests the radius
@@ -355,51 +414,56 @@ def gaussian_construction(n: int, p: float, lam: float, *,
         log T >= -log n + n log alpha,
 
     with alpha the Gaussian growth base; each displayed estimate of the
-    derivation lands in ``terms``.
+    derivation lands in ``terms``.  ``p`` may be a sequence, as in
+    ``general_construction``.
     """
-    _check_lam_p(lam, p)
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    beta0, s, c, log_alpha = _gaussian_parameters(p, lam)
-    e_c = math.exp(-c)
-    R_n = gaussian_mode_radius(n)
-    R = math.exp(-0.5 * c) * R_n
-    r = lam * R
-    lsa = log_sphere_area(n)
-    log_K_half_n = 0.5 * n * (math.log(n - 1.0) - math.log(2.0 * math.pi)) if n > 1 else LOG_ZERO
+    def stage():
+        if n < 2:
+            raise ValueError("needs n >= 2")
+        beta0, s, c, a, b = _gaussian_parameters(lam)
+        e_c = math.exp(-c)
+        R_n = gaussian_mode_radius(n)
+        R = math.exp(-0.5 * c) * R_n
+        r = lam * R
+        lsa = log_sphere_area(n)
+        log_K_half_n = (0.5 * n * (math.log(n - 1.0) - math.log(2.0 * math.pi))
+                        if n > 1 else LOG_ZERO)
+        terms = {
+            "bound_cap_cover": lsa - math.pi * R * R * s * s + n * math.log(R * s),
+            "bound_outside": (lsa + n * math.log(s)
+                              - math.log(math.sqrt(math.pi) * s * math.cos(beta0))
+                              + math.log(R + r) - math.pi * R_n * R_n
+                              + (n - 1.0) * (math.log(R_n) if R_n > 0 else LOG_ZERO)),
+            "bound_offcenter_total": (lsa + math.log(2.0)
+                                      - 0.5 * n * (s * s * e_c + c) + log_K_half_n
+                                      + n * math.log(s)),
+            "bound_ball_R": 0.5 + lsa - math.log(n) - 0.5 * n * (e_c + c) + log_K_half_n,
+            "ratio_lower_log": -math.log(n) + math.pi * R * R * (1.0 - lam * lam)
+                               + n * math.log(lam),
+            # 1 - (s^2 e^-c + c) factors as (1-c)(1-e^-c); the product form
+            # stays positive down to c ~ 1e-18 where the difference underflows
+            "dominance_margin": (1.0 - c) * -math.expm1(-c),
+            "transcendental_residual": (n * math.log(R) - math.pi * R * R * s * s
+                                        - ((n - 1.0) * math.log(R_n) - math.pi * R_n * R_n)),
+        }
+        return beta0, a, b, R, r, terms, _exact_measures(Gaussian(), n, R, r, with_exact)
 
-    log_t_lower = -math.log(n) + n * log_alpha
+    def report(state, p):
+        beta0, a, b, R, r, terms, measures = state
+        log_alpha = a + (p - 1.0) / p * b
+        terms = {**terms, "growth_base_log": log_alpha,
+                 "decay_upper_bound": gaussian_upper_bound(n, p, R, r)}
+        exact = None
+        if measures is not None:
+            exact = _log_t(p, *measures)
+            terms.update(zip(("log_mu_ball_R", "log_mu_ball_r", "log_mu_offcenter"),
+                             measures))
+        return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
+                           alpha=math.exp(log_alpha),
+                           log_t_lower=-math.log(n) + n * log_alpha,
+                           log_t_exact=exact, terms=terms)
 
-    terms = {
-        "bound_cap_cover": lsa - math.pi * R * R * s * s + n * math.log(R * s),
-        "bound_outside": (lsa + n * math.log(s)
-                          - math.log(math.sqrt(math.pi) * s * math.cos(beta0))
-                          + math.log(R + r) - math.pi * R_n * R_n
-                          + (n - 1.0) * (math.log(R_n) if R_n > 0 else LOG_ZERO)),
-        "bound_offcenter_total": (lsa + math.log(2.0)
-                                  - 0.5 * n * (s * s * e_c + c) + log_K_half_n
-                                  + n * math.log(s)),
-        "bound_ball_R": 0.5 + lsa - math.log(n) - 0.5 * n * (e_c + c) + log_K_half_n,
-        "ratio_lower_log": -math.log(n) + math.pi * R * R * (1.0 - lam * lam)
-                           + n * math.log(lam),
-        # 1 - (s^2 e^-c + c) factors as (1-c)(1-e^-c); the product form
-        # stays positive down to c ~ 1e-18 where the difference underflows
-        "dominance_margin": (1.0 - c) * -math.expm1(-c),
-        "transcendental_residual": (n * math.log(R) - math.pi * R * R * s * s
-                                    - ((n - 1.0) * math.log(R_n) - math.pi * R_n * R_n)),
-        "growth_base_log": log_alpha,
-        "decay_upper_bound": gaussian_upper_bound(n, p, R, r),
-    }
-    exact, lb_R, lb_r, lb_off = _exact_t(Gaussian(), n, p, R, r, with_exact)
-    if exact is not None:
-        terms.update({
-            "log_mu_ball_R": lb_R,
-            "log_mu_ball_r": lb_r,
-            "log_mu_offcenter": lb_off,
-        })
-    return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
-                       alpha=math.exp(log_alpha), log_t_lower=log_t_lower,
-                       log_t_exact=exact, terms=terms)
+    return _per_p(p, lambda q: _check_lam_p(lam, q), stage, report)
 
 
 def gaussian_upper_bound(n: int, p: float, R: float, r: float) -> float:
@@ -422,10 +486,22 @@ def gaussian_upper_bound(n: int, p: float, R: float, r: float) -> float:
             + n * (q * (0.5 * (1.0 - lam * lam) + math.log(lam)) - math.log(s)))
 
 
-def _unitball_growth_base(p: float, R: float, lam: float):
-    """(b0, log(R lam^((p-1)/p) / sin b0)), b0 the unit-sphere contact angle."""
-    beta0 = contact_angle_unit_ball(R, lam)
-    return beta0, math.log(R) + (p - 1.0) / p * math.log(lam) - math.log(math.sin(beta0))
+def _unitball_beta0(R: float, lam: float) -> float:
+    """Contact angle b0 against the unit sphere, after the sandwich's R checks."""
+    if not 0.0 < R <= 1.0:
+        raise ValueError("R must lie in (0, 1]")
+    if R < 1.0:
+        raise ValueError("the unit-ball lower bound is only certified at R = 1")
+    if R >= math.sqrt(2.0) / (1.0 + lam):
+        raise ValueError("sandwich needs R < sqrt(2)/(1+lam)")
+    return contact_angle_unit_ball(R, lam)
+
+
+def _unitball_sandwich(n: int, p: float, R: float, lam: float, beta0: float):
+    """(log alpha, lower end, upper end) of the sandwich at the contact angle b0."""
+    log_alpha = math.log(R) + (p - 1.0) / p * math.log(lam) - math.log(math.sin(beta0))
+    lo = n * log_alpha
+    return log_alpha, lo, math.log(math.sqrt(math.pi) * n) + lo
 
 
 def unitball_sandwich(n: int, p: float, R: float, lam: float):
@@ -437,16 +513,8 @@ def unitball_sandwich(n: int, p: float, R: float, lam: float):
     it, it can exceed the exact T (n = 100, p = 1.02, R = 0.8, lam = 0.2
     gives -8.29 against -12.45), so R < 1 is refused.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if not 0.0 < R <= 1.0:
-        raise ValueError("R must lie in (0, 1]")
-    if R < 1.0:
-        raise ValueError("the unit-ball lower bound is only certified at R = 1")
-    if R >= math.sqrt(2.0) / (1.0 + lam):
-        raise ValueError("sandwich needs R < sqrt(2)/(1+lam)")
-    lo = n * _unitball_growth_base(p, R, lam)[1]
-    return lo, math.log(math.sqrt(math.pi) * n) + lo
+    _check_p(p)
+    return _unitball_sandwich(n, p, R, lam, _unitball_beta0(R, lam))[1:]
 
 
 def unitball_case_analysis(n: int, p: float, R: float, lam: float):
@@ -462,8 +530,7 @@ def unitball_case_analysis(n: int, p: float, R: float, lam: float):
     r = lam * R
     if not 0.0 < r < R <= 1.0:
         raise ValueError("need 0 < r < R <= 1")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     q = (p - 1.0) / p
     threshold = math.sqrt(2.0) / (1.0 + lam)
     if R >= threshold:
@@ -477,27 +544,40 @@ def unitball_case_analysis(n: int, p: float, R: float, lam: float):
     return 2, math.log(math.sqrt(math.pi) * n) + n * log_alpha_1
 
 
-def unitball_construction(n: int, p: float, R: float, lam: float, *,
-                          with_exact: bool | None = None) -> BoundReport:
-    """BoundReport for the unit-ball measure at explicit (R, lam)."""
-    lo, hi = unitball_sandwich(n, p, R, lam)
-    beta0, log_alpha = _unitball_growth_base(p, R, lam)
+def unitball_construction(n: int, p, R: float, lam: float, *,
+                          with_exact: bool | None = None) -> BoundReport | list:
+    """BoundReport for the unit-ball measure at explicit (R, lam).
+
+    ``p`` may be a sequence, as in ``general_construction``.
+    """
     r = lam * R
-    case_id, case_upper = unitball_case_analysis(n, p, R, lam)
-    terms = {
-        "sandwich_lower": lo,
-        "sandwich_upper": hi,
-        "case_id": float(case_id),
-        "case_upper_bound": case_upper,
-    }
-    exact, lb_R, lb_r, lb_off = _exact_t(UnitBallIndicator(), n, p, R, r, with_exact)
-    if exact is not None:
-        terms.update({
-            "log_mu_ball_R": lb_R,
-            "log_mu_ball_r": lb_r,
-            "log_mu_offcenter": lb_off,
-            "small_ratio_log": lb_r - lb_R,
-        })
-    return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
-                       alpha=math.exp(log_alpha), log_t_lower=lo,
-                       log_t_exact=exact, terms=terms)
+
+    def stage():
+        return (_unitball_beta0(R, lam),
+                _exact_measures(UnitBallIndicator(), n, R, r, with_exact))
+
+    def report(state, p):
+        beta0, measures = state
+        log_alpha, lo, hi = _unitball_sandwich(n, p, R, lam, beta0)
+        case_id, case_upper = unitball_case_analysis(n, p, R, lam)
+        terms = {
+            "sandwich_lower": lo,
+            "sandwich_upper": hi,
+            "case_id": float(case_id),
+            "case_upper_bound": case_upper,
+        }
+        exact = None
+        if measures is not None:
+            lb_R, lb_r, lb_off = measures
+            exact = _log_t(p, *measures)
+            terms.update({
+                "log_mu_ball_R": lb_R,
+                "log_mu_ball_r": lb_r,
+                "log_mu_offcenter": lb_off,
+                "small_ratio_log": lb_r - lb_R,
+            })
+        return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
+                           alpha=math.exp(log_alpha), log_t_lower=lo,
+                           log_t_exact=exact, terms=terms)
+
+    return _per_p(p, _check_p, stage, report)

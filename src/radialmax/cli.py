@@ -57,6 +57,10 @@ def _emit(text: str, path):
             fh.write(text)
 
 
+class _UsageError(Exception):
+    """A malformed option value that argparse passed through as a string."""
+
+
 def _parse_int_range(spec: str):
     """'a:b:step' (inclusive) or comma-separated integers."""
     if ":" in spec:
@@ -73,6 +77,17 @@ def _parse_int_range(spec: str):
 
 def _parse_floats(spec: str):
     return [float(tok) for tok in spec.split(",") if tok.strip()]
+
+
+def _parse_list(option: str, parse, spec: str):
+    """``parse(spec)``, with a malformed or empty list made a usage error."""
+    try:
+        values = parse(spec)
+    except ValueError as exc:
+        raise _UsageError(f"argument {option}: {exc}") from None
+    if not values:
+        raise _UsageError(f"argument {option}: no values in {spec!r}")
+    return values
 
 
 def build_parser() -> _Parser:
@@ -162,8 +177,12 @@ def _pick_construction(args) -> str:
     return "general"
 
 
-def _construct(args, f, construction: str, n: int, p: float, lam: float):
-    """Run ``construction`` at (n, p, lam) after checking the measure fits it."""
+def _construct(args, f, construction: str, n: int, p, lam: float):
+    """Run ``construction`` at (n, p, lam) after checking the measure fits it.
+
+    ``p`` is one exponent, or a list of them sharing the p-free stage of
+    the construction; a list gives one report or exception per p.
+    """
     if construction != "general" and args.measure != construction:
         raise ValueError(f"the {construction} construction needs --measure {construction}")
     with_exact = n <= args.texact_max_n
@@ -187,12 +206,13 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+_ROW_ERRORS = (NonFiniteMeasureError, NoBalancedRadiusError, ValueError)
+
+
 def _cmd_sweep(args) -> int:
-    ns = _parse_int_range(args.n_range)
-    lams = _parse_floats(args.lam)
-    ps = _parse_floats(args.p)
-    if not ns or not lams or not ps:
-        raise SystemExit(USAGE_EXIT)
+    ns = _parse_list("--n-range", _parse_int_range, args.n_range)
+    lams = _parse_list("--lambda", _parse_floats, args.lam)
+    ps = _parse_list("--p", _parse_floats, args.p)
     f = density_from_name(args.measure, args.density_file)
     construction = _pick_construction(args)
     header = ["n", "lambda", "p", "alpha", "logT_lower", "logT_exact",
@@ -201,10 +221,15 @@ def _cmd_sweep(args) -> int:
     prev = {}
     for n in ns:
         for lam in lams:
-            for p in ps:
+            try:
+                outcomes = _construct(args, f, construction, n, ps, lam)
+            except _ROW_ERRORS as exc:
+                outcomes = [exc] * len(ps)
+            for p, rep in zip(ps, outcomes):
                 key = (lam, p)
                 try:
-                    rep = _construct(args, f, construction, n, p, lam)
+                    if isinstance(rep, Exception):
+                        raise rep
                     slope = None
                     if key in prev:
                         n0, v0 = prev[key]
@@ -215,7 +240,7 @@ def _cmd_sweep(args) -> int:
                                           rep.terms.get("decay_upper_bound"))
                     rows.append([n, lam, p, rep.alpha, rep.log_t_lower,
                                  rep.log_t_exact, upper, slope, None])
-                except (NonFiniteMeasureError, NoBalancedRadiusError, ValueError) as exc:
+                except _ROW_ERRORS as exc:
                     rows.append([n, lam, p, None, None, None, None, None,
                                  f"{type(exc).__name__}: {exc}"])
     meta = {"command": "sweep", "measure": args.measure,
@@ -401,6 +426,9 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
+    except _UsageError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except (NonFiniteMeasureError, NoBalancedRadiusError, BracketError,
             ValueError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -375,3 +375,45 @@ class TestBoundReport:
         assert d["l"] is None
         assert isinstance(d["terms"], dict)
         assert rep.chain_margin == pytest.approx(d["logT_exact"] - d["logT_lower"])
+
+
+class TestPSequence:
+    """A sequence of p runs the p-free stage once and gives the single-p results."""
+
+    CONSTRUCTIONS = {
+        "general": lambda p, lam, **kw: general_construction(Gaussian(), 12, p, lam, **kw),
+        "gaussian": lambda p, lam, **kw: gaussian_construction(30, p, lam, **kw),
+        "unitball": lambda p, lam, **kw: unitball_construction(20, p, 1.0, lam, **kw),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    @pytest.mark.parametrize("with_exact", [None, False])
+    def test_matches_single_p_calls(self, name, with_exact):
+        build = self.CONSTRUCTIONS[name]
+        ps = [1.003, 0.9, 1.04, float("nan")]
+        batch = build(ps, 0.2, with_exact=with_exact)
+        assert len(batch) == len(ps)
+        for p, got in zip(ps[::2], batch[::2]):
+            assert got.as_dict() == build(p, 0.2, with_exact=with_exact).as_dict()
+        for p, got in zip(ps[1::2], batch[1::2]):
+            with pytest.raises(ValueError) as single:
+                build(p, 0.2, with_exact=with_exact)
+            assert type(got) is ValueError
+            assert str(got) == str(single.value)
+        assert str(batch[1]) == "p must be >= 1"
+        assert str(batch[3]) == "alpha must be positive"
+
+    def test_reports_do_not_share_terms(self):
+        a, b = general_construction(Gaussian(), 12, [1.003, 1.04], 0.2, with_exact=False)
+        a.terms["extra"] = 1.0
+        assert "extra" not in b.terms
+
+    def test_stage_error_behind_p_check(self):
+        got = general_construction(Lebesgue(), 5, [1.01, 0.5, 1.02], 0.2)
+        assert [type(x) for x in got] == [NonFiniteMeasureError, ValueError,
+                                          NonFiniteMeasureError]
+        assert str(got[1]) == "p must be >= 1"
+        with pytest.raises(ValueError, match="lam must lie"):
+            general_construction(Lebesgue(), 5, 0.5, 0.9)
+        assert [str(x) for x in general_construction(Lebesgue(), 5, [0.5, 1.01], 0.9)] \
+            == ["lam must lie in (0, sqrt(2)-1), got 0.9"] * 2

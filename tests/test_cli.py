@@ -1,9 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import radialmax
+from radialmax import bounds
 from radialmax.cli import main
 
 
@@ -11,6 +17,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_rows(out):
+    """The data rows of a sweep's CSV, without its comment lines and header."""
+    return [l for l in out.splitlines() if l and not l.startswith("#")][1:]
 
 
 class TestP0Command:
@@ -180,6 +191,100 @@ class TestSweepCommand:
                          "--n-range", "", "--lambda", "0.2", "--p", "1.01")
         assert code == 1
 
+    @pytest.mark.parametrize("option,spec,message", [
+        ("--n-range", "5:3", "bad range '5:3'"),
+        ("--n-range", "5,q", "'q'"),
+        ("--lambda", "x", "'x'"),
+        ("--p", "abc", "'abc'"),
+    ])
+    def test_malformed_spec_is_usage_error(self, capsys, option, spec, message):
+        specs = {"--n-range": "5", "--lambda": "0.2", "--p": "1.01", option: spec}
+        code, out, err = run(capsys, "sweep", "--measure", "gaussian",
+                             *[tok for item in specs.items() for tok in item])
+        assert code == 1
+        assert out == ""
+        assert f"error: argument {option}: " in err
+        assert message in err
+
+    @pytest.mark.parametrize("option", ["--n-range", "--lambda", "--p"])
+    def test_empty_list_is_usage_error_with_message(self, capsys, option):
+        specs = {"--n-range": "5", "--lambda": "0.2", "--p": "1.01", option: ","}
+        code, out, err = run(capsys, "sweep", "--measure", "gaussian",
+                             *[tok for item in specs.items() for tok in item])
+        assert code == 1
+        assert out == ""
+        assert f"error: argument {option}: no values in ','" in err
+
+
+class TestSweepBatchedRowErrors:
+    """Each p row of a (n, lambda) batch carries the error a lone call would give.
+
+    The expected rows are those printed when every row ran its own
+    construction.
+    """
+
+    def test_mixed_p(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "gaussian",
+                           "--construction", "general", "--n-range", "10",
+                           "--lambda", "0.2", "--p", "0.5,1.01")
+        assert code == 0
+        rows = csv_rows(out)
+        assert rows[0] == "10,0.20000000000000001,0.5,,,,,,ValueError: p must be >= 1"
+        assert rows[1].startswith("10,0.20000000000000001,1.01,0.98")
+        assert rows[1].endswith(",,")
+
+    def test_invalid_lambda_next_to_valid(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "gaussian",
+                           "--construction", "general", "--n-range", "10",
+                           "--lambda", "0.5,0.2", "--p", "1.01,0.9")
+        assert code == 0
+        rows = csv_rows(out)
+        lam_error = "ValueError: lam must lie in (0, sqrt(2)-1), got 0.5"
+        assert rows[0] == f"10,0.5,1.01,,,,,,{lam_error}"
+        assert rows[1] == f"10,0.5,0.90000000000000002,,,,,,{lam_error}"
+        assert rows[2].endswith(",,")
+        assert rows[3] == ("10,0.20000000000000001,0.90000000000000002,,,,,,"
+                           "ValueError: p must be >= 1")
+
+    def test_unitball_checks_p_before_lambda(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "unitball",
+                           "--n-range", "10", "--lambda", "0.5,-0.1",
+                           "--p", "1.01,0.9")
+        assert code == 0
+        assert csv_rows(out) == [
+            "10,0.5,1.01,,,,,,ValueError: sandwich needs R < sqrt(2)/(1+lam)",
+            "10,0.5,0.90000000000000002,,,,,,ValueError: p must be >= 1",
+            "10,-0.10000000000000001,1.01,,,,,,ValueError: lam must be positive",
+            "10,-0.10000000000000001,0.90000000000000002,,,,,,"
+            "ValueError: p must be >= 1",
+        ]
+
+    def test_lebesgue_error_on_every_p_row(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "lebesgue",
+                           "--construction", "general", "--n-range", "5,10",
+                           "--lambda", "0.2", "--p", "1.01,0.7,1.02")
+        assert code == 0
+        rows = []
+        for n in (5, 10):
+            error = f"NonFiniteMeasureError: lebesgue measure is not finite in dimension {n}"
+            rows += [f"{n},0.20000000000000001,1.01,,,,,,{error}",
+                     f"{n},0.20000000000000001,0.69999999999999996,,,,,,"
+                     "ValueError: p must be >= 1",
+                     f"{n},0.20000000000000001,1.02,,,,,,{error}"]
+        assert csv_rows(out) == rows
+
+    def test_measure_mismatch_on_every_row(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "lebesgue",
+                           "--construction", "gaussian", "--n-range", "10,20",
+                           "--lambda", "0.2,0.3", "--p", "1.01,0.5")
+        assert code == 0
+        error = "ValueError: the gaussian construction needs --measure gaussian"
+        assert csv_rows(out) == [
+            f"{n},{lam},{p},,,,,,{error}"
+            for n in (10, 20)
+            for lam in ("0.20000000000000001", "0.29999999999999999")
+            for p in ("1.01", "0.5")]
+
 
 class TestBoundSweepAgree:
     """bound and sweep run a construction through the same dispatch."""
@@ -209,6 +314,72 @@ class TestBoundSweepAgree:
         for key in ("alpha", "logT_lower", "logT_exact"):
             assert row[key] == printed(key)
         assert row["logT_upper"] == (printed(upper_key) if upper_key else "")
+
+    @pytest.mark.parametrize("measure,construction,n,upper_key", [
+        ("gaussian", "gaussian", 40, "decay_upper_bound"),
+        ("gaussian", "general", 12, None),
+        ("unitball", "unitball", 20, "sandwich_upper"),
+    ])
+    def test_multi_p_rows_match_bound_json(self, capsys, measure, construction,
+                                           n, upper_key):
+        lams, ps = ["0.1", "0.3"], ["1.003", "1.02", "1.04"]
+        common = ["--measure", measure, "--construction", construction, "--R", "1"]
+        code, sweep_out, _ = run(capsys, "sweep", *common, "--n-range", str(n),
+                                 "--lambda", ",".join(lams), "--p", ",".join(ps))
+        assert code == 0
+        lines = [l for l in sweep_out.splitlines() if l and not l.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+        points = [(lam, p) for lam in lams for p in ps]
+        assert len(rows) == len(points)
+        for row, (lam, p) in zip(rows, points):
+            code, bound_out, _ = run(capsys, "bound", *common, "--n", str(n),
+                                     "--lambda", lam, "--p", p)
+            assert code == 0
+            report = json.loads(bound_out)
+            assert float(row["lambda"]) == report["lambda"]
+            assert float(row["p"]) == report["p"]
+
+            def printed(key):
+                return re.search(rf'^ *"{key}": (.+?),?$', bound_out,
+                                 re.MULTILINE).group(1)
+
+            for key in ("alpha", "logT_lower", "logT_exact"):
+                assert row[key] == printed(key)
+            assert row["logT_upper"] == (printed(upper_key) if upper_key else "")
+
+
+class TestSweepSharesPFreeStage:
+    """sweep computes the radius and the exact measures once per (n, lambda)."""
+
+    @pytest.mark.parametrize("measure,construction,solves", [
+        ("gaussian", "general", 4),
+        ("gaussian", "gaussian", 0),
+        ("unitball", "unitball", 0),
+    ])
+    def test_calls_once_per_n_lambda(self, capsys, monkeypatch, measure,
+                                     construction, solves):
+        calls = {"solve_radius_equation": 0, "off_center_ball_measure": 0}
+
+        def counted(name):
+            inner = getattr(bounds, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        # patched where bounds looks them up
+        for name in calls:
+            monkeypatch.setattr(bounds, name, counted(name))
+        code, out, _ = run(capsys, "sweep", "--measure", measure,
+                           "--construction", construction, "--n-range", "6,9",
+                           "--lambda", "0.1,0.3", "--p", "1.003,1.02,1.04")
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 2 * 2 * 3
+        assert all(row.endswith(",") for row in rows)  # no row has an error
+        assert calls == {"solve_radius_equation": solves,
+                         "off_center_ball_measure": 2 * 2}
 
 
 class TestVerifyCommand:
@@ -304,3 +475,13 @@ def test_rel_tol_flag_is_gone(capsys, command):
     assert code == 1
     assert out == ""
     assert "--rel-tol" in err
+
+
+def test_python_m_radialmax_runs():
+    src = str(Path(radialmax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "radialmax", "p0", "unitball"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["target"] == "unitball"
