@@ -492,6 +492,8 @@ def _unitball_beta0(R: float, lam: float) -> float:
         raise ValueError("R must lie in (0, 1]")
     if R < 1.0:
         raise ValueError("the unit-ball lower bound is only certified at R = 1")
+    if not lam > 0.0:  # before the division below; catches NaN too
+        raise ValueError("lam must be positive")
     if R >= math.sqrt(2.0) / (1.0 + lam):
         raise ValueError("sandwich needs R < sqrt(2)/(1+lam)")
     return contact_angle_unit_ball(R, lam)

@@ -2,7 +2,7 @@
 
 Rotation invariance reduces every ball B(x, t) to the pair (d, t) with
 d = |x|.  The sphere of radius s meets B(d xi, t) in a polar cap whose
-angle comes from the law of cosines, so every off-center measure is a 1-D
+angle comes from the law of cosines, so an off-center measure is a 1-D
 radial integral
 
     mu(B(d xi, t)) = omega_{n-2} * int f(s) s^(n-1) J_n(theta(s)) ds,
@@ -14,6 +14,10 @@ the adaptive quadrature (the accuracy reference); the vectorized evaluator
 Gauss-Legendre rule on the sub-interval where the integrand is within 60
 log-units of its maximum, which the arcsin substitution locates exactly.
 
+The unit ball needs no radial integral: B(d xi, t) ∩ B_a is a lens of two
+balls, two spherical caps cut by one hyperplane, and ``_log_lens`` adds
+their closed-form volumes.
+
 Pure functions throughout; the Gauss-Legendre node cache is immutable.
 """
 
@@ -23,9 +27,10 @@ import math
 
 import numpy as np
 
-from .densities import RadialDensity
-from .logspace import LOG_ZERO, log_sub, log_sum
-from .measures import log_ball_measure, log_sphere_area, radial_log_integrand
+from .densities import RadialDensity, UnitBallIndicator
+from .logspace import LOG_ZERO, log_add, log_sub, log_sum
+from .measures import (log_ball_measure, log_ball_volume, log_sphere_area,
+                       radial_log_integrand)
 from .quadrature import gauss_legendre_nodes, log_integral
 
 FULL_ANGLE = math.pi   # sphere entirely inside the ball
@@ -86,7 +91,7 @@ def contact_angle_unit_ball(R: float, lam: float) -> float:
     """
     if not 0.0 < R <= 1.0:
         raise ValueError("R must be in (0, 1]")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
     return arccos_clamped(1.0 - R * R * (1.0 + lam) ** 2 / 2.0)
 
@@ -198,6 +203,35 @@ def _off_center_1d(f: RadialDensity, d: float, t: float, rho: float) -> float:
     return log_sum(pieces)
 
 
+def _log_lens(n: int, d: float, t: float, a: float) -> float:
+    """log Lebesgue volume of B(d xi, t) ∩ B_a in R^n, for n >= 2 and d > 0.
+
+    The boundary spheres meet in the hyperplane x_1 = (d^2 + a^2 - t^2)/(2d),
+    which cuts a cap of half-angle phi_1 off B_a and one of half-angle phi_2
+    off B(d xi, t).  A cap of angle phi of a ball of radius c has volume
+    V_{n-1} c^n J(phi), J(phi) = int_0^phi sin^n, with V_{n-1} the volume
+    of the unit ball of R^(n-1) (S. Li, "Concise formulas for the area and
+    volume of a hyperspherical cap", 2011).  The angles come from their
+    half-angle tangents, which are products of the gaps u = a + t - d,
+    v = t + d - a and w = a + d - t, e.g. 1 - cos phi_1 = u v / (2 a d);
+    so a thin lens (u -> 0) keeps full relative precision, where arccos
+    near 1 would not.
+    """
+    u = math.fsum((a, t, -d))
+    if u <= 0.0:
+        return LOG_ZERO  # disjoint, or touching
+    v = math.fsum((t, d, -a))
+    w = math.fsum((a, d, -t))
+    if v <= 0.0 or w <= 0.0:  # one ball holds the other
+        return log_ball_volume(n, min(a, t))
+    s = a + d + t
+    phi = [2.0 * math.atan2(math.sqrt(u * v), math.sqrt(w * s)),
+           2.0 * math.atan2(math.sqrt(u * w), math.sqrt(v * s))]
+    j1, j2 = _cap_j_log(n + 2, np.asarray(phi))  # log J_n = log J_{(n+2)-2}
+    return log_ball_volume(n - 1, 1.0) + log_add(n * math.log(a) + float(j1),
+                                                 n * math.log(t) + float(j2))
+
+
 def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) -> float:
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -209,6 +243,8 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
         return _off_center_1d(f, d, t, rho)
     if d == 0.0:
         return log_ball_measure(f, n, min(t, rho))
+    if isinstance(f, UnitBallIndicator):
+        return _log_lens(n, d, t, min(rho, 1.0))
     S = f.support_upper_bound
     hi = min(d + t, rho, S)
     full_hi = min(max(t - d, 0.0), rho, S)
@@ -245,7 +281,7 @@ def off_center_ball_measure(f: RadialDensity, n: int, d: float, t: float) -> flo
 
 def intersect_with_centered_ball(f: RadialDensity, n: int, d: float, t: float,
                                  rho: float) -> float:
-    """log mu(B(d xi, t) ∩ B_rho): the off-center integral with outer limit rho."""
+    """log mu(B(d xi, t) ∩ B_rho): the off-center measure with outer limit rho."""
     return _log_off_center(f, n, d, t, rho)
 
 

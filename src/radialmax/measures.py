@@ -6,7 +6,8 @@ Everything reduces by polar coordinates to
 
 with omega_{n-1} = n pi^(n/2) / Gamma(n/2 + 1) the surface measure of the
 unit sphere in R^n.  The integral runs through the shifted log-domain
-quadrature so dimensions up to 10**6 are routine.
+quadrature so dimensions up to 10**6 are routine.  The unit ball's
+centered ball needs no integral: it is the volume omega_{n-1}/n min(rho, 1)^n.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from .densities import RadialDensity
+from .densities import RadialDensity, UnitBallIndicator
 from .errors import NonFiniteMeasureError
 from .logspace import LOG_ZERO, log_sub
 from .quadrature import log_integral
@@ -33,6 +34,11 @@ def log_sphere_area(n):
         raise ValueError("dimension must be >= 1")
     out = np.log(arr) + 0.5 * arr * math.log(math.pi) - lgamma(0.5 * arr + 1.0)
     return float(out) if np.ndim(n) == 0 else out
+
+
+def log_ball_volume(n: int, rho: float) -> float:
+    """log of the Lebesgue volume omega_{n-1} rho^n / n of a ball of radius rho in R^n."""
+    return float(log_sphere_area(n) - math.log(n) + n * math.log(rho))
 
 
 def sphere_ratio_bounds(n):
@@ -106,6 +112,8 @@ def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
         raise ValueError("rho must be nonnegative")
     if rho == 0.0:
         return LOG_ZERO
+    if isinstance(f, UnitBallIndicator):
+        return log_ball_volume(n, min(rho, 1.0))
     if math.isinf(rho):
         if not f.is_finite(n):
             raise NonFiniteMeasureError(

@@ -302,6 +302,14 @@ class TestUnitBall:
         with pytest.raises(ValueError, match="only certified at R = 1"):
             unitball_construction(100, 1.02, 0.8, 0.2)
 
+    @pytest.mark.parametrize("lam", [-1.0, -0.1, 0.0, -math.inf, math.nan])
+    def test_sandwich_refuses_nonpositive_lambda(self, lam):
+        # checked before sqrt(2)/(1 + lam), which divides by zero at lam = -1
+        with pytest.raises(ValueError, match="lam must be positive"):
+            unitball_sandwich(10, 1.01, 1.0, lam)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            unitball_construction(10, 1.01, 1.0, lam)
+
     def test_small_ball_ratio_is_lambda_power_n(self):
         n, lam = 12, 0.3
         gap = (log_ball_measure(UnitBallIndicator(), n, lam)

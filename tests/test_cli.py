@@ -102,6 +102,15 @@ class TestBoundCommand:
         assert out == ""
         assert "only certified at R = 1" in err
 
+    @pytest.mark.parametrize("lam", ["-1", "nan"])
+    def test_unitball_nonpositive_lambda_exits_two(self, capsys, lam):
+        # at -1 the sandwich's sqrt(2)/(1 + lam) would divide by zero
+        code, out, err = run(capsys, "bound", "--measure", "unitball", "--n", "10",
+                             f"--lambda={lam}", "--p", "1.01")
+        assert code == 2
+        assert out == ""
+        assert err == "error: ValueError: lam must be positive\n"
+
     def test_unitball_measure_defaults_to_unitball_construction(self, capsys):
         code, out, _ = run(capsys, "bound", "--measure", "unitball", "--n", "20",
                            "--p", "1.02", "--lambda", "0.15")
@@ -258,6 +267,16 @@ class TestSweepBatchedRowErrors:
             "10,-0.10000000000000001,0.90000000000000002,,,,,,"
             "ValueError: p must be >= 1",
         ]
+
+    def test_unitball_lambda_minus_one_is_a_row_error(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "unitball",
+                           "--n-range", "10", "--lambda=-1,nan,0.2", "--p", "1.01")
+        assert code == 0
+        rows = csv_rows(out)
+        assert rows[:2] == ["10,-1,1.01,,,,,,ValueError: lam must be positive",
+                            "10,nan,1.01,,,,,,ValueError: lam must be positive"]
+        assert rows[2].startswith("10,0.20000000000000001,1.01,1.02")
+        assert rows[2].endswith(",,")
 
     def test_lebesgue_error_on_every_p_row(self, capsys):
         code, out, _ = run(capsys, "sweep", "--measure", "lebesgue",

@@ -6,15 +6,17 @@ unit ball and B(d xi, t) is the sum of two spherical caps, one of each
 ball, cut by their common hyperplane; a cap is half the ball's volume
 times a regularized incomplete beta function (DLMF 8.17; S. Li, "Concise
 formulas for the area and volume of a hyperspherical cap", 2011).  Both
-reach far past the brute-force oracle's n <= 6.
+reach far past the brute-force oracle's n <= 6.  The library computes the
+unit-ball measures in closed form itself, so these are also checked against
+the quadrature route of the same measure.
 """
 
 import math
 
 import pytest
 
-from radialmax.densities import Gaussian, UnitBallIndicator
-from radialmax.geometry import off_center_ball_measure
+from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
+from radialmax.geometry import intersect_with_centered_ball, off_center_ball_measure
 from radialmax.measures import log_ball_measure
 
 mpmath = pytest.importorskip("mpmath")
@@ -42,25 +44,31 @@ def _log_gamma_p(a: float, x: float) -> float:
         return float(a * mpmath.log(x) - x - mpmath.loggamma(a + 1) + mpmath.log(total))
 
 
+def _log_ball(n, rho):
+    """log volume of B(0, rho) in R^n (mpmath)."""
+    with mpmath.workdps(_DPS):
+        return (n / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2 + 1)
+                + n * mpmath.log(rho))
+
+
 def _log_cap(n, rho, c):
     """log volume of {x in B(0, rho): x_1 >= c} for -rho <= c <= rho (mpmath)."""
-    log_ball = (n / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2 + 1)
-                + n * mpmath.log(rho))
+    log_ball = _log_ball(n, rho)
     half = mpmath.betainc(mpmath.mpf(n + 1) / 2, mpmath.mpf(1) / 2, 0, 1 - (c / rho) ** 2,
                           regularized=True) / 2
     return log_ball + mpmath.log(half if c >= 0 else 1 - half)
 
 
-def _log_unit_ball_lens(n: int, d: float, t: float) -> float:
-    """log vol(B(0, 1) ∩ B(d xi, t)) for |1 - t| < d < 1 + t.
+def _log_lens(n: int, d: float, t: float, a: float = 1.0) -> float:
+    """log vol(B(0, a) ∩ B(d xi, t)) for |a - t| < d < a + t.
 
     The boundary spheres meet in the hyperplane x_1 = c, at distance c from
     the origin and d - c from the other centre, on the origin's side of it.
     """
     with mpmath.workdps(_DPS):
-        d, t = mpmath.mpf(d), mpmath.mpf(t)
-        c = (d * d + 1 - t * t) / (2 * d)
-        return float(mpmath.log(mpmath.exp(_log_cap(n, 1, c))
+        d, t, a = mpmath.mpf(d), mpmath.mpf(t), mpmath.mpf(a)
+        c = (d * d + a * a - t * t) / (2 * d)
+        return float(mpmath.log(mpmath.exp(_log_cap(n, a, c))
                                 + mpmath.exp(_log_cap(n, t, d - c))))
 
 
@@ -80,6 +88,61 @@ def test_gaussian_ball_is_incomplete_gamma(n, tol, frac):
 def test_unit_ball_lens_is_two_beta_caps(n, R, lam):
     # at (0.5, 0.3) the cap of B(d xi, t) holds its centre (d - c < 0),
     # which takes the complement branch of _log_cap
-    exact = _log_unit_ball_lens(n, R, R * (1.0 + lam))
+    exact = _log_lens(n, R, R * (1.0 + lam))
     lib = off_center_ball_measure(UnitBallIndicator(), n, R, R * (1.0 + lam))
-    assert abs(lib - exact) <= 1e-10 * max(1.0, abs(exact))
+    assert abs(lib - exact) <= 1e-13 * max(1.0, abs(exact))
+
+
+# (d, t) in units of the radius a of the centered ball
+_LENS_SHAPES = {
+    "two-small-caps": (1.0, 0.6),
+    "cap-past-centre": (0.9, 0.3),  # d - c < 0: the cap of B(d xi, t) has angle > pi/2
+    "thin": (1.4 - 1e-9, 0.4),  # d within 1e-9 a of a + t
+    "inside": (0.5, 0.2),  # B(d xi, t) lies in B_a
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10, 100, 1000, 10_000])
+@pytest.mark.parametrize("a", [0.3, 1.0])
+@pytest.mark.parametrize("shape", sorted(_LENS_SHAPES))
+def test_unit_ball_intersection_closed_form(n, a, shape):
+    d, t = (a * x for x in _LENS_SHAPES[shape])
+    if shape == "inside":
+        exact = float(_log_ball(n, t))
+    else:
+        exact = _log_lens(n, d, t, a)
+    lib = intersect_with_centered_ball(UnitBallIndicator(), n, d, t, a)
+    assert abs(lib - exact) <= 1e-13 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10, 100, 1000, 10_000])
+@pytest.mark.parametrize("rho", [0.3, 1.0, 2.5, math.inf])
+def test_unit_ball_centered_ball_closed_form(n, rho):
+    exact = float(_log_ball(n, min(rho, 1.0)))
+    lib = log_ball_measure(UnitBallIndicator(), n, rho)
+    assert abs(lib - exact) <= 1e-13 * max(1.0, abs(exact))
+
+
+# the same measure as UnitBallIndicator, but one that still runs through the
+# radial quadrature
+_QUADRATURE_UNIT_BALL = TabulatedDecreasing([1.0], [0.0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10, 100])
+@pytest.mark.parametrize("d,t,rho", [(1.0, 1.2, math.inf), (0.5, 0.7, 1.0), (0.3, 0.2, 0.6),
+                                     (0.7, 0.5, 0.4), (0.9, 0.3, math.inf),
+                                     (0.2, 0.3, 0.8), (0.4, 2.0, 0.5)])
+def test_unit_ball_intersection_matches_quadrature(n, d, t, rho):
+    lib = intersect_with_centered_ball(UnitBallIndicator(), n, d, t, rho)
+    quad = intersect_with_centered_ball(_QUADRATURE_UNIT_BALL, n, d, t, rho)
+    assert abs(lib - quad) <= 1e-10 * max(1.0, abs(quad))
+    if rho == math.inf:
+        assert off_center_ball_measure(UnitBallIndicator(), n, d, t) == lib
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
+@pytest.mark.parametrize("rho", [0.25, 0.9, 1.0, 3.0])
+def test_unit_ball_centered_ball_matches_quadrature(n, rho):
+    lib = log_ball_measure(UnitBallIndicator(), n, rho)
+    quad = log_ball_measure(_QUADRATURE_UNIT_BALL, n, rho)
+    assert abs(lib - quad) <= 1e-10 * max(1.0, abs(quad))

@@ -141,6 +141,9 @@ class TestContactAngles:
             contact_angle(1.0)
         with pytest.raises(ValueError):
             contact_angle_unit_ball(1.5, 0.2)
+        for lam in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                contact_angle_unit_ball(1.0, lam)
 
 
 class TestOffCenterBall:
@@ -162,6 +165,15 @@ class TestOffCenterBall:
         a = intersect_with_centered_ball(f, 3, 0.7, 1.2, 5.0)
         b = off_center_ball_measure(f, 3, 0.7, 1.2)
         assert a == pytest.approx(b, rel=1e-10)
+
+    def test_unit_ball_small_ball_inside_is_its_volume(self):
+        # B(d xi, t) lies in B_rho: the measure is the Lebesgue volume of B_t,
+        # log(pi^3 / 6) + 6 log t in R^6 (the adaptive radial integral used to
+        # stall on this input at its evaluation cap)
+        t = 2.235e-4
+        got = intersect_with_centered_ball(UnitBallIndicator(), 6, 0.2565, t,
+                                           0.2838297354945334)
+        assert abs(got - (math.log(math.pi ** 3 / 6.0) + 6.0 * math.log(t))) <= 1e-13
 
     def test_vanishing_region(self):
         assert intersect_with_centered_ball(Gaussian(), 3, 2.0, 0.5, 1.0) == LOG_ZERO

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ class TestLevelSetInclusion:
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_level_set_inclusion(Gaussian(), 2, 0.5, 0.7)
+
+    def test_unitball_small_candidate_balls_do_not_stall(self):
+        # the exact re-evaluation meets balls of radius ~2e-4 well inside B_r;
+        # as radial integrals they ran into the quadrature's evaluation cap
+        # (about 80 s in all)
+        start = time.perf_counter()
+        rep = verify_level_set_inclusion(UnitBallIndicator(), 6, 0.7694758186220195,
+                                         0.2838297354945334, n_points=4)
+        assert time.perf_counter() - start < 5.0
+        assert len(rep.rows) == 4
+        assert all(math.isfinite(row.log_mg) for row in rep.rows)
 
 
 class TestEmpiricalBound:
