@@ -24,6 +24,7 @@ Pure functions throughout; the Gauss-Legendre node cache is immutable.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,6 +122,12 @@ def _cap_j_log_half(m: int, theta):
     return out
 
 
+@lru_cache(maxsize=256)
+def _cap_j_log_half_pi(m: int) -> float:
+    """log J_m(pi/2), the constant of the complement rule; cached per m."""
+    return float(_cap_j_log_half(m, np.asarray(0.5 * math.pi)))
+
+
 def _cap_j_log(n: int, theta):
     """log J_{n-2}(theta) on [0, pi], vectorized; complement rule past pi/2."""
     if n < 2:
@@ -136,7 +143,7 @@ def _cap_j_log(n: int, theta):
     out = _cap_j_log_half(m, np.minimum(th, 0.5 * math.pi))
     over = th > 0.5 * math.pi
     if np.any(over):
-        j_half = float(_cap_j_log_half(m, np.asarray(0.5 * math.pi)))
+        j_half = _cap_j_log_half_pi(m)
         comp = _cap_j_log_half(m, math.pi - th[over])
         # J(theta) = 2 J(pi/2) - J(pi - theta); operands stay within 2x, no cancellation
         vals = np.array([log_sub(math.log(2.0) + j_half, min(c, math.log(2.0) + j_half))

@@ -7,14 +7,18 @@ thousands of log-units across its interval.  The recipe is
   1. probe ``phi`` on a grid (plus caller-supplied peak hints),
   2. shift by the probed maximum ``m``,
   3. truncate to the window where ``phi >= m - drop`` (drop = 46 log-units,
-     about 20 decimal digits, located by bisection on ``phi``),
+     about 20 decimal digits, located by bisection on ``phi``; the
+     bisection takes the midpoints of several steps per call of ``phi``
+     and ends where a one-point-per-call bisection would),
   4. run global adaptive Gauss-Legendre on ``exp(phi - m)`` inside the
-     window.
+     window, one integrand call per refinement step.
 
 Truncation error is then below the quadrature tolerance, DEFAULT_REL_TOL,
 which is the one tolerance of every measure in the library, and the shifted
 integrand is O(1), so nothing ever under- or overflows.  Integrands must
-accept numpy arrays.
+accept numpy arrays and act on each point alone.  Batching changes no
+result: each rule is one dot product per panel, and the panel sums run
+left to right in a fixed order, the same on every Python version.
 
 On evaluation-cap overrun the best estimate is returned flagged with the
 achieved tolerance instead of raising; callers that care can inspect the
@@ -35,6 +39,9 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_EVALS = 10 ** 6
 WINDOW_DROP = 46.0
 N_PROBES = 257
+PANEL_EVALS = 37       # a 25- and a 12-point Gauss-Legendre rule per panel
+BISECT_STEPS = 90      # evaluations charged per bisected window edge
+BISECT_LEVELS = 3      # bisection steps per call of the integrand
 
 
 @lru_cache(maxsize=32)
@@ -64,16 +71,35 @@ class LogIntegralResult:
     window: tuple
 
 
-def _panel(f, a, b):
-    x25, w25 = gauss_legendre_nodes(25)
-    x12, w12 = gauss_legendre_nodes(12)
+_X25, _W25 = gauss_legendre_nodes(25)
+_X12, _W12 = gauss_legendre_nodes(12)
+_PANEL_NODES = np.concatenate([_X25, _X12])
+
+
+def _panels(f, a, b):
+    """Both Gauss-Legendre rules on the panels [a_i, b_i], from one call of f.
+
+    Returns one (25-point value, distance from the 12-point value) pair per
+    panel.  Each rule is its own dot product, so every panel sums exactly
+    as it would alone.
+    """
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y25 = np.asarray(f(mid + h * x25), dtype=float)
-    y12 = np.asarray(f(mid + h * x12), dtype=float)
-    v = h * float(np.dot(w25, y25))
-    v_low = h * float(np.dot(w12, y12))
-    return v, abs(v - v_low), 37
+    y = np.asarray(f((mid[:, None] + h[:, None] * _PANEL_NODES).ravel()), dtype=float)
+    out = []
+    for hi, yi in zip(h.tolist(), y.reshape(len(h), -1)):
+        v = hi * float(np.dot(_W25, yi[:25]))
+        out.append((v, abs(v - hi * float(np.dot(_W12, yi[25:])))))
+    return out
+
+
+def _sequential_sum(x) -> float:
+    """Left-to-right sum, the same on every Python version.
+
+    The leading ``0.0 +`` turns an all-negative-zero sum into 0.0, as a
+    sum started from 0 does.
+    """
+    return 0.0 + float(x.cumsum()[-1])
 
 
 def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
@@ -83,51 +109,74 @@ def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
     The interval is seeded with panels at the given split points (known
     kinks), then the panel with the worst error estimate is bisected until
     the summed error estimate meets ``rel_tol`` relative to the summed
-    value, or the evaluation budget runs out.
+    value, or the evaluation budget runs out.  Every panel costs
+    ``PANEL_EVALS`` evaluations, but each step makes one call of ``f``: the
+    seed panels share one, and so do the two halves of a bisected panel.
     """
     if not b > a:
         return QuadratureResult(0.0, 0.0, 0, True)
-    edges = sorted({float(a), float(b), *(float(s) for s in splits if a < s < b)})
-    segs = []
-    evals = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e, n = _panel(f, lo, hi)
-        segs.append([e, lo, hi, v])
-        evals += n
+    edges = np.array(sorted({float(a), float(b), *(float(s) for s in splits if a < s < b)}))
+    k = len(edges) - 1
+    # the panel table; a bisected panel keeps its row for its left half
+    # and appends its right half, and the arrays double when full
+    lo, hi = edges[:-1].copy(), edges[1:].copy()
+    val, err = np.array(_panels(f, lo, hi)).T.copy()
+    evals = PANEL_EVALS * k
     while True:
-        total = sum(s[3] for s in segs)
-        err = sum(s[0] for s in segs)
-        if err <= rel_tol * abs(total) or err == 0.0:
-            return QuadratureResult(total, err, evals, True)
+        total = _sequential_sum(val[:k])
+        error = _sequential_sum(err[:k])
+        if error <= rel_tol * abs(total) or error == 0.0:
+            return QuadratureResult(total, error, evals, True)
         if evals >= max_evals:
-            return QuadratureResult(total, err, evals, False)
-        worst = max(range(len(segs)), key=lambda i: segs[i][0])
-        _, lo, hi, _ = segs[worst]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval exhausted at machine precision
-            segs[worst][0] = 0.0
+            return QuadratureResult(total, error, evals, False)
+        worst = int(err[:k].argmax())
+        left, right = float(lo[worst]), float(hi[worst])
+        mid = 0.5 * (left + right)
+        if mid <= left or mid >= right:  # interval exhausted at machine precision
+            err[worst] = 0.0
             continue
-        v1, e1, n1 = _panel(f, lo, mid)
-        v2, e2, n2 = _panel(f, mid, hi)
-        evals += n1 + n2
-        segs[worst] = [e1, lo, mid, v1]
-        segs.append([e2, mid, hi, v2])
+        (v1, e1), (v2, e2) = _panels(f, np.array([left, mid]), np.array([mid, right]))
+        evals += 2 * PANEL_EVALS
+        if k == len(val):
+            lo, hi, val, err = (np.concatenate([c, np.empty_like(c)])
+                                for c in (lo, hi, val, err))
+        hi[worst], val[worst], err[worst] = mid, v1, e1
+        lo[k], hi[k], val[k], err[k] = mid, right, v2, e2
+        k += 1
 
 
 def _bisect_crossing(log_f, below, above, tau):
     """Locate phi = tau between a sub- and a super-threshold point.
 
     Works for either orientation; returns the sub-threshold endpoint so the
-    window always contains the crossing.
+    window always contains the crossing.  This is a plain bisection of at
+    most BISECT_STEPS steps, but each call of ``log_f`` takes the midpoints
+    of the next BISECT_LEVELS steps on every branch, and the walk then
+    follows the branch the comparisons pick.
     """
-    for _ in range(90):
-        mid = 0.5 * (below + above)
-        if mid == below or mid == above:
-            break
-        if float(log_f(np.asarray([mid]))[0]) >= tau:
-            above = mid
-        else:
-            below = mid
+    steps = 0
+    while steps < BISECT_STEPS:
+        levels = min(BISECT_LEVELS, BISECT_STEPS - steps)
+        # the midpoints of every bracket the next steps can reach, level by
+        # level: ends[j], ends[j + 1] is bracket j of a level, and its halves
+        # are brackets 2j (its midpoint turned out super-threshold) and
+        # 2j + 1 of the next
+        ends, mids = [below, above], []
+        for _ in range(levels):
+            level = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
+            mids += level
+            ends = [x for pair in zip(ends, level) for x in pair] + ends[-1:]
+        vals = log_f(np.array(mids))
+        at = 0  # mids is in level order: node i has the halves 2i + 1, 2i + 2
+        for _ in range(levels):
+            mid = mids[at]
+            if mid == below or mid == above:
+                return below
+            if float(vals[at]) >= tau:
+                above, at = mid, 2 * at + 1
+            else:
+                below, at = mid, 2 * at + 2
+        steps += levels
     return below
 
 
@@ -157,8 +206,8 @@ def log_integral(log_f, a: float, b: float, *, splits=(),
     i_hi = int(len(above) - 1 - np.argmax(above[::-1]))
     lo = grid[i_lo] if i_lo == 0 else _bisect_crossing(log_f, grid[i_lo - 1], grid[i_lo], tau)
     hi = grid[i_hi] if i_hi == len(grid) - 1 else _bisect_crossing(log_f, grid[i_hi + 1], grid[i_hi], tau)
-    evals += 0 if i_lo == 0 else 90
-    evals += 0 if i_hi == len(grid) - 1 else 90
+    evals += 0 if i_lo == 0 else BISECT_STEPS
+    evals += 0 if i_hi == len(grid) - 1 else BISECT_STEPS
 
     def shifted(x):
         with np.errstate(over="ignore"):

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from radialmax import quadrature
+from radialmax.densities import Gaussian, TabulatedDecreasing
+from radialmax.geometry import _cap_j_log
 from radialmax.logspace import LOG_ZERO
-from radialmax.quadrature import LogIntegralResult, integrate, log_integral
+from radialmax.measures import radial_log_integrand
+from radialmax.quadrature import (LogIntegralResult, _bisect_crossing, _sequential_sum,
+                                  integrate, log_integral)
 
 
 def test_polynomial_is_exact():
@@ -81,3 +86,138 @@ def test_log_integral_skips_zero_plateau():
     res = log_integral(phi, 0.0, 10.0, splits=[2.0])
     assert res.log_value == pytest.approx(math.log(2.0), rel=1e-10)
     assert isinstance(res, LogIntegralResult)
+
+
+# --- bit pinning ---------------------------------------------------------
+# The quadrature evaluates its integrand in batches, but every number it
+# returns must be the float that the one-panel-per-call, one-point-per-step
+# algorithm returns.  The literals below were recorded with that algorithm.
+
+def _scalar_bisect(log_f, below, above, tau):
+    """The one-point-per-call window bisection that _bisect_crossing batches."""
+    for _ in range(90):
+        mid = 0.5 * (below + above)
+        if mid == below or mid == above:
+            break
+        if float(log_f(np.asarray([mid]))[0]) >= tau:
+            above = mid
+        else:
+            below = mid
+    return below
+
+
+def _assert_same_float(got, want):
+    assert float(got).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bisect_crossing_matches_scalar_loop_both_orientations(seed):
+    rng = np.random.default_rng(seed)
+    log_f = lambda x: -3.0 * np.asarray(x) ** 2
+    for _ in range(25):
+        a, b = np.sort(rng.uniform(0.0, 5.0, 2))
+        tau = -3.0 * rng.uniform(a, b) ** 2
+        # on [a, b] log_f decreases: the super-threshold end is the left one
+        _assert_same_float(_bisect_crossing(log_f, b, a, tau), _scalar_bisect(log_f, b, a, tau))
+        # on [-b, -a] it increases: the super-threshold end is the right one
+        _assert_same_float(_bisect_crossing(log_f, -b, -a, tau),
+                           _scalar_bisect(log_f, -b, -a, tau))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bisect_crossing_matches_scalar_loop_non_monotone(seed):
+    rng = np.random.default_rng(100 + seed)
+    log_f = lambda x: np.sin(37.0 * np.asarray(x)) + 0.1 * np.asarray(x)
+    for _ in range(25):
+        below, above = rng.uniform(-2.0, 2.0, 2)
+        tau = rng.uniform(-1.0, 1.0)
+        _assert_same_float(_bisect_crossing(log_f, below, above, tau),
+                           _scalar_bisect(log_f, below, above, tau))
+
+
+def test_bisect_crossing_exhausted_bracket():
+    # brackets a few ulps wide run out of midpoints inside a batch of levels
+    log_f = lambda x: np.asarray(x) - 1.0
+    for ulps in range(0, 12):
+        above = 1.0 + ulps * np.finfo(float).eps
+        for tau in (0.0, 0.5 * ulps * np.finfo(float).eps, 1.0):
+            _assert_same_float(_bisect_crossing(log_f, 1.0, above, tau),
+                               _scalar_bisect(log_f, 1.0, above, tau))
+    _assert_same_float(_bisect_crossing(log_f, 1.0, math.nextafter(1.0, 2.0), 0.0), 1.0)
+
+
+def test_bisect_crossing_runs_all_steps_in_batches():
+    # log x = -69 lies far below 2^-90 of [0, 1], so no step exhausts the bracket
+    calls = []
+
+    def log_f(x):
+        calls.append(len(x))
+        return np.log(x)
+
+    got = _bisect_crossing(log_f, 0.0, 1.0, -69.0)
+    _assert_same_float(got, _scalar_bisect(np.log, 0.0, 1.0, -69.0))
+    _assert_same_float(got, 0.0)
+    assert len(calls) == math.ceil(quadrature.BISECT_STEPS / quadrature.BISECT_LEVELS)
+
+
+def _hex_result(res):
+    out = []
+    for v in (getattr(res, k) for k in res.__dataclass_fields__):
+        if isinstance(v, tuple):
+            out.append(tuple(float(x).hex() for x in v))
+        elif isinstance(v, (bool, int)):
+            out.append(v)
+        else:
+            out.append(float(v).hex())
+    return tuple(out)
+
+
+_STEP = TabulatedDecreasing([0.15, 0.4, 0.55, 0.9, 1.3, 1.45, 2.0, 2.7],
+                            [0.0, -0.7, -1.9, -2.4, -4.0, -4.2, -6.5, -7.0])
+
+
+def test_pinned_step_density_log_integral():
+    # no splits at the jumps: about 200 refinement steps, and a bisected window edge
+    phi = radial_log_integrand(_STEP, 3)
+    res = log_integral(phi, 0.0, 2.7, probe_points=_STEP.probe_points())
+    assert _hex_result(res) == (
+        '-0x1.792306b559614p+1', '0x1.b327a1c0fbe29p-34', 15043, True,
+        '-0x1.442ba120a09d5p+1', ('0x1.fcddc296e0aefp-36', '0x1.599999999999ap+1'))
+    res = integrate(lambda x: np.exp(phi(x)), 0.0, 2.7)
+    assert _hex_result(res) == ('0x1.ae523ae3c8fc3p-5', '0x1.507ccef6869e6p-38', 14689, True)
+
+
+def test_pinned_gaussian_off_center_log_integral():
+    # the off-center integrand of mu(B(d xi, t)) at n = 3, with the nested
+    # cap integral on both sides of pi/2
+    d, t, n = 0.3, 0.5, 3
+    phi_radial = radial_log_integrand(Gaussian(), n)
+
+    def phi(s):
+        s = np.asarray(s, dtype=float)
+        theta = np.arccos(np.clip((d * d + s * s - t * t)
+                                  / np.maximum(2.0 * d * s, 1e-300), -1.0, 1.0))
+        return phi_radial(s) + _cap_j_log(n, theta)
+
+    res = log_integral(phi, t - d, t + d, probe_points=[Gaussian().peak_radius(n)])
+    assert _hex_result(res) == (
+        '-0x1.a1199980058bap+1', '0x1.eb6f78c62c2a9p-51', 385, True,
+        '-0x1.28cd146e413f6p+1', ('0x1.999999999999ap-3', '0x1.999999999999ap-1'))
+
+
+def test_pinned_split_seeded_integral():
+    res = integrate(lambda x: np.sqrt(np.abs(x - 0.3)) * np.exp(-x), -1.0, 2.0,
+                    splits=[1.0, 0.3, -0.5, 5.0])
+    assert _hex_result(res) == ('0x1.0ffd3708ecb97p+1', '0x1.797c6004de000p-33', 1924, True)
+
+
+def test_pinned_capped_integral():
+    res = integrate(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), -1.0, 1.0,
+                    rel_tol=1e-15, max_evals=1500)
+    assert _hex_result(res) == ('0x1.63a85e4f4c247p+0', '0x1.ab3f49a6e0200p-38', 1517, False)
+
+
+def test_sums_are_left_to_right():
+    # a compensated sum (builtin sum from Python 3.12 on) would give 1.0
+    assert _sequential_sum(np.array([1e16, 1.0, -1e16])) == 0.0
+    assert math.copysign(1.0, _sequential_sum(np.array([-0.0, -0.0]))) == 1.0
