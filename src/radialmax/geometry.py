@@ -13,6 +13,9 @@ the adaptive quadrature (the accuracy reference); the vectorized evaluator
 ``_cap_j_log`` used inside integrands reduces J_n to a fixed composite
 Gauss-Legendre rule on the sub-interval where the integrand is within 60
 log-units of its maximum, which the arcsin substitution locates exactly.
+The rule runs once per angle: on theta itself up to pi/2, and past pi/2 on
+pi - theta, whose value the complement rule J(theta) = 2 J(pi/2) -
+J(pi - theta) turns into J(theta).
 
 The unit ball needs no radial integral: B(d xi, t) ∩ B_a is a lens of two
 balls, two spherical caps cut by one hyperplane, and ``_log_lens`` adds
@@ -140,16 +143,13 @@ def _cap_j_log(n: int, theta):
         with np.errstate(divide="ignore"):
             out = np.where(th > 0.0, np.log(np.maximum(th, 1e-300)), LOG_ZERO)
         return float(out[0]) if scalar else out
-    out = _cap_j_log_half(m, np.minimum(th, 0.5 * math.pi))
     over = th > 0.5 * math.pi
+    # one rule evaluation per angle: past pi/2 it runs on the complement angle
+    out = _cap_j_log_half(m, np.where(over, math.pi - th, th))
     if np.any(over):
-        j_half = _cap_j_log_half_pi(m)
-        comp = _cap_j_log_half(m, math.pi - th[over])
+        log_full = math.log(2.0) + _cap_j_log_half_pi(m)
         # J(theta) = 2 J(pi/2) - J(pi - theta); operands stay within 2x, no cancellation
-        vals = np.array([log_sub(math.log(2.0) + j_half, min(c, math.log(2.0) + j_half))
-                         for c in np.atleast_1d(comp)])
-        out = out.copy()
-        out[over] = vals
+        out[over] = [log_sub(log_full, min(c, log_full)) for c in out[over]]
     return float(out[0]) if scalar else out
 
 

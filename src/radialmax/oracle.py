@@ -14,7 +14,9 @@ spans decades), zooms on the three best cells (the objective can be
 multimodal: a ball swallowing B_r competes with one hugging it), and the
 few surviving candidates are re-evaluated with the full adaptive
 quadrature, together with the witness radius t = rho + r whose value
-already certifies the level-set bound.
+already certifies the level-set bound.  The scan interpolates the cap
+integral J_{n-2} in a table of 4097 angles, built once per dimension and
+shared read-only by every evaluator.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +39,8 @@ MAX_ORACLE_DIMENSION = 6
 _SCAN_PANELS = 24
 _SCAN_ORDER = 8
 _TABLE_POINTS = 4097
+_J_THETAS = np.linspace(0.0, math.pi, _TABLE_POINTS)
+_J_THETAS.flags.writeable = False
 
 
 @dataclass
@@ -97,6 +102,14 @@ class InclusionReport:
         return not self.failures
 
 
+@lru_cache(maxsize=MAX_ORACLE_DIMENSION)
+def _j_table(n: int) -> np.ndarray:
+    """log J_{n-2} on the scan's angle grid, once per dimension; read-only."""
+    table = _cap_j_log(n, _J_THETAS)
+    table.flags.writeable = False
+    return table
+
+
 def _check_dimension(n: int):
     if not 1 <= n <= MAX_ORACLE_DIMENSION:
         raise ValueError(
@@ -130,9 +143,7 @@ class _MaximalEvaluator:
                                    log_ball_measure_grid(f, n, radii[1:])])
         self._phi = radial_log_integrand(f, n)
         if n >= 2:
-            thetas = np.linspace(0.0, math.pi, _TABLE_POINTS)
-            self._j_thetas = thetas
-            self._j_table = _cap_j_log(n, thetas)
+            self._j_table = _j_table(n)
             self._log_omega_sub = log_sphere_area(n - 1)
 
     def _log_ball(self, rho):
@@ -140,7 +151,7 @@ class _MaximalEvaluator:
         return np.interp(rho, self._lc_radii, self._lc)
 
     def _cap_j(self, theta):
-        return np.interp(theta, self._j_thetas, self._j_table)
+        return np.interp(theta, _J_THETAS, self._j_table)
 
     def _scan_pair(self, rho: float, ts: np.ndarray):
         """(log numerator, log denominator) for all t at once, scan grade."""

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from radialmax.densities import Gaussian, Lebesgue, TabulatedDecreasing, UnitBallIndicator
-from radialmax.geometry import (EMPTY_ANGLE, FULL_ANGLE, _cap_j_log, arccos_clamped,
+from radialmax.geometry import (EMPTY_ANGLE, FULL_ANGLE, _cap_j_log, _cap_j_log_half,
+                                _cap_j_log_half_pi, arccos_clamped,
                                 cap_fraction_log, cap_log_area, cone_ball_measure,
                                 contact_angle, contact_angle_unit_ball,
                                 intersect_with_centered_ball, intersection_angle,
@@ -16,6 +17,29 @@ SQRT2_M1 = math.sqrt(2.0) - 1.0
 
 # log of the classical two-unit-disk lens area at center distance 1
 LOG_UNIT_LENS = math.log(2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0)
+
+
+def _two_pass_cap_j_log(n, theta):
+    """The cap evaluator that runs the fixed rule on min(theta, pi/2) for
+    every angle, then again on pi - theta for the angles past pi/2."""
+    th = np.asarray(theta, dtype=float)
+    scalar = th.ndim == 0
+    th = np.atleast_1d(np.clip(th, 0.0, math.pi))
+    m = n - 2
+    if m == 0:
+        with np.errstate(divide="ignore"):
+            out = np.where(th > 0.0, np.log(np.maximum(th, 1e-300)), LOG_ZERO)
+        return float(out[0]) if scalar else out
+    out = _cap_j_log_half(m, np.minimum(th, 0.5 * math.pi))
+    over = th > 0.5 * math.pi
+    if np.any(over):
+        j_half = _cap_j_log_half_pi(m)
+        comp = _cap_j_log_half(m, math.pi - th[over])
+        vals = np.array([log_sub(math.log(2.0) + j_half, min(c, math.log(2.0) + j_half))
+                         for c in np.atleast_1d(comp)])
+        out = out.copy()
+        out[over] = vals
+    return float(out[0]) if scalar else out
 
 
 def cap_j_exact(m: int, theta: float) -> float:
@@ -105,6 +129,23 @@ class TestCapArea:
         batch = _cap_j_log(n, theta) + log_sphere_area(n - 1)
         adaptive = cap_log_area(n, theta)
         assert batch == pytest.approx(adaptive, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 4, 10, 100, 10_000])
+    def test_batch_evaluator_matches_two_pass_rule(self, m):
+        # each angle is evaluated once, on its complement past pi/2; the
+        # floats must be those of evaluating every angle on [0, pi/2] first
+        n = m + 2
+        edges = [0.0, 0.5 * math.pi, math.nextafter(0.5 * math.pi, math.pi), math.pi]
+        for theta in edges:
+            got = _cap_j_log(n, theta)
+            assert isinstance(got, float)
+            assert got.hex() == float(_two_pass_cap_j_log(n, theta)).hex()
+        rng = np.random.default_rng(m)
+        for size in (1, 7, 257):
+            theta = rng.uniform(-0.1, math.pi + 0.1, size)
+            theta[: size // 3] = rng.choice(edges, size // 3)
+            got, want = _cap_j_log(n, theta), _two_pass_cap_j_log(n, theta)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
 
     @pytest.mark.parametrize("n", [2, 3, 6, 25])
     @pytest.mark.parametrize("theta", [0.2, 1.0, 1.8, 2.9])

@@ -6,9 +6,10 @@ import pytest
 
 from radialmax.bounds import log_t_exact
 from radialmax.densities import Gaussian, UnitBallIndicator
-from radialmax.geometry import off_center_ball_measure
+from radialmax.geometry import _cap_j_log, off_center_ball_measure
 from radialmax.measures import log_ball_measure, log_mass
-from radialmax.oracle import (InclusionReport, RadialProfile,
+from radialmax.oracle import (_TABLE_POINTS, InclusionReport, RadialProfile,
+                              _j_table, _MaximalEvaluator,
                               empirical_constant_lower_bound,
                               maximal_function_at, maximal_profile,
                               monte_carlo_ball_measure,
@@ -67,6 +68,27 @@ class TestMaximalFunction:
     def test_zero_mass_test_function(self):
         with pytest.raises(ValueError):
             maximal_function_at(UnitBallIndicator(), 2, 0.0, 0.5)
+
+
+class TestCapTable:
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_built_once_per_dimension(self, n):
+        assert _j_table(n) is _j_table(n)
+
+    def test_read_only(self):
+        table = _j_table(4)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_same_floats_as_direct_evaluation(self, n):
+        want = _cap_j_log(n, np.linspace(0.0, math.pi, _TABLE_POINTS))
+        assert [x.hex() for x in _j_table(n).tolist()] == [x.hex() for x in want.tolist()]
+
+    def test_shared_between_evaluators(self):
+        a = _MaximalEvaluator(Gaussian(), 3, 0.2, max_rho=1.0)
+        b = _MaximalEvaluator(Gaussian(), 3, 0.5, max_rho=1.0)
+        assert a._j_table is b._j_table is _j_table(3)
 
 
 class TestProfile:
