@@ -18,6 +18,11 @@ whose base alpha > 1 drives exponential growth in the dimension:
   unitball_construction   Lebesgue measure on the unit ball, where the
                           two-sided sandwich is elementary
 
+Each growth base is affine in q = (p-1)/p, log alpha = a(lam) + q b(lam),
+so alpha crosses 1 at p*(lam) = b/(a+b).  The four families' (a, b) are
+written once, in ``growth_parts``, which the constructions and the
+searches of ``optimize`` all read.
+
 Every intermediate estimate of a construction is recorded in
 ``BoundReport.terms`` so each displayed inequality is individually
 testable, separately from the exact values.
@@ -44,6 +49,60 @@ from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area)
 
 LAMBDA_MAX = math.sqrt(2.0) - 1.0
 T_EXACT_MAX_N = 10_000  # beyond this, quadrature adds nothing over closed forms
+
+
+def _angle_parts(lam):
+    """(cos b0, sin b0) of the contact angle, vectorized in lam."""
+    lam = np.asarray(lam, dtype=float)
+    cos_b0 = 1.0 - (1.0 + lam) ** 2 / 2.0
+    sin_b0 = np.sqrt(np.maximum(1.0 - cos_b0 ** 2, 1e-300))
+    return cos_b0, sin_b0
+
+
+def _annulus_exponent(lam):
+    """-log(2+lam)/log sin b0; its integer crossings are the jump points.
+
+    Diverges to +inf as lam approaches sqrt(2)-1 where sin b0 rounds to 1.
+    """
+    _, s = _angle_parts(lam)
+    with np.errstate(divide="ignore"):
+        log_s = np.log(s)
+        return np.where(log_s < 0.0,
+                        -np.log(2.0 + np.asarray(lam, dtype=float)) / np.minimum(log_s, -1e-300),
+                        np.inf)
+
+
+def growth_parts(kind: str, lam):
+    """(a, b) with log alpha(p, lam) = a + (p-1)/p b, for the named bound family.
+
+    Vectorized in lam and unchecked: floats for a scalar lam, arrays for
+    an array.  ``growth_base_log`` is the checked scalar entry.  For the
+    general family k -> 0 where sin b0 rounds to 1.
+    """
+    lam = np.asarray(lam, dtype=float)
+    cos_b0, s = _angle_parts(lam)
+    log_s, log_lam = np.log(s), np.log(lam)
+    if kind == "general":
+        k = 1.0 / (1.0 + np.ceil(_annulus_exponent(lam)))
+        a, b = -k * log_s, log_lam
+    elif kind == "gaussian-lower":
+        c = cos_b0 ** 2
+        e_c = np.exp(-c)
+        a, b = -0.5 * c * e_c - log_s, 0.5 * e_c * (1.0 - lam * lam) + log_lam
+    elif kind == "gaussian-upper":
+        a, b = -log_s, 0.5 * (1.0 - lam * lam) + log_lam
+    elif kind == "unitball":
+        a, b = -log_s, log_lam
+    else:
+        raise ValueError(f"unknown bound family {kind!r}")
+    if lam.ndim == 0:
+        return float(a), float(b)
+    return a, b
+
+
+def _log_alpha(a, b, p):
+    """log alpha = a + (p-1)/p b: the one place a growth base meets p."""
+    return a + (p - 1.0) / p * b
 
 
 def gaussian_mode_radius(n: int) -> float:
@@ -130,7 +189,7 @@ def _log_t(p: float, lb_R: float, lb_r: float, lb_off: float) -> float:
 
 
 def _check_p(p: float):
-    if p < 1.0:
+    if not p >= 1.0:  # catches NaN too
         raise ValueError("p must be >= 1")
 
 
@@ -244,16 +303,25 @@ def _check_lam_p(lam: float, p: float):
     _check_p(p)
 
 
+def growth_base_log(kind: str, p: float, lam: float) -> float:
+    """log alpha(p, lam) of the named bound family, for lam in (0, sqrt(2)-1), p >= 1."""
+    _check_lam_p(lam, p)
+    return _log_alpha(*growth_parts(kind, lam), p)
+
+
 def _general_parameters(lam: float):
     """(b0, sin b0, log sin b0, l, k) of the general construction at lam.
 
-    l is the smallest integer with sin(b0)^(-l) >= 2 + lam; k = 1/(1+l).
+    l is the smallest integer with sin(b0)^(-l) >= 2 + lam, read from the
+    annulus exponent of the growth table; k = 1/(1+l).
     """
+    nu = float(_annulus_exponent(lam))
+    if not math.isfinite(nu):
+        raise ValueError(f"lam = {lam!r} is too close to sqrt(2)-1: sin b0 rounds to 1")
     beta0 = contact_angle(lam)
     s = math.sin(beta0)
-    log_s = math.log(s)
-    l = int(math.ceil(-math.log(2.0 + lam) / log_s))
-    return beta0, s, log_s, l, 1.0 / (1.0 + l)
+    l = math.ceil(nu)
+    return beta0, s, math.log(s), l, 1.0 / (1.0 + l)
 
 
 def general_construction(f: RadialDensity, n: int, p, lam: float, *,
@@ -296,11 +364,11 @@ def general_construction(f: RadialDensity, n: int, p, lam: float, *,
                 "log_mu_offcenter": lb_off,
                 "radius_equation_residual": lb_cap - lb_R - n * k * log_s,
             })
-        return beta0, log_s, l, k, R, r, Q, terms, measures
+        return beta0, growth_parts("general", lam), l, k, R, r, Q, terms, measures
 
     def report(state, p):
-        beta0, log_s, l, k, R, r, Q, terms, measures = state
-        log_alpha = (p - 1.0) / p * math.log(lam) - k * log_s
+        beta0, parts, l, k, R, r, Q, terms, measures = state
+        log_alpha = _log_alpha(*parts, p)
         log_t_lower = -math.log1p(Q) + n * log_alpha
         exact = None if measures is None else _log_t(p, *measures)
         return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
@@ -385,24 +453,6 @@ def gaussian_mass_concentration(n: int):
     return log_mass, floor
 
 
-def _gaussian_parameters(lam: float):
-    """(b0, sin b0, cos(b0)^2, a, b) of the Gaussian construction at lam.
-
-    The log of the growth base at p is a + (p-1)/p b.
-    """
-    beta0 = contact_angle(lam)
-    s = math.sin(beta0)
-    c = math.cos(beta0) ** 2
-    return (beta0, s, c, -0.5 * c * math.exp(-c) - math.log(s),
-            0.5 * math.exp(-c) * (1.0 - lam * lam) + math.log(lam))
-
-
-def gaussian_growth_base_log(p: float, lam: float) -> float:
-    """log of the per-dimension growth base of the Gaussian lower construction."""
-    *_, a, b = _gaussian_parameters(lam)
-    return a + (p - 1.0) / p * b
-
-
 def gaussian_construction(n: int, p, lam: float, *,
                           with_exact: bool | None = None) -> BoundReport | list:
     """Sharper lower-bound construction for the Gaussian measure.
@@ -420,7 +470,9 @@ def gaussian_construction(n: int, p, lam: float, *,
     def stage():
         if n < 2:
             raise ValueError("needs n >= 2")
-        beta0, s, c, a, b = _gaussian_parameters(lam)
+        beta0 = contact_angle(lam)
+        s = math.sin(beta0)
+        c = math.cos(beta0) ** 2
         e_c = math.exp(-c)
         R_n = gaussian_mode_radius(n)
         R = math.exp(-0.5 * c) * R_n
@@ -446,11 +498,12 @@ def gaussian_construction(n: int, p, lam: float, *,
             "transcendental_residual": (n * math.log(R) - math.pi * R * R * s * s
                                         - ((n - 1.0) * math.log(R_n) - math.pi * R_n * R_n)),
         }
-        return beta0, a, b, R, r, terms, _exact_measures(Gaussian(), n, R, r, with_exact)
+        return (beta0, growth_parts("gaussian-lower", lam), R, r, terms,
+                _exact_measures(Gaussian(), n, R, r, with_exact))
 
     def report(state, p):
-        beta0, a, b, R, r, terms, measures = state
-        log_alpha = a + (p - 1.0) / p * b
+        beta0, parts, R, r, terms, measures = state
+        log_alpha = _log_alpha(*parts, p)
         terms = {**terms, "growth_base_log": log_alpha,
                  "decay_upper_bound": gaussian_upper_bound(n, p, R, r)}
         exact = None
@@ -478,12 +531,10 @@ def gaussian_upper_bound(n: int, p: float, R: float, r: float) -> float:
     if R > gaussian_mode_radius(n) * (1.0 + 1e-12):
         raise ValueError("the decay bound only covers R <= sqrt((n-1)/(2 pi))")
     lam = r / R
-    beta0 = contact_angle(lam)
-    s = math.sin(beta0)
+    a, b = growth_parts("gaussian-upper", lam)  # a = -log sin b0
     q = (p - 1.0) / p
-    return (0.5 * math.log(math.pi) + math.log(n) + math.log(s)
-            + 0.5 * (lam * lam - 1.0) * q
-            + n * (q * (0.5 * (1.0 - lam * lam) + math.log(lam)) - math.log(s)))
+    return (0.5 * math.log(math.pi) + math.log(n) - a + 0.5 * (lam * lam - 1.0) * q
+            + n * _log_alpha(a, b, p))
 
 
 def _unitball_beta0(R: float, lam: float) -> float:
@@ -499,11 +550,10 @@ def _unitball_beta0(R: float, lam: float) -> float:
     return contact_angle_unit_ball(R, lam)
 
 
-def _unitball_sandwich(n: int, p: float, R: float, lam: float, beta0: float):
-    """(log alpha, lower end, upper end) of the sandwich at the contact angle b0."""
-    log_alpha = math.log(R) + (p - 1.0) / p * math.log(lam) - math.log(math.sin(beta0))
+def _unitball_sandwich(n: int, log_alpha: float):
+    """(lower end, upper end) of the sandwich; R = 1, so log alpha has no log R term."""
     lo = n * log_alpha
-    return log_alpha, lo, math.log(math.sqrt(math.pi) * n) + lo
+    return lo, math.log(math.sqrt(math.pi) * n) + lo
 
 
 def unitball_sandwich(n: int, p: float, R: float, lam: float):
@@ -516,7 +566,8 @@ def unitball_sandwich(n: int, p: float, R: float, lam: float):
     gives -8.29 against -12.45), so R < 1 is refused.
     """
     _check_p(p)
-    return _unitball_sandwich(n, p, R, lam, _unitball_beta0(R, lam))[1:]
+    _unitball_beta0(R, lam)
+    return _unitball_sandwich(n, growth_base_log("unitball", p, lam))
 
 
 def unitball_case_analysis(n: int, p: float, R: float, lam: float):
@@ -537,13 +588,12 @@ def unitball_case_analysis(n: int, p: float, R: float, lam: float):
     threshold = math.sqrt(2.0) / (1.0 + lam)
     if R >= threshold:
         return 4, math.log(2.0) + n * q * math.log(lam)
-    log_alpha_1 = q * math.log(lam) - math.log(math.sin(contact_angle(lam)))
-    if R == 1.0:
-        return 1, math.log(math.sqrt(math.pi) * n) + n * log_alpha_1
-    beta0 = contact_angle_unit_ball(R, lam)
-    if R <= math.sin(beta0):
+    if R != 1.0 and R <= math.sin(contact_angle_unit_ball(R, lam)):
         return 3, math.log(math.sqrt(math.pi) * n) + n * q * math.log(lam)
-    return 2, math.log(math.sqrt(math.pi) * n) + n * log_alpha_1
+    # R < threshold (case 1), or sin b0 < R < threshold (case 2), forces
+    # lam < sqrt(2)-1, the growth table's domain
+    return (1 if R == 1.0 else 2,
+            math.log(math.sqrt(math.pi) * n) + n * growth_base_log("unitball", p, lam))
 
 
 def unitball_construction(n: int, p, R: float, lam: float, *,
@@ -555,12 +605,13 @@ def unitball_construction(n: int, p, R: float, lam: float, *,
     r = lam * R
 
     def stage():
-        return (_unitball_beta0(R, lam),
+        return (_unitball_beta0(R, lam), growth_parts("unitball", lam),
                 _exact_measures(UnitBallIndicator(), n, R, r, with_exact))
 
     def report(state, p):
-        beta0, measures = state
-        log_alpha, lo, hi = _unitball_sandwich(n, p, R, lam, beta0)
+        beta0, parts, measures = state
+        log_alpha = _log_alpha(*parts, p)
+        lo, hi = _unitball_sandwich(n, log_alpha)
         case_id, case_upper = unitball_case_analysis(n, p, R, lam)
         terms = {
             "sandwich_lower": lo,

@@ -97,7 +97,7 @@ def build_parser() -> _Parser:
     p0 = sub.add_parser("p0", help="reproduce a critical exponent")
     p0.add_argument("target", choices=sorted(optimize.EXPONENT_SEARCHES))
     p0.add_argument("--pre-scan", type=int, default=2049,
-                    help="pre-scan grid points (default 2049)")
+                    help="pre-scan grid points, at least 2 (default 2049)")
     p0.add_argument("--tol", type=float, default=1e-12,
                     help="argument tolerance of the refinement (default 1e-12)")
     p0.add_argument("--output", default=None)
@@ -158,6 +158,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_p0(args) -> int:
+    if args.pre_scan < 2:
+        raise _UsageError(f"argument --pre-scan: needs at least 2 points, got {args.pre_scan}")
     fn = optimize.EXPONENT_SEARCHES[args.target]
     res = fn(tol=args.tol, pre_scan=args.pre_scan)
     payload = {"target": args.target, **res.as_dict(),

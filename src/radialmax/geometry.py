@@ -2,8 +2,8 @@
 
 Rotation invariance reduces every ball B(x, t) to the pair (d, t) with
 d = |x|.  The sphere of radius s meets B(d xi, t) in a polar cap whose
-angle comes from the law of cosines, so an off-center measure is a 1-D
-radial integral
+angle theta(s) comes from the law of cosines (``cap_angle``), so an
+off-center measure is a 1-D radial integral
 
     mu(B(d xi, t)) = omega_{n-2} * int f(s) s^(n-1) J_n(theta(s)) ds,
     J_n(theta) = int_0^theta sin(beta)^(n-2) dbeta,
@@ -53,12 +53,21 @@ def arccos_clamped(x: float, slack: float = _ARCCOS_SLACK) -> float:
     return math.acos(min(1.0, max(-1.0, x)))
 
 
+def cap_angle(d, t, s):
+    """Law-of-cosines cap angle arccos((d^2 + s^2 - t^2) / (2 d s)), vectorized.
+
+    The cosine is clipped to [-1, 1] and 2 d s floored at 1e-300; no checks.
+    """
+    return np.arccos(np.clip((d * d + s * s - t * t) / np.maximum(2.0 * d * s, 1e-300),
+                             -1.0, 1.0))
+
+
 def intersection_angle(d: float, t: float, s: float) -> float:
     """Polar angle of the cap where the sphere |y| = s meets B(d xi, t).
 
     Returns FULL_ANGLE (= pi) when the sphere lies inside the ball
     (s <= t - d) and EMPTY_ANGLE (= 0) when it misses it (s >= t + d);
-    in between, cos(theta) = (d^2 + s^2 - t^2) / (2 d s).
+    in between, ``cap_angle``.
     """
     if t <= 0:
         raise ValueError("ball radius t must be positive")
@@ -70,7 +79,7 @@ def intersection_angle(d: float, t: float, s: float) -> float:
         return FULL_ANGLE
     if s >= t + d:
         return EMPTY_ANGLE
-    return arccos_clamped((d * d + s * s - t * t) / (2.0 * d * s))
+    return float(cap_angle(d, t, s))
 
 
 def contact_angle(lam: float) -> float:
@@ -264,9 +273,7 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
 
         def phi(s):
             s = np.asarray(s, dtype=float)
-            theta = np.arccos(np.clip((d * d + s * s - t * t)
-                                      / np.maximum(2.0 * d * s, 1e-300), -1.0, 1.0))
-            return phi_radial(s) + _cap_j_log(n, theta)
+            return phi_radial(s) + _cap_j_log(n, cap_angle(d, t, s))
 
         hints = [h for h in f.probe_points() if lo < h < hi]
         peak = f.peak_radius(n)

@@ -1,11 +1,13 @@
 """Derivative-free 1-D searches and the four critical exponents.
 
-Each lower- or upper-bound family has a per-dimension growth base
-alpha(p, lam); the critical exponent is the supremum over lam of the p at
-which alpha crosses 1.  The searches are deterministic: a fixed uniform
-pre-scan picks the best cell, golden-section refines it, and piecewise
-objectives (the general family jumps where its annulus integer changes)
-are refined piece by piece with both one-sided limits examined.
+Each bound family has a per-dimension growth base with log alpha(p, lam) =
+a + q b, q = (p-1)/p, and (a, b) read from the one table
+``bounds.growth_parts``; alpha crosses 1 at p*(lam) = b/(a+b), and the
+critical exponent is the supremum of p* over lam.  The searches are
+deterministic: a fixed uniform pre-scan picks the best cell, golden-section
+refines it, and piecewise objectives (the general family jumps where its
+annulus integer changes) are refined piece by piece with both one-sided
+limits examined.
 
 Reported values carry six meaningful digits; the reference values they are
 matched against were produced elsewhere with unknown precision, so
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import LAMBDA_MAX, gaussian_growth_base_log
+from .bounds import (LAMBDA_MAX, _annulus_exponent, _check_p, _log_alpha,
+                     growth_base_log, growth_parts)  # growth_base_log: re-exported
 from .errors import BracketError
 
 _ENDPOINT_GAP = 1e-9
@@ -124,6 +127,8 @@ def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-12, *,
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
+    if pre_scan < 2:  # one point would make the bracket [lo, lo]
+        raise ValueError(f"pre_scan must be at least 2, got {pre_scan!r}")
     xs = np.linspace(lo, hi, pre_scan)
     vals = _eval_grid(f, xs)
     if not np.any(np.isfinite(vals)):
@@ -163,67 +168,16 @@ def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-12, *,
                           evaluations=evals, discontinuity_notes=list(jumps))
 
 
-# --- the four objective families -------------------------------------------
+# --- the four critical exponents --------------------------------------------
 
-def _angle_parts(lam):
-    lam = np.asarray(lam, dtype=float)
-    cos_b0 = 1.0 - (1.0 + lam) ** 2 / 2.0
-    sin_b0 = np.sqrt(np.maximum(1.0 - cos_b0 ** 2, 1e-300))
-    return cos_b0, sin_b0
+def critical_exponent(kind: str, lam):
+    """p*(lam) = b/(a+b), the p at which the family's growth base crosses 1.
 
-
-def _annulus_exponent(lam):
-    """-log(2+lam)/log sin b0; its integer crossings are the jump points.
-
-    Diverges to +inf as lam approaches sqrt(2)-1 where sin b0 rounds to 1.
+    log alpha = a + (p-1)/p b with a >= 0 > b, so alpha > 1 exactly for
+    p < p*(lam).  Vectorized in lam, like ``growth_parts``.
     """
-    _, s = _angle_parts(lam)
-    with np.errstate(divide="ignore"):
-        log_s = np.log(s)
-        return np.where(log_s < 0.0,
-                        -np.log(2.0 + np.asarray(lam, dtype=float)) / np.minimum(log_s, -1e-300),
-                        np.inf)
-
-
-def objective_general(lam):
-    """Critical-exponent objective of the general construction (piecewise in lam)."""
-    lam = np.asarray(lam, dtype=float)
-    _, s = _angle_parts(lam)
-    log_s = np.log(s)
-    l = np.ceil(_annulus_exponent(lam))
-    k = 1.0 / (1.0 + l)
-    return np.log(lam) / (np.log(lam) - k * log_s)
-
-
-def objective_gaussian_lower(lam):
-    """Gaussian lower-construction exponent, from its growth condition.
-
-    p(lam) = B/(A+B) with A = -(c/2)e^-c - log s and
-    B = e^-c (1 - lam^2)/2 + log lam, c = cos^2 b0: the p at which the
-    Gaussian growth base crosses 1.
-    """
-    lam = np.asarray(lam, dtype=float)
-    cos_b0, s = _angle_parts(lam)
-    c = cos_b0 ** 2
-    e_c = np.exp(-c)
-    B = np.log(lam) + 0.5 * e_c * (1.0 - lam ** 2)
-    A_plus_B = np.log(lam / s) + 0.5 * e_c * (s ** 2 - lam ** 2)
-    return B / A_plus_B
-
-
-def objective_gaussian_upper(lam):
-    """Exponent above which the Gaussian closed-form bound decays."""
-    lam = np.asarray(lam, dtype=float)
-    _, s = _angle_parts(lam)
-    y = 0.5 * (1.0 - lam ** 2) + np.log(lam)
-    return y / (y - np.log(s))
-
-
-def objective_unitball(lam):
-    """Unit-ball exponent: the general objective with k = 1."""
-    lam = np.asarray(lam, dtype=float)
-    _, s = _angle_parts(lam)
-    return np.log(lam) / (np.log(lam) - np.log(s))
+    a, b = growth_parts(kind, lam)
+    return b / (a + b)
 
 
 def _jump_locator_general(a: float, b: float, cap: int = 128):
@@ -243,30 +197,40 @@ def _jump_locator_general(a: float, b: float, cap: int = 128):
     return out
 
 
-def _search(objective, jump_locator=None, *, tol: float = 1e-12,
-            pre_scan: int = 2049) -> SupremumResult:
+def _search(kind: str, *, p=None, tol: float = 1e-12, pre_scan: int = 2049) -> SupremumResult:
+    """Supremum over lam of the family's p*(lam), or of log alpha(p, lam) given p.
+
+    Only the general family is piecewise in lam, so only it gets the jump
+    locator.
+    """
+    def objective(lam):
+        if p is None:
+            return critical_exponent(kind, lam)
+        return _log_alpha(*growth_parts(kind, lam), p)
+
+    locator = _jump_locator_general if kind == "general" else None
     return maximize_scalar(objective, _ENDPOINT_GAP, LAMBDA_MAX - _ENDPOINT_GAP,
-                           tol=tol, pre_scan=pre_scan, jump_locator=jump_locator)
+                           tol=tol, pre_scan=pre_scan, jump_locator=locator)
 
 
 def p0_general(*, tol: float = 1e-12, pre_scan: int = 2049) -> SupremumResult:
     """Supremum of the general-construction exponent; reference 1.005274."""
-    return _search(objective_general, _jump_locator_general, tol=tol, pre_scan=pre_scan)
+    return _search("general", tol=tol, pre_scan=pre_scan)
 
 
 def p0_gaussian(*, tol: float = 1e-12, pre_scan: int = 2049) -> SupremumResult:
     """Supremum of the Gaussian lower exponent; reference 1.011871."""
-    return _search(objective_gaussian_lower, tol=tol, pre_scan=pre_scan)
+    return _search("gaussian-lower", tol=tol, pre_scan=pre_scan)
 
 
 def p1_gaussian(*, tol: float = 1e-12, pre_scan: int = 2049) -> SupremumResult:
     """Supremum of the Gaussian upper (decay) exponent; reference 1.049427."""
-    return _search(objective_gaussian_upper, tol=tol, pre_scan=pre_scan)
+    return _search("gaussian-upper", tol=tol, pre_scan=pre_scan)
 
 
 def p0_unitball(*, tol: float = 1e-12, pre_scan: int = 2049) -> SupremumResult:
     """Supremum of the unit-ball exponent; reference 1.03946."""
-    return _search(objective_unitball, tol=tol, pre_scan=pre_scan)
+    return _search("unitball", tol=tol, pre_scan=pre_scan)
 
 
 EXPONENT_SEARCHES = {
@@ -277,36 +241,7 @@ EXPONENT_SEARCHES = {
 }
 
 
-def growth_base_log(kind: str, p: float, lam: float) -> float:
-    """log alpha(p, lam) for the named bound family."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    q = (p - 1.0) / p
-    cos_b0, s = _angle_parts(np.asarray(lam))
-    log_s = float(np.log(s))
-    if kind == "general":
-        nu = float(_annulus_exponent(np.asarray(lam)))
-        if not math.isfinite(nu):
-            return q * math.log(lam)  # k -> 0 at the right angle boundary
-        k = 1.0 / (1.0 + math.ceil(nu))
-        return q * math.log(lam) - k * log_s
-    if kind == "gaussian-lower":
-        return gaussian_growth_base_log(p, lam)
-    if kind == "gaussian-upper":
-        return q * (0.5 * (1.0 - lam * lam) + math.log(lam)) - log_s
-    if kind == "unitball":
-        return q * math.log(lam) - log_s
-    raise ValueError(f"unknown bound family {kind!r}")
-
-
 def max_growth_base_log(kind: str, p: float, *, pre_scan: int = 2049) -> SupremumResult:
     """sup over lam of log alpha(p, lam) for the named family."""
-    locator = _jump_locator_general if kind == "general" else None
-
-    def objective(lam):
-        arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        out = np.array([growth_base_log(kind, p, float(x)) for x in arr])
-        return out if np.ndim(lam) else float(out[0])
-
-    return maximize_scalar(objective, _ENDPOINT_GAP, LAMBDA_MAX - _ENDPOINT_GAP,
-                           pre_scan=pre_scan, jump_locator=locator)
+    _check_p(p)
+    return _search(kind, p=p, pre_scan=pre_scan)

@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .densities import RadialDensity
-from .geometry import _cap_j_log, intersect_with_centered_ball, off_center_ball_measure
+from .geometry import (_cap_j_log, cap_angle, intersect_with_centered_ball,
+                       off_center_ball_measure)
 from .logspace import LOG_ZERO
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area,
                        radial_log_integrand, upper_cutoff)
@@ -170,10 +171,8 @@ class _MaximalEvaluator:
             nodes = mid[:, :, None] + half[:, :, None] * x
             s = nodes.reshape(len(ts), -1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                cos_th = (rho * rho + s * s - ts[:, None] ** 2) / np.maximum(
-                    2.0 * rho * s, 1e-300)
-                theta = np.arccos(np.clip(cos_th, -1.0, 1.0))
-                vals = self._phi(s.ravel()).reshape(s.shape) + self._cap_j(theta)
+                vals = (self._phi(s.ravel()).reshape(s.shape)
+                        + self._cap_j(cap_angle(rho, ts[:, None], s)))
             shift = np.max(np.where(np.isfinite(vals), vals, -np.inf),
                            axis=1, keepdims=True)
             shift = np.where(np.isfinite(shift), shift, 0.0)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from radialmax.bounds import (BoundReport, LAMBDA_MAX, gaussian_ball_sandwich,
-                              gaussian_construction, gaussian_growth_base_log,
+from radialmax.bounds import (BoundReport, LAMBDA_MAX, _annulus_exponent,
+                              gaussian_ball_sandwich, gaussian_construction,
                               gaussian_mass_concentration, gaussian_mode_radius,
                               gaussian_upper_bound, general_construction,
-                              log_t_exact, radius_growth_report,
+                              growth_base_log, log_t_exact, radius_growth_report,
                               solve_radius_equation, unitball_case_analysis,
                               unitball_construction, unitball_sandwich)
 from radialmax.densities import Gaussian, Lebesgue, UnitBallIndicator
@@ -256,7 +256,7 @@ class TestGaussianConstruction:
         r2 = gaussian_construction(10_000, p, lam, with_exact=False)
         slope = (r2.log_t_lower + math.log(10_000)
                  - (r1.log_t_lower + math.log(1000))) / 9000.0
-        assert slope == pytest.approx(gaussian_growth_base_log(p, lam), abs=1e-9)
+        assert slope == pytest.approx(growth_base_log("gaussian-lower", p, lam), abs=1e-9)
 
 
 class TestGaussianUpperBound:
@@ -409,7 +409,7 @@ class TestPSequence:
             assert type(got) is ValueError
             assert str(got) == str(single.value)
         assert str(batch[1]) == "p must be >= 1"
-        assert str(batch[3]) == "alpha must be positive"
+        assert str(batch[3]) == "p must be >= 1"  # NaN is refused with p < 1
 
     def test_reports_do_not_share_terms(self):
         a, b = general_construction(Gaussian(), 12, [1.003, 1.04], 0.2, with_exact=False)
@@ -425,3 +425,60 @@ class TestPSequence:
             general_construction(Lebesgue(), 5, 0.5, 0.9)
         assert [str(x) for x in general_construction(Lebesgue(), 5, [0.5, 1.01], 0.9)] \
             == ["lam must lie in (0, sqrt(2)-1), got 0.9"] * 2
+
+
+class TestGrowthTable:
+    """Every construction's alpha is the growth table's, float for float."""
+
+    LAMS = [0.0068, 0.0069, 0.03, 0.0673, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.414]
+    PS = [1.0, 1.003, 1.02, 1.3]
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_general(self, lam):
+        n = 7
+        reps = general_construction(UnitBallIndicator(), n, self.PS, lam, with_exact=False)
+        for p, rep in zip(self.PS, reps):
+            log_alpha = growth_base_log("general", p, lam)
+            assert rep.log_t_lower == -math.log1p(rep.Q) + n * log_alpha
+            assert rep.alpha == math.exp(log_alpha)
+        # the printed l is the one the table's k comes from
+        assert reps[0].l == math.ceil(float(_annulus_exponent(lam)))
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_gaussian(self, lam):
+        n = 40
+        for p, rep in zip(self.PS, gaussian_construction(n, self.PS, lam, with_exact=False)):
+            log_alpha = growth_base_log("gaussian-lower", p, lam)
+            assert rep.terms["growth_base_log"] == log_alpha
+            assert rep.log_t_lower == -math.log(n) + n * log_alpha
+            assert rep.alpha == math.exp(log_alpha)
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_unitball(self, lam):
+        n = 30
+        for p, rep in zip(self.PS, unitball_construction(n, self.PS, 1.0, lam,
+                                                         with_exact=False)):
+            log_alpha = growth_base_log("unitball", p, lam)
+            # n * log alpha, not sandwich_lower / n: that quotient rounds
+            assert rep.terms["sandwich_lower"] == rep.log_t_lower == n * log_alpha
+            assert rep.alpha == math.exp(log_alpha)
+            assert unitball_sandwich(n, p, 1.0, lam) == (rep.terms["sandwich_lower"],
+                                                        rep.terms["sandwich_upper"])
+            case, bound = unitball_case_analysis(n, p, 1.0, lam)
+            assert (case, bound) == (1, rep.terms["sandwich_upper"])
+
+    def test_gaussian_upper_bound_is_n_upper_growth_bases(self):
+        n, p, lam = 50, 1.06, 0.2
+        R = 0.8 * gaussian_mode_radius(n)
+        a = -math.log(math.sin(contact_angle(lam)))
+        rest = (gaussian_upper_bound(n, p, R, lam * R) - 0.5 * math.log(math.pi)
+                - math.log(n) + a - 0.5 * (lam * lam - 1.0) * (p - 1.0) / p)
+        assert rest == pytest.approx(n * growth_base_log("gaussian-upper", p, lam),
+                                     rel=1e-12)
+
+    def test_general_refuses_lambda_where_sin_b0_rounds_to_one(self):
+        # the annulus exponent is infinite there, so no l exists; before,
+        # this raised a bare ZeroDivisionError
+        lam = LAMBDA_MAX - 1e-9
+        with pytest.raises(ValueError, match="sin b0 rounds to 1"):
+            general_construction(UnitBallIndicator(), 5, 1.01, lam)

@@ -45,6 +45,20 @@ class TestP0Command:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("pre_scan", ["1", "0", "-3"])
+    def test_pre_scan_below_two_is_usage_error(self, capsys, pre_scan):
+        # one point used to print the degenerate bracket [lo, lo] and exit 0
+        code, out, err = run(capsys, "p0", "unitball", "--pre-scan", pre_scan)
+        assert code == 1
+        assert out == ""
+        assert (f"radialmax p0: error: argument --pre-scan: needs at least 2 points, "
+                f"got {pre_scan}") in err
+
+    def test_two_point_pre_scan_runs(self, capsys):
+        code, out, _ = run(capsys, "p0", "unitball", "--pre-scan", "2")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(1.03946, abs=1e-3)
+
 
 class TestBoundCommand:
     def test_gaussian_construction_chain(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from radialmax.densities import Gaussian, Lebesgue, TabulatedDecreasing, UnitBallIndicator
 from radialmax.geometry import (EMPTY_ANGLE, FULL_ANGLE, _cap_j_log, _cap_j_log_half,
-                                _cap_j_log_half_pi, arccos_clamped,
+                                _cap_j_log_half_pi, arccos_clamped, cap_angle,
                                 cap_fraction_log, cap_log_area, cone_ball_measure,
                                 contact_angle, contact_angle_unit_ball,
                                 intersect_with_centered_ball, intersection_angle,
@@ -82,6 +82,24 @@ class TestIntersectionAngle:
     def test_law_of_cosines_values(self):
         # d=2, t=1, s=2: cos = (4+4-1)/8 = 7/8
         assert intersection_angle(2.0, 1.0, 2.0) == pytest.approx(math.acos(7.0 / 8.0), rel=1e-14)
+
+    def test_cap_angle_is_the_one_formula(self):
+        # the oracle's scan broadcasts t down a column against an array of s;
+        # each entry is intersection_angle's float, and the clip gives its
+        # FULL and EMPTY values outside the lens
+        rng = np.random.default_rng(11)
+        d = 0.7
+        ts = rng.uniform(0.05, 1.5, 40)
+        s = rng.uniform(0.0, 2.5, (40, 30))
+        got = cap_angle(d, ts[:, None], s)
+        assert got.shape == s.shape
+        for i, t in enumerate(ts):
+            for j, sj in enumerate(s[i]):
+                want = intersection_angle(d, float(t), float(sj))
+                if abs(t - d) < sj < t + d:
+                    assert got[i, j] == want
+                else:
+                    assert got[i, j] == (FULL_ANGLE if sj <= t - d else EMPTY_ANGLE) == want
 
 
 class TestArccosClamped:

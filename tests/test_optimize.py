@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from radialmax.bounds import growth_parts
 from radialmax.errors import BracketError
 from radialmax.optimize import (EXPONENT_SEARCHES, LAMBDA_MAX, SupremumResult,
-                                find_root, growth_base_log, max_growth_base_log,
-                                maximize_scalar, objective_gaussian_lower,
-                                objective_gaussian_upper, objective_general,
-                                objective_unitball, p0_gaussian, p0_general,
-                                p0_unitball, p1_gaussian)
+                                critical_exponent, find_root, growth_base_log,
+                                max_growth_base_log, maximize_scalar, p0_gaussian,
+                                p0_general, p0_unitball, p1_gaussian)
+
+# lam values across the search range, with the general family's first two
+# jumps (annulus integer 5 -> 6 near lam = 0.00685, 6 -> 7 near 0.0394)
+# bracketed, and the unit-ball maximizer near 0.0673
+LAM_GRID = np.array([1e-6, 0.0068, 0.0069, 0.0394, 0.0395, 0.05, 0.0673, 0.08,
+                     0.1, 0.12, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.414])
+
+GROWTH_KINDS = list(EXPONENT_SEARCHES)
 
 # reference exponents quoted to six digits; matched within 1e-3
 P0_GENERAL = 1.005274
@@ -70,6 +77,17 @@ class TestMaximizeScalar:
         with pytest.raises(ValueError):
             maximize_scalar(lambda x: x, 1.0, 1.0)
 
+    @pytest.mark.parametrize("pre_scan", [1, 0, -3])
+    def test_rejects_pre_scan_below_two(self, pre_scan):
+        # one grid point would give the degenerate bracket [lo, lo]
+        with pytest.raises(ValueError, match="pre_scan must be at least 2"):
+            maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, pre_scan=pre_scan)
+
+    def test_two_point_pre_scan_refines(self):
+        res = maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, pre_scan=2)
+        assert res.bracket == (0.0, 1.0)
+        assert res.argmax == pytest.approx(0.3, abs=1e-9)
+
 
 class TestExponents:
     def test_general_reference_value(self):
@@ -96,14 +114,15 @@ class TestExponents:
 
     def test_gaussian_dominates_general_pointwise(self):
         lam = np.linspace(0.01, LAMBDA_MAX - 0.01, 200)
-        assert np.all(objective_gaussian_lower(lam) > objective_general(lam))
+        assert np.all(critical_exponent("gaussian-lower", lam)
+                      > critical_exponent("general", lam))
 
     def test_general_objective_exceeds_one_inside(self):
-        assert float(objective_general(np.asarray(0.2))) > 1.0
+        assert critical_exponent("general", 0.2) > 1.0
 
     def test_general_objective_limit_at_zero(self):
-        assert float(objective_general(np.asarray(1e-6))) == pytest.approx(1.0, abs=5e-2)
-        assert float(objective_general(np.asarray(1e-6))) > 1.0
+        assert critical_exponent("general", 1e-6) == pytest.approx(1.0, abs=5e-2)
+        assert critical_exponent("general", 1e-6) > 1.0
 
     def test_gaussian_upper_well_defined(self):
         # e^((1-lam^2)/2) lam < sin b0 on the whole interval
@@ -114,15 +133,10 @@ class TestExponents:
         res = p1_gaussian()
         assert res.discontinuity_notes == []
 
-    @pytest.mark.parametrize("name,objective", [
-        ("general", objective_general),
-        ("gaussian-lower", objective_gaussian_lower),
-        ("gaussian-upper", objective_gaussian_upper),
-        ("unitball", objective_unitball),
-    ])
-    def test_agrees_with_brute_grid(self, name, objective):
+    @pytest.mark.parametrize("name", GROWTH_KINDS)
+    def test_agrees_with_brute_grid(self, name):
         lam = np.linspace(1e-9, LAMBDA_MAX - 1e-9, 1_000_001)
-        brute = float(np.max(objective(lam)))
+        brute = float(np.max(critical_exponent(name, lam)))
         res = EXPONENT_SEARCHES[name]()
         assert res.value >= brute - 1e-12
         assert res.value - brute <= 1e-6
@@ -153,19 +167,65 @@ class TestGrowthBase:
         assert p_cross == pytest.approx(res.value, abs=1e-6)
 
     def test_growth_base_matches_objective_equivalence(self):
-        # alpha(p, lam) > 1 iff p < objective(lam), for each family
-        lam = 0.12
-        for kind, objective in [("unitball", objective_unitball),
-                                ("gaussian-lower", objective_gaussian_lower),
-                                ("gaussian-upper", objective_gaussian_upper),
-                                ("general", objective_general)]:
-            p_lam = float(objective(np.asarray(lam)))
-            assert growth_base_log(kind, p_lam - 1e-4, lam) > 0.0
-            assert growth_base_log(kind, p_lam + 1e-4, lam) < 0.0
+        # alpha(p, lam) > 1 iff p < p*(lam), for each family, across the
+        # lam range and on both sides of the general family's jumps; near
+        # sqrt(2)-1 the general p* tends to 1, so the step shrinks with it
+        for lam in LAM_GRID:
+            for kind in GROWTH_KINDS:
+                p_lam = critical_exponent(kind, lam)
+                step = min(1e-4, 0.5 * (p_lam - 1.0))
+                assert growth_base_log(kind, p_lam - step, lam) > 0.0, (kind, lam)
+                assert growth_base_log(kind, p_lam + step, lam) < 0.0, (kind, lam)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             growth_base_log("cauchy", 1.01, 0.2)
+
+    @pytest.mark.parametrize("kind", GROWTH_KINDS)
+    @pytest.mark.parametrize("lam", [0.5, LAMBDA_MAX, 0.0, -0.1, math.nan, math.inf])
+    def test_refuses_lambda_outside_domain(self, kind, lam):
+        # no construction exists there: before, ("unitball", 1.01, 0.5) gave
+        # alpha > 1 and ("general", 1.01, -0.1) a bare math domain error
+        with pytest.raises(ValueError, match=r"lam must lie in \(0, sqrt\(2\)-1\)"):
+            growth_base_log(kind, 1.01, lam)
+
+    @pytest.mark.parametrize("kind", GROWTH_KINDS)
+    @pytest.mark.parametrize("p", [0.9, math.nan, -math.inf])
+    def test_refuses_p_not_at_least_one(self, kind, p):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            growth_base_log(kind, p, 0.2)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            max_growth_base_log(kind, p)
+
+    @pytest.mark.parametrize("kind", GROWTH_KINDS)
+    def test_scalar_entry_is_the_vectorized_table(self, kind):
+        # the searches evaluate arrays, the constructions scalars: same floats
+        a, b = growth_parts(kind, LAM_GRID)
+        q = (1.02 - 1.0) / 1.02
+        for i, lam in enumerate(LAM_GRID):
+            assert growth_base_log(kind, 1.02, lam) == a[i] + q * b[i]
+            assert critical_exponent(kind, lam) == critical_exponent(kind, LAM_GRID)[i]
+
+    def test_table_matches_closed_forms(self):
+        # the growth bases as the paper writes them, evaluated independently
+        lam = np.linspace(1e-6, LAMBDA_MAX - 1e-6, 2001)
+        beta0 = np.arccos(1.0 - (1.0 + lam) ** 2 / 2.0)
+        s, c = np.sin(beta0), np.cos(beta0) ** 2
+        l = np.ceil(-np.log(2.0 + lam) / np.log(s))
+        p = 1.013
+        q = (p - 1.0) / p
+        want = {
+            "general": np.log(lam ** q / s ** (1.0 / (1.0 + l))),
+            "gaussian-lower": np.log(np.exp(-0.5 * c * np.exp(-c))
+                                     * (np.exp(0.5 * np.exp(-c) * (1.0 - lam ** 2)) * lam) ** q
+                                     / s),
+            "gaussian-upper": np.log((np.exp(0.5 * (1.0 - lam ** 2)) * lam) ** q / s),
+            "unitball": np.log(lam ** q / s),
+        }
+        for kind, expected in want.items():
+            a, b = growth_parts(kind, lam)
+            np.testing.assert_allclose(a + q * b, expected, rtol=1e-12, atol=1e-15,
+                                       err_msg=kind)
 
 
 class TestSupremumResult:
