@@ -10,9 +10,10 @@ off-center measure is a 1-D radial integral
 
 plus a fully-contained core when t > d.  ``cap_log_area`` runs J_n through
 the adaptive quadrature (the accuracy reference); the vectorized evaluator
-``_cap_j_log`` used inside integrands reduces J_n to a fixed composite
-Gauss-Legendre rule on the sub-interval where the integrand is within 60
-log-units of its maximum, which the arcsin substitution locates exactly.
+``_cap_j_log`` used inside integrands reduces J_n to
+``quadrature.fixed_log_integral`` (10 panels of 16 nodes) on the
+sub-interval where the integrand is within 60 log-units of its maximum,
+which the arcsin substitution locates exactly.
 The rule runs once per angle: on theta itself up to pi/2, and past pi/2 on
 pi - theta, whose value the complement rule J(theta) = 2 J(pi/2) -
 J(pi - theta) turns into J(theta).
@@ -21,7 +22,7 @@ The unit ball needs no radial integral: B(d xi, t) ∩ B_a is a lens of two
 balls, two spherical caps cut by one hyperplane, and ``_log_lens`` adds
 their closed-form volumes.
 
-Pure functions throughout; the Gauss-Legendre node cache is immutable.
+Pure functions throughout.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .densities import RadialDensity, UnitBallIndicator
 from .logspace import LOG_ZERO, log_add, log_sub, log_sum
 from .measures import (log_ball_measure, log_ball_volume, log_sphere_area,
                        radial_log_integrand)
-from .quadrature import gauss_legendre_nodes, log_integral
+from .quadrature import fixed_log_integral, log_integral
 
 FULL_ANGLE = math.pi   # sphere entirely inside the ball
 EMPTY_ANGLE = 0.0      # sphere misses the ball
@@ -46,9 +47,9 @@ _CAP_PANELS = 10
 _CAP_ORDER = 16
 
 
-def arccos_clamped(x: float, slack: float = _ARCCOS_SLACK) -> float:
+def arccos_clamped(x: float) -> float:
     """arccos with tolerance for rounding just past +-1; beyond is an error."""
-    if abs(x) > 1.0 + slack:
+    if abs(x) > 1.0 + _ARCCOS_SLACK:
         raise ValueError(f"arccos argument {x!r} outside [-1, 1] beyond rounding slack")
     return math.acos(min(1.0, max(-1.0, x)))
 
@@ -112,26 +113,10 @@ def contact_angle_unit_ball(R: float, lam: float) -> float:
 def _cap_j_log_half(m: int, theta):
     """log J_m on [0, pi/2]: J_m(theta) = int_0^theta sin^m, m >= 1, vectorized."""
     th = np.asarray(theta, dtype=float)
-    sin_th = np.sin(th)
-    with np.errstate(divide="ignore"):
-        log_sin_th = np.where(sin_th > 0.0, np.log(np.maximum(sin_th, 1e-300)), LOG_ZERO)
-    # integrand spans exactly _CAP_WINDOW log-units over [b_lo, theta]
-    b_lo = np.arcsin(sin_th * math.exp(-_CAP_WINDOW / m))
-    x, w = gauss_legendre_nodes(_CAP_ORDER)
-    edges = b_lo[..., None] + (th - b_lo)[..., None] * np.linspace(0.0, 1.0, _CAP_PANELS + 1)
-    half_width = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    centers = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    nodes = centers[..., None] + half_width[..., None] * x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = m * (np.log(np.maximum(np.sin(nodes), 1e-300)) - log_sin_th[..., None, None])
-    # sin is increasing on [0, pi/2], so the shifted exponent is <= 0; the
-    # clip only removes inf arising from degenerate theta = 0 rows
-    panel = (np.exp(np.minimum(shifted, 0.0)) * w).sum(axis=-1) * half_width
-    total = panel.sum(axis=-1)
-    with np.errstate(divide="ignore"):
-        out = np.where(total > 0.0, m * log_sin_th + np.log(np.maximum(total, 1e-300)),
-                       LOG_ZERO)
-    return out
+    # the integrand spans exactly _CAP_WINDOW log-units over [b_lo, theta]
+    b_lo = np.arcsin(np.sin(th) * math.exp(-_CAP_WINDOW / m))
+    return fixed_log_integral(lambda b: m * np.log(np.sin(b)), b_lo, th,
+                              _CAP_PANELS, _CAP_ORDER)
 
 
 @lru_cache(maxsize=256)

@@ -19,8 +19,10 @@ import numpy as np
 from .densities import RadialDensity, UnitBallIndicator
 from .errors import NonFiniteMeasureError
 from .logspace import LOG_ZERO, log_sub
-from .quadrature import log_integral
+from .quadrature import fixed_log_integral, log_integral
 from .special import lgamma
+
+_GRID_ORDER = 12
 
 
 def log_sphere_area(n):
@@ -154,37 +156,23 @@ def log_annulus_measure(f: RadialDensity, n: int, a: float, b: float) -> float:
     return float(log_sphere_area(n) + res.log_value)
 
 
-def log_ball_measure_grid(f: RadialDensity, n: int, radii, *, order: int = 12):
+def log_ball_measure_grid(f: RadialDensity, n: int, radii):
     """log mu(B_r) on a sorted grid of radii, by one cumulative sweep.
 
-    Composite fixed-order Gauss-Legendre between consecutive radii, summed
-    cumulatively in the log domain.  Used by scan-style callers (radius
-    solvers, Monte Carlo tables) that need thousands of measures at once;
-    the adaptive path remains the accuracy reference.
+    One fixed _GRID_ORDER-point Gauss-Legendre panel between consecutive
+    radii (``quadrature.fixed_log_integral``), summed cumulatively in the
+    log domain.  Used by scan-style callers that need thousands of
+    measures at once: the oracle's radial mass table and the inverse CDF of
+    the Monte Carlo sampler.  The adaptive path remains the accuracy
+    reference.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or np.any(np.diff(radii) < 0) or radii[0] < 0:
         raise ValueError("radii must be a sorted nonnegative 1-D grid")
-    phi = radial_log_integrand(f, n)
     edges = np.concatenate([[0.0], radii])
-    sup = f.support_upper_bound
-    lo, hi = edges[:-1], np.minimum(edges[1:], sup)
-    width = np.maximum(hi - lo, 0.0)
-    from .quadrature import gauss_legendre_nodes
-    x, w = gauss_legendre_nodes(order)
-    nodes = lo[:, None] + 0.5 * width[:, None] * (x[None, :] + 1.0)
-    vals = phi(nodes.ravel()).reshape(nodes.shape)
-    m = np.max(vals, axis=1, keepdims=True)
-    m_flat = m[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        panel = np.where(
-            np.isfinite(m_flat) & (width > 0),
-            m_flat + np.log(np.maximum((np.exp(vals - m) * w[None, :]).sum(axis=1), 0.0))
-            + np.log(np.maximum(0.5 * width, 1e-300)),
-            LOG_ZERO,
-        )
-    out = np.logaddexp.accumulate(panel)
-    return log_sphere_area(n) + out
+    panel = fixed_log_integral(radial_log_integrand(f, n), edges[:-1],
+                               np.minimum(edges[1:], f.support_upper_bound), 1, _GRID_ORDER)
+    return log_sphere_area(n) + np.logaddexp.accumulate(panel)
 
 
 def log_mass(f: RadialDensity, n: int) -> float:

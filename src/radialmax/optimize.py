@@ -28,6 +28,8 @@ from .errors import BracketError
 
 _ENDPOINT_GAP = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ROOT_MAX_ITER = 400   # bisection steps of find_root
+_JUMP_CAP = 128        # annulus-integer crossings the general locator bisects
 
 
 @dataclass
@@ -53,8 +55,7 @@ class SupremumResult:
         }
 
 
-def find_root(g, lo: float, hi: float, tol: float = 1e-12, *,
-              max_iter: int = 400) -> float:
+def find_root(g, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Bisection root of a continuous g with a sign change on [lo, hi]."""
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -65,7 +66,7 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, *,
         return hi
     if g_lo * g_hi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3g}, {g_hi:.3g}")
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or mid <= lo or mid >= hi:
             break
@@ -180,17 +181,17 @@ def critical_exponent(kind: str, lam):
     return b / (a + b)
 
 
-def _jump_locator_general(a: float, b: float, cap: int = 128):
+def _jump_locator_general(a: float, b: float):
     """Annulus-integer crossings inside (a, b), located by bisection."""
     nu_a = float(_annulus_exponent(np.asarray(a)))
     nu_b = float(_annulus_exponent(np.asarray(b)))
     if not math.isfinite(nu_a):
         return []
     lo_int = math.floor(nu_a) + 1
-    hi_int = math.floor(nu_b) if math.isfinite(nu_b) else lo_int + cap
+    hi_int = math.floor(nu_b) if math.isfinite(nu_b) else lo_int + _JUMP_CAP
     out = []
     for j in range(lo_int, hi_int + 1):
-        if len(out) >= cap:
+        if len(out) >= _JUMP_CAP:
             break
         out.append(find_root(lambda x, jj=j: float(_annulus_exponent(np.asarray(x))) - jj,
                              a, b, tol=1e-15))
@@ -241,7 +242,7 @@ EXPONENT_SEARCHES = {
 }
 
 
-def max_growth_base_log(kind: str, p: float, *, pre_scan: int = 2049) -> SupremumResult:
+def max_growth_base_log(kind: str, p: float) -> SupremumResult:
     """sup over lam of log alpha(p, lam) for the named family."""
     _check_p(p)
-    return _search(kind, p=p, pre_scan=pre_scan)
+    return _search(kind, p=p)

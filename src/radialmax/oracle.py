@@ -14,14 +14,16 @@ spans decades), zooms on the three best cells (the objective can be
 multimodal: a ball swallowing B_r competes with one hugging it), and the
 few surviving candidates are re-evaluated with the full adaptive
 quadrature, together with the witness radius t = rho + r whose value
-already certifies the level-set bound.  The scan interpolates the cap
-integral J_{n-2} in a table of 4097 angles, built once per dimension and
-shared read-only by every evaluator.
+already certifies the level-set bound.  The scan integrates with
+``quadrature.fixed_log_integral`` (24 panels of 8 nodes, every t at once),
+interpolating the cap integral J_{n-2} in a table of 4097 angles, built once
+per dimension and shared read-only by every evaluator, and the centered
+ball measure in a ``log_ball_measure_grid`` table.  The Monte Carlo
+sampler's inverse CDF is a ``log_ball_measure_grid`` table too.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -34,12 +36,15 @@ from .geometry import (_cap_j_log, cap_angle, intersect_with_centered_ball,
 from .logspace import LOG_ZERO
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area,
                        radial_log_integrand, upper_cutoff)
-from .quadrature import gauss_legendre_nodes, log_integral
+from .quadrature import fixed_log_integral, log_integral
+from .serialize import csv_lines
 
 MAX_ORACLE_DIMENSION = 6
 _SCAN_PANELS = 24
 _SCAN_ORDER = 8
 _TABLE_POINTS = 4097
+_MC_KNOTS = 10_000
+_MC_CHUNK = 1_000_000
 _J_THETAS = np.linspace(0.0, math.pi, _TABLE_POINTS)
 _J_THETAS.flags.writeable = False
 
@@ -61,13 +66,8 @@ class RadialProfile:
             raise ValueError("radii must be strictly increasing")
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        for key, val in self.meta.items():
-            out.write(f"# {key}={val}\n")
-        out.write("rho,value\n")
-        for rho, val in zip(self.radii, self.values):
-            out.write(f"{rho:.17g},{val:.17g}\n")
-        return out.getvalue()
+        return csv_lines(self.meta, ["rho", "value"],
+                         list(zip(self.radii.tolist(), self.values.tolist())))
 
 
 @dataclass
@@ -121,15 +121,15 @@ def _check_dimension(n: int):
 class _MaximalEvaluator:
     """Shared tables for repeated Mg evaluations at fixed (f, n, r).
 
-    Scan-grade ratios come from fixed composite Gauss-Legendre panels with
-    an interpolated cap integral and an interpolated cumulative radial
-    mass; final values are re-computed with the adaptive machinery.
+    Scan-grade ratios come from ``fixed_log_integral`` with an
+    interpolated cap integral and an interpolated cumulative radial mass;
+    final values are re-computed with the adaptive machinery.
     """
 
     def __init__(self, f: RadialDensity, n: int, r: float, *, max_rho: float,
                  t_points: int = 512):
         _check_dimension(n)
-        if r <= 0:
+        if not r > 0:
             raise ValueError("test-function radius r must be positive")
         self.f, self.n, self.r = f, n, r
         self.t_points = t_points
@@ -156,35 +156,18 @@ class _MaximalEvaluator:
 
     def _scan_pair(self, rho: float, ts: np.ndarray):
         """(log numerator, log denominator) for all t at once, scan grade."""
-        n, r = self.n, self.r
-        x, w = gauss_legendre_nodes(_SCAN_ORDER)
+        r = self.r
         inner = np.abs(ts - rho)
         outer = np.minimum(ts + rho, self.support)
 
+        def log_f(s):
+            return self._phi(s) + self._cap_j(cap_angle(rho, ts[:, None, None], s))
+
         def partial(cap_radius):
             hi = np.minimum(outer, cap_radius)
-            lo = np.minimum(inner, hi)
-            width = hi - lo
-            edges = lo[:, None] + width[:, None] * np.linspace(0.0, 1.0, _SCAN_PANELS + 1)
-            half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-            nodes = mid[:, :, None] + half[:, :, None] * x
-            s = nodes.reshape(len(ts), -1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = (self._phi(s.ravel()).reshape(s.shape)
-                        + self._cap_j(cap_angle(rho, ts[:, None], s)))
-            shift = np.max(np.where(np.isfinite(vals), vals, -np.inf),
-                           axis=1, keepdims=True)
-            shift = np.where(np.isfinite(shift), shift, 0.0)
-            weights = (np.tile(w, _SCAN_PANELS)[None, :]
-                       * np.repeat(half, _SCAN_ORDER, axis=1))
-            total = (np.exp(vals - shift) * weights).sum(axis=1)
-            with np.errstate(divide="ignore"):
-                out = np.where(total > 0.0,
-                               shift[:, 0] + np.log(np.maximum(total, 1e-300))
-                               + self._log_omega_sub,
-                               LOG_ZERO)
-            return np.where(width > 0.0, out, LOG_ZERO)
+            return (fixed_log_integral(log_f, np.minimum(inner, hi), hi,
+                                       _SCAN_PANELS, _SCAN_ORDER)
+                    + self._log_omega_sub)
 
         if self.n == 1:
             num = self._interval_mass(rho, ts, r)
@@ -223,7 +206,7 @@ class _MaximalEvaluator:
 
     def log_maximal_at(self, rho: float) -> float:
         """log Mg(rho), certified from below by the witness radius rho + r."""
-        if rho < 0:
+        if not rho >= 0:
             raise ValueError("rho must be nonnegative")
         if rho == 0.0:
             return -self.log_mu_br  # any t <= r attains the sup
@@ -263,21 +246,15 @@ def maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
 
 
 def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
-                    rho_max: float | None = None, t_points: int = 512,
-                    focus: float | None = None) -> RadialProfile:
-    """Mg sampled on a radial grid graded toward 0 and toward the far end.
+                    t_points: int = 512) -> RadialProfile:
+    """Mg sampled on [0, upper_cutoff] on a grid graded toward both ends.
 
     The grading follows the smoothstep map (dense at both ends, where Mg
     is flat at 1/mu(B_r) and where the level-set boundary sits).
     """
-    if rho_max is None:
-        rho_max = upper_cutoff(f, n)
+    rho_max = upper_cutoff(f, n)
     u = np.linspace(0.0, 1.0, points)
-    radii = rho_max * (3.0 * u ** 2 - 2.0 * u ** 3)
-    radii = np.unique(radii)
-    if focus is not None and 0 < focus < rho_max:
-        extra = np.linspace(0.9 * focus, min(1.1 * focus, rho_max), points // 8)
-        radii = np.unique(np.concatenate([radii, extra]))
+    radii = np.unique(rho_max * (3.0 * u ** 2 - 2.0 * u ** 3))
     ev = _MaximalEvaluator(f, n, r, max_rho=float(radii[-1]), t_points=t_points)
     values = np.array([math.exp(ev.log_maximal_at(float(rho))) for rho in radii])
     meta = {"kind": f.kind, "n": n, "r": repr(r),
@@ -309,8 +286,7 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
 
 
 def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float, *,
-                                   points: int = 256, t_points: int = 512,
-                                   profile: RadialProfile | None = None) -> float:
+                                   points: int = 256, t_points: int = 512) -> float:
     """Empirical lower bound on the operator constant from the Mg profile.
 
     p > 1: ( int Mg^p dmu / int g^p dmu )^(1/p) by radial quadrature of the
@@ -318,11 +294,10 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
     over the profile levels (int g dmu = 1, and the value is invariant
     under normalizing mu to mass 1).
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be >= 1")
     _check_dimension(n)
-    if profile is None:
-        profile = maximal_profile(f, n, r, points=points, t_points=t_points)
+    profile = maximal_profile(f, n, r, points=points, t_points=t_points)
     radii = profile.radii
     with np.errstate(divide="ignore"):
         log_mg = np.log(np.maximum(profile.values, 1e-300))
@@ -352,35 +327,30 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
 
 
 def monte_carlo_ball_measure(f: RadialDensity, n: int, d: float, t: float,
-                             samples: int, seed: int, *,
-                             chunk: int = 1_000_000):
+                             samples: int, seed: int):
     """Importance-sampled mu(B(d xi, t)) / mu(total), with its standard error.
 
     Radii are drawn from the density f(s) s^(n-1) by inverse CDF on a
-    10^4-knot table; directions are uniform via normalized standard
-    normals.  Fixed seed (and the fixed chunk size) make the estimate
-    bit-identical across runs.
+    10^4-knot table of ``log_ball_measure_grid``; directions are uniform via
+    normalized standard normals.  Fixed seed (and the fixed chunk size)
+    make the estimate bit-identical across runs.
     """
     if not 2 <= n <= MAX_ORACLE_DIMENSION:
         raise ValueError(f"Monte Carlo supports 2 <= n <= {MAX_ORACLE_DIMENSION}")
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
-    if d < 0 or t <= 0:
+    if not d >= 0 or not t > 0:
         raise ValueError("need d >= 0 and t > 0")
-    sup = upper_cutoff(f, n)
-    knots = np.linspace(0.0, sup, 10_001)
-    phi = radial_log_integrand(f, n)
-    log_h = phi(knots)
-    h = np.exp(log_h - np.max(log_h[np.isfinite(log_h)]))
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (h[1:] + h[:-1]) * np.diff(knots))])
-    if cdf[-1] <= 0.0:
+    knots = np.linspace(0.0, upper_cutoff(f, n), _MC_KNOTS + 1)
+    log_cdf = log_ball_measure_grid(f, n, knots[1:])
+    if log_cdf[-1] == LOG_ZERO:
         raise ValueError("density has zero mass on its support")
-    cdf /= cdf[-1]
+    cdf = np.concatenate([[0.0], np.exp(log_cdf - log_cdf[-1])])
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     remaining = samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_MC_CHUNK, remaining)
         u = rng.random(m)
         s = np.interp(u, cdf, knots)
         z = rng.standard_normal((m, n))

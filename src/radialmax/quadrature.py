@@ -23,6 +23,12 @@ left to right in a fixed order, the same on every Python version.
 On evaluation-cap overrun the best estimate is returned flagged with the
 achieved tolerance instead of raising; callers that care can inspect the
 result object.
+
+Bulk callers use ``fixed_log_integral`` instead: one composite fixed-order
+Gauss-Legendre rule in log space over many rows [lo, hi] at once, with no
+error estimate.  It is the library's one fixed rule: the cap integral J,
+the ball-measure grid (and so the Monte Carlo CDF) and the oracle's scan
+all call it, each with its own panel count and order.
 """
 
 from __future__ import annotations
@@ -178,6 +184,36 @@ def _bisect_crossing(log_f, below, above, tau):
                 below, at = mid, 2 * at + 2
         steps += levels
     return below
+
+
+def fixed_log_integral(log_f, lo, hi, panels: int, order: int):
+    """log of the integral of exp(log_f) over [lo, hi], for every row at once.
+
+    A composite fixed rule: ``panels`` equal panels of ``order``-point
+    Gauss-Legendre, exact for polynomials of degree 2 order - 1 on each
+    panel.  ``log_f`` receives the nodes shaped ``lo.shape + (panels,
+    order)``; each row is shifted by its largest finite value before the
+    exponential.  A row with hi <= lo, or with no mass, gives LOG_ZERO.
+    No error estimate: this is the bulk path, and ``log_integral`` the
+    accuracy reference.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    x, w = gauss_legendre_nodes(order)
+    half = 0.5 * (hi - lo) / panels
+    centers = lo[..., None] + half[..., None] * np.arange(1.0, 2.0 * panels, 2.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a private copy, shifted, exponentiated and weighted in place, so a
+        # large batch holds one node-sized array at a time
+        vals = np.array(log_f(centers[..., None] + half[..., None, None] * x), dtype=float)
+        shift = np.max(vals, axis=(-2, -1), initial=-np.inf, where=np.isfinite(vals))
+        shift = np.where(np.isfinite(shift), shift, 0.0)
+        vals -= shift[..., None, None]
+        np.exp(vals, out=vals)
+        vals *= w
+        total = vals.sum(axis=(-2, -1)) * half
+        # total > 0 also fails for hi <= lo, where half <= 0
+        return np.where(total > 0.0, shift + np.log(total), LOG_ZERO)
 
 
 def log_integral(log_f, a: float, b: float, *, splits=(),

@@ -468,6 +468,18 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert payload["constant_lower_bound"] >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("flag,message", [
+        (["--r", "0.3", "--p", "nan"], "p must be >= 1"),
+        (["--r", "0.3", "--rho", "nan"], "rho must be nonnegative"),
+        (["--r", "nan", "--rho", "0.5"], "test-function radius r must be positive"),
+    ])
+    def test_nan_inputs_refused(self, capsys, flag, message):
+        # refused by the domain checks: exit 2 and nothing on stdout
+        code, out, err = run(capsys, "oracle", "--measure", "gaussian", "--n", "2", *flag)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: {message}\n"
+
     def test_dimension_guard_exits_two(self, capsys):
         code, _, err = run(capsys, "oracle", "--measure", "gaussian", "--n", "9",
                            "--r", "0.2", "--rho", "0.5")

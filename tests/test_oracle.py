@@ -69,6 +69,13 @@ class TestMaximalFunction:
         with pytest.raises(ValueError):
             maximal_function_at(UnitBallIndicator(), 2, 0.0, 0.5)
 
+    def test_nan_radii_refused(self):
+        with pytest.raises(ValueError, match="r must be positive"):
+            _MaximalEvaluator(Gaussian(), 2, math.nan, max_rho=1.0)
+        ev = _MaximalEvaluator(Gaussian(), 2, 0.3, max_rho=1.0)
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            ev.log_maximal_at(math.nan)
+
 
 class TestCapTable:
     @pytest.mark.parametrize("n", [2, 3, 6])
@@ -125,6 +132,18 @@ class TestProfile:
         data = [l for l in lines if not l.startswith("#") and "," in l and "rho" not in l]
         assert len(data) == 3
         assert float(data[0].split(",")[1]) == 2.0
+
+    def test_csv_bytes_pinned(self):
+        # 17 significant digits; inf, -0 and nan spelled as serialize does
+        prof = RadialProfile(radii=[0.0, 0.1, 0.5, 1.25],
+                             values=[1 / 3, 2.5e-300, math.inf, -0.0],
+                             meta={"kind": "gaussian", "n": 2, "r": repr(0.3),
+                                   "grid": "smoothstep:4:0:1.25", "seed": "none"})
+        assert prof.to_csv() == (
+            "# kind=gaussian\n# n=2\n# r=0.3\n# grid=smoothstep:4:0:1.25\n# seed=none\n"
+            "rho,value\n0,0.33333333333333331\n0.10000000000000001,2.5e-300\n"
+            "0.5,inf\n1.25,-0\n")
+        assert RadialProfile(radii=[0.0], values=[math.nan]).to_csv() == "rho,value\n0,nan\n"
 
     def test_profile_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -203,6 +222,8 @@ class TestEmpiricalBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             empirical_constant_lower_bound(Gaussian(), 2, 0.3, 0.9)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            empirical_constant_lower_bound(Gaussian(), 2, 0.3, math.nan)
 
 
 class TestMonteCarlo:
@@ -230,3 +251,6 @@ class TestMonteCarlo:
             monte_carlo_ball_measure(Gaussian(), 7, 0.5, 1.0, 10_000, seed=1)
         with pytest.raises(ValueError):
             monte_carlo_ball_measure(Gaussian(), 3, 0.5, 1.0, 100, seed=1)
+        for d, t in [(math.nan, 1.0), (0.5, math.nan), (-0.1, 1.0), (0.5, 0.0)]:
+            with pytest.raises(ValueError, match="need d >= 0 and t > 0"):
+                monte_carlo_ball_measure(Gaussian(), 3, d, t, 10_000, seed=1)

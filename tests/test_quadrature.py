@@ -9,7 +9,8 @@ from radialmax.geometry import _cap_j_log
 from radialmax.logspace import LOG_ZERO
 from radialmax.measures import radial_log_integrand
 from radialmax.quadrature import (LogIntegralResult, QuadratureResult, _bisect_crossing,
-                                  _sequential_sum, integrate, log_integral)
+                                  _sequential_sum, fixed_log_integral, integrate,
+                                  log_integral)
 
 
 def test_polynomial_is_exact():
@@ -86,6 +87,78 @@ def test_log_integral_skips_zero_plateau():
     res = log_integral(phi, 0.0, 10.0, splits=[2.0])
     assert res.log_value == pytest.approx(math.log(2.0), rel=1e-10)
     assert isinstance(res, LogIntegralResult)
+
+
+# --- the fixed rule -----------------------------------------------------
+
+@pytest.mark.parametrize("order", [1, 2, 5, 8, 12, 16])
+@pytest.mark.parametrize("panels", [1, 3])
+def test_fixed_rule_exact_on_polynomials(order, panels):
+    # int_a^b x^k = (b^(k+1) - a^(k+1)) / (k+1), for every degree k the
+    # rule integrates exactly, 0 <= k <= 2 order - 1
+    degrees = np.arange(2 * order)
+    a, b = 0.5, 2.0
+    got = fixed_log_integral(lambda x: degrees[:, None, None] * np.log(x),
+                             np.full(degrees.shape, a), np.full(degrees.shape, b),
+                             panels, order)
+    want = np.log((b ** (degrees + 1) - a ** (degrees + 1)) / (degrees + 1))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_fixed_rule_empty_and_massless_rows():
+    lo = np.array([1.0, 2.0, 0.0, 0.0])
+    hi = np.array([1.0, 1.0, 1.0, 1.0])
+
+    def log_f(x):
+        # rows 2 and 3: zero integrand, then one that is -inf but at one node
+        out = np.zeros_like(x)
+        out[2] = LOG_ZERO
+        out[3] = LOG_ZERO
+        out[3, 0, 0] = 0.0
+        return out
+
+    got = fixed_log_integral(log_f, lo, hi, 2, 4)
+    assert list(got[:3]) == [LOG_ZERO] * 3
+    assert np.isfinite(got[3])
+
+
+def test_fixed_rule_no_overflow_at_huge_logs():
+    # e^(1e5 - x^2) over [-10, 10]: sqrt(pi) e^(1e5), far beyond a double
+    with np.errstate(all="raise"):
+        got = fixed_log_integral(lambda x: 1.0e5 - x * x, np.asarray(-10.0),
+                                 np.asarray(10.0), 40, 16)
+    assert got.shape == ()
+    assert float(got) == pytest.approx(1.0e5 + 0.5 * math.log(math.pi), rel=1e-15)
+
+
+def test_fixed_rule_two_dimensional_rows():
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(0.0, 1.0, (3, 4))
+    hi = lo + rng.uniform(0.1, 2.0, (3, 4))
+    seen = []
+
+    def log_f(x):
+        seen.append(x.shape)
+        return -x * x + np.sin(3.0 * x)
+
+    grid = fixed_log_integral(log_f, lo, hi, 5, 6)
+    flat = fixed_log_integral(log_f, lo.ravel(), hi.ravel(), 5, 6)
+    assert seen == [(3, 4, 5, 6), (12, 5, 6)]
+    assert grid.shape == (3, 4)
+    np.testing.assert_allclose(grid.ravel(), flat, rtol=1e-15)
+    one = [float(fixed_log_integral(log_f, np.asarray(a), np.asarray(b), 5, 6))
+           for a, b in zip(lo.ravel(), hi.ravel())]
+    np.testing.assert_allclose(flat, one, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 1000])
+def test_fixed_rule_matches_adaptive_on_gaussian_radial(n):
+    phi = radial_log_integrand(Gaussian(), n)
+    peak = math.sqrt(max(n - 1, 0) / (2.0 * math.pi))
+    a, b = max(peak - 3.0, 0.0), peak + 3.0
+    got = float(fixed_log_integral(phi, np.asarray(a), np.asarray(b), 64, 16))
+    want = log_integral(phi, a, b, probe_points=[peak]).log_value
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # --- bit pinning ---------------------------------------------------------
