@@ -54,8 +54,11 @@ T_EXACT_MAX_N = 10_000  # beyond this, quadrature adds nothing over closed forms
 def _angle_parts(lam):
     """(cos b0, sin b0) of the contact angle, vectorized in lam."""
     lam = np.asarray(lam, dtype=float)
-    cos_b0 = 1.0 - (1.0 + lam) ** 2 / 2.0
-    sin_b0 = np.sqrt(np.maximum(1.0 - cos_b0 ** 2, 1e-300))
+    # products, not ** 2: numpy squares a 0-d float64 through pow, which is
+    # not correctly rounded, and an array by multiplication, which is
+    one_lam = 1.0 + lam
+    cos_b0 = 1.0 - one_lam * one_lam / 2.0
+    sin_b0 = np.sqrt(np.maximum(1.0 - cos_b0 * cos_b0, 1e-300))
     return cos_b0, sin_b0
 
 
@@ -86,7 +89,7 @@ def growth_parts(kind: str, lam):
         k = 1.0 / (1.0 + np.ceil(_annulus_exponent(lam)))
         a, b = -k * log_s, log_lam
     elif kind == "gaussian-lower":
-        c = cos_b0 ** 2
+        c = cos_b0 * cos_b0
         e_c = np.exp(-c)
         a, b = -0.5 * c * e_c - log_s, 0.5 * e_c * (1.0 - lam * lam) + log_lam
     elif kind == "gaussian-upper":

@@ -7,7 +7,11 @@ critical exponent is the supremum of p* over lam.  The searches are
 deterministic: a fixed uniform pre-scan picks the best cell, golden-section
 refines it, and piecewise objectives (the general family jumps where its
 annulus integer changes) are refined piece by piece with both one-sided
-limits examined.
+limits examined.  The general family's jumps in the cell are located by one
+batched bisection (``find_root`` is element-wise), the pieces' golden
+searches run in lockstep with one objective call per step, and the
+one-sided limits are evaluated in one call; every float is the one the
+piece-at-a-time search gives.
 
 Reported values carry six meaningful digits; the reference values they are
 matched against were produced elsewhere with unknown precision, so
@@ -55,36 +59,63 @@ class SupremumResult:
         }
 
 
-def find_root(g, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Bisection root of a continuous g with a sign change on [lo, hi]."""
-    if not lo < hi:
+def find_root(g, lo, hi, tol: float = 1e-12):
+    """Bisection roots of a continuous g with a sign change on each [lo, hi].
+
+    Element-wise over array brackets: every step calls g once, on the whole
+    array of midpoints, and each element stops by its own rules (width at
+    most tol, a midpoint that no longer splits its bracket, an exact zero,
+    or ``_ROOT_MAX_ITER`` steps), so each root is the float that bisecting
+    its bracket alone gives.  An element that stops is frozen at its root
+    (lo = hi), which every later step leaves as it is.  Scalar brackets
+    return a float, and a g that takes scalars only still works.
+    """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
+    if not np.all(lo < hi):
         raise ValueError("need lo < hi")
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if g_lo * g_hi > 0.0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3g}, {g_hi:.3g}")
+    g_lo, g_hi = _eval_grid(g, lo), _eval_grid(g, hi)
+    open_ = (g_lo != 0.0) & (g_hi != 0.0)
+    # only the products' signs are read, and an overflow to +-inf keeps them
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(open_ & (np.where(open_, g_lo, 1.0)
+                                      * np.where(open_, g_hi, 1.0) > 0.0))
+    if bad.size:
+        i = bad[0]
+        raise BracketError(f"no sign change on [{float(lo[i])}, {float(hi[i])}]: "
+                           f"g={g_lo[i]:.3g}, {g_hi[i]:.3g}")
+    # a zero at an end is the root: freeze the element there
+    lo = np.where((g_lo != 0.0) & (g_hi == 0.0), hi, lo)
+    hi = np.where(open_, hi, lo)
     for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid <= lo or mid >= hi:
+        stop = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
+        if stop.all():
             break
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if g_lo * g_mid < 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
+        lo, hi = np.where(stop, mid, lo), np.where(stop, mid, hi)
+        g_mid = _eval_grid(g, mid)
+        zero = g_mid == 0.0
+        if zero.any():
+            lo, hi = np.where(zero, mid, lo), np.where(zero, mid, hi)
+            g_mid = np.where(zero, 1.0, g_mid)  # frozen: keep 0 * inf out of the product
+        with np.errstate(over="ignore"):
+            left = g_lo * g_mid < 0.0
+        hi = np.where(left, mid, hi)
+        lo, g_lo = np.where(left, lo, mid), np.where(left, g_lo, g_mid)
+    root = 0.5 * (lo + hi)
+    return float(root[0]) if scalar else root
 
 
-def _golden_max(f, a: float, b: float, tol: float):
-    """Golden-section maximum on [a, b]; returns (x, f(x), evaluations)."""
+def _golden_search(a: float, b: float, tol: float):
+    """Golden-section maximum on [a, b], as a coroutine.
+
+    It yields each point it needs and is sent f there; it returns
+    (x, f(x), evaluations) of its best point.
+    """
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1 = yield x1
+    f2 = yield x2
     best = max((f1, x1), (f2, x2))
     evals = 2
     for _ in range(300):
@@ -93,19 +124,56 @@ def _golden_max(f, a: float, b: float, tol: float):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+            f2 = yield x2
             best = max(best, (f2, x2))
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+            f1 = yield x1
             best = max(best, (f1, x1))
         evals += 1
     fx, x = best
     return x, fx, evals
 
 
+def _golden_lockstep(f, intervals, tol: float) -> list:
+    """Golden-section maxima of f on every interval, run in lockstep.
+
+    Each step calls f once, on the new points of the searches still
+    running; each search keeps its own points and stop rules.  A search
+    left running alone calls f on scalars.  Returns (x, f(x), evaluations)
+    per interval.
+    """
+    running = [(i, _golden_search(a, b, tol)) for i, (a, b) in enumerate(intervals)]
+    points = [next(search) for _, search in running]
+    results = [None] * len(running)
+    while len(running) > 1:
+        vals = _eval_grid(f, np.array(points)).tolist()
+        still, points = [], []
+        for (i, search), v in zip(running, vals):
+            try:
+                points.append(search.send(v))
+                still.append((i, search))
+            except StopIteration as stop:
+                results[i] = stop.value
+        running = still
+    for (i, search), x in zip(running, points):
+        try:
+            while True:
+                x = search.send(f(x))
+        except StopIteration as stop:
+            results[i] = stop.value
+    return results
+
+
 def _eval_grid(f, xs):
+    """f at every entry of the 1-D float array xs, in one call.
+
+    A one-entry batch is evaluated as a scalar, and an f that takes scalars
+    only is called entry by entry.
+    """
+    if xs.size == 1:
+        return np.asarray(f(float(xs[0])), dtype=float).reshape(1)
     try:
         vals = np.asarray(f(xs), dtype=float)
         if vals.shape != xs.shape:
@@ -122,9 +190,9 @@ def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-12, *,
     Uniform pre-scan (pre_scan points), then golden-section refinement of
     the cell around the best grid point.  When a ``jump_locator`` is
     given, it receives the refinement cell and returns the discontinuity
-    abscissas inside it; each monotone piece is refined separately and
-    both one-sided limits at each jump are examined, so a supremum sitting
-    at a jump is still found.
+    abscissas inside it; each monotone piece is refined separately, the
+    pieces in lockstep, and both one-sided limits at each jump are
+    examined in one batch, so a supremum sitting at a jump is still found.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -144,27 +212,25 @@ def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-12, *,
     if jump_locator is not None:
         jumps = sorted(j for j in jump_locator(cell_lo, cell_hi)
                        if cell_lo <= j <= cell_hi)
-    pieces = []
     edges = [cell_lo, *jumps, cell_hi]
+    pieces = []
     for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            pieces.append((a, b))
-    for a, b in pieces:
-        # keep strictly inside the piece so each golden call sees one branch
-        a_in = np.nextafter(a, b)
-        b_in = np.nextafter(b, a)
-        if b_in <= a_in:
-            continue
-        x, fx, n = _golden_max(f, a_in, b_in, tol)
+        # keep strictly inside the piece so each golden search sees one branch
+        a_in, b_in = np.nextafter(a, b), np.nextafter(b, a)
+        if b > a and b_in > a_in:
+            pieces.append((a_in, b_in))
+    for x, fx, n in _golden_lockstep(f, pieces, tol):
         evals += n
         if fx > best_v or (fx == best_v and x < best_x):
             best_x, best_v = x, fx
-    for j in jumps:
-        for side in (np.nextafter(j, cell_lo), j, np.nextafter(j, cell_hi)):
-            fx = float(f(float(side)))
+    if jumps:
+        js = np.array(jumps)
+        sides = np.stack([np.nextafter(js, cell_lo), js, np.nextafter(js, cell_hi)],
+                         axis=1).ravel()
+        for side, fx in zip(sides.tolist(), _eval_grid(f, sides).tolist()):
             evals += 1
             if fx > best_v or (fx == best_v and side < best_x):
-                best_x, best_v = float(side), fx
+                best_x, best_v = side, fx
     return SupremumResult(argmax=best_x, value=best_v, bracket=(cell_lo, cell_hi),
                           evaluations=evals, discontinuity_notes=list(jumps))
 
@@ -182,20 +248,18 @@ def critical_exponent(kind: str, lam):
 
 
 def _jump_locator_general(a: float, b: float):
-    """Annulus-integer crossings inside (a, b), located by bisection."""
+    """Annulus-integer crossings inside (a, b), all bisected in one find_root call."""
     nu_a = float(_annulus_exponent(np.asarray(a)))
     nu_b = float(_annulus_exponent(np.asarray(b)))
     if not math.isfinite(nu_a):
         return []
     lo_int = math.floor(nu_a) + 1
     hi_int = math.floor(nu_b) if math.isfinite(nu_b) else lo_int + _JUMP_CAP
-    out = []
-    for j in range(lo_int, hi_int + 1):
-        if len(out) >= _JUMP_CAP:
-            break
-        out.append(find_root(lambda x, jj=j: float(_annulus_exponent(np.asarray(x))) - jj,
-                             a, b, tol=1e-15))
-    return out
+    js = np.arange(lo_int, min(hi_int + 1, lo_int + _JUMP_CAP), dtype=float)
+    if js.size == 0:
+        return []
+    return find_root(lambda lam: _annulus_exponent(lam) - js,
+                     np.full(js.shape, a), np.full(js.shape, b), tol=1e-15).tolist()
 
 
 def _search(kind: str, *, p=None, tol: float = 1e-12, pre_scan: int = 2049) -> SupremumResult:

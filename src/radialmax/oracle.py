@@ -111,6 +111,11 @@ def _j_table(n: int) -> np.ndarray:
     return table
 
 
+def _check_rho(rho: float, name: str = "rho"):
+    if not rho >= 0:  # NaN too
+        raise ValueError(f"{name} must be nonnegative")
+
+
 def _check_dimension(n: int):
     if not 1 <= n <= MAX_ORACLE_DIMENSION:
         raise ValueError(
@@ -131,6 +136,7 @@ class _MaximalEvaluator:
         _check_dimension(n)
         if not r > 0:
             raise ValueError("test-function radius r must be positive")
+        _check_rho(max_rho, "max_rho")  # before the tables: a NaN horizon fills them with -inf
         self.f, self.n, self.r = f, n, r
         self.t_points = t_points
         self.support = upper_cutoff(f, n)
@@ -206,8 +212,7 @@ class _MaximalEvaluator:
 
     def log_maximal_at(self, rho: float) -> float:
         """log Mg(rho), certified from below by the witness radius rho + r."""
-        if not rho >= 0:
-            raise ValueError("rho must be nonnegative")
+        _check_rho(rho)
         if rho == 0.0:
             return -self.log_mu_br  # any t <= r attains the sup
         t_lo = max(1e-6, rho - self.r) * (1.0 - 1e-9)
@@ -241,6 +246,7 @@ class _MaximalEvaluator:
 def maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
                         t_points: int = 512) -> float:
     """Mg(rho) for the normalized indicator test function (linear scale)."""
+    _check_rho(rho)  # before the evaluator's tables are built
     ev = _MaximalEvaluator(f, n, r, max_rho=max(rho, r), t_points=t_points)
     return math.exp(ev.log_maximal_at(rho))
 

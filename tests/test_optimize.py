@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from radialmax.bounds import growth_parts
+from radialmax.bounds import _annulus_exponent, _log_alpha, growth_parts
 from radialmax.errors import BracketError
-from radialmax.optimize import (EXPONENT_SEARCHES, LAMBDA_MAX, SupremumResult,
-                                critical_exponent, find_root, growth_base_log,
-                                max_growth_base_log, maximize_scalar, p0_gaussian,
-                                p0_general, p0_unitball, p1_gaussian)
+from radialmax.optimize import (_ENDPOINT_GAP, _JUMP_CAP, _ROOT_MAX_ITER,
+                                EXPONENT_SEARCHES, LAMBDA_MAX, SupremumResult,
+                                _jump_locator_general, critical_exponent, find_root,
+                                growth_base_log, max_growth_base_log, maximize_scalar,
+                                p0_gaussian, p0_general, p0_unitball, p1_gaussian)
 
 # lam values across the search range, with the general family's first two
 # jumps (annulus integer 5 -> 6 near lam = 0.00685, 6 -> 7 near 0.0394)
@@ -199,12 +200,20 @@ class TestGrowthBase:
 
     @pytest.mark.parametrize("kind", GROWTH_KINDS)
     def test_scalar_entry_is_the_vectorized_table(self, kind):
-        # the searches evaluate arrays, the constructions scalars: same floats
-        a, b = growth_parts(kind, LAM_GRID)
+        # the searches evaluate arrays, the constructions scalars: same
+        # floats.  Seeded random lam catch what the grid alone missed: a
+        # squared 0-d float64 once went through pow, off by an ulp at 1 to 5
+        # of 5000 lam per family (e.g. 0.03719310380465034)
+        rng = np.random.default_rng(11)
+        lams = np.concatenate([LAM_GRID, [0.03719310380465034],
+                               rng.uniform(0.0, LAMBDA_MAX, 10_000)[1:]])
+        a, b = growth_parts(kind, lams)
+        p_star = critical_exponent(kind, lams)
         q = (1.02 - 1.0) / 1.02
-        for i, lam in enumerate(LAM_GRID):
-            assert growth_base_log(kind, 1.02, lam) == a[i] + q * b[i]
-            assert critical_exponent(kind, lam) == critical_exponent(kind, LAM_GRID)[i]
+        for i, lam in enumerate(lams.tolist()):
+            assert growth_parts(kind, lam) == (a[i], b[i]), lam
+            assert growth_base_log(kind, 1.02, lam) == a[i] + q * b[i], lam
+            assert critical_exponent(kind, lam) == p_star[i], lam
 
     def test_table_matches_closed_forms(self):
         # the growth bases as the paper writes them, evaluated independently
@@ -239,3 +248,246 @@ class TestSupremumResult:
     def test_bracket_invariant(self):
         with pytest.raises(ValueError):
             SupremumResult(argmax=0.5, value=1.0, bracket=(0.6, 0.7), evaluations=3)
+
+
+# --- the batched searches against the scalar loops they replaced ------------
+#
+# Test-local copies of the one-bracket bisection, the one-crossing-at-a-time
+# jump locator and the piece-by-piece maximizer.  The batched searches must
+# give the same floats (compared as float.hex) and the same counts.
+
+def _scalar_find_root(g, lo, hi, tol=1e-12):
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    assert g_lo * g_hi < 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid <= lo or mid >= hi:
+            break
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if g_lo * g_mid < 0.0:
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_jump_locator(a, b):
+    nu_a = float(_annulus_exponent(np.asarray(a)))
+    nu_b = float(_annulus_exponent(np.asarray(b)))
+    if not math.isfinite(nu_a):
+        return []
+    lo_int = math.floor(nu_a) + 1
+    hi_int = math.floor(nu_b) if math.isfinite(nu_b) else lo_int + _JUMP_CAP
+    out = []
+    for j in range(lo_int, hi_int + 1):
+        if len(out) >= _JUMP_CAP:
+            break
+        out.append(_scalar_find_root(
+            lambda x, jj=j: float(_annulus_exponent(np.asarray(x))) - jj, a, b, tol=1e-15))
+    return out
+
+
+def _scalar_golden_max(f, a, b, tol):
+    x1 = b - (math.sqrt(5.0) - 1.0) / 2.0 * (b - a)
+    x2 = a + (math.sqrt(5.0) - 1.0) / 2.0 * (b - a)
+    f1, f2 = f(x1), f(x2)
+    best = max((f1, x1), (f2, x2))
+    evals = 2
+    for _ in range(300):
+        if b - a <= tol:
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + (math.sqrt(5.0) - 1.0) / 2.0 * (b - a)
+            f2 = f(x2)
+            best = max(best, (f2, x2))
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - (math.sqrt(5.0) - 1.0) / 2.0 * (b - a)
+            f1 = f(x1)
+            best = max(best, (f1, x1))
+        evals += 1
+    return best[1], best[0], evals
+
+
+def _scalar_maximize(f, lo, hi, tol=1e-12, *, pre_scan=2049, jump_locator=None,
+                     grid_f=None):
+    xs = np.linspace(lo, hi, pre_scan)
+    vals = np.array([float(f(float(x))) for x in xs]) if grid_f is None else grid_f(xs)
+    i = int(np.nanargmax(vals))
+    evals = pre_scan
+    cell_lo, cell_hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, pre_scan - 1)])
+    best_x, best_v = float(xs[i]), float(vals[i])
+    jumps = []
+    if jump_locator is not None:
+        jumps = sorted(j for j in jump_locator(cell_lo, cell_hi) if cell_lo <= j <= cell_hi)
+    edges = [cell_lo, *jumps, cell_hi]
+    for a, b in zip(edges[:-1], edges[1:]):
+        if not b > a:
+            continue
+        a_in, b_in = np.nextafter(a, b), np.nextafter(b, a)
+        if b_in <= a_in:
+            continue
+        x, fx, n = _scalar_golden_max(f, a_in, b_in, tol)
+        evals += n
+        if fx > best_v or (fx == best_v and x < best_x):
+            best_x, best_v = x, fx
+    for j in jumps:
+        for side in (np.nextafter(j, cell_lo), j, np.nextafter(j, cell_hi)):
+            fx = float(f(float(side)))
+            evals += 1
+            if fx > best_v or (fx == best_v and side < best_x):
+                best_x, best_v = float(side), fx
+    return SupremumResult(argmax=best_x, value=best_v, bracket=(cell_lo, cell_hi),
+                          evaluations=evals, discontinuity_notes=list(jumps))
+
+
+def _hex(obj):
+    if isinstance(obj, float):
+        return float(obj).hex()
+    if isinstance(obj, (list, tuple)):
+        return [_hex(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _hex(v) for k, v in obj.items()}
+    return obj
+
+
+def _scalar_search(kind, *, p=None, pre_scan=2049):
+    def objective(lam):
+        if p is None:
+            return critical_exponent(kind, lam)
+        return _log_alpha(*growth_parts(kind, lam), p)
+
+    locator = _scalar_jump_locator if kind == "general" else None
+    return _scalar_maximize(objective, _ENDPOINT_GAP, LAMBDA_MAX - _ENDPOINT_GAP,
+                            pre_scan=pre_scan, jump_locator=locator, grid_f=objective)
+
+
+class TestBatchedFindRoot:
+    """Each element of a batched find_root is the scalar bisection's float."""
+
+    @staticmethod
+    def _family(c, sign):
+        # sign * (x - c) (1 + x^2): +, -, * only, so array and scalar agree
+        def g(x):
+            return sign * ((x - c) * (1.0 + x * x))
+        return g
+
+    def _check(self, lo, hi, c, sign, tol=1e-12):
+        got = find_root(self._family(c, sign), lo, hi, tol=tol)
+        assert got.shape == lo.shape
+        for i in range(lo.size):
+            want = _scalar_find_root(self._family(c[i], sign[i]), float(lo[i]),
+                                     float(hi[i]), tol=tol)
+            assert float(got[i]).hex() == float(want).hex(), (i, lo[i], hi[i], c[i])
+            alone = find_root(self._family(c[i], sign[i]), float(lo[i]), float(hi[i]),
+                              tol=tol)
+            assert type(alone) is float and alone.hex() == float(want).hex()
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-15, 0.0])
+    def test_random_brackets_both_orientations(self, tol):
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(-3.0, 1.0, 300)
+        hi = lo + 10.0 ** rng.uniform(-14.0, 1.0, 300)
+        c = lo + rng.uniform(0.0, 1.0, 300) * (hi - lo)
+        sign = rng.choice([-1.0, 1.0], 300)
+        self._check(lo, hi, c, sign, tol)
+
+    def test_exact_zeros(self):
+        # roots at lo, at hi, and at the first, second and fifth midpoints
+        lo = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+        hi = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        c = np.array([0.0, 1.0, 0.5, 0.25, 0.40625, 0.3])
+        sign = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        self._check(lo, hi, c, sign)
+        assert find_root(self._family(c, sign), lo, hi)[:5].tolist() == c[:5].tolist()
+
+    def test_brackets_of_a_few_ulps(self):
+        base = np.array([0.3, 1.0, -2.5, 1e-300, 7.0, 0.1])
+        ulps = np.array([1, 2, 3, 1, 2, 3])
+        hi = base.copy()
+        for _ in range(3):
+            hi = np.where(ulps > 0, np.nextafter(hi, np.inf), hi)
+            ulps = ulps - 1
+        c = np.nextafter(base, np.inf)
+        sign = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        self._check(base, hi, c, sign, tol=0.0)
+        with pytest.raises(ValueError, match="need lo < hi"):  # a bracket of 0 ulps
+            find_root(self._family(c, sign), base, np.where(np.arange(6) == 2, base, hi))
+
+    def test_mixed_finishing_steps(self):
+        # width, a midpoint that no longer splits, an exact zero, the step
+        # cap (a root at 1e-300 from [0, 1] needs ~1000 halvings) and a
+        # late stop, all in one batch
+        lo = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -4.0])
+        hi = np.array([1.0, 1.0, 1.0, 1.0, np.nextafter(1.0, 2.0), 1e9])
+        c = np.array([0.1, 0.40625, 1e-300, 0.7, 1.0, 123.456])
+        sign = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
+        for tol in (0.0, 1e-9):
+            self._check(lo, hi, c, sign, tol)
+
+    def test_scalar_only_g_on_arrays(self):
+        # math.sin takes floats only, so it is called entry by entry
+        lo, hi = np.array([3.0, 6.0, -0.5]), np.array([3.5, 6.5, 0.3])
+        got = find_root(math.sin, lo, hi)
+        for i in range(3):
+            assert float(got[i]).hex() == _scalar_find_root(math.sin, lo[i], hi[i]).hex()
+        assert got[0] == pytest.approx(math.pi, abs=1e-12)
+
+    def test_no_bracket_in_one_element(self):
+        with pytest.raises(BracketError, match=r"no sign change on \[2.0, 3.0\]"):
+            find_root(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]))
+
+
+class TestBatchedJumpSearch:
+    """The batched locator and lockstep refinement keep the scalar floats."""
+
+    @pytest.mark.parametrize("a,b", [
+        (0.0068, 0.0069), (0.0393, 0.0395), (0.005, 0.045), (0.0394, 0.0394000001),
+        (LAMBDA_MAX - 2e-4, LAMBDA_MAX - 1e-9), (0.1, 0.11)])
+    def test_locator_is_the_scalar_locator(self, a, b):
+        got = _jump_locator_general(a, b)
+        want = _scalar_jump_locator(a, b)
+        assert _hex(got) == _hex(want)
+        assert all(type(x) is float for x in got)
+
+    def test_locator_caps_the_crowded_cell(self):
+        # next to sqrt(2)-1 the annulus exponent diverges: 128 crossings
+        res = max_growth_base_log("general", 1.02)
+        got = _jump_locator_general(*res.bracket)
+        assert len(got) == _JUMP_CAP
+        assert _hex(got) == _hex(_scalar_jump_locator(*res.bracket))
+
+    @pytest.mark.parametrize("p", [1.0006, 1.001, 1.005, 1.01, 1.02, 1.05])
+    def test_general_growth_search_is_the_scalar_search(self, p):
+        got = max_growth_base_log("general", p).as_dict()
+        assert _hex(got) == _hex(_scalar_search("general", p=p).as_dict())
+
+    @pytest.mark.parametrize("kind", GROWTH_KINDS)
+    @pytest.mark.parametrize("pre_scan", [2049, 257])
+    def test_p0_search_is_the_scalar_search(self, kind, pre_scan):
+        got = EXPONENT_SEARCHES[kind](pre_scan=pre_scan).as_dict()
+        assert _hex(got) == _hex(_scalar_search(kind, pre_scan=pre_scan).as_dict())
+
+    def test_scalar_only_callable_with_jumps(self):
+        # a sawtooth rising to each jump at k/8; a Python `if` takes floats only
+        def f(x):
+            if x >= 0.875:
+                return -1.0
+            return x - math.floor(8.0 * x) / 8.0 - 0.01 * x
+
+        def jumps(a, b):
+            return [k / 8.0 for k in range(9) if a <= k / 8.0 <= b]
+
+        for pre_scan in (2, 5, 9, 33):
+            got = maximize_scalar(f, 0.0, 1.0, pre_scan=pre_scan, jump_locator=jumps)
+            want = _scalar_maximize(f, 0.0, 1.0, pre_scan=pre_scan, jump_locator=jumps)
+            assert _hex(got.as_dict()) == _hex(want.as_dict())
+        assert got.discontinuity_notes == [0.125]
+        assert got.argmax == np.nextafter(0.125, 0.0)  # the left limit

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from radialmax import oracle
 from radialmax.bounds import log_t_exact
 from radialmax.densities import Gaussian, UnitBallIndicator
 from radialmax.geometry import _cap_j_log, off_center_ball_measure
@@ -75,6 +76,25 @@ class TestMaximalFunction:
         ev = _MaximalEvaluator(Gaussian(), 2, 0.3, max_rho=1.0)
         with pytest.raises(ValueError, match="rho must be nonnegative"):
             ev.log_maximal_at(math.nan)
+
+    @pytest.mark.parametrize("max_rho", [math.nan, -0.5])
+    def test_nan_horizon_refused_before_the_table(self, monkeypatch, max_rho):
+        # a NaN horizon once gave a 4097-entry table of -inf, silently
+        def no_table(*args):
+            raise AssertionError("the ball-measure table was built")
+
+        monkeypatch.setattr(oracle, "log_ball_measure_grid", no_table)
+        with pytest.raises(ValueError, match="max_rho must be nonnegative"):
+            _MaximalEvaluator(Gaussian(), 2, 0.3, max_rho=max_rho)
+
+    def test_nan_rho_refused_before_the_evaluator(self, monkeypatch):
+        def no_evaluator(*args, **kwargs):
+            raise AssertionError("the evaluator was built")
+
+        monkeypatch.setattr(oracle, "_MaximalEvaluator", no_evaluator)
+        for rho in (math.nan, -0.1):
+            with pytest.raises(ValueError, match="^rho must be nonnegative$"):
+                maximal_function_at(Gaussian(), 2, 0.3, rho)
 
 
 class TestCapTable:
