@@ -13,6 +13,7 @@ centered ball needs no integral: it is the volume omega_{n-1}/n min(rho, 1)^n.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,8 +67,7 @@ def radial_log_integrand(f: RadialDensity, n: int):
 
     def phi(s):
         s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            radial = np.where(s > 0.0, (n - 1) * np.log(np.maximum(s, 1e-300)), LOG_ZERO)
+        radial = np.where(s > 0.0, (n - 1) * np.log(np.maximum(s, 1e-300)), LOG_ZERO)
         return np.asarray(f.log_density(s), dtype=float) + radial
 
     return phi
@@ -86,12 +86,19 @@ def upper_cutoff(f: RadialDensity, n: int) -> float:
 
     Finite-support densities return their support.  Otherwise the cutoff is
     found by doubling until the log-integrand has fallen 60 log-units below
-    the best value seen (only finite-mass densities may ask).
+    the best value seen (only finite-mass densities may ask), once per
+    density instance and dimension: densities are immutable.
     """
     if math.isfinite(f.support_upper_bound):
         return f.support_upper_bound
     if not f.is_finite(n):
         raise NonFiniteMeasureError(f"{f.kind} density has infinite mass in dimension {n}")
+    return _decay_radius(f, n)
+
+
+@lru_cache(maxsize=64)
+def _decay_radius(f: RadialDensity, n: int) -> float:
+    """The doubling search of ``upper_cutoff``, cached per (density, n)."""
     phi = radial_log_integrand(f, n)
     peak = f.peak_radius(n)
     b = max(1.0, 2.0 * peak if peak else 1.0)

@@ -68,7 +68,11 @@ def find_root(g, lo, hi, tol: float = 1e-12):
     or ``_ROOT_MAX_ITER`` steps), so each root is the float that bisecting
     its bracket alone gives.  An element that stops is frozen at its root
     (lo = hi), which every later step leaves as it is.  Scalar brackets
-    return a float, and a g that takes scalars only still works.
+    return a float, and a g that takes scalars only still works.  The
+    steps update their arrays in place under one ``np.errstate(over=
+    "ignore")``: only the signs of the products g(lo) g(mid) are read, and
+    an overflow to +-inf keeps them, so an overflow inside g during the
+    steps is not reported either.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
@@ -87,21 +91,28 @@ def find_root(g, lo, hi, tol: float = 1e-12):
     # a zero at an end is the root: freeze the element there
     lo = np.where((g_lo != 0.0) & (g_hi == 0.0), hi, lo)
     hi = np.where(open_, hi, lo)
-    for _ in range(_ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        stop = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
-        if stop.all():
-            break
-        lo, hi = np.where(stop, mid, lo), np.where(stop, mid, hi)
-        g_mid = _eval_grid(g, mid)
-        zero = g_mid == 0.0
-        if zero.any():
-            lo, hi = np.where(zero, mid, lo), np.where(zero, mid, hi)
-            g_mid = np.where(zero, 1.0, g_mid)  # frozen: keep 0 * inf out of the product
-        with np.errstate(over="ignore"):
+    g_lo = g_lo.copy()  # g may have returned an array it still holds
+    with np.errstate(over="ignore"):
+        for _ in range(_ROOT_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            stop = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
+            stopped = np.count_nonzero(stop)
+            if stopped == stop.size:
+                break
+            if stopped:
+                np.copyto(lo, mid, where=stop)
+                np.copyto(hi, mid, where=stop)
+            g_mid = _eval_grid(g, mid)
+            zero = g_mid == 0.0
+            if np.count_nonzero(zero):
+                np.copyto(lo, mid, where=zero)
+                np.copyto(hi, mid, where=zero)
+                g_mid = np.where(zero, 1.0, g_mid)  # frozen: keep 0 * inf out of the product
             left = g_lo * g_mid < 0.0
-        hi = np.where(left, mid, hi)
-        lo, g_lo = np.where(left, lo, mid), np.where(left, g_lo, g_mid)
+            np.copyto(hi, mid, where=left)
+            right = ~left
+            np.copyto(lo, mid, where=right)
+            np.copyto(g_lo, g_mid, where=right)
     root = 0.5 * (lo + hi)
     return float(root[0]) if scalar else root
 

@@ -7,18 +7,23 @@ thousands of log-units across its interval.  The recipe is
   1. probe ``phi`` on a grid (plus caller-supplied peak hints),
   2. shift by the probed maximum ``m``,
   3. truncate to the window where ``phi >= m - drop`` (drop = 46 log-units,
-     about 20 decimal digits, located by bisection on ``phi``; the
-     bisection takes the midpoints of several steps per call of ``phi``
-     and ends where a one-point-per-call bisection would),
+     about 20 decimal digits, located by bisection on ``phi``; each call
+     of ``phi`` takes the midpoints of several steps of both window edges,
+     and each edge ends where a one-point-per-call bisection would),
   4. run global adaptive Gauss-Legendre on ``exp(phi - m)`` inside the
-     window, one integrand call per refinement step.
+     window.  The loop bisects one panel per step; one integrand call
+     evaluates the halves of every panel it must bisect before it can stop,
+     and the steps take them from there.
 
 Truncation error is then below the quadrature tolerance, DEFAULT_REL_TOL,
 which is the one tolerance of every measure in the library, and the shifted
 integrand is O(1), so nothing ever under- or overflows.  Integrands must
 accept numpy arrays and act on each point alone.  Batching changes no
-result: each rule is one dot product per panel, and the panel sums run
-left to right in a fixed order, the same on every Python version.
+result: each rule is one dot product per panel, the steps and the panel
+table are those of a loop that calls the integrand once per bisected
+panel, and the panel sums run left to right in a fixed order, the same on
+every Python version.  The evaluation counts, and so the cap, count only
+the panels the loop uses.
 
 On evaluation-cap overrun the best estimate is returned flagged with the
 achieved tolerance instead of raising; callers that care can inspect the
@@ -99,13 +104,39 @@ def _panels(f, a, b):
     return out
 
 
-def _sequential_sum(x) -> float:
-    """Left-to-right sum, the same on every Python version.
+def _sequential_sum(x):
+    """Left-to-right sum of each row of x, the same on every Python version.
 
-    The leading ``0.0 +`` turns an all-negative-zero sum into 0.0, as a
-    sum started from 0 does.
+    A float for a 1-D x, a list of floats for a 2-D one.  The leading
+    ``0.0 +`` turns an all-negative-zero sum into 0.0, as a sum started
+    from 0 does.
     """
-    return 0.0 + float(x.cumsum()[-1])
+    return (0.0 + x.cumsum(axis=-1)[..., -1]).tolist()
+
+
+def _ahead(lo, hi, err, k, worst, error, budget, splits_left, known):
+    """The panels whose halves one call of f evaluates for the refinement loop.
+
+    The worst panel, and every other panel the loop must bisect before it
+    can stop.  The loop bisects the panels of today's table in order of
+    falling error (ties: lower index first) and stops once the summed
+    error is within rel_tol |total|, so the panels it leaves untouched are
+    a tail of that order whose errors sum to at most that.  While the total
+    stays within its error estimate of today's total, the stop is within
+    ``budget`` = rel_tol (|total| + error), and every panel ahead of the
+    longest tail within it must be bisected, unless the evaluation cap ends
+    the loop first: at most ``splits_left`` panels are taken.  Panels whose
+    halves are ``known`` already, or that no longer split, are left out.
+    """
+    if error - err[worst] <= budget:
+        return [worst]
+    order = np.argsort(-err[:k], kind="stable")
+    tail = np.cumsum(err[order][::-1])[::-1]
+    must = order[:np.count_nonzero(tail > budget)]
+    mid = 0.5 * (lo[must] + hi[must])
+    must = must[(lo[must] < mid) & (mid < hi[must])]
+    ahead = [worst, *(i for i in must.tolist() if i != worst and i not in known)]
+    return ahead[:splits_left]
 
 
 def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
@@ -115,22 +146,28 @@ def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
     The interval is seeded with panels at the given split points (known
     kinks), then the panel with the worst error estimate is bisected until
     the summed error estimate meets ``rel_tol`` relative to the summed
-    value, or the evaluation budget runs out.  Every panel costs
-    ``PANEL_EVALS`` evaluations, but each step makes one call of ``f``: the
-    seed panels share one, and so do the two halves of a bisected panel.
+    value, or the evaluation budget runs out.  Every panel the loop uses
+    costs ``PANEL_EVALS`` evaluations.  The seed panels share one call of
+    ``f``.  When the worst panel's halves are not known yet, one call
+    evaluates them together with the halves of every panel the loop must
+    bisect anyway (see ``_ahead``); the loop then takes the stored halves
+    one bisection at a time, so its steps, and every float, are those of a
+    loop that calls ``f`` once per bisected panel.
     """
     if not b > a:
         return QuadratureResult(0.0, 0.0, 0, True)
     edges = np.array(sorted({float(a), float(b), *(float(s) for s in splits if a < s < b)}))
     k = len(edges) - 1
-    # the panel table; a bisected panel keeps its row for its left half
-    # and appends its right half, and the arrays double when full
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    val, err = np.array(_panels(f, lo, hi)).T.copy()
+    # the panel table, one column per panel with its ends, value and error;
+    # a bisected panel keeps its column for its left half and appends its
+    # right half, and the table doubles when full
+    table = np.concatenate([edges[None, :-1], edges[None, 1:],
+                            np.array(_panels(f, edges[:-1], edges[1:])).T])
+    lo, hi, val, err = table
     evals = PANEL_EVALS * k
+    halves = {}  # panel -> the (value, error) pairs of its two halves, evaluated ahead
     while True:
-        total = _sequential_sum(val[:k])
-        error = _sequential_sum(err[:k])
+        total, error = _sequential_sum(table[2:, :k])
         if error <= rel_tol * abs(total) or error == 0.0:
             return QuadratureResult(total, error, evals, True)
         if evals >= max_evals:
@@ -141,26 +178,35 @@ def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
         if mid <= left or mid >= right:  # interval exhausted at machine precision
             err[worst] = 0.0
             continue
-        (v1, e1), (v2, e2) = _panels(f, np.array([left, mid]), np.array([mid, right]))
+        if worst not in halves:
+            splits_left = -(-(max_evals - evals) // (2 * PANEL_EVALS))  # before the cap
+            ahead = _ahead(lo, hi, err, k, worst, error, rel_tol * (abs(total) + error),
+                           splits_left, halves)
+            mids = 0.5 * (lo[ahead] + hi[ahead])
+            pairs = _panels(f, np.concatenate([lo[ahead], mids]),
+                            np.concatenate([mids, hi[ahead]]))
+            halves.update(zip(ahead, zip(pairs, pairs[len(ahead):])))
+        (v1, e1), (v2, e2) = halves.pop(worst)
         evals += 2 * PANEL_EVALS
-        if k == len(val):
-            lo, hi, val, err = (np.concatenate([c, np.empty_like(c)])
-                                for c in (lo, hi, val, err))
+        if k == table.shape[1]:
+            table = np.concatenate([table, np.empty_like(table)], axis=1)
+            lo, hi, val, err = table
         hi[worst], val[worst], err[worst] = mid, v1, e1
         lo[k], hi[k], val[k], err[k] = mid, right, v2, e2
         k += 1
 
 
-def _bisect_crossing(log_f, below, above, tau):
-    """Locate phi = tau between a sub- and a super-threshold point.
+def _bisect_walk(below, above, tau):
+    """Locate phi = tau between a sub- and a super-threshold point, as a coroutine.
 
     Works for either orientation; returns the sub-threshold endpoint so the
     window always contains the crossing.  This is a plain bisection of at
-    most BISECT_STEPS steps, but each call of ``log_f`` takes the midpoints
-    of the next BISECT_LEVELS steps on every branch, and the walk then
-    follows the branch the comparisons pick.
+    most BISECT_STEPS steps, but each value of ``phi`` it asks for is the
+    array of the midpoints of the next BISECT_LEVELS steps on every branch:
+    it yields them, is sent ``phi`` there, and follows the branch the
+    comparisons pick.
     """
-    steps = 0
+    below, above, steps = float(below), float(above), 0
     while steps < BISECT_STEPS:
         levels = min(BISECT_LEVELS, BISECT_STEPS - steps)
         # the midpoints of every bracket the next steps can reach, level by
@@ -172,18 +218,43 @@ def _bisect_crossing(log_f, below, above, tau):
             level = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
             mids += level
             ends = [x for pair in zip(ends, level) for x in pair] + ends[-1:]
-        vals = log_f(np.array(mids))
+        vals = yield mids
         at = 0  # mids is in level order: node i has the halves 2i + 1, 2i + 2
         for _ in range(levels):
             mid = mids[at]
             if mid == below or mid == above:
                 return below
-            if float(vals[at]) >= tau:
+            if vals[at] >= tau:
                 above, at = mid, 2 * at + 1
             else:
                 below, at = mid, 2 * at + 2
         steps += levels
     return below
+
+
+def _bisect_crossings(log_f, brackets, tau) -> list:
+    """``_bisect_walk`` on every (below, above) bracket, the walks in lockstep.
+
+    Each call of ``log_f`` takes the next midpoints of every walk still
+    running, so each walk sees the values it would see alone.
+    """
+    walks = [_bisect_walk(below, above, tau) for below, above in brackets]
+    asks = [next(walk) for walk in walks]
+    found = [None] * len(walks)
+    running = list(range(len(walks)))
+    while running:
+        vals = np.asarray(log_f(np.array([x for i in running for x in asks[i]])),
+                          dtype=float).tolist()
+        still, at = [], 0
+        for i in running:
+            try:
+                asks[i] = walks[i].send(vals[at:at + len(asks[i])])
+                still.append(i)
+            except StopIteration as stop:
+                found[i] = stop.value
+            at += len(asks[i])
+        running = still
+    return found
 
 
 def fixed_log_integral(log_f, lo, hi, panels: int, order: int):
@@ -240,10 +311,14 @@ def log_integral(log_f, a: float, b: float, *, splits=(),
     above = vals >= tau
     i_lo = int(np.argmax(above))
     i_hi = int(len(above) - 1 - np.argmax(above[::-1]))
-    lo = grid[i_lo] if i_lo == 0 else _bisect_crossing(log_f, grid[i_lo - 1], grid[i_lo], tau)
-    hi = grid[i_hi] if i_hi == len(grid) - 1 else _bisect_crossing(log_f, grid[i_hi + 1], grid[i_hi], tau)
-    evals += 0 if i_lo == 0 else BISECT_STEPS
-    evals += 0 if i_hi == len(grid) - 1 else BISECT_STEPS
+    # both window edges, each bisected between its grid neighbours when
+    # the probe grid did not end there
+    brackets = [(grid[i_lo - 1], grid[i_lo])] if i_lo > 0 else []
+    brackets += [(grid[i_hi + 1], grid[i_hi])] if i_hi < len(grid) - 1 else []
+    found = _bisect_crossings(log_f, brackets, tau)
+    lo = found.pop(0) if i_lo > 0 else grid[i_lo]
+    hi = found.pop(0) if i_hi < len(grid) - 1 else grid[i_hi]
+    evals += BISECT_STEPS * len(brackets)
 
     def shifted(x):
         with np.errstate(over="ignore"):

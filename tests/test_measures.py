@@ -6,9 +6,10 @@ import pytest
 from radialmax.densities import Gaussian, Lebesgue, TabulatedDecreasing, UnitBallIndicator
 from radialmax.errors import NonFiniteMeasureError
 from radialmax.logspace import LOG_ZERO
-from radialmax.measures import (log_annulus_from_balls, log_annulus_measure,
+from radialmax.measures import (_decay_radius, log_annulus_from_balls, log_annulus_measure,
                                 log_ball_measure, log_ball_measure_grid,
-                                log_mass, log_sphere_area, sphere_ratio_bounds)
+                                log_mass, log_sphere_area, sphere_ratio_bounds,
+                                upper_cutoff)
 
 
 def erf_taylor(x: float) -> float:
@@ -165,3 +166,40 @@ class TestGridMeasure:
         radii = np.array([0.5, 1.0, 3.0])
         vals = log_ball_measure_grid(f, 4, radii)
         assert vals[1] == pytest.approx(vals[2], abs=1e-12)
+
+
+class _CountingGaussian(Gaussian):
+    """The Gaussian, counting the calls of its log-density."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def log_density(self, s):
+        self.calls += 1
+        return super().log_density(s)
+
+
+class TestUpperCutoff:
+    def test_doubling_search_runs_once_per_density_and_dimension(self):
+        f = _CountingGaussian()
+        first = upper_cutoff(f, 7)
+        searched = f.calls
+        assert searched > 1
+        assert upper_cutoff(f, 7) == first
+        assert f.calls == searched
+        upper_cutoff(f, 8)
+        assert f.calls > searched
+        other = _CountingGaussian()  # another instance searches afresh
+        assert upper_cutoff(other, 7) == first
+        assert other.calls == searched
+
+    def test_cached_radius_is_the_searched_one(self):
+        for n in (1, 2, 7, 1000, 10 ** 6):
+            f = Gaussian()
+            assert upper_cutoff(f, n) == _decay_radius.__wrapped__(f, n)
+            assert upper_cutoff(f, n) == _decay_radius.__wrapped__(Gaussian(), n)
+
+    def test_finite_support_and_infinite_mass_skip_the_search(self):
+        assert upper_cutoff(UnitBallIndicator(), 5) == 1.0
+        with pytest.raises(NonFiniteMeasureError):
+            upper_cutoff(Lebesgue(), 3)

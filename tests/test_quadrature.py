@@ -8,7 +8,7 @@ from radialmax.densities import Gaussian, TabulatedDecreasing
 from radialmax.geometry import _cap_j_log
 from radialmax.logspace import LOG_ZERO
 from radialmax.measures import radial_log_integrand
-from radialmax.quadrature import (LogIntegralResult, QuadratureResult, _bisect_crossing,
+from radialmax.quadrature import (LogIntegralResult, QuadratureResult, _bisect_crossings,
                                   _sequential_sum, fixed_log_integral, integrate,
                                   log_integral)
 
@@ -179,6 +179,11 @@ def _scalar_bisect(log_f, below, above, tau):
         else:
             below = mid
     return below
+
+
+def _bisect_crossing(log_f, below, above, tau):
+    """One window edge, bisected alone."""
+    return _bisect_crossings(log_f, [(below, above)], tau)[0]
 
 
 def _assert_same_float(got, want):
@@ -384,3 +389,118 @@ def test_sums_are_left_to_right():
     # a compensated sum (builtin sum from Python 3.12 on) would give 1.0
     assert _sequential_sum(np.array([1e16, 1.0, -1e16])) == 0.0
     assert math.copysign(1.0, _sequential_sum(np.array([-0.0, -0.0]))) == 1.0
+
+
+# --- batched refinement and lockstep window edges -----------------------
+# integrate evaluates the halves of every panel it must bisect anyway in
+# one call of f, and log_integral bisects both window edges in lockstep;
+# the floats, the evaluation counts and the flags stay those of the
+# one-panel-per-call loop above.
+
+def _random_step(seed):
+    """A random step density with 8-32 knots and a dimension in 1..39."""
+    rng = np.random.default_rng(1000 + seed)
+    knots = int(rng.integers(8, 33))
+    radii = np.sort(rng.uniform(0.05, 3.0, knots))
+    log_f = np.concatenate([[0.0], -np.cumsum(rng.exponential(0.5, knots - 1))])
+    return TabulatedDecreasing(radii, log_f), int(rng.integers(1, 40))
+
+
+class _Counted:
+    """An integrand that records the size of every call."""
+
+    def __init__(self, f):
+        self.f, self.sizes = f, []
+
+    def __call__(self, x):
+        self.sizes.append(np.size(x))
+        return self.f(x)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_step_density_matches_panel_loop(seed):
+    # no splits at the jumps: hundreds of refinement steps per integral
+    density, n = _random_step(seed)
+    phi = radial_log_integrand(density, n)
+    b = float(density.probe_points()[-1])
+    kwargs = {"probe_points": density.probe_points()}
+    got = log_integral(phi, 0.0, b, **kwargs)
+    want = _panel_log_integral(phi, 0.0, b, **kwargs)
+    assert _hex_result(got) == _hex_result(want)
+    assert got.evaluations > 100 * quadrature.PANEL_EVALS
+    m = float(np.max(phi(np.linspace(0.0, b, 1001))))
+    f = lambda x: np.exp(phi(x) - m)
+    assert _hex_result(integrate(f, 0.0, b)) == _hex_result(_panel_integrate(f, 0.0, b))
+
+
+def test_step_density_calls_f_for_a_third_of_the_steps():
+    density, n = _random_step(4)
+    phi = radial_log_integrand(density, n)
+    b = float(density.probe_points()[-1])
+    f = _Counted(lambda x: np.exp(phi(x)))
+    res = integrate(f, 0.0, b)
+    steps = (res.evaluations // quadrature.PANEL_EVALS - 1) // 2
+    assert steps >= 200
+    assert len(f.sizes) <= steps / 3
+    # every evaluated panel is one the loop used: nothing is evaluated ahead in vain
+    assert sum(f.sizes) == res.evaluations
+
+
+@pytest.mark.parametrize("max_evals", [1000, 3001, 6000, 9990, 15000])
+def test_capped_step_density_stops_where_the_panel_loop_stops(max_evals):
+    density, n = _random_step(3)
+    phi = radial_log_integrand(density, n)
+    b = float(density.probe_points()[-1])
+    f = lambda x: np.exp(phi(x))
+    kwargs = {"rel_tol": 1e-15, "max_evals": max_evals}
+    got = integrate(f, 0.0, b, **kwargs)
+    want = _panel_integrate(f, 0.0, b, **kwargs)
+    _assert_pinned(got, want, want.evaluations, False)
+    assert max_evals <= got.evaluations < max_evals + 2 * quadrature.PANEL_EVALS
+
+
+def test_two_window_edges_bisect_in_lockstep():
+    # the Gaussian radial integrand at n = 50 falls 46 log-units below its
+    # peak inside [0, 30] on both sides, so both window edges are bisected
+    phi = radial_log_integrand(Gaussian(), 50)
+    kwargs = {"probe_points": [Gaussian().peak_radius(50)]}
+    counted = _Counted(phi)
+    got = log_integral(counted, 0.0, 30.0, **kwargs)
+    assert 0.0 < got.window[0] < got.window[1] < 30.0
+    _assert_pinned(got, _panel_log_integral(phi, 0.0, 30.0, **kwargs), got.evaluations, True)
+    # after the probe grid, one call per level group takes the midpoints
+    # of both walks, 2 x 7 of them, until the first walk runs out of bits
+    walk = 2 ** quadrature.BISECT_LEVELS - 1
+    assert counted.sizes[1] == 2 * walk
+
+
+def test_lockstep_calls_are_those_of_the_longer_walk():
+    log_f = lambda x: -3.0 * np.asarray(x) ** 2
+    eps = np.finfo(float).eps
+    brackets = [(2.0, 0.5), (-2.0, -0.25), (1.0 + 8.0 * eps, 1.0), (0.0, 1.0)]
+    tau = -3.0
+    alone = []
+    for below, above in brackets:
+        counted = _Counted(log_f)
+        alone.append((_bisect_crossings(counted, [(below, above)], tau)[0], counted.sizes))
+    counted = _Counted(log_f)
+    together = _bisect_crossings(counted, brackets, tau)
+    assert [float(x).hex() for x in together] == [float(x).hex() for x, _ in alone]
+    assert sorted({len(sizes) for _, sizes in alone}) == [2, 18, 30]
+    assert len(counted.sizes) == 30
+    assert sum(counted.sizes) == sum(sum(sizes) for _, sizes in alone)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lockstep_walks_match_one_at_a_time(seed):
+    # walks of every length in one batch: exhausted brackets of a few ulps
+    # stop early, and the others run on alone
+    rng = np.random.default_rng(200 + seed)
+    log_f = lambda x: np.sin(37.0 * np.asarray(x)) + 0.1 * np.asarray(x)
+    brackets = [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(5)]
+    brackets += [(1.0, 1.0 + ulps * np.finfo(float).eps) for ulps in (1, 3, 7)]
+    rng.shuffle(brackets)
+    tau = rng.uniform(-1.0, 1.0)
+    got = _bisect_crossings(log_f, brackets, tau)
+    assert [float(x).hex() for x in got] == [
+        float(_scalar_bisect(log_f, below, above, tau)).hex() for below, above in brackets]
