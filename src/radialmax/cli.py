@@ -340,12 +340,14 @@ def _verify_inclusion(suite: _Suite, points: int):
         rep = verify_level_set_inclusion(density_from_name(kind), n, R, r,
                                          n_points=points)
         name = f"level-set-inclusion[{kind},n={n}]"
+        exact = (f"exact candidates: {rep.exact_fixed} fixed-rule, "
+                 f"{rep.exact_geometry} geometry")
         if rep.passed:
-            suite.check(True, name,
-                        f"{len(rep.rows)} radii pass, min margin {rep.min_margin:.3e}")
+            suite.check(True, name, f"{len(rep.rows)} radii pass, min margin "
+                        f"{rep.min_margin:.3e}; {exact}")
         else:
-            suite.check(False, name,
-                        f"offending rho: {', '.join(f'{x:.6f}' for x in rep.failures[:4])}")
+            suite.check(False, name, "offending rho: "
+                        f"{', '.join(f'{x:.6f}' for x in rep.failures[:4])}; {exact}")
 
 
 def _verify_montecarlo(suite: _Suite, samples: int, seed: int):

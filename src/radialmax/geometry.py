@@ -2,8 +2,9 @@
 
 Rotation invariance reduces every ball B(x, t) to the pair (d, t) with
 d = |x|.  The sphere of radius s meets B(d xi, t) in a polar cap whose
-angle theta(s) comes from the law of cosines (``cap_angle``), so an
-off-center measure is a 1-D radial integral
+angle theta(s) comes from the half-angle tangent of the triangle
+(0, d xi, y) (``cap_angle``), so an off-center measure is a 1-D radial
+integral
 
     mu(B(d xi, t)) = omega_{n-2} * int f(s) s^(n-1) J_n(theta(s)) ds,
     J_n(theta) = int_0^theta sin(beta)^(n-2) dbeta,
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .densities import RadialDensity, UnitBallIndicator
-from .logspace import LOG_ZERO, log_add, log_sub, log_sum
+from .logspace import LOG_ZERO, log_add, log_sum
 from .measures import (log_ball_measure, log_ball_volume, log_sphere_area,
                        radial_log_integrand)
 from .quadrature import fixed_log_integral, log_integral
@@ -55,12 +56,21 @@ def arccos_clamped(x: float) -> float:
 
 
 def cap_angle(d, t, s):
-    """Law-of-cosines cap angle arccos((d^2 + s^2 - t^2) / (2 d s)), vectorized.
+    """Polar angle of the cap where the sphere |y| = s meets B(d xi, t), vectorized.
 
-    The cosine is clipped to [-1, 1] and 2 d s floored at 1e-300; no checks.
+    From the half-angle tangent of the triangle (0, d xi, y),
+
+        tan(theta / 2) = sqrt((t - |d - s|)(t + |d - s|) / ((d + s - t)(d + s + t))),
+
+    a ratio of gap products as in ``_log_lens``: a ball much thinner than
+    its distance (t << d) keeps full relative precision, where the law of
+    cosines takes arccos next to 1.  The gaps t - |d - s| and d + s - t are
+    clipped at 0, which gives 0 where the sphere misses the ball and pi
+    where it lies inside.  No checks.
     """
-    return np.arccos(np.clip((d * d + s * s - t * t) / np.maximum(2.0 * d * s, 1e-300),
-                             -1.0, 1.0))
+    gap = np.abs(d - s)
+    return 2.0 * np.arctan2(np.sqrt(np.maximum(t - gap, 0.0) * (t + gap)),
+                            np.sqrt(np.maximum(d + s - t, 0.0) * (d + s + t)))
 
 
 def intersection_angle(d: float, t: float, s: float) -> float:
@@ -142,8 +152,12 @@ def _cap_j_log(n: int, theta):
     out = _cap_j_log_half(m, np.where(over, math.pi - th, th))
     if np.any(over):
         log_full = math.log(2.0) + _cap_j_log_half_pi(m)
-        # J(theta) = 2 J(pi/2) - J(pi - theta); operands stay within 2x, no cancellation
-        out[over] = [log_sub(log_full, min(c, log_full)) for c in out[over]]
+        # J(theta) = 2 J(pi/2) - J(pi - theta); operands stay within 2x, no
+        # cancellation.  As in logspace.log_sub, a complement of -inf
+        # (theta = pi) leaves log_full and equal operands give -inf
+        with np.errstate(divide="ignore"):
+            out[over] = log_full + np.log(-np.expm1(np.minimum(out[over], log_full)
+                                                    - log_full))
     return float(out[0]) if scalar else out
 
 

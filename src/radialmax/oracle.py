@@ -12,9 +12,18 @@ the geometry quadrature by importance-sampled Monte Carlo.
 The sup over t runs on a 512-point log-spaced grid (the objective's scale
 spans decades), zooms on the three best cells (the objective can be
 multimodal: a ball swallowing B_r competes with one hugging it), and the
-few surviving candidates are re-evaluated with the full adaptive
-quadrature, together with the witness radius t = rho + r whose value
-already certifies the level-set bound.  The scan integrates with
+few surviving candidates are re-evaluated exactly, together with the
+witness radius t = rho + r whose value already certifies the level-set
+bound.  The exact pass puts the numerator and the denominator through one
+``quadrature.fixed_log_integral`` call per rule order (8 panels, orders 16
+and 24, on four rows: the centered core and the cap band, each cut at r and
+at the support), after the smoothstep substitution
+s = lo + (hi - lo)(3u^2 - 2u^3), which turns the band's (s - lo)^((n-1)/2)
+ends into polynomials.  The higher order is kept when every row agrees
+with the lower one to 1e-12 in the log; otherwise, at n = 1, and on the
+unit ball (whose lens is closed form) the candidate goes through
+``geometry``'s adaptive ``intersect_with_centered_ball`` and
+``off_center_ball_measure``.  The scan integrates with
 ``quadrature.fixed_log_integral`` (24 panels of 8 nodes, every t at once),
 interpolating the cap integral J_{n-2} in a table of 4097 angles, built once
 per dimension and shared read-only by every evaluator, and the centered
@@ -30,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .densities import RadialDensity
+from .densities import RadialDensity, UnitBallIndicator
 from .geometry import (_cap_j_log, cap_angle, intersect_with_centered_ball,
                        off_center_ball_measure)
 from .logspace import LOG_ZERO
@@ -42,6 +51,9 @@ from .serialize import csv_lines
 MAX_ORACLE_DIMENSION = 6
 _SCAN_PANELS = 24
 _SCAN_ORDER = 8
+_EXACT_PANELS = 8
+_EXACT_ORDERS = (16, 24)
+_EXACT_AGREEMENT = 1e-12
 _TABLE_POINTS = 4097
 _MC_KNOTS = 10_000
 _MC_CHUNK = 1_000_000
@@ -89,6 +101,8 @@ class InclusionReport:
     kind: str
     rows: list
     log_threshold: float
+    exact_fixed: int = 0     # exact candidates the two-order fixed rule settled
+    exact_geometry: int = 0  # the others: geometry's adaptive or closed-form route
 
     @property
     def min_margin(self) -> float:
@@ -128,7 +142,9 @@ class _MaximalEvaluator:
 
     Scan-grade ratios come from ``fixed_log_integral`` with an
     interpolated cap integral and an interpolated cumulative radial mass;
-    final values are re-computed with the adaptive machinery.
+    final values are re-computed exactly, by the two-order fixed rule where
+    it settles them (``_fixed_pair``) and by ``geometry`` otherwise.
+    ``exact_fixed`` and ``exact_geometry`` count the candidates of each.
     """
 
     def __init__(self, f: RadialDensity, n: int, r: float, *, max_rho: float,
@@ -149,9 +165,14 @@ class _MaximalEvaluator:
         self._lc = np.concatenate([[LOG_ZERO],
                                    log_ball_measure_grid(f, n, radii[1:])])
         self._phi = radial_log_integrand(f, n)
+        self.exact_fixed = self.exact_geometry = 0
+        self._fixed_rule = n >= 2 and not isinstance(f, UnitBallIndicator)
         if n >= 2:
             self._j_table = _j_table(n)
             self._log_omega_sub = log_sphere_area(n - 1)
+        if self._fixed_rule:
+            # log omega_{n-1} on the core rows, log omega_{n-2} on the band rows
+            self._row_log_omega = np.array([log_sphere_area(n), self._log_omega_sub] * 2)
 
     def _log_ball(self, rho):
         rho = np.minimum(np.asarray(rho, dtype=float), self.horizon)
@@ -167,7 +188,11 @@ class _MaximalEvaluator:
         outer = np.minimum(ts + rho, self.support)
 
         def log_f(s):
-            return self._phi(s) + self._cap_j(cap_angle(rho, ts[:, None, None], s))
+            # the law-of-cosines angle: it only ranks candidates, and costs
+            # less than ``cap_angle``'s half-angle form on this many nodes
+            t = ts[:, None, None]
+            cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
+            return self._phi(s) + self._cap_j(np.arccos(np.clip(cos, -1.0, 1.0)))
 
         def partial(cap_radius):
             hi = np.minimum(outer, cap_radius)
@@ -203,9 +228,52 @@ class _MaximalEvaluator:
         with np.errstate(divide="ignore"):
             return np.where(mass > 0.0, np.log(np.maximum(mass, 1e-300)), LOG_ZERO)
 
+    def _fixed_pair(self, rho: float, t: float):
+        """(log numerator, log denominator) by the two-order fixed rule, or None.
+
+        Four rows: the centered core [0, min(max(t - rho, 0), cap, H)] and
+        the cap band [max(|t - rho|, core), min(rho + t, cap, H)], for
+        cap = r and cap = inf, with H the support.  Each row runs on
+        u in [0, 1] through s = lo + (hi - lo)(3u^2 - 2u^3).  None when a
+        row's two orders differ by more than _EXACT_AGREEMENT max(1, |log|);
+        rows empty at both orders agree.
+        """
+        n, H = self.n, self.support
+        core = min(max(t - rho, 0.0), H)
+        lo, hi = [], []
+        for cap in (self.r, math.inf):
+            c = min(core, cap)
+            lo += [0.0, max(abs(t - rho), c)]
+            hi += [c, min(rho + t, cap, H)]
+        lo = np.array(lo)[:, None, None]
+        width = np.maximum(np.array(hi)[:, None, None] - lo, 0.0)
+        band = np.array([False, True, False, True])
+
+        def log_f(u):
+            s = lo + width * (u * u * (3.0 - 2.0 * u))
+            out = self._phi(s) + np.log(width * (6.0 * u * (1.0 - u)))
+            out[band] += _cap_j_log(n, cap_angle(rho, t, s[band]))
+            return out
+
+        u_hi = np.where(width[:, 0, 0] > 0.0, 1.0, 0.0)  # an empty row gives LOG_ZERO
+        low, high = (fixed_log_integral(log_f, np.zeros(4), u_hi, _EXACT_PANELS, order)
+                     + self._row_log_omega for order in _EXACT_ORDERS)
+        with np.errstate(invalid="ignore"):  # -inf - -inf on empty rows
+            agree = (low == high) | (np.abs(high - low)
+                                     <= _EXACT_AGREEMENT * np.maximum(1.0, np.abs(high)))
+        if not agree.all():
+            return None
+        return float(np.logaddexp(high[0], high[1])), float(np.logaddexp(high[2], high[3]))
+
     def _exact_ratio(self, rho: float, t: float) -> float:
-        num = intersect_with_centered_ball(self.f, self.n, rho, t, self.r)
-        den = off_center_ball_measure(self.f, self.n, rho, t)
+        pair = self._fixed_pair(rho, t) if self._fixed_rule else None
+        if pair is not None:
+            self.exact_fixed += 1
+            num, den = pair
+        else:
+            self.exact_geometry += 1
+            num = intersect_with_centered_ball(self.f, self.n, rho, t, self.r)
+            den = off_center_ball_measure(self.f, self.n, rho, t)
         if den == LOG_ZERO:
             return LOG_ZERO
         return num - den
@@ -288,7 +356,8 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
         rows.append(InclusionRow(rho=float(rho), log_mg=log_mg,
                                  log_threshold=log_threshold))
     return InclusionReport(n=n, R=R, r=r, kind=f.kind, rows=rows,
-                           log_threshold=log_threshold)
+                           log_threshold=log_threshold, exact_fixed=ev.exact_fixed,
+                           exact_geometry=ev.exact_geometry)
 
 
 def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float, *,

@@ -435,6 +435,21 @@ class TestVerifyCommand:
         assert "FAIL gaussian-mass-concentration" in out
         assert "n=6" in out
 
+    def test_inclusion_reports_exact_candidates(self, capsys):
+        # the Gaussian's candidates are settled by the fixed rule, the unit
+        # ball's closed-form lens takes geometry's route
+        code, out, _ = run(capsys, "verify", "inclusion", "--inclusion-points", "4")
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if "level-set-inclusion" in ln]
+        assert len(lines) == 4
+        for line in lines:
+            fixed, geometry = map(int, re.search(
+                r"exact candidates: (\d+) fixed-rule, (\d+) geometry$", line).groups())
+            if "gaussian" in line:
+                assert fixed >= 3 and geometry == 0
+            else:
+                assert fixed == 0 and geometry >= 3
+
     def test_montecarlo_small(self, capsys):
         code, out, _ = run(capsys, "verify", "montecarlo", "--samples", "50000")
         assert code == 0

@@ -33,10 +33,10 @@ def _two_pass_cap_j_log(n, theta):
     out = _cap_j_log_half(m, np.minimum(th, 0.5 * math.pi))
     over = th > 0.5 * math.pi
     if np.any(over):
-        j_half = _cap_j_log_half_pi(m)
+        log_full = math.log(2.0) + _cap_j_log_half_pi(m)
         comp = _cap_j_log_half(m, math.pi - th[over])
-        vals = np.array([log_sub(math.log(2.0) + j_half, min(c, math.log(2.0) + j_half))
-                         for c in np.atleast_1d(comp)])
+        with np.errstate(divide="ignore"):
+            vals = log_full + np.log(-np.expm1(np.minimum(comp, log_full) - log_full))
         out = out.copy()
         out[over] = vals
     return float(out[0]) if scalar else out
@@ -84,9 +84,9 @@ class TestIntersectionAngle:
         assert intersection_angle(2.0, 1.0, 2.0) == pytest.approx(math.acos(7.0 / 8.0), rel=1e-14)
 
     def test_cap_angle_is_the_one_formula(self):
-        # the oracle's scan broadcasts t down a column against an array of s;
-        # each entry is intersection_angle's float, and the clip gives its
-        # FULL and EMPTY values outside the lens
+        # the oracle's exact pass broadcasts rows of s; each entry is
+        # intersection_angle's float, and the clipped gaps give its FULL and
+        # EMPTY values outside the lens
         rng = np.random.default_rng(11)
         d = 0.7
         ts = rng.uniform(0.05, 1.5, 40)
@@ -100,6 +100,23 @@ class TestIntersectionAngle:
                     assert got[i, j] == want
                 else:
                     assert got[i, j] == (FULL_ANGLE if sj <= t - d else EMPTY_ANGLE) == want
+
+
+    @pytest.mark.parametrize("d,t", [(0.39438040059138463, 3.0265303763987245e-4),
+                                     (1.0, 1e-7), (2.5, 1e-3)])
+    def test_thin_ball_angle_has_full_precision(self, d, t):
+        # theta(s) for a ball much thinner than its distance, against the
+        # half-angle tangent in mpmath; arccos of the law of cosines keeps
+        # only about sqrt(eps) / theta of it there
+        mpmath = pytest.importorskip("mpmath")
+        s = d + t * np.linspace(-0.999, 0.999, 41)
+        got = cap_angle(d, t, s)
+        with mpmath.workdps(40):
+            for si, gi in zip(s.tolist(), got.tolist()):
+                D, T, S = mpmath.mpf(d), mpmath.mpf(t), mpmath.mpf(si)
+                want = 2 * mpmath.atan(mpmath.sqrt((T * T - (D - S) ** 2)
+                                                   / ((D + S) ** 2 - T * T)))
+                assert abs(gi - float(want)) <= 1e-15 * float(want)
 
 
 class TestArccosClamped:
@@ -164,6 +181,22 @@ class TestCapArea:
             theta[: size // 3] = rng.choice(edges, size // 3)
             got, want = _cap_j_log(n, theta), _two_pass_cap_j_log(n, theta)
             assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 10_000])
+    def test_complement_rule_is_log_sub(self, m):
+        # the vectorized complement past pi/2 against logspace.log_sub per
+        # angle: numpy's log and expm1 may round differently from math's, by
+        # at most one unit in the last place of max(1, |value|); theta = pi
+        # (complement -inf) gives the full value exactly
+        n = m + 2
+        theta = np.concatenate([np.random.default_rng(m).uniform(0.5 * math.pi, math.pi, 2000),
+                                [math.nextafter(0.5 * math.pi, math.pi), math.pi]])
+        got = _cap_j_log(n, theta)
+        log_full = math.log(2.0) + _cap_j_log_half_pi(m)
+        comp = _cap_j_log_half(m, math.pi - theta)
+        want = np.array([log_sub(log_full, min(c, log_full)) for c in comp.tolist()])
+        assert np.all(np.abs(got - want) <= np.spacing(np.maximum(1.0, np.abs(want))))
+        assert got[-1] == want[-1] == log_full
 
     @pytest.mark.parametrize("n", [2, 3, 6, 25])
     @pytest.mark.parametrize("theta", [0.2, 1.0, 1.8, 2.9])

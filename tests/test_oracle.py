@@ -6,9 +6,11 @@ import pytest
 
 from radialmax import oracle
 from radialmax.bounds import log_t_exact
-from radialmax.densities import Gaussian, UnitBallIndicator
-from radialmax.geometry import _cap_j_log, off_center_ball_measure
+from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
+from radialmax.geometry import (_cap_j_log, intersect_with_centered_ball,
+                                off_center_ball_measure)
 from radialmax.measures import log_ball_measure, log_mass
+from radialmax.quadrature import DEFAULT_REL_TOL
 from radialmax.oracle import (_TABLE_POINTS, InclusionReport, RadialProfile,
                               _j_table, _MaximalEvaluator,
                               empirical_constant_lower_bound,
@@ -116,6 +118,105 @@ class TestCapTable:
         a = _MaximalEvaluator(Gaussian(), 3, 0.2, max_rho=1.0)
         b = _MaximalEvaluator(Gaussian(), 3, 0.5, max_rho=1.0)
         assert a._j_table is b._j_table is _j_table(3)
+
+
+def _adaptive_pair(f, n, r, rho, t):
+    return (intersect_with_centered_ball(f, n, rho, t, r),
+            off_center_ball_measure(f, n, rho, t))
+
+
+def _random_gaussian_cases(seed, count):
+    """Seeded (n, r, rho, t) draws: n in 2..6, every fifth ball thin."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        n = int(rng.integers(2, 7))
+        r, rho = float(rng.uniform(0.05, 0.6)), float(rng.uniform(0.01, 1.5))
+        t = float(rng.uniform(1e-4, 1e-3) if i % 5 == 0 else rng.uniform(1e-4, 3.0))
+        cases.append((n, r, rho, t))
+    return cases
+
+
+def _log_noncentral_chi2(n, d, t):
+    """log mu(B(d xi, t)) for the Gaussian, sum_j Pois(j; pi d^2) P(n/2 + j, pi t^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, x = mpmath.pi * mpmath.mpf(d) ** 2, mpmath.pi * mpmath.mpf(t) ** 2
+        total, j = mpmath.mpf(0), 0
+        while True:
+            term = (mpmath.exp(-lam) * lam ** j / mpmath.factorial(j)
+                    * mpmath.gammainc(mpmath.mpf(n) / 2 + j, 0, x, regularized=True))
+            total += term
+            if j > lam and term < total * mpmath.mpf(10) ** -30:
+                return float(mpmath.log(total))
+            j += 1
+
+
+class TestExactPass:
+    def test_fixed_rule_matches_adaptive_route(self):
+        # the adaptive route is good to its DEFAULT_REL_TOL (1e-10); on draws
+        # like these it is up to 1.1e-11 off the noncentral chi-squared sum,
+        # where the fixed rule holds 1e-12 (next test), so the two are
+        # compared at the adaptive route's tolerance
+        for n, r, rho, t in _random_gaussian_cases(1, 60):
+            ev = _MaximalEvaluator(Gaussian(), n, r, max_rho=rho)
+            pair = ev._fixed_pair(rho, t)
+            assert pair is not None, (n, r, rho, t)
+            for got, want in zip(pair, _adaptive_pair(Gaussian(), n, r, rho, t)):
+                if want == -math.inf:
+                    assert got == want
+                else:
+                    assert abs(got - want) <= DEFAULT_REL_TOL * max(1.0, abs(want))
+
+    def test_denominator_is_noncentral_chi2(self):
+        for n, r, rho, t in _random_gaussian_cases(2, 25):
+            ev = _MaximalEvaluator(Gaussian(), n, r, max_rho=rho)
+            exact = _log_noncentral_chi2(n, rho, t)
+            _, den = ev._fixed_pair(rho, t)
+            assert abs(den - exact) <= 1e-12 * max(1.0, abs(exact)), (n, r, rho, t)
+
+    def test_disagreeing_orders_fall_back(self):
+        # the density jumps from 0 to -3 at s = 0.5, inside the cap band
+        # [0.23, 0.97] and off its panel edges: the orders 16 and 24
+        # disagree and the candidate takes the adaptive route, to the last bit
+        f = TabulatedDecreasing([0.5, 2.0], [0.0, -3.0])
+        ev = _MaximalEvaluator(f, 3, 0.3, max_rho=1.0)
+        assert ev._fixed_pair(0.6, 0.37) is None
+        num, den = _adaptive_pair(f, 3, 0.3, 0.6, 0.37)
+        assert ev._exact_ratio(0.6, 0.37).hex() == (num - den).hex()
+        assert (ev.exact_fixed, ev.exact_geometry) == (0, 1)
+
+    def test_fixed_rule_settles_the_gaussian(self):
+        ev = _MaximalEvaluator(Gaussian(), 4, 0.25, max_rho=1.0)
+        num, den = ev._fixed_pair(0.7, 0.5)
+        assert ev._exact_ratio(0.7, 0.5) == num - den
+        assert (ev.exact_fixed, ev.exact_geometry) == (1, 0)
+
+    @pytest.mark.parametrize("f,n", [(Gaussian(), 1), (UnitBallIndicator(), 1),
+                                     (UnitBallIndicator(), 2), (UnitBallIndicator(), 5)])
+    def test_closed_form_and_one_dimensional_paths_unchanged(self, f, n):
+        ev = _MaximalEvaluator(f, n, 0.3, max_rho=1.0)
+        for rho, t in [(0.5, 0.1), (0.5, 0.9), (0.8, 2e-4), (0.2, 1.7)]:
+            num, den = _adaptive_pair(f, n, 0.3, rho, t)
+            want = -math.inf if den == -math.inf else num - den
+            assert ev._exact_ratio(rho, t).hex() == want.hex()
+        assert (ev.exact_fixed, ev.exact_geometry) == (0, 4)
+
+    def test_report_counts_every_candidate(self, monkeypatch):
+        calls = []
+        exact_ratio = _MaximalEvaluator._exact_ratio
+
+        def counted(self, rho, t):
+            calls.append((rho, t))
+            return exact_ratio(self, rho, t)
+
+        monkeypatch.setattr(_MaximalEvaluator, "_exact_ratio", counted)
+        gauss = verify_level_set_inclusion(Gaussian(), 2, 0.8, 0.2, n_points=6)
+        assert (gauss.exact_fixed, gauss.exact_geometry) == (len(calls), 0)
+        calls.clear()
+        ball = verify_level_set_inclusion(UnitBallIndicator(), 2, 0.8, 0.2, n_points=6)
+        assert (ball.exact_fixed, ball.exact_geometry) == (0, len(calls))
+        assert len(calls) >= 5  # one witness per nonzero radius at least
 
 
 class TestProfile:
