@@ -18,6 +18,7 @@ except NO_COLOR, which disables the PASS/FAIL coloring of `verify`.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -155,6 +156,13 @@ def build_parser() -> _Parser:
     orc.add_argument("--t-points", type=int, default=512)
     orc.add_argument("--output", default=None)
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser ``main`` uses, built once per process: ``parse_args``
+    does not change it, its prog is fixed and no default is mutable."""
+    return build_parser()
 
 
 def _cmd_p0(args) -> int:
@@ -411,7 +419,7 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -24,11 +24,15 @@ with the lower one to 1e-12 in the log; otherwise, at n = 1, and on the
 unit ball (whose lens is closed form) the candidate goes through
 ``geometry``'s adaptive ``intersect_with_centered_ball`` and
 ``off_center_ball_measure``.  The scan integrates with
-``quadrature.fixed_log_integral`` (24 panels of 8 nodes, every t at once),
-interpolating the cap integral J_{n-2} in a table of 4097 angles, built once
-per dimension and shared read-only by every evaluator, and the centered
-ball measure in a ``log_ball_measure_grid`` table.  The Monte Carlo
-sampler's inverse CDF is a ``log_ball_measure_grid`` table too.
+``quadrature.fixed_log_integral`` (24 panels of 8 nodes), in one call for
+every t's numerator and denominator cap bands that are not empty and not
+copies of each other (the three zooms share one scan).  It reads the cap
+integral J_{n-2} from a table of 4097 angles, built once per dimension and
+shared read-only by every evaluator, and the centered ball measure from a
+``log_ball_measure_grid`` table; both are uniform grids, so a lookup finds
+each point's cell by a multiplication and gives ``np.interp``'s float.
+The Monte Carlo sampler's inverse CDF is a ``log_ball_measure_grid`` table
+too.
 """
 
 from __future__ import annotations
@@ -117,12 +121,65 @@ class InclusionReport:
         return not self.failures
 
 
+class _UniformLookup:
+    """``np.interp(x, xp, fp)`` on a ``np.linspace`` grid xp, float for float.
+
+    A point's cell j is the integer part of (x - xp[0]) / h: the cell of x
+    or, next to a knot, a neighbour.  Its value is numpy's own formula,
+    slope[j] (x - xp[j]) + fp[j], with numpy's slopes.  The points that
+    formula may not settle as numpy does go to ``np.interp`` itself: those
+    whose x - xp[j] is within a two-thousandth of a cell of 0 or of h
+    (every knot, every point below the first, and every point whose j is
+    a neighbour cell), those past the last knot, whose slope is NaN, and
+    every NaN result, which covers NaN and infinite x and the cells next
+    to a -inf.  Read-only.
+    """
+
+    _EDGE = 1e-3
+
+    def __init__(self, xp: np.ndarray, fp: np.ndarray):
+        cells = len(xp) - 1
+        self.xp, self.fp = xp, fp
+        self._inv_h = cells / (xp[-1] - xp[0])
+        self._offset = xp[0] * self._inv_h
+        with np.errstate(invalid="ignore"):  # -inf - -inf
+            slope = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])
+        self._slope = np.append(slope, np.nan)
+        for table in (xp, fp, self._slope):
+            table.flags.writeable = False
+        self._half = 0.5 * (xp[-1] - xp[0]) / cells
+        self._reach = self._half * (1.0 - self._EDGE)
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        u = x * self._inv_h
+        u -= self._offset
+        # a NaN or infinite x casts to any index; its value is np.interp's
+        with np.errstate(invalid="ignore"):
+            j = u.astype(np.intp)
+            d = x - self.xp.take(j, mode="clip")
+            out = self._slope.take(j, mode="clip") * d
+            out += self.fp.take(j, mode="clip")
+        d -= self._half
+        edge = np.abs(d, out=d) >= self._reach
+        edge |= np.isnan(out)
+        if edge.any():
+            out[edge] = np.interp(x[edge], self.xp, self.fp)
+        return out
+
+
 @lru_cache(maxsize=MAX_ORACLE_DIMENSION)
 def _j_table(n: int) -> np.ndarray:
     """log J_{n-2} on the scan's angle grid, once per dimension; read-only."""
     table = _cap_j_log(n, _J_THETAS)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=MAX_ORACLE_DIMENSION)
+def _j_lookup(n: int) -> _UniformLookup:
+    """The lookup of ``_j_table(n)``, once per dimension; read-only."""
+    return _UniformLookup(_J_THETAS, _j_table(n))
 
 
 def _check_rho(rho: float, name: str = "rho"):
@@ -140,10 +197,11 @@ def _check_dimension(n: int):
 class _MaximalEvaluator:
     """Shared tables for repeated Mg evaluations at fixed (f, n, r).
 
-    Scan-grade ratios come from ``fixed_log_integral`` with an
-    interpolated cap integral and an interpolated cumulative radial mass;
-    final values are re-computed exactly, by the two-order fixed rule where
-    it settles them (``_fixed_pair``) and by ``geometry`` otherwise.
+    Scan-grade ratios come from ``fixed_log_integral`` with the cap
+    integral and the cumulative radial mass looked up in uniform tables
+    (``_UniformLookup``, the floats of ``np.interp``); final values are
+    re-computed exactly, by the two-order fixed rule where it settles them
+    (``_fixed_pair``) and by ``geometry`` otherwise.
     ``exact_fixed`` and ``exact_geometry`` count the candidates of each.
     """
 
@@ -161,52 +219,56 @@ class _MaximalEvaluator:
             raise ValueError("mu(B_r) vanishes; the test function is undefined")
         self.horizon = 2.0 * (max_rho + r) + self.support + 1.0
         radii = np.linspace(0.0, self.horizon, _TABLE_POINTS)
-        self._lc_radii = radii
-        self._lc = np.concatenate([[LOG_ZERO],
-                                   log_ball_measure_grid(f, n, radii[1:])])
+        self._log_ball = _UniformLookup(radii, np.concatenate(
+            [[LOG_ZERO], log_ball_measure_grid(f, n, radii[1:])]))
         self._phi = radial_log_integrand(f, n)
         self.exact_fixed = self.exact_geometry = 0
         self._fixed_rule = n >= 2 and not isinstance(f, UnitBallIndicator)
         if n >= 2:
-            self._j_table = _j_table(n)
+            self._cap_j = _j_lookup(n)
             self._log_omega_sub = log_sphere_area(n - 1)
         if self._fixed_rule:
             # log omega_{n-1} on the core rows, log omega_{n-2} on the band rows
             self._row_log_omega = np.array([log_sphere_area(n), self._log_omega_sub] * 2)
 
-    def _log_ball(self, rho):
-        rho = np.minimum(np.asarray(rho, dtype=float), self.horizon)
-        return np.interp(rho, self._lc_radii, self._lc)
-
-    def _cap_j(self, theta):
-        return np.interp(theta, _J_THETAS, self._j_table)
-
     def _scan_pair(self, rho: float, ts: np.ndarray):
-        """(log numerator, log denominator) for all t at once, scan grade."""
-        r = self.r
+        """(log numerator, log denominator) for all t at once, scan grade.
+
+        The cap bands [|t - rho|, min(rho + t, H)] of the denominators, and
+        the same cut at r of the numerators, are rows of one
+        ``fixed_log_integral`` call, which reduces each row on its own.  A
+        row with hi <= lo gives LOG_ZERO without it, and a numerator row
+        equal to its denominator row (rho + t <= r) takes that row's value.
+        """
+        if self.n == 1:
+            return (self._interval_mass(rho, ts, self.r),
+                    self._interval_mass(rho, ts, np.inf))
         inner = np.abs(ts - rho)
-        outer = np.minimum(ts + rho, self.support)
+        den_hi = np.minimum(ts + rho, self.support)
+        num_hi = np.minimum(den_hi, self.r)
+        den_lo, num_lo = np.minimum(inner, den_hi), np.minimum(inner, num_hi)
+        den_rows = den_hi > den_lo
+        num_rows = (num_hi > num_lo) & (num_hi < den_hi)
+        t = np.concatenate([ts[den_rows], ts[num_rows]])[:, None, None]
 
         def log_f(s):
             # the law-of-cosines angle: it only ranks candidates, and costs
             # less than ``cap_angle``'s half-angle form on this many nodes
-            t = ts[:, None, None]
             cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
             return self._phi(s) + self._cap_j(np.arccos(np.clip(cos, -1.0, 1.0)))
 
-        def partial(cap_radius):
-            hi = np.minimum(outer, cap_radius)
-            return (fixed_log_integral(log_f, np.minimum(inner, hi), hi,
-                                       _SCAN_PANELS, _SCAN_ORDER)
-                    + self._log_omega_sub)
-
-        if self.n == 1:
-            num = self._interval_mass(rho, ts, r)
-            den = self._interval_mass(rho, ts, np.inf)
-            return num, den
+        bands = fixed_log_integral(log_f, np.concatenate([den_lo[den_rows], num_lo[num_rows]]),
+                                   np.concatenate([den_hi[den_rows], num_hi[num_rows]]),
+                                   _SCAN_PANELS, _SCAN_ORDER)
+        split = np.count_nonzero(den_rows)
+        den_band = np.full(ts.shape, LOG_ZERO)
+        den_band[den_rows] = bands[:split]
+        num_band = np.where(num_hi < den_hi, LOG_ZERO, den_band)
+        num_band[num_rows] = bands[split:]
         full = np.clip(ts - rho, 0.0, None)
-        den = np.logaddexp(self._log_ball(full), partial(np.inf))
-        num = np.logaddexp(self._log_ball(np.minimum(full, r)), partial(r))
+        den = np.logaddexp(self._log_ball(full), den_band + self._log_omega_sub)
+        num = np.logaddexp(self._log_ball(np.minimum(full, self.r)),
+                           num_band + self._log_omega_sub)
         return num, den
 
     def _interval_mass(self, rho: float, ts: np.ndarray, cap: float):
@@ -299,14 +361,14 @@ class _MaximalEvaluator:
             if len(top) == 3:
                 break
         candidates = [rho + self.r]
-        for idx in top:
-            a = ts[max(idx - 1, 0)]
-            b = ts[min(idx + 1, len(ts) - 1)]
-            zoom = np.linspace(a, b, 65)
-            z_num, z_den = self._scan_pair(rho, zoom)
+        if top:  # the zooms of all best cells in one scan
+            zooms = np.array([np.linspace(ts[max(idx - 1, 0)], ts[min(idx + 1, len(ts) - 1)], 65)
+                              for idx in top])
+            z_num, z_den = self._scan_pair(rho, zooms.ravel())
             with np.errstate(invalid="ignore"):
                 z_ratio = np.where(z_den > LOG_ZERO, z_num - z_den, -np.inf)
-            candidates.append(float(zoom[int(np.argmax(z_ratio))]))
+            pick = np.argmax(z_ratio.reshape(zooms.shape), axis=1)
+            candidates += zooms[np.arange(len(top)), pick].tolist()
         best = max(self._exact_ratio(rho, t) for t in candidates)
         return best - self.log_mu_br
 

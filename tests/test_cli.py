@@ -545,3 +545,47 @@ def test_python_m_radialmax_runs():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["target"] == "unitball"
+
+
+class TestParserBuiltOnce:
+    """``main`` builds its parser once per process, and a reused parser
+    answers every call as a fresh one does."""
+
+    CALLS = [
+        ["p0", "unitball", "--pre-scan", "2"],
+        ["bound", "--measure", "gaussian", "--n", "10", "--p", "1.01", "--lambda", "0.2"],
+        ["bound", "--measure", "gaussian", "--n", "10", "--p", "1.01"],  # usage error
+        ["sweep", "--measure", "unitball", "--n-range", "5,9", "--p", "1.01,1.05"],
+        ["p0", "cauchy"],  # usage error
+        ["oracle", "--measure", "gaussian", "--n", "2", "--r", "0.2", "--rho", "0.0"],
+        ["bound", "--measure", "unitball", "--n", "8", "--p", "1.02", "--lambda", "0.1"],
+        ["verify", "spheres"],
+        ["p0", "--help"],
+    ]
+
+    def _run_all(self, capsys):
+        return [run(capsys, *argv) for argv in self.CALLS]
+
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        import radialmax.cli as cli
+        built = []
+        build_parser = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        try:
+            reused = self._run_all(capsys)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert [code for code, _, _ in reused] == [0, 0, 1, 0, 1, 0, 0, 0, 0]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+        assert self._run_all(capsys) == reused
+
+    def test_build_parser_stays_fresh(self):
+        from radialmax.cli import build_parser
+        assert build_parser() is not build_parser()

@@ -9,9 +9,11 @@ from radialmax.bounds import log_t_exact
 from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
 from radialmax.geometry import (_cap_j_log, intersect_with_centered_ball,
                                 off_center_ball_measure)
+from radialmax.logspace import LOG_ZERO
 from radialmax.measures import log_ball_measure, log_mass
-from radialmax.quadrature import DEFAULT_REL_TOL
-from radialmax.oracle import (_TABLE_POINTS, InclusionReport, RadialProfile,
+from radialmax.quadrature import DEFAULT_REL_TOL, fixed_log_integral
+from radialmax.oracle import (_J_THETAS, _SCAN_ORDER, _SCAN_PANELS, _TABLE_POINTS,
+                              InclusionReport, RadialProfile, _j_lookup,
                               _j_table, _MaximalEvaluator,
                               empirical_constant_lower_bound,
                               maximal_function_at, maximal_profile,
@@ -117,7 +119,229 @@ class TestCapTable:
     def test_shared_between_evaluators(self):
         a = _MaximalEvaluator(Gaussian(), 3, 0.2, max_rho=1.0)
         b = _MaximalEvaluator(Gaussian(), 3, 0.5, max_rho=1.0)
-        assert a._j_table is b._j_table is _j_table(3)
+        assert a._cap_j is b._cap_j is _j_lookup(3)
+        assert _j_lookup(3).fp is _j_table(3)
+
+
+def _hexes(values):
+    return [x.hex() for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _ball_lookup(f, n):
+    return _MaximalEvaluator(f, n, 0.3, max_rho=1.0)._log_ball
+
+
+def _synthetic_lookup():
+    # a grid off 0, runs of -inf, a -0.0 and a finite-to--inf cell
+    fp = np.random.default_rng(3).normal(size=1001)
+    fp[:3] = fp[500:503] = fp[700] = LOG_ZERO
+    fp[100] = -0.0
+    return oracle._UniformLookup(np.linspace(-2.5, 7.0, 1001), fp)
+
+
+_LOOKUPS = {**{f"J n={n}": (lambda n=n: _j_lookup(n)) for n in range(2, 7)},
+            "gaussian ball n=3": lambda: _ball_lookup(Gaussian(), 3),
+            "unit-ball ball n=2": lambda: _ball_lookup(UnitBallIndicator(), 2),
+            "synthetic": _synthetic_lookup}
+
+
+class TestUniformLookup:
+    """The scan's table lookup gives np.interp's floats, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_LOOKUPS))
+    def test_same_floats_as_interp(self, name):
+        lookup = _LOOKUPS[name]()
+        xp, fp = lookup.xp, lookup.fp
+        assert fp[0] == LOG_ZERO  # both tables start at -inf
+        lo, hi = float(xp[0]), float(xp[-1])
+        rng = np.random.default_rng(20240214)
+        x = np.concatenate([
+            rng.uniform(lo, hi, 100_000),
+            xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+            [0.0, math.pi, lo - 1.0, -1e-300, hi + 1e-9, 2.0 * hi + 1.0,
+             math.nan, -math.inf, math.inf]])
+        assert _hexes(lookup(x)) == _hexes(np.interp(x, xp, fp))
+
+    def test_built_once_per_dimension_and_read_only(self):
+        lookup = _j_lookup(4)
+        assert lookup is _j_lookup(4)
+        assert lookup.xp is _J_THETAS
+        for table in (lookup.xp, lookup.fp, lookup._slope):
+            with pytest.raises(ValueError):
+                table[1] = 0.0
+
+
+def _reference_scan_pair(ev, rho, ts):
+    """The scan as it was written before the lookup and the row skipping:
+    np.interp in both tables, one full fixed_log_integral call per partial."""
+    xp, fp = ev._log_ball.xp, ev._log_ball.fp
+
+    def log_ball(radius):
+        return np.interp(np.minimum(radius, ev.horizon), xp, fp)
+
+    if ev.n == 1:
+        def mass(cap):
+            x0, x1 = np.maximum(rho - ts, -cap), np.minimum(rho + ts, cap)
+
+            def half_mass(a, b):
+                a = np.maximum(a, 0.0)
+                b = np.maximum(np.maximum(b, 0.0), a)
+                return np.maximum(0.5 * (np.exp(log_ball(b)) - np.exp(log_ball(a))), 0.0)
+
+            total = half_mass(x0, x1) + half_mass(-x1, -x0)
+            with np.errstate(divide="ignore"):
+                return np.where(total > 0.0, np.log(np.maximum(total, 1e-300)), LOG_ZERO)
+
+        return mass(ev.r), mass(np.inf)
+    inner = np.abs(ts - rho)
+    outer = np.minimum(ts + rho, ev.support)
+    j_table = _j_table(ev.n)
+
+    def log_f(s):
+        t = ts[:, None, None]
+        cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
+        return ev._phi(s) + np.interp(np.arccos(np.clip(cos, -1.0, 1.0)), _J_THETAS, j_table)
+
+    def partial(cap):
+        hi = np.minimum(outer, cap)
+        return (fixed_log_integral(log_f, np.minimum(inner, hi), hi, _SCAN_PANELS, _SCAN_ORDER)
+                + ev._log_omega_sub)
+
+    full = np.clip(ts - rho, 0.0, None)
+    den = np.logaddexp(log_ball(full), partial(np.inf))
+    num = np.logaddexp(log_ball(np.minimum(full, ev.r)), partial(ev.r))
+    return num, den
+
+
+def _reference_log_maximal_at(ev, rho):
+    """log_maximal_at with the reference scan and one scan per zoom."""
+    if rho == 0.0:
+        return -ev.log_mu_br
+    ts = np.geomspace(max(1e-6, rho - ev.r) * (1.0 - 1e-9), 2.0 * (rho + ev.r) + ev.support,
+                      ev.t_points)
+    num, den = _reference_scan_pair(ev, rho, ts)
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(den > LOG_ZERO, num - den, -np.inf)
+    top = []
+    for idx in np.argsort(ratio)[::-1]:
+        if not np.isfinite(ratio[idx]):
+            continue
+        if all(abs(idx - j) > 1 for j in top):
+            top.append(int(idx))
+        if len(top) == 3:
+            break
+    candidates = [rho + ev.r]
+    for idx in top:
+        zoom = np.linspace(ts[max(idx - 1, 0)], ts[min(idx + 1, len(ts) - 1)], 65)
+        z_num, z_den = _reference_scan_pair(ev, rho, zoom)
+        with np.errstate(invalid="ignore"):
+            z_ratio = np.where(z_den > LOG_ZERO, z_num - z_den, -np.inf)
+        candidates.append(float(zoom[int(np.argmax(z_ratio))]))
+    return max(ev._exact_ratio(rho, t) for t in candidates) - ev.log_mu_br
+
+
+_SCAN_DENSITIES = {"gaussian": Gaussian(), "unit ball": UnitBallIndicator(),
+                   "tabulated": TabulatedDecreasing([0.3, 0.55, 1.4], [0.0, -0.7, -2.5])}
+_MAX_RHO = 1.1
+
+
+def _scan_grid(ev, rho):
+    return np.geomspace(max(1e-6, rho - ev.r) * (1.0 - 1e-9),
+                        2.0 * (rho + ev.r) + ev.support, 160)
+
+
+class TestScan:
+    """The scan keeps every float while it skips rows and zoom calls."""
+
+    @pytest.mark.parametrize("kind", sorted(_SCAN_DENSITIES))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_floats_as_reference_scan(self, kind, n):
+        ev = _MaximalEvaluator(_SCAN_DENSITIES[kind], n, 0.3, max_rho=_MAX_RHO,
+                               t_points=128)
+        for rho in (0.0, 1e-3, 0.999 * _MAX_RHO):
+            ts = _scan_grid(ev, rho)
+            got, want = ev._scan_pair(rho, ts), _reference_scan_pair(ev, rho, ts)
+            assert [_hexes(a) for a in got] == [_hexes(a) for a in want], rho
+            assert (ev.log_maximal_at(rho).hex()
+                    == _reference_log_maximal_at(ev, rho).hex()), rho
+
+    def test_every_row_empty(self, monkeypatch):
+        # rho past the unit ball's support and t < rho - 1: no row has width
+        ev = _MaximalEvaluator(UnitBallIndicator(), 3, 0.3, max_rho=2.0)
+        ts = np.array([0.05, 0.2, 0.4])
+        want = _reference_scan_pair(ev, 1.5, ts)
+        rows = []
+
+        def counted(log_f, lo, hi, panels, order):
+            rows.append(len(lo))
+            return fixed_log_integral(log_f, lo, hi, panels, order)
+
+        monkeypatch.setattr(oracle, "fixed_log_integral", counted)
+        got = ev._scan_pair(1.5, ts)
+        assert [_hexes(a) for a in got] == [_hexes(a) for a in want]
+        assert np.all(got[1] == LOG_ZERO)
+        assert rows == [0]
+
+    @pytest.mark.parametrize("kind", sorted(_SCAN_DENSITIES))
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_no_empty_or_repeated_rows(self, monkeypatch, kind, n):
+        ev = _MaximalEvaluator(_SCAN_DENSITIES[kind], n, 0.3, max_rho=_MAX_RHO)
+        rows = []
+
+        def counted(log_f, lo, hi, panels, order):
+            rows.append((np.array(lo), np.array(hi)))
+            return fixed_log_integral(log_f, lo, hi, panels, order)
+
+        monkeypatch.setattr(oracle, "fixed_log_integral", counted)
+        for rho in (1e-3, 0.2, 0.6, 0.999 * _MAX_RHO):
+            ts = _scan_grid(ev, rho)
+            rows.clear()
+            ev._scan_pair(rho, ts)
+            assert len(rows) == 1  # one call serves both partials
+            lo, hi = rows[0]
+            assert np.all(hi > lo), rho
+            # the rows the parent's two calls took and gave a value for
+            inner, outer = np.abs(ts - rho), np.minimum(ts + rho, ev.support)
+            num_hi = np.minimum(outer, ev.r)
+            den_nonempty = outer > np.minimum(inner, outer)
+            num_own = (num_hi > np.minimum(inner, num_hi)) & (num_hi != outer)
+            assert len(lo) == np.count_nonzero(den_nonempty) + np.count_nonzero(num_own)
+            assert len(lo) < 2 * len(ts)
+
+    def test_two_scans_per_evaluation(self, monkeypatch):
+        calls = []
+        scan_pair = _MaximalEvaluator._scan_pair
+
+        def counted(self, rho, ts):
+            calls.append(len(ts))
+            return scan_pair(self, rho, ts)
+
+        monkeypatch.setattr(_MaximalEvaluator, "_scan_pair", counted)
+        ev = _MaximalEvaluator(Gaussian(), 3, 0.2, max_rho=1.0)
+        ev.log_maximal_at(0.5)
+        assert calls == [512, 3 * 65]  # the scan, then the three zooms at once
+
+    def test_row_subset_gives_the_same_floats(self):
+        # fixed_log_integral reduces each row on its own, which the scan's
+        # row skipping relies on
+        ev = _MaximalEvaluator(Gaussian(), 4, 0.3, max_rho=1.0)
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(0.0, 1.0, 1024)
+        hi = lo + rng.uniform(0.0, 1.5, 1024)
+        t = rng.uniform(0.1, 2.0, 1024)
+
+        def integral(rows):
+            def log_f(s):
+                return ev._phi(s) - t[rows][:, None, None] * s
+            return _hexes(fixed_log_integral(log_f, lo[rows], hi[rows], _SCAN_PANELS,
+                                             _SCAN_ORDER))
+
+        everything = integral(np.arange(1024))
+        for size in (1, 2, 7, 100, 513, 1023):
+            rows = np.sort(rng.choice(1024, size, replace=False))
+            assert integral(rows) == [everything[i] for i in rows], size
+        for i in (0, 511, 1023):
+            assert integral(np.array([i])) == [everything[i]]
 
 
 def _adaptive_pair(f, n, r, rho, t):
