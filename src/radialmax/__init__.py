@@ -14,17 +14,14 @@ from .bounds import (BoundReport, gaussian_ball_sandwich, gaussian_construction,
                      gaussian_mass_concentration, gaussian_mode_radius,
                      gaussian_upper_bound, general_construction, log_t_exact,
                      radius_growth_report, solve_radius_equation,
-                     unitball_case_analysis, unitball_construction,
-                     unitball_sandwich)
+                     unitball_case_analysis, unitball_construction)
 from .densities import (Gaussian, Lebesgue, RadialDensity, TabulatedDecreasing,
                         UnitBallIndicator, density_from_name)
 from .errors import BracketError, NoBalancedRadiusError, NonFiniteMeasureError
-from .geometry import (cap_log_area, cone_ball_measure, contact_angle,
-                       contact_angle_unit_ball, intersect_with_centered_ball,
-                       intersection_angle, off_center_ball_measure)
+from .geometry import (cap_log_area, contact_angle, contact_angle_unit_ball,
+                       intersect_with_centered_ball, off_center_ball_measure)
 from .logspace import LOG_ZERO, log_add, log_sub, log_sum
-from .measures import (log_annulus_measure, log_ball_measure, log_mass,
-                       log_sphere_area, sphere_ratio_bounds)
+from .measures import log_ball_measure, log_mass, log_sphere_area, sphere_ratio_bounds
 from .optimize import (SupremumResult, find_root, growth_base_log,
                        max_growth_base_log, maximize_scalar, p0_gaussian,
                        p0_general, p0_unitball, p1_gaussian)
@@ -48,7 +45,6 @@ __all__ = [
     "TabulatedDecreasing",
     "UnitBallIndicator",
     "cap_log_area",
-    "cone_ball_measure",
     "contact_angle",
     "contact_angle_unit_ball",
     "density_from_name",
@@ -62,9 +58,7 @@ __all__ = [
     "general_construction",
     "growth_base_log",
     "intersect_with_centered_ball",
-    "intersection_angle",
     "log_add",
-    "log_annulus_measure",
     "log_ball_measure",
     "log_mass",
     "log_sphere_area",
@@ -86,6 +80,5 @@ __all__ = [
     "sphere_ratio_bounds",
     "unitball_case_analysis",
     "unitball_construction",
-    "unitball_sandwich",
     "verify_level_set_inclusion",
 ]

@@ -44,7 +44,6 @@ import numpy as np
 from .densities import Gaussian, RadialDensity, UnitBallIndicator
 from .errors import NoBalancedRadiusError, NonFiniteMeasureError
 from .geometry import contact_angle, contact_angle_unit_ball, off_center_ball_measure
-from .logspace import LOG_ZERO
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area)
 
 LAMBDA_MAX = math.sqrt(2.0) - 1.0
@@ -280,17 +279,15 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> f
     idx = np.searchsorted(merged, radii)
     idx_s = np.searchsorted(merged, radii * s)
     g_scan = lb[idx_s] - lb[idx] - target  # descending radii order
-    bracket = None
-    for j in range(1, scan_points):
-        if g_scan[j] <= 0.0 < g_scan[j - 1]:
-            bracket = (float(radii[j]), float(radii[j - 1]))
-            break
-    if bracket is None:
+    # the first j with g_scan[j] <= 0 < g_scan[j - 1]; NaN compares false
+    crossings = np.flatnonzero((g_scan[1:] <= 0.0) & (g_scan[:-1] > 0.0))
+    if crossings.size == 0:
         deltas = g_scan + target
         raise NoBalancedRadiusError(
             "no sign change on the scanned range",
             ratio_range=(float(np.min(deltas)), float(np.max(deltas))))
-    lo, hi = bracket
+    j = int(crossings[0]) + 1
+    lo, hi = float(radii[j]), float(radii[j - 1])
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if g(mid) <= 0.0:
@@ -481,14 +478,13 @@ def gaussian_construction(n: int, p, lam: float, *,
         R = math.exp(-0.5 * c) * R_n
         r = lam * R
         lsa = log_sphere_area(n)
-        log_K_half_n = (0.5 * n * (math.log(n - 1.0) - math.log(2.0 * math.pi))
-                        if n > 1 else LOG_ZERO)
+        log_K_half_n = 0.5 * n * (math.log(n - 1.0) - math.log(2.0 * math.pi))
         terms = {
             "bound_cap_cover": lsa - math.pi * R * R * s * s + n * math.log(R * s),
             "bound_outside": (lsa + n * math.log(s)
                               - math.log(math.sqrt(math.pi) * s * math.cos(beta0))
                               + math.log(R + r) - math.pi * R_n * R_n
-                              + (n - 1.0) * (math.log(R_n) if R_n > 0 else LOG_ZERO)),
+                              + (n - 1.0) * math.log(R_n)),
             "bound_offcenter_total": (lsa + math.log(2.0)
                                       - 0.5 * n * (s * s * e_c + c) + log_K_half_n
                                       + n * math.log(s)),
@@ -553,26 +549,6 @@ def _unitball_beta0(R: float, lam: float) -> float:
     return contact_angle_unit_ball(R, lam)
 
 
-def _unitball_sandwich(n: int, log_alpha: float):
-    """(lower end, upper end) of the sandwich; R = 1, so log alpha has no log R term."""
-    lo = n * log_alpha
-    return lo, math.log(math.sqrt(math.pi) * n) + lo
-
-
-def unitball_sandwich(n: int, p: float, R: float, lam: float):
-    """Two-sided bracket for log T against Lebesgue measure on the unit ball.
-
-    n log(R lam^((p-1)/p) / sin b0)  <=  log T  <=  log(sqrt(pi) n) + same,
-    with b0 the contact angle against the unit sphere; needs
-    R < sqrt(2)/(1 + lam).  The lower end is certified only at R = 1: below
-    it, it can exceed the exact T (n = 100, p = 1.02, R = 0.8, lam = 0.2
-    gives -8.29 against -12.45), so R < 1 is refused.
-    """
-    _check_p(p)
-    _unitball_beta0(R, lam)
-    return _unitball_sandwich(n, growth_base_log("unitball", p, lam))
-
-
 def unitball_case_analysis(n: int, p: float, R: float, lam: float):
     """Classify (R, lam) into the decay proof's case and return its T bound.
 
@@ -603,7 +579,15 @@ def unitball_construction(n: int, p, R: float, lam: float, *,
                           with_exact: bool | None = None) -> BoundReport | list:
     """BoundReport for the unit-ball measure at explicit (R, lam).
 
-    ``p`` may be a sequence, as in ``general_construction``.
+    The terms hold the two-sided sandwich
+
+        n log(R lam^((p-1)/p) / sin b0)  <=  log T  <=  log(sqrt(pi) n) + same,
+
+    with b0 the contact angle against the unit sphere; it needs
+    R < sqrt(2)/(1 + lam).  The lower end is certified only at R = 1: below
+    it, it can exceed the exact T (n = 100, p = 1.02, R = 0.8, lam = 0.2
+    gives -8.29 against -12.45), so R < 1 is refused.  ``p`` may be a
+    sequence, as in ``general_construction``.
     """
     r = lam * R
 
@@ -614,11 +598,11 @@ def unitball_construction(n: int, p, R: float, lam: float, *,
     def report(state, p):
         beta0, parts, measures = state
         log_alpha = _log_alpha(*parts, p)
-        lo, hi = _unitball_sandwich(n, log_alpha)
+        lo = n * log_alpha  # R = 1, so log alpha has no log R term
         case_id, case_upper = unitball_case_analysis(n, p, R, lam)
         terms = {
             "sandwich_lower": lo,
-            "sandwich_upper": hi,
+            "sandwich_upper": math.log(math.sqrt(math.pi) * n) + lo,
             "case_id": float(case_id),
             "case_upper_bound": case_upper,
         }

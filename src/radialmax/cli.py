@@ -28,7 +28,8 @@ import numpy as np
 from . import bounds, optimize
 from .densities import density_from_name
 from .errors import BracketError, NoBalancedRadiusError, NonFiniteMeasureError
-from .measures import log_sphere_area, sphere_ratio_bounds
+from .geometry import off_center_ball_measure
+from .measures import log_mass, log_sphere_area, sphere_ratio_bounds
 from .oracle import (empirical_constant_lower_bound, maximal_function_at,
                      maximal_profile, monte_carlo_ball_measure,
                      verify_level_set_inclusion)
@@ -360,7 +361,6 @@ def _verify_inclusion(suite: _Suite, points: int):
 
 def _verify_montecarlo(suite: _Suite, samples: int, seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
-    from .measures import log_mass
     fails = []
     for i in range(10):
         kind = "gaussian" if i % 2 == 0 else "unitball"
@@ -368,7 +368,6 @@ def _verify_montecarlo(suite: _Suite, samples: int, seed: int):
         d = float(rng.uniform(0.1, 1.2))
         t = float(rng.uniform(0.2, 1.5))
         est, err = monte_carlo_ball_measure(f, 3, d, t, samples, seed + i)
-        from .geometry import off_center_ball_measure
         truth = math.exp(off_center_ball_measure(f, 3, d, t) - log_mass(f, 3))
         if abs(est - truth) > 3.0 * max(err, 1e-12):
             fails.append((kind, d, t, est, truth, err))

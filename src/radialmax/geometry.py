@@ -1,4 +1,4 @@
-"""Off-center balls, spherical caps, cones, and contact angles in log space.
+"""Off-center balls, spherical caps and contact angles in log space.
 
 Rotation invariance reduces every ball B(x, t) to the pair (d, t) with
 d = |x|.  The sphere of radius s meets B(d xi, t) in a polar cap whose
@@ -39,9 +39,6 @@ from .measures import (log_ball_measure, log_ball_volume, log_sphere_area,
                        radial_log_integrand)
 from .quadrature import fixed_log_integral, log_integral
 
-FULL_ANGLE = math.pi   # sphere entirely inside the ball
-EMPTY_ANGLE = 0.0      # sphere misses the ball
-
 _ARCCOS_SLACK = 1e-12
 _CAP_WINDOW = 60.0
 _CAP_PANELS = 10
@@ -71,26 +68,6 @@ def cap_angle(d, t, s):
     gap = np.abs(d - s)
     return 2.0 * np.arctan2(np.sqrt(np.maximum(t - gap, 0.0) * (t + gap)),
                             np.sqrt(np.maximum(d + s - t, 0.0) * (d + s + t)))
-
-
-def intersection_angle(d: float, t: float, s: float) -> float:
-    """Polar angle of the cap where the sphere |y| = s meets B(d xi, t).
-
-    Returns FULL_ANGLE (= pi) when the sphere lies inside the ball
-    (s <= t - d) and EMPTY_ANGLE (= 0) when it misses it (s >= t + d);
-    in between, ``cap_angle``.
-    """
-    if t <= 0:
-        raise ValueError("ball radius t must be positive")
-    if d < 0 or s < 0:
-        raise ValueError("d and s must be nonnegative")
-    if d == 0.0 or s == 0.0:
-        return FULL_ANGLE if s < t else EMPTY_ANGLE
-    if s <= t - d:
-        return FULL_ANGLE
-    if s >= t + d:
-        return EMPTY_ANGLE
-    return float(cap_angle(d, t, s))
 
 
 def contact_angle(lam: float) -> float:
@@ -188,13 +165,6 @@ def cap_log_area(n: int, theta: float) -> float:
     hint = min(theta, 0.5 * math.pi)
     res = log_integral(phi, 0.0, theta, probe_points=[hint])
     return float(log_sphere_area(n - 1) + res.log_value)
-
-
-def cap_fraction_log(n: int, theta: float) -> float:
-    """log of the share of the unit sphere's surface within angle theta of a pole."""
-    if theta == 0.0:
-        return LOG_ZERO
-    return cap_log_area(n, theta) - log_sphere_area(n)
 
 
 def _off_center_1d(f: RadialDensity, d: float, t: float, rho: float) -> float:
@@ -297,15 +267,3 @@ def intersect_with_centered_ball(f: RadialDensity, n: int, d: float, t: float,
     """log mu(B(d xi, t) ∩ B_rho): the off-center measure with outer limit rho."""
     return _log_off_center(f, n, d, t, rho)
 
-
-def cone_ball_measure(f: RadialDensity, n: int, theta: float, R: float) -> float:
-    """log mu(E_theta ∩ B_R) for the cone of half-angle theta about xi.
-
-    The angular section is s-independent, so the measure factors into the
-    centered ball times the cap fraction.
-    """
-    if n < 2:
-        raise ValueError("cones need dimension n >= 2")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    return log_ball_measure(f, n, R) + cap_fraction_log(n, theta)

@@ -16,15 +16,6 @@ import numpy as np
 LOG_ZERO = float("-inf")
 
 
-def check_log_value(x: float, what: str = "log value") -> float:
-    """Validate a log-domain scalar: nan and +inf are rejected, -inf is fine."""
-    if math.isnan(x):
-        raise ValueError(f"{what} is NaN")
-    if x == math.inf:
-        raise ValueError(f"{what} is +inf (infinite quantity)")
-    return x
-
-
 def log_add(a: float, b: float) -> float:
     """log(e^a + e^b).  Exact for the zero element: log_add(x, -inf) == x."""
     if a == LOG_ZERO:

@@ -1,4 +1,4 @@
-"""Measures of centered balls and annuli for radial densities, in log space.
+"""Measures of centered balls for radial densities, in log space.
 
 Everything reduces by polar coordinates to
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .densities import RadialDensity, UnitBallIndicator
 from .errors import NonFiniteMeasureError
-from .logspace import LOG_ZERO, log_sub
+from .logspace import LOG_ZERO
 from .quadrature import fixed_log_integral, log_integral
 from .special import lgamma
 
@@ -141,28 +141,6 @@ def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
     return float(log_sphere_area(n) + res.log_value)
 
 
-def log_annulus_measure(f: RadialDensity, n: int, a: float, b: float) -> float:
-    """log mu(B_b \\ B_a) for 0 <= a <= b."""
-    if a < 0 or b < a:
-        raise ValueError("need 0 <= a <= b")
-    if a == b:
-        return LOG_ZERO
-    hi = min(b, f.support_upper_bound)
-    if math.isinf(hi):
-        if f.is_finite(n):
-            hi = min(b, max(upper_cutoff(f, n), a * 2.0, 1.0))
-        else:
-            hi = b
-    if math.isinf(hi):
-        raise NonFiniteMeasureError("annulus with infinite outer radius and infinite mass")
-    if hi <= a:
-        return LOG_ZERO
-    phi = radial_log_integrand(f, n)
-    res = log_integral(phi, a, hi,
-                       probe_points=[h for h in _probe_hints(f, n) if a <= h <= hi])
-    return float(log_sphere_area(n) + res.log_value)
-
-
 def log_ball_measure_grid(f: RadialDensity, n: int, radii):
     """log mu(B_r) on a sorted grid of radii, by one cumulative sweep.
 
@@ -186,9 +164,3 @@ def log_mass(f: RadialDensity, n: int) -> float:
     """log of the total mass; raises NonFiniteMeasureError when infinite."""
     return log_ball_measure(f, n, math.inf)
 
-
-def log_annulus_from_balls(f: RadialDensity, n: int, a: float, b: float) -> float:
-    """Annulus measure as a log-difference of ball measures (consistency route)."""
-    outer = log_ball_measure(f, n, b)
-    inner = log_ball_measure(f, n, a)
-    return log_sub(outer, min(inner, outer))

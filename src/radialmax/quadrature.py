@@ -120,13 +120,14 @@ def _ahead(lo, hi, err, k, worst, error, budget, splits_left, known):
     The worst panel, and every other panel the loop must bisect before it
     can stop.  The loop bisects the panels of today's table in order of
     falling error (ties: lower index first) and stops once the summed
-    error is within rel_tol |total|, so the panels it leaves untouched are
-    a tail of that order whose errors sum to at most that.  While the total
-    stays within its error estimate of today's total, the stop is within
-    ``budget`` = rel_tol (|total| + error), and every panel ahead of the
-    longest tail within it must be bisected, unless the evaluation cap ends
-    the loop first: at most ``splits_left`` panels are taken.  Panels whose
-    halves are ``known`` already, or that no longer split, are left out.
+    error is within DEFAULT_REL_TOL |total|, so the panels it leaves
+    untouched are a tail of that order whose errors sum to at most that.
+    While the total stays within its error estimate of today's total, the
+    stop is within ``budget`` = DEFAULT_REL_TOL (|total| + error), and every
+    panel ahead of the longest tail within it must be bisected, unless the
+    evaluation cap ends the loop first: at most ``splits_left`` panels are
+    taken.  Panels whose halves are ``known`` already, or that no longer
+    split, are left out.
     """
     if error - err[worst] <= budget:
         return [worst]
@@ -139,25 +140,24 @@ def _ahead(lo, hi, err, k, worst, error, budget, splits_left, known):
     return ahead[:splits_left]
 
 
-def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
-              max_evals: int = DEFAULT_MAX_EVALS, splits=()) -> QuadratureResult:
+def integrate(f, a: float, b: float, *,
+              max_evals: int = DEFAULT_MAX_EVALS) -> QuadratureResult:
     """Globally adaptive integral of a vectorized, finite integrand.
 
-    The interval is seeded with panels at the given split points (known
-    kinks), then the panel with the worst error estimate is bisected until
-    the summed error estimate meets ``rel_tol`` relative to the summed
-    value, or the evaluation budget runs out.  Every panel the loop uses
-    costs ``PANEL_EVALS`` evaluations.  The seed panels share one call of
-    ``f``.  When the worst panel's halves are not known yet, one call
-    evaluates them together with the halves of every panel the loop must
-    bisect anyway (see ``_ahead``); the loop then takes the stored halves
-    one bisection at a time, so its steps, and every float, are those of a
-    loop that calls ``f`` once per bisected panel.
+    Starting from the one panel [a, b], the panel with the worst error
+    estimate is bisected until the summed error estimate meets
+    DEFAULT_REL_TOL relative to the summed value, or the evaluation budget
+    runs out.  Every panel the loop uses costs ``PANEL_EVALS`` evaluations.
+    When the worst panel's halves are not known yet, one call evaluates them
+    together with the halves of every panel the loop must bisect anyway
+    (see ``_ahead``); the loop then takes the stored halves one bisection
+    at a time, so its steps, and every float, are those of a loop that
+    calls ``f`` once per bisected panel.
     """
     if not b > a:
         return QuadratureResult(0.0, 0.0, 0, True)
-    edges = np.array(sorted({float(a), float(b), *(float(s) for s in splits if a < s < b)}))
-    k = len(edges) - 1
+    edges = np.array([float(a), float(b)])
+    k = 1
     # the panel table, one column per panel with its ends, value and error;
     # a bisected panel keeps its column for its left half and appends its
     # right half, and the table doubles when full
@@ -168,7 +168,7 @@ def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
     halves = {}  # panel -> the (value, error) pairs of its two halves, evaluated ahead
     while True:
         total, error = _sequential_sum(table[2:, :k])
-        if error <= rel_tol * abs(total) or error == 0.0:
+        if error <= DEFAULT_REL_TOL * abs(total) or error == 0.0:
             return QuadratureResult(total, error, evals, True)
         if evals >= max_evals:
             return QuadratureResult(total, error, evals, False)
@@ -180,8 +180,8 @@ def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
             continue
         if worst not in halves:
             splits_left = -(-(max_evals - evals) // (2 * PANEL_EVALS))  # before the cap
-            ahead = _ahead(lo, hi, err, k, worst, error, rel_tol * (abs(total) + error),
-                           splits_left, halves)
+            ahead = _ahead(lo, hi, err, k, worst, error,
+                           DEFAULT_REL_TOL * (abs(total) + error), splits_left, halves)
             mids = 0.5 * (lo[ahead] + hi[ahead])
             pairs = _panels(f, np.concatenate([lo[ahead], mids]),
                             np.concatenate([mids, hi[ahead]]))
@@ -287,8 +287,7 @@ def fixed_log_integral(log_f, lo, hi, panels: int, order: int):
         return np.where(total > 0.0, shift + np.log(total), LOG_ZERO)
 
 
-def log_integral(log_f, a: float, b: float, *, splits=(),
-                 probe_points=()) -> LogIntegralResult:
+def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralResult:
     """log of the integral of exp(log_f) over [a, b], to DEFAULT_REL_TOL.
 
     ``probe_points`` should include any interior maxima the caller knows
@@ -298,7 +297,6 @@ def log_integral(log_f, a: float, b: float, *, splits=(),
     if not b > a:
         return LogIntegralResult(LOG_ZERO, 0.0, 0, True, LOG_ZERO, (a, b))
     pts = {float(a), float(b)}
-    pts.update(float(s) for s in splits if a < s < b)
     pts.update(float(p) for p in probe_points if a <= p <= b)
     grid = np.unique(np.concatenate([np.linspace(a, b, N_PROBES),
                                      np.array(sorted(pts))]))
@@ -324,9 +322,7 @@ def log_integral(log_f, a: float, b: float, *, splits=(),
         with np.errstate(over="ignore"):
             return np.exp(np.asarray(log_f(x), dtype=float) - m)
 
-    inner = [s for s in splits if lo < s < hi]
-    res = integrate(shifted, lo, hi, max_evals=max(DEFAULT_MAX_EVALS - evals, 10 ** 4),
-                    splits=inner)
+    res = integrate(shifted, lo, hi, max_evals=max(DEFAULT_MAX_EVALS - evals, 10 ** 4))
     evals += res.evaluations
     if res.value <= 0.0:
         return LogIntegralResult(LOG_ZERO, 0.0, evals, res.converged, m, (lo, hi))

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from radialmax.bounds import (BoundReport, LAMBDA_MAX, _annulus_exponent,
+from radialmax import bounds
+from radialmax.bounds import (BoundReport, LAMBDA_MAX, _annulus_exponent, _general_parameters,
                               gaussian_ball_sandwich, gaussian_construction,
                               gaussian_mass_concentration, gaussian_mode_radius,
                               gaussian_upper_bound, general_construction,
                               growth_base_log, log_t_exact, radius_growth_report,
                               solve_radius_equation, unitball_case_analysis,
-                              unitball_construction, unitball_sandwich)
-from radialmax.densities import Gaussian, Lebesgue, UnitBallIndicator
+                              unitball_construction)
+from radialmax.densities import Gaussian, Lebesgue, TabulatedDecreasing, UnitBallIndicator
 from radialmax.errors import NoBalancedRadiusError, NonFiniteMeasureError
 from radialmax.geometry import contact_angle
 from radialmax.measures import log_ball_measure
@@ -32,9 +33,9 @@ class TestTExact:
 
     def test_unitball_value_inside_sandwich(self):
         n, p, lam = 20, 1.02, 0.15
-        lo, hi = unitball_sandwich(n, p, 1.0, lam)
+        rep = unitball_construction(n, p, 1.0, lam, with_exact=False)
         got = log_t_exact(UnitBallIndicator(), n, p, 1.0, lam)
-        assert lo - 1e-9 <= got <= hi + 1e-9
+        assert rep.terms["sandwich_lower"] - 1e-9 <= got <= rep.terms["sandwich_upper"] + 1e-9
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -102,6 +103,122 @@ class TestRadiusEquation:
     def test_lebesgue_rejected(self):
         with pytest.raises(NoBalancedRadiusError):
             solve_radius_equation(Lebesgue(), 3, contact_angle(0.2), 0.05)
+
+
+def _loop_solve_radius_equation(f, n, beta0, k):
+    """solve_radius_equation with its first crossing found by a Python loop."""
+    s = math.sin(beta0)
+    target = n * k * math.log(s)
+
+    def g(R):
+        return bounds.log_ball_measure(f, n, R * s) - bounds.log_ball_measure(f, n, R) - target
+
+    R_max = 1.0
+    for _ in range(200):
+        delta = bounds.log_ball_measure(f, n, R_max * s) - bounds.log_ball_measure(f, n, R_max)
+        if delta >= -1e-6 and delta - target > 0.0:
+            break
+        R_max *= 2.0
+    scan_points = 10_000
+    radii = R_max * (1.0 - np.arange(scan_points) / scan_points)
+    merged = np.unique(np.concatenate([radii, radii * s]))
+    lb = bounds.log_ball_measure_grid(f, n, merged)
+    idx = np.searchsorted(merged, radii)
+    idx_s = np.searchsorted(merged, radii * s)
+    g_scan = lb[idx_s] - lb[idx] - target
+    bracket = None
+    for j in range(1, scan_points):
+        if g_scan[j] <= 0.0 < g_scan[j - 1]:
+            bracket = (float(radii[j]), float(radii[j - 1]))
+            break
+    if bracket is None:
+        deltas = g_scan + target
+        raise NoBalancedRadiusError(
+            "no sign change on the scanned range",
+            ratio_range=(float(np.min(deltas)), float(np.max(deltas))))
+    lo, hi = bracket
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_STEP_DENSITY = TabulatedDecreasing([0.4, 0.9, 1.6, 2.5], [0.0, -0.8, -2.1, -3.7])
+
+
+class TestRadiusCrossingSearch:
+    """The scan's first sign change, found by one vectorized search, against the loop."""
+
+    @pytest.mark.parametrize("f,n,lam", [(Gaussian(), 5, 0.1), (Gaussian(), 60, 0.3),
+                                         (Gaussian(), 5000, 0.2), (_STEP_DENSITY, 40, 0.2),
+                                         (_STEP_DENSITY, 300, 0.1)])
+    def test_same_radius_as_the_loop(self, f, n, lam):
+        beta0, _, _, _, k = _general_parameters(lam)
+        got = solve_radius_equation(f, n, beta0, k)
+        assert got.hex() == _loop_solve_radius_equation(f, n, beta0, k).hex()
+
+    @staticmethod
+    def _synthetic_scan(monkeypatch, g_of_j):
+        """Make the scan's g the given array; the doubling and bisection stay real."""
+        # not lam = 0.2, where sin b0 = 0.96 puts some radii * s on the scan grid
+        f, n = Gaussian(), 5
+        beta0, s, _, _, k = _general_parameters(0.1)
+        target = n * k * math.log(s)
+        scanned = []  # the top of each scan, R_max
+
+        def grid(f_, n_, merged):
+            scanned.append(merged.max())
+            radii = scanned[-1] * (1.0 - np.arange(10_000) / 10_000)
+            idx = np.searchsorted(merged, radii)
+            idx_s = np.searchsorted(merged, radii * s)
+            assert np.intersect1d(idx, idx_s).size == 0
+            lb = np.zeros(merged.size)
+            lb[idx_s] = g_of_j + target
+            return lb
+
+        monkeypatch.setattr(bounds, "log_ball_measure_grid", grid)
+        return (f, n, beta0, k), scanned
+
+    @pytest.mark.parametrize("j", [1, 2, 4321, 9998, 9999])
+    def test_crossing_at_j(self, monkeypatch, j):
+        g = np.where(np.arange(10_000) < j, 1.0, -1.0)
+        g[j + 1:] = np.resize([-1.0, 2.0], g.size - j - 1)  # later crossings
+        args, scanned = self._synthetic_scan(monkeypatch, g)
+        got = solve_radius_equation(*args)
+        assert got.hex() == _loop_solve_radius_equation(*args).hex()
+        R_max = scanned[0]
+        assert R_max * (1.0 - j / 10_000) <= got <= R_max * (1.0 - (j - 1) / 10_000)
+
+    def test_crossing_after_nan_entries(self, monkeypatch):
+        # NaN compares false on both sides, so a NaN next to a sign change
+        # hides it: the first crossing is the one at j = 9000
+        g = np.full(10_000, 1.0)
+        g[50:60] = np.nan
+        g[60:3000] = -1.0
+        g[7000] = np.nan
+        g[7001:8000] = -1.0
+        g[9000:] = -1.0
+        args, scanned = self._synthetic_scan(monkeypatch, g)
+        got = solve_radius_equation(*args)
+        assert got.hex() == _loop_solve_radius_equation(*args).hex()
+        R_max = scanned[0]
+        assert R_max * (1.0 - 9000 / 10_000) <= got <= R_max * (1.0 - 8999 / 10_000)
+
+    @pytest.mark.parametrize("fill", [1.0, -1.0, np.nan])
+    def test_no_crossing(self, monkeypatch, fill):
+        g = np.full(10_000, fill)
+        if fill == -1.0:
+            g[0] = np.nan  # a NaN before a negative run is no crossing either
+        args, _ = self._synthetic_scan(monkeypatch, g)
+        with pytest.raises(NoBalancedRadiusError) as got:
+            solve_radius_equation(*args)
+        with pytest.raises(NoBalancedRadiusError) as want:
+            _loop_solve_radius_equation(*args)
+        assert str(got.value) == str(want.value)
+        assert repr(got.value.ratio_range) == repr(want.value.ratio_range)
 
 
 class TestGeneralConstruction:
@@ -287,8 +404,10 @@ class TestUnitBall:
     def test_sandwich_contains_exact(self, n):
         p = 1.02
         for lam in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4):
-            lo, hi = unitball_sandwich(n, p, 1.0, lam)
+            rep = unitball_construction(n, p, 1.0, lam)
+            lo, hi = rep.terms["sandwich_lower"], rep.terms["sandwich_upper"]
             exact = log_t_exact(UnitBallIndicator(), n, p, 1.0, lam)
+            assert rep.log_t_exact == exact
             assert lo - 1e-9 <= exact <= hi + 1e-9, lam
 
     def test_sandwich_refuses_radius_below_one(self):
@@ -298,15 +417,11 @@ class TestUnitBall:
             for R in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99):
                 for lam in (0.05, 0.1, 0.2, 0.3, 0.4):
                     with pytest.raises(ValueError, match="only certified at R = 1"):
-                        unitball_sandwich(n, 1.02, R, lam)
-        with pytest.raises(ValueError, match="only certified at R = 1"):
-            unitball_construction(100, 1.02, 0.8, 0.2)
+                        unitball_construction(n, 1.02, R, lam)
 
     @pytest.mark.parametrize("lam", [-1.0, -0.1, 0.0, -math.inf, math.nan])
     def test_sandwich_refuses_nonpositive_lambda(self, lam):
         # checked before sqrt(2)/(1 + lam), which divides by zero at lam = -1
-        with pytest.raises(ValueError, match="lam must be positive"):
-            unitball_sandwich(10, 1.01, 1.0, lam)
         with pytest.raises(ValueError, match="lam must be positive"):
             unitball_construction(10, 1.01, 1.0, lam)
 
@@ -462,8 +577,7 @@ class TestGrowthTable:
             # n * log alpha, not sandwich_lower / n: that quotient rounds
             assert rep.terms["sandwich_lower"] == rep.log_t_lower == n * log_alpha
             assert rep.alpha == math.exp(log_alpha)
-            assert unitball_sandwich(n, p, 1.0, lam) == (rep.terms["sandwich_lower"],
-                                                        rep.terms["sandwich_upper"])
+            assert rep.terms["sandwich_upper"] == math.log(math.sqrt(math.pi) * n) + n * log_alpha
             case, bound = unitball_case_analysis(n, p, 1.0, lam)
             assert (case, bound) == (1, rep.terms["sandwich_upper"])
 

@@ -537,6 +537,14 @@ def test_rel_tol_flag_is_gone(capsys, command):
     assert "--rel-tol" in err
 
 
+def test_star_import_resolves_every_export():
+    # a name left in __all__ after its function is deleted fails the import
+    namespace = {}
+    exec("from radialmax import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(radialmax.__all__)
+    assert len(set(radialmax.__all__)) == len(radialmax.__all__)
+
+
 def test_python_m_radialmax_runs():
     src = str(Path(radialmax.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from radialmax.densities import Gaussian, Lebesgue, TabulatedDecreasing, UnitBallIndicator
-from radialmax.geometry import (EMPTY_ANGLE, FULL_ANGLE, _cap_j_log, _cap_j_log_half,
-                                _cap_j_log_half_pi, arccos_clamped, cap_angle,
-                                cap_fraction_log, cap_log_area, cone_ball_measure,
-                                contact_angle, contact_angle_unit_ball,
-                                intersect_with_centered_ball, intersection_angle,
+from radialmax.geometry import (_cap_j_log, _cap_j_log_half, _cap_j_log_half_pi,
+                                arccos_clamped, cap_angle, cap_log_area, contact_angle,
+                                contact_angle_unit_ball, intersect_with_centered_ball,
                                 off_center_ball_measure)
 from radialmax.logspace import LOG_ZERO, log_add, log_sub
 from radialmax.measures import log_ball_measure, log_sphere_area
@@ -63,30 +61,35 @@ def cap_j_exact(m: int, theta: float) -> float:
 
 
 class TestIntersectionAngle:
+    # geometry.cap_angle is the one angle formula: the cap where the sphere
+    # |y| = s meets B(d xi, t), pi inside the ball and 0 outside it
     def test_symmetric_case(self):
         # d = t = s = 1: cos(theta) = 1/2
-        assert intersection_angle(1.0, 1.0, 1.0) == pytest.approx(math.pi / 3.0, rel=1e-14)
+        assert cap_angle(1.0, 1.0, 1.0) == pytest.approx(math.pi / 3.0, rel=1e-14)
 
     def test_containment_limit(self):
-        assert intersection_angle(0.4, 1.0, 0.6) == FULL_ANGLE
-        assert intersection_angle(0.4, 1.0, 0.59) == FULL_ANGLE
+        # s = t - d exactly, and a sphere inside the ball
+        assert cap_angle(0.5, 1.0, 0.5) == math.pi
+        assert cap_angle(0.4, 1.0, 0.59) == math.pi
 
     def test_tangency_limit(self):
-        assert intersection_angle(0.4, 1.0, 1.4) == EMPTY_ANGLE
-        assert intersection_angle(0.4, 1.0, 2.0) == EMPTY_ANGLE
+        # s = t + d exactly, and a sphere outside the ball
+        assert cap_angle(0.5, 1.0, 1.5) == 0.0
+        assert cap_angle(0.4, 1.0, 2.0) == 0.0
 
     def test_centered_ball(self):
-        assert intersection_angle(0.0, 1.0, 0.5) == FULL_ANGLE
-        assert intersection_angle(0.0, 1.0, 1.5) == EMPTY_ANGLE
+        assert cap_angle(0.0, 1.0, 0.5) == math.pi
+        assert cap_angle(0.0, 1.0, 1.0) == 0.0
+        assert cap_angle(0.0, 1.0, 1.5) == 0.0
 
     def test_law_of_cosines_values(self):
         # d=2, t=1, s=2: cos = (4+4-1)/8 = 7/8
-        assert intersection_angle(2.0, 1.0, 2.0) == pytest.approx(math.acos(7.0 / 8.0), rel=1e-14)
+        assert cap_angle(2.0, 1.0, 2.0) == pytest.approx(math.acos(7.0 / 8.0), rel=1e-14)
 
     def test_cap_angle_is_the_one_formula(self):
-        # the oracle's exact pass broadcasts rows of s; each entry is
-        # intersection_angle's float, and the clipped gaps give its FULL and
-        # EMPTY values outside the lens
+        # the oracle's exact pass broadcasts rows of s; each entry is the
+        # float of the scalar call, the law-of-cosines angle inside the lens,
+        # and pi or 0 outside it
         rng = np.random.default_rng(11)
         d = 0.7
         ts = rng.uniform(0.05, 1.5, 40)
@@ -95,12 +98,12 @@ class TestIntersectionAngle:
         assert got.shape == s.shape
         for i, t in enumerate(ts):
             for j, sj in enumerate(s[i]):
-                want = intersection_angle(d, float(t), float(sj))
+                assert got[i, j] == float(cap_angle(d, float(t), float(sj)))
                 if abs(t - d) < sj < t + d:
-                    assert got[i, j] == want
+                    cos = (d * d + sj * sj - t * t) / (2.0 * d * sj)
+                    assert got[i, j] == pytest.approx(math.acos(cos), rel=1e-9)
                 else:
-                    assert got[i, j] == (FULL_ANGLE if sj <= t - d else EMPTY_ANGLE) == want
-
+                    assert got[i, j] == (math.pi if sj <= t - d else 0.0)
 
     @pytest.mark.parametrize("d,t", [(0.39438040059138463, 3.0265303763987245e-4),
                                      (1.0, 1e-7), (2.5, 1e-3)])
@@ -335,25 +338,3 @@ class TestOffCenterBall:
         riemann = float((dens * inside).sum() * (0.8 / 2000) ** 2)
         assert got == pytest.approx(math.log(riemann), abs=2e-3)
 
-
-class TestConeBall:
-    def test_half_space(self):
-        f = Gaussian()
-        got = cone_ball_measure(f, 5, math.pi / 2.0, 1.3)
-        assert got == pytest.approx(log_ball_measure(f, 5, 1.3) - math.log(2.0), rel=1e-9)
-
-    def test_full_cone(self):
-        f = Gaussian()
-        got = cone_ball_measure(f, 4, math.pi, 0.9)
-        assert got == pytest.approx(log_ball_measure(f, 4, 0.9), rel=1e-9)
-
-    def test_unitball_n3_closed_form(self):
-        # cap fraction in R^3 is (1 - cos theta)/2
-        frac = (1.0 - math.cos(1.0)) / 2.0
-        vol = 1.5 * math.log(math.pi) - math.lgamma(2.5)  # log |B_1^3|
-        got = cone_ball_measure(UnitBallIndicator(), 3, 1.0, 1.0)
-        assert got == pytest.approx(math.log(frac) + vol, rel=1e-9)
-
-    def test_cap_fraction_log(self):
-        assert cap_fraction_log(6, math.pi) == pytest.approx(0.0, abs=1e-10)
-        assert cap_fraction_log(6, 0.0) == LOG_ZERO

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from radialmax.logspace import LOG_ZERO, check_log_value, log_add, log_sub, log_sum
+from radialmax.logspace import LOG_ZERO, log_add, log_sub, log_sum
 
 finite_logs = st.floats(min_value=-700.0, max_value=700.0,
                         allow_nan=False, allow_infinity=False)
@@ -50,12 +50,3 @@ def test_log_sum():
     expected = math.log(sum(math.exp(v) for v in vals[:3]))
     assert log_sum(vals) == pytest.approx(expected, rel=1e-14)
     assert log_sum(np.array([1.0, 1.0])) == pytest.approx(1.0 + math.log(2.0), rel=1e-14)
-
-
-def test_check_log_value_rejects_nan_and_plus_inf():
-    assert check_log_value(0.0) == 0.0
-    assert check_log_value(LOG_ZERO) == LOG_ZERO
-    with pytest.raises(ValueError):
-        check_log_value(float("nan"))
-    with pytest.raises(ValueError):
-        check_log_value(float("inf"))

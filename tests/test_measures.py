@@ -6,8 +6,7 @@ import pytest
 from radialmax.densities import Gaussian, Lebesgue, TabulatedDecreasing, UnitBallIndicator
 from radialmax.errors import NonFiniteMeasureError
 from radialmax.logspace import LOG_ZERO
-from radialmax.measures import (_decay_radius, log_annulus_from_balls, log_annulus_measure,
-                                log_ball_measure, log_ball_measure_grid,
+from radialmax.measures import (_decay_radius, log_ball_measure, log_ball_measure_grid,
                                 log_mass, log_sphere_area, sphere_ratio_bounds,
                                 upper_cutoff)
 
@@ -131,25 +130,6 @@ class TestBallMeasure:
         t = TabulatedDecreasing([1.0, 2.0], [0.0, -2.0])
         expected = math.log(math.pi * (1.0 + math.exp(-2.0) * 3.0))
         assert log_ball_measure(t, 2, 2.0) == pytest.approx(expected, rel=1e-10)
-
-
-class TestAnnulus:
-    def test_empty(self):
-        assert log_annulus_measure(Gaussian(), 3, 0.7, 0.7) == LOG_ZERO
-
-    def test_lebesgue_ring(self):
-        got = log_annulus_measure(Lebesgue(), 2, 1.0, 2.0)
-        assert got == pytest.approx(math.log(3.0 * math.pi), rel=1e-12)
-
-    def test_consistent_with_ball_difference(self):
-        f = Gaussian()
-        direct = log_annulus_measure(f, 5, 0.3, 0.9)
-        via_balls = log_annulus_from_balls(f, 5, 0.3, 0.9)
-        assert direct == pytest.approx(via_balls, rel=1e-8)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_annulus_measure(Gaussian(), 3, 2.0, 1.0)
 
 
 class TestGridMeasure:

@@ -22,13 +22,9 @@ def test_polynomial_is_exact():
 def test_oscillatory_to_tolerance():
     # int_0^10 sin^2(x) dx = 5 - sin(20)/4
     expected = 5.0 - math.sin(20.0) / 4.0
-    res = integrate(lambda x: np.sin(x) ** 2, 0.0, 10.0, rel_tol=1e-12)
-    assert res.value == pytest.approx(expected, rel=1e-11)
-
-
-def test_splits_handle_kinks():
-    res = integrate(np.abs, -1.0, 1.0, splits=[0.0])
-    assert res.value == pytest.approx(1.0, rel=1e-13)
+    res = integrate(lambda x: np.sin(x) ** 2, 0.0, 10.0)
+    assert res.converged
+    assert res.value == pytest.approx(expected, rel=quadrature.DEFAULT_REL_TOL)
 
 
 def test_empty_interval():
@@ -37,8 +33,7 @@ def test_empty_interval():
 
 
 def test_eval_cap_flags_not_converged():
-    res = integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0,
-                    rel_tol=1e-15, max_evals=200)
+    res = integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, max_evals=200)
     assert not res.converged
     assert res.evaluations >= 200
     assert res.value == pytest.approx(4.0 / 3.0, rel=1e-3)
@@ -84,7 +79,7 @@ def test_log_integral_skips_zero_plateau():
         x = np.asarray(x, dtype=float)
         return np.where(x <= 2.0, 0.0, LOG_ZERO)
 
-    res = log_integral(phi, 0.0, 10.0, splits=[2.0])
+    res = log_integral(phi, 0.0, 10.0)
     assert res.log_value == pytest.approx(math.log(2.0), rel=1e-10)
     assert isinstance(res, LogIntegralResult)
 
@@ -269,21 +264,17 @@ def _left_sum(values):
     return total
 
 
-def _panel_integrate(f, a, b, *, rel_tol=quadrature.DEFAULT_REL_TOL,
-                     max_evals=quadrature.DEFAULT_MAX_EVALS, splits=()):
+def _panel_integrate(f, a, b, *, max_evals=quadrature.DEFAULT_MAX_EVALS):
     """The adaptive rule with one call of f per panel, which integrate batches."""
     if not b > a:
         return QuadratureResult(0.0, 0.0, 0, True)
-    edges = sorted({float(a), float(b), *(float(s) for s in splits if a < s < b)})
-    segs = []  # [error, value, lo, hi]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _one_panel(f, lo, hi)
-        segs.append([e, v, lo, hi])
-    evals = quadrature.PANEL_EVALS * len(segs)
+    v, e = _one_panel(f, float(a), float(b))
+    segs = [[e, v, float(a), float(b)]]  # [error, value, lo, hi]
+    evals = quadrature.PANEL_EVALS
     while True:
         total = _left_sum(s[1] for s in segs)
         err = _left_sum(s[0] for s in segs)
-        if err <= rel_tol * abs(total) or err == 0.0:
+        if err <= quadrature.DEFAULT_REL_TOL * abs(total) or err == 0.0:
             return QuadratureResult(total, err, evals, True)
         if evals >= max_evals:
             return QuadratureResult(total, err, evals, False)
@@ -300,10 +291,9 @@ def _panel_integrate(f, a, b, *, rel_tol=quadrature.DEFAULT_REL_TOL,
         segs.append([e2, v2, mid, hi])
 
 
-def _panel_log_integral(log_f, a, b, *, splits=(), probe_points=()):
+def _panel_log_integral(log_f, a, b, *, probe_points=()):
     """log_integral with the one-point bisection and the one-panel rule."""
     pts = {float(a), float(b)}
-    pts.update(float(s) for s in splits if a < s < b)
     pts.update(float(p) for p in probe_points if a <= p <= b)
     grid = np.unique(np.concatenate([np.linspace(a, b, quadrature.N_PROBES),
                                      np.array(sorted(pts))]))
@@ -327,8 +317,7 @@ def _panel_log_integral(log_f, a, b, *, splits=(), probe_points=()):
             return np.exp(np.asarray(log_f(x), dtype=float) - m)
 
     res = _panel_integrate(shifted, lo, hi,
-                           max_evals=max(quadrature.DEFAULT_MAX_EVALS - evals, 10 ** 4),
-                           splits=[s for s in splits if lo < s < hi])
+                           max_evals=max(quadrature.DEFAULT_MAX_EVALS - evals, 10 ** 4))
     return LogIntegralResult(m + math.log(res.value), res.error / res.value,
                              evals + res.evaluations, res.converged, m, (lo, hi))
 
@@ -371,18 +360,12 @@ def test_pinned_gaussian_off_center_log_integral():
                    385, True)
 
 
-def test_pinned_split_seeded_integral():
-    f = lambda x: np.sqrt(np.abs(x - 0.3)) * np.exp(-x)
-    splits = [1.0, 0.3, -0.5, 5.0]
-    _assert_pinned(integrate(f, -1.0, 2.0, splits=splits),
-                   _panel_integrate(f, -1.0, 2.0, splits=splits), 1924, True)
-
-
 def test_pinned_capped_integral():
+    # converged after 1295 evaluations with no cap
     f = lambda x: np.sqrt(np.abs(x - 1.0 / 3.0))
-    kwargs = {"rel_tol": 1e-15, "max_evals": 1500}
+    kwargs = {"max_evals": 1000}
     _assert_pinned(integrate(f, -1.0, 1.0, **kwargs), _panel_integrate(f, -1.0, 1.0, **kwargs),
-                   1517, False)
+                   1073, False)
 
 
 def test_sums_are_left_to_right():
@@ -452,7 +435,8 @@ def test_capped_step_density_stops_where_the_panel_loop_stops(max_evals):
     phi = radial_log_integrand(density, n)
     b = float(density.probe_points()[-1])
     f = lambda x: np.exp(phi(x))
-    kwargs = {"rel_tol": 1e-15, "max_evals": max_evals}
+    # converged after 26603 evaluations with no cap
+    kwargs = {"max_evals": max_evals}
     got = integrate(f, 0.0, b, **kwargs)
     want = _panel_integrate(f, 0.0, b, **kwargs)
     _assert_pinned(got, want, want.evaluations, False)
