@@ -10,14 +10,17 @@ integral
     J_n(theta) = int_0^theta sin(beta)^(n-2) dbeta,
 
 plus a fully-contained core when t > d.  ``cap_log_area`` runs J_n through
-the adaptive quadrature (the accuracy reference); the vectorized evaluator
-``_cap_j_log`` used inside integrands reduces J_n to
-``quadrature.fixed_log_integral`` (10 panels of 16 nodes) on the
-sub-interval where the integrand is within 60 log-units of its maximum,
-which the arcsin substitution locates exactly.
-The rule runs once per angle: on theta itself up to pi/2, and past pi/2 on
-pi - theta, whose value the complement rule J(theta) = 2 J(pi/2) -
-J(pi - theta) turns into J(theta).
+the adaptive quadrature (the accuracy reference).  The vectorized
+evaluator ``_cap_j_log`` used inside integrands evaluates each angle once:
+on theta itself up to pi/2, and past pi/2 on pi - theta, whose value the
+complement rule J(theta) = 2 J(pi/2) - J(pi - theta) turns into J(theta).
+At the oracle's dimensions the exponent m = n - 2 is at most 6 (a lens
+needs m = n <= 6), and there int_0^theta sin^m is elementary: a series in
+sin^2(theta/2) that is a polynomial for odd m, and for even m above pi/4
+the recurrence in sin and cos, with J(pi/2) from Wallis's formula.  Above
+m = 6 it reduces J to ``quadrature.fixed_log_integral`` (10 panels of 16
+nodes) on the sub-interval where the integrand is within 60 log-units of
+its maximum, which the arcsin substitution locates exactly.
 
 The unit ball needs no radial integral: B(d xi, t) ∩ B_a is a lens of two
 balls, two spherical caps cut by one hyperplane, and ``_log_lens`` adds
@@ -43,6 +46,8 @@ _ARCCOS_SLACK = 1e-12
 _CAP_WINDOW = 60.0
 _CAP_PANELS = 10
 _CAP_ORDER = 16
+_ELEMENTARY_MAX_M = 6  # J_m in elementary functions up to here: the oracle's n <= 6
+_SERIES_TERMS = 16     # of the even-m series, on theta <= pi/4
 
 
 def arccos_clamped(x: float) -> float:
@@ -97,9 +102,95 @@ def contact_angle_unit_ball(R: float, lam: float) -> float:
     return arccos_clamped(1.0 - R * R * (1.0 + lam) ** 2 / 2.0)
 
 
+@lru_cache(maxsize=_ELEMENTARY_MAX_M)
+def _cap_series(m: int) -> np.ndarray:
+    """Coefficients c_k of J_m = 2^m y^(a+1)/(a+1) sum_k c_k y^k, 1 <= m <= 6.
+
+    With y = sin^2(theta/2) and a = (m - 1)/2, the substitution
+    w = sin^2(beta/2) gives J_m = 2^m int_0^y (w (1 - w))^a dw, and
+    expanding (1 - w)^a gives c_k = (-a)_k / k! (a + 1)/(a + 1 + k).  For
+    odd m the sum ends at k = a: J_1 = v, J_3 = v^2 (1 - v/3) and
+    J_5 = v^3 (4/3 - v + v^2/5) with v = 2y, exact on [0, pi/2].  For even
+    m it converges like sin^2(pi/8)^k = 0.146^k on theta <= pi/4, where
+    _SERIES_TERMS = 16 terms leave a tail below half an ulp.  Zeros pad
+    the count to a power of two, at least 2, for ``_estrin``; read-only.
+    """
+    a = 0.5 * (m - 1)
+    terms = int(a) + 1 if m % 2 else _SERIES_TERMS
+    coeffs = np.zeros(max(2, 1 << (terms - 1).bit_length()))
+    rising = 1.0
+    for k in range(terms):
+        coeffs[k] = rising * (a + 1.0) / (a + 1.0 + k)
+        rising *= (k - a) / (k + 1.0)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _estrin(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] y^k by Estrin's scheme; len(coeffs) a power of two >= 2.
+
+    Pairs c_2i + c_2i+1 y, then pairs of pairs with y^2, and so on: a
+    Horner rule of depth log2(len(coeffs)) whose every level is one array
+    operation over all its pairs, so a short batch makes 3 log2(len)
+    numpy calls where Horner makes two per term.  Each point's float
+    depends on that point alone.
+    """
+    pairs = coeffs.reshape(-1, 2, *([1] * y.ndim))  # broadcast against y of any shape
+    total = pairs[:, 1] * y
+    total += pairs[:, 0]
+    power = y
+    while len(total) > 1:
+        power = power * power
+        total = total[0::2] + total[1::2] * power
+    return total[0]
+
+
+def _cap_j_log_series(m: int, th: np.ndarray) -> np.ndarray:
+    """log J_m by the series of ``_cap_series``."""
+    half = np.sin(0.5 * th)
+    total = _estrin(_cap_series(m), half * half)
+    with np.errstate(divide="ignore"):  # theta = 0 gives -inf
+        return ((m * math.log(2.0) - math.log(0.5 * (m + 1))) + (m + 1) * np.log(half)
+                + np.log(total))
+
+
+def _cap_j_log_elementary(m: int, th: np.ndarray) -> np.ndarray:
+    """log J_m on [0, pi/2] in elementary functions, 1 <= m <= 6.
+
+    The series for odd m, and for even m up to pi/4; above pi/4 the even
+    m climb the recurrence J_k = ((k - 1) J_(k-2) - sin^(k-1) cos) / k from
+    J_0 = theta, which loses at most a factor of about 2.7 per step there.
+    """
+    if m % 2:
+        return _cap_j_log_series(m, th)
+    out = np.empty(th.shape)
+    low = th <= 0.25 * math.pi
+    if low.any():
+        out[low] = _cap_j_log_series(m, th[low])
+    if not low.all():
+        high = ~low
+        theta = th[high]
+        sin = np.sin(theta)
+        term = sin * np.cos(theta)  # sin^(k-1) cos at k = 2
+        j = 0.5 * (theta - term)    # J_2
+        if m > 2:
+            sin2 = sin * sin
+            for k in range(4, m + 1, 2):
+                term *= sin2
+                j = ((k - 1) * j - term) / k
+        out[high] = np.log(j)
+    return out
+
+
 def _cap_j_log_half(m: int, theta):
-    """log J_m on [0, pi/2]: J_m(theta) = int_0^theta sin^m, m >= 1, vectorized."""
+    """log J_m on [0, pi/2]: J_m(theta) = int_0^theta sin^m, m >= 1, vectorized.
+
+    Elementary for m <= _ELEMENTARY_MAX_M, the oracle's dimensions; above,
+    the fixed rule.
+    """
     th = np.asarray(theta, dtype=float)
+    if m <= _ELEMENTARY_MAX_M:
+        return _cap_j_log_elementary(m, th)
     # the integrand spans exactly _CAP_WINDOW log-units over [b_lo, theta]
     b_lo = np.arcsin(np.sin(th) * math.exp(-_CAP_WINDOW / m))
     return fixed_log_integral(lambda b: m * np.log(np.sin(b)), b_lo, th,
@@ -108,7 +199,15 @@ def _cap_j_log_half(m: int, theta):
 
 @lru_cache(maxsize=256)
 def _cap_j_log_half_pi(m: int) -> float:
-    """log J_m(pi/2), the constant of the complement rule; cached per m."""
+    """log J_m(pi/2), the constant of the complement rule; cached per m.
+
+    Where ``_cap_j_log_half`` is elementary, in closed form: Wallis's
+    sqrt(pi) Gamma((m + 1)/2) / (2 Gamma(m/2 + 1)) = (m - 1)!! / m!!, times
+    pi/2 for even m, as one correctly rounded ratio of integers.
+    """
+    if m <= _ELEMENTARY_MAX_M:
+        wallis = math.prod(range(m - 1, 0, -2)) / math.prod(range(m, 0, -2))
+        return math.log(wallis * (0.5 * math.pi if m % 2 == 0 else 1.0))
     return float(_cap_j_log_half(m, np.asarray(0.5 * math.pi)))
 
 

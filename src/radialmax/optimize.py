@@ -68,11 +68,12 @@ def find_root(g, lo, hi, tol: float = 1e-12):
     or ``_ROOT_MAX_ITER`` steps), so each root is the float that bisecting
     its bracket alone gives.  An element that stops is frozen at its root
     (lo = hi), which every later step leaves as it is.  Scalar brackets
-    return a float, and a g that takes scalars only still works.  The
-    steps update their arrays in place under one ``np.errstate(over=
-    "ignore")``: only the signs of the products g(lo) g(mid) are read, and
-    an overflow to +-inf keeps them, so an overflow inside g during the
-    steps is not reported either.
+    return a float; a one-element bracket takes the same steps on Python
+    floats, and a g that takes scalars only still works.  The steps run
+    under one ``np.errstate(over="ignore")``, the array steps updating
+    their arrays in place: only the signs of the products g(lo) g(mid) are
+    read, and an overflow to +-inf keeps them, so an overflow inside g
+    during the steps is not reported either.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
@@ -93,6 +94,23 @@ def find_root(g, lo, hi, tol: float = 1e-12):
     hi = np.where(open_, hi, lo)
     g_lo = g_lo.copy()  # g may have returned an array it still holds
     with np.errstate(over="ignore"):
+        if lo.size == 1:
+            # the same steps on Python floats: on a one-element array each
+            # numpy call costs far more than its arithmetic
+            lo, hi, g_lo = float(lo[0]), float(hi[0]), float(g_lo[0])
+            for _ in range(_ROOT_MAX_ITER):
+                mid = 0.5 * (lo + hi)
+                if hi - lo <= tol or mid <= lo or mid >= hi:
+                    break
+                g_mid = float(_eval_grid(g, np.array([mid]))[0])
+                if g_mid == 0.0:
+                    lo = hi = mid
+                elif g_lo * g_mid < 0.0:
+                    hi = mid
+                else:
+                    lo, g_lo = mid, g_mid
+            root = 0.5 * (lo + hi)
+            return root if scalar else np.array([root])
         for _ in range(_ROOT_MAX_ITER):
             mid = 0.5 * (lo + hi)
             stop = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)

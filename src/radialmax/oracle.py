@@ -9,8 +9,10 @@ verifies the level-set inclusion that underpins the certified bound T,
 produces empirical lower bounds on the operator constant, and cross-checks
 the geometry quadrature by importance-sampled Monte Carlo.
 
-The sup over t runs on a 512-point log-spaced grid (the objective's scale
-spans decades), zooms on the three best cells (the objective can be
+Below r the sup is known: every t <= r - rho gives ratio 1, and no t
+more, so Mg(rho) = 1/mu(B_r) for every rho < r.  From r on, the sup over
+t runs on a 512-point log-spaced grid (the objective's scale spans
+decades), zooms on the three best cells (the objective can be
 multimodal: a ball swallowing B_r competes with one hugging it), and the
 few surviving candidates are re-evaluated exactly, together with the
 witness radius t = rho + r whose value already certifies the level-set
@@ -26,13 +28,16 @@ unit ball (whose lens is closed form) the candidate goes through
 ``off_center_ball_measure``.  The scan integrates with
 ``quadrature.fixed_log_integral`` (24 panels of 8 nodes), in one call for
 every t's numerator and denominator cap bands that are not empty and not
-copies of each other (the three zooms share one scan).  It reads the cap
-integral J_{n-2} from a table of 4097 angles, built once per dimension and
-shared read-only by every evaluator, and the centered ball measure from a
+copies of each other (the three zooms share one scan); the rule runs the
+rows in blocks, each with its own t.  It reads the cap integral J_{n-2}
+from a table of 4097 angles, built once per dimension and shared
+read-only by every evaluator, and the centered ball measure from a
 ``log_ball_measure_grid`` table; both are uniform grids, so a lookup finds
 each point's cell by a multiplication and gives ``np.interp``'s float.
-The Monte Carlo sampler's inverse CDF is a ``log_ball_measure_grid`` table
-too.
+Every cap integral here, J_{n-2} in the table and the exact pass and J_n
+in the unit ball's lens, has exponent at most 6, so ``geometry`` gives it
+in elementary functions.  The Monte Carlo sampler's inverse CDF is a
+``log_ball_measure_grid`` table too.
 """
 
 from __future__ import annotations
@@ -251,7 +256,7 @@ class _MaximalEvaluator:
         num_rows = (num_hi > num_lo) & (num_hi < den_hi)
         t = np.concatenate([ts[den_rows], ts[num_rows]])[:, None, None]
 
-        def log_f(s):
+        def log_f(s, t):
             # the law-of-cosines angle: it only ranks candidates, and costs
             # less than ``cap_angle``'s half-angle form on this many nodes
             cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
@@ -259,7 +264,7 @@ class _MaximalEvaluator:
 
         bands = fixed_log_integral(log_f, np.concatenate([den_lo[den_rows], num_lo[num_rows]]),
                                    np.concatenate([den_hi[den_rows], num_hi[num_rows]]),
-                                   _SCAN_PANELS, _SCAN_ORDER)
+                                   _SCAN_PANELS, _SCAN_ORDER, (t,))
         split = np.count_nonzero(den_rows)
         den_band = np.full(ts.shape, LOG_ZERO)
         den_band[den_rows] = bands[:split]
@@ -311,14 +316,15 @@ class _MaximalEvaluator:
         width = np.maximum(np.array(hi)[:, None, None] - lo, 0.0)
         band = np.array([False, True, False, True])
 
-        def log_f(u):
+        def log_f(u, lo, width, band):
             s = lo + width * (u * u * (3.0 - 2.0 * u))
             out = self._phi(s) + np.log(width * (6.0 * u * (1.0 - u)))
             out[band] += _cap_j_log(n, cap_angle(rho, t, s[band]))
             return out
 
         u_hi = np.where(width[:, 0, 0] > 0.0, 1.0, 0.0)  # an empty row gives LOG_ZERO
-        low, high = (fixed_log_integral(log_f, np.zeros(4), u_hi, _EXACT_PANELS, order)
+        low, high = (fixed_log_integral(log_f, np.zeros(4), u_hi, _EXACT_PANELS, order,
+                                        (lo, width, band))
                      + self._row_log_omega for order in _EXACT_ORDERS)
         with np.errstate(invalid="ignore"):  # -inf - -inf on empty rows
             agree = (low == high) | (np.abs(high - low)
@@ -341,10 +347,11 @@ class _MaximalEvaluator:
         return num - den
 
     def log_maximal_at(self, rho: float) -> float:
-        """log Mg(rho), certified from below by the witness radius rho + r."""
+        """log Mg(rho): exact below r, certified from below by the witness t = rho + r."""
         _check_rho(rho)
-        if rho == 0.0:
-            return -self.log_mu_br  # any t <= r attains the sup
+        if rho < self.r:
+            # every t <= r - rho gives ratio 1, and no t gives more
+            return -self.log_mu_br
         t_lo = max(1e-6, rho - self.r) * (1.0 - 1e-9)
         t_hi = 2.0 * (rho + self.r) + self.support
         ts = np.geomspace(t_lo, t_hi, self.t_points)

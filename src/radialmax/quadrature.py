@@ -31,9 +31,19 @@ result object.
 
 Bulk callers use ``fixed_log_integral`` instead: one composite fixed-order
 Gauss-Legendre rule in log space over many rows [lo, hi] at once, with no
-error estimate.  It is the library's one fixed rule: the cap integral J,
-the ball-measure grid (and so the Monte Carlo CDF) and the oracle's scan
-all call it, each with its own panel count and order.
+error estimate.  It is the library's one fixed rule: the cap integral J
+above exponent 6, the ball-measure grid (and so the Monte Carlo CDF) and
+the oracle's scan and exact pass all call it, each with its own panel
+count and order.  It runs the rows in blocks of at most BLOCK_NODES
+nodes, so no temporary exceeds 64 KiB.  glibc maps every allocation above
+its mmap threshold afresh, and pays page faults on it; the threshold
+starts at 128 KiB and rises only to the largest mapped block freed so
+far.  A whole oracle scan (512 t x 24 panels x 8 nodes, 786 KB per
+temporary) took about 1,700 page faults unless some earlier call had
+freed a larger array; in blocks it takes none.  Blocks of 96 KiB were
+slower in the benchmark's workers, and blocks of 32 KiB cost more in
+per-block calls than they save.  Per-row data of the integrand travel
+with each block (``args``).
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ N_PROBES = 257
 PANEL_EVALS = 37       # a 25- and a 12-point Gauss-Legendre rule per panel
 BISECT_STEPS = 90      # evaluations charged per bisected window edge
 BISECT_LEVELS = 3      # bisection steps per call of the integrand
+BLOCK_NODES = 8192     # fixed-rule nodes per block: 64 KiB per float64 temporary
 
 
 @lru_cache(maxsize=32)
@@ -257,34 +268,47 @@ def _bisect_crossings(log_f, brackets, tau) -> list:
     return found
 
 
-def fixed_log_integral(log_f, lo, hi, panels: int, order: int):
+def fixed_log_integral(log_f, lo, hi, panels: int, order: int, args=()):
     """log of the integral of exp(log_f) over [lo, hi], for every row at once.
 
     A composite fixed rule: ``panels`` equal panels of ``order``-point
     Gauss-Legendre, exact for polynomials of degree 2 order - 1 on each
-    panel.  ``log_f`` receives the nodes shaped ``lo.shape + (panels,
-    order)``; each row is shifted by its largest finite value before the
+    panel.  The rows run in blocks along the first axis of lo and hi, of
+    at most BLOCK_NODES nodes where a row allows it: ``log_f`` receives a
+    block's nodes, shaped block + lo.shape[1:] + (panels, order), followed
+    by the block's slice of every array in ``args``, which hold one entry
+    per row along that axis.  A ``log_f`` that needs per-row data takes it
+    from ``args``: a closure over the whole batch would not match a
+    block.  Each row is reduced on its own, so the blocks change no float.
+    Each row is shifted by its largest finite value before the
     exponential.  A row with hi <= lo, or with no mass, gives LOG_ZERO.
     No error estimate: this is the bulk path, and ``log_integral`` the
     accuracy reference.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = lo.shape
+    lo, hi = np.atleast_1d(lo, hi)  # a 0-d batch is one row
     x, w = gauss_legendre_nodes(order)
     half = 0.5 * (hi - lo) / panels
     centers = lo[..., None] + half[..., None] * np.arange(1.0, 2.0 * panels, 2.0)
+    shift, total = np.empty(lo.shape), np.empty(lo.shape)
+    step = max(1, BLOCK_NODES // (panels * order * math.prod(lo.shape[1:])))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a private copy, shifted, exponentiated and weighted in place, so a
-        # large batch holds one node-sized array at a time
-        vals = np.array(log_f(centers[..., None] + half[..., None, None] * x), dtype=float)
-        shift = np.max(vals, axis=(-2, -1), initial=-np.inf, where=np.isfinite(vals))
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        vals -= shift[..., None, None]
-        np.exp(vals, out=vals)
-        vals *= w
-        total = vals.sum(axis=(-2, -1)) * half
+        for start in range(0, len(lo), step):
+            block = slice(start, start + step)
+            vals = np.asarray(log_f(centers[block, ..., None] + half[block, ..., None, None] * x,
+                                    *(arg[block] for arg in args)), dtype=float)
+            top = np.max(vals, axis=(-2, -1), initial=-np.inf, where=np.isfinite(vals))
+            top = np.where(np.isfinite(top), top, 0.0)
+            # a new array, exponentiated and weighted in place
+            vals = vals - top[..., None, None]
+            np.exp(vals, out=vals)
+            vals *= w
+            vals.sum(axis=(-2, -1), out=total[block])
+            shift[block] = top
+        total *= half
         # total > 0 also fails for hi <= lo, where half <= 0
-        return np.where(total > 0.0, shift + np.log(total), LOG_ZERO)
+        return np.where(total > 0.0, shift + np.log(total), LOG_ZERO).reshape(shape)
 
 
 def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralResult:

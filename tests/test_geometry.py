@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +207,88 @@ class TestCapArea:
     def test_cap_complement(self, n, theta):
         total = log_add(cap_log_area(n, theta), cap_log_area(n, math.pi - theta))
         assert total == pytest.approx(log_sphere_area(n), rel=1e-9)
+
+
+_QUARTER = 0.25 * math.pi
+# the seam between the series and the recurrence, at pi/4 and, folded, at
+# 3 pi/4, each with its neighbours one ulp away; the fold at pi/2; both ends
+_ELEMENTARY_EDGES = [math.nextafter(_QUARTER, 0.0), _QUARTER, math.nextafter(_QUARTER, 1.0),
+                     math.nextafter(0.5 * math.pi, 0.0), 0.5 * math.pi,
+                     math.nextafter(0.5 * math.pi, math.pi),
+                     math.nextafter(3.0 * _QUARTER, 0.0), 3.0 * _QUARTER,
+                     math.nextafter(3.0 * _QUARTER, math.pi), 1e-8, math.pi - 1e-8, math.pi]
+_ELEMENTARY_THETAS = np.concatenate([np.geomspace(1e-8, 0.1, 40),
+                                     np.linspace(0.01, math.pi - 0.01, 200),
+                                     math.pi - np.geomspace(1e-8, 0.1, 40),
+                                     _ELEMENTARY_EDGES])
+
+
+def _log_cap_j_betainc(m: int, theta: float) -> float:
+    """log J_m(theta) from the classical 1/2 B(sin^2 theta; (m+1)/2, 1/2), in mpmath.
+
+    Past pi/2, J_m(theta) = B((m+1)/2, 1/2) - J_m(pi - theta).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, half = mpmath.mpf(m + 1) / 2, mpmath.mpf(1) / 2
+        th = mpmath.mpf(theta)
+        part = mpmath.betainc(a, half, 0, mpmath.sin(th) ** 2) / 2
+        if th > mpmath.pi / 2:
+            part = mpmath.beta(a, half) - part
+        return float(mpmath.log(part))
+
+
+class TestElementaryCaps:
+    """J_m for m <= 6 in elementary functions: the oracle's dimensions."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_against_incomplete_beta(self, m):
+        got = _cap_j_log(m + 2, _ELEMENTARY_THETAS)
+        want = np.array([_log_cap_j_betainc(m, t) for t in _ELEMENTARY_THETAS.tolist()])
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 1e-15, _ELEMENTARY_THETAS[err.argmax()]
+
+    @pytest.mark.parametrize("m, num, den", [(1, 1, 1), (2, 1, 4), (3, 2, 3), (4, 3, 16),
+                                             (5, 8, 15), (6, 5, 32)])
+    def test_half_pi_constants(self, m, num, den):
+        # J_m(pi/2) = num/den, times pi for even m: Wallis's integrals
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.mpf(num) / den * (mpmath.pi if m % 2 == 0 else 1)))
+        got = _cap_j_log_half_pi(m)
+        assert abs(got - want) <= 2.0 ** -52 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_each_angle_alone(self, m):
+        # the oracle's exact pass sends (2, 8, 16) arrays; each angle's float
+        # is the one a call on that angle alone gives
+        rng = np.random.default_rng(m)
+        theta = rng.uniform(0.0, math.pi, (2, 8, 16))
+        theta.flat[:len(_ELEMENTARY_EDGES)] = _ELEMENTARY_EDGES
+        got = _cap_j_log(m + 2, theta)
+        assert got.shape == theta.shape
+        alone = [_cap_j_log(m + 2, t).hex() for t in theta.ravel().tolist()]
+        assert [x.hex() for x in got.ravel().tolist()] == alone
+
+    def test_two_angle_call_not_slower_than_the_fixed_rule(self):
+        # a unit-ball lens makes one call on its two cap angles.  Before the
+        # elementary forms, every m ran the fixed rule, whose cost does not
+        # depend on m; m = 7 still does.  Interleaved rounds, the best of each
+        pairs = [np.array([0.7, 1.9]), np.array([0.3, 0.6]), np.array([1.2, 2.8])]
+
+        def cost(n):
+            start = time.perf_counter()
+            for _ in range(10):
+                for theta in pairs:
+                    _cap_j_log(n, theta)
+            return time.perf_counter() - start
+
+        for m in range(1, 7):
+            elementary, fixed_rule = [], []
+            for _ in range(15):
+                elementary.append(cost(m + 2))
+                fixed_rule.append(cost(9))
+            assert min(elementary) <= min(fixed_rule), m
 
 
 class TestContactAngles:

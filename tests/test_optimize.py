@@ -389,6 +389,8 @@ class TestBatchedFindRoot:
             alone = find_root(self._family(c[i], sign[i]), float(lo[i]), float(hi[i]),
                               tol=tol)
             assert type(alone) is float and alone.hex() == float(want).hex()
+            one = find_root(self._family(c[i], sign[i]), lo[i:i + 1], hi[i:i + 1], tol=tol)
+            assert one.shape == (1,) and float(one[0]).hex() == float(want).hex()
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-15, 0.0])
     def test_random_brackets_both_orientations(self, tol):

@@ -46,6 +46,16 @@ class TestMaximalFunction:
         got = maximal_function_at(f, 3, 0.4, 0.0)
         assert got == pytest.approx(math.exp(-log_ball_measure(f, 3, 0.4)), rel=1e-10)
 
+    @pytest.mark.parametrize("f, want", [(UnitBallIndicator(), 3.3959), (Gaussian(), 3.4708)])
+    def test_exact_just_below_r(self, f, want):
+        # every t <= r - rho gives ratio 1 and no t more, so Mg = 1/mu(B_r);
+        # here r - rho = 2e-7 lies below the t grid's 1e-6 start, and a scan
+        # returned 2.7044 (unit ball) and 2.7793 (Gaussian)
+        ev = _MaximalEvaluator(f, 3, 0.2, max_rho=1.0)
+        got = ev.log_maximal_at(0.1999998)
+        assert got == -ev.log_mu_br
+        assert got == pytest.approx(want, abs=1e-4)
+
     def test_one_dimensional_against_interval_oracle(self):
         f = UnitBallIndicator()  # Lebesgue on [-1, 1]
         got = maximal_function_at(f, 1, 0.2, 0.5)
@@ -197,14 +207,14 @@ def _reference_scan_pair(ev, rho, ts):
     outer = np.minimum(ts + rho, ev.support)
     j_table = _j_table(ev.n)
 
-    def log_f(s):
-        t = ts[:, None, None]
+    def log_f(s, t):
         cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
         return ev._phi(s) + np.interp(np.arccos(np.clip(cos, -1.0, 1.0)), _J_THETAS, j_table)
 
     def partial(cap):
         hi = np.minimum(outer, cap)
-        return (fixed_log_integral(log_f, np.minimum(inner, hi), hi, _SCAN_PANELS, _SCAN_ORDER)
+        return (fixed_log_integral(log_f, np.minimum(inner, hi), hi, _SCAN_PANELS, _SCAN_ORDER,
+                                   (ts[:, None, None],))
                 + ev._log_omega_sub)
 
     full = np.clip(ts - rho, 0.0, None)
@@ -272,9 +282,9 @@ class TestScan:
         want = _reference_scan_pair(ev, 1.5, ts)
         rows = []
 
-        def counted(log_f, lo, hi, panels, order):
+        def counted(log_f, lo, hi, panels, order, args=()):
             rows.append(len(lo))
-            return fixed_log_integral(log_f, lo, hi, panels, order)
+            return fixed_log_integral(log_f, lo, hi, panels, order, args)
 
         monkeypatch.setattr(oracle, "fixed_log_integral", counted)
         got = ev._scan_pair(1.5, ts)
@@ -288,9 +298,9 @@ class TestScan:
         ev = _MaximalEvaluator(_SCAN_DENSITIES[kind], n, 0.3, max_rho=_MAX_RHO)
         rows = []
 
-        def counted(log_f, lo, hi, panels, order):
+        def counted(log_f, lo, hi, panels, order, args=()):
             rows.append((np.array(lo), np.array(hi)))
-            return fixed_log_integral(log_f, lo, hi, panels, order)
+            return fixed_log_integral(log_f, lo, hi, panels, order, args)
 
         monkeypatch.setattr(oracle, "fixed_log_integral", counted)
         for rho in (1e-3, 0.2, 0.6, 0.999 * _MAX_RHO):
@@ -331,10 +341,10 @@ class TestScan:
         t = rng.uniform(0.1, 2.0, 1024)
 
         def integral(rows):
-            def log_f(s):
-                return ev._phi(s) - t[rows][:, None, None] * s
+            def log_f(s, t):
+                return ev._phi(s) - t * s
             return _hexes(fixed_log_integral(log_f, lo[rows], hi[rows], _SCAN_PANELS,
-                                             _SCAN_ORDER))
+                                             _SCAN_ORDER, (t[rows][:, None, None],)))
 
         everything = integral(np.arange(1024))
         for size in (1, 2, 7, 100, 513, 1023):
@@ -440,7 +450,7 @@ class TestExactPass:
         calls.clear()
         ball = verify_level_set_inclusion(UnitBallIndicator(), 2, 0.8, 0.2, n_points=6)
         assert (ball.exact_fixed, ball.exact_geometry) == (0, len(calls))
-        assert len(calls) >= 5  # one witness per nonzero radius at least
+        assert len(calls) >= 5  # one witness per radius at or above r at least
 
 
 class TestProfile:

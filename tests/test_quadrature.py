@@ -93,9 +93,9 @@ def test_fixed_rule_exact_on_polynomials(order, panels):
     # rule integrates exactly, 0 <= k <= 2 order - 1
     degrees = np.arange(2 * order)
     a, b = 0.5, 2.0
-    got = fixed_log_integral(lambda x: degrees[:, None, None] * np.log(x),
+    got = fixed_log_integral(lambda x, k: k * np.log(x),
                              np.full(degrees.shape, a), np.full(degrees.shape, b),
-                             panels, order)
+                             panels, order, (degrees[:, None, None],))
     want = np.log((b ** (degrees + 1) - a ** (degrees + 1)) / (degrees + 1))
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
@@ -154,6 +154,58 @@ def test_fixed_rule_matches_adaptive_on_gaussian_radial(n):
     got = float(fixed_log_integral(phi, np.asarray(a), np.asarray(b), 64, 16))
     want = log_integral(phi, a, b, probe_points=[peak]).log_value
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# the callers' (panels, order), each with a batch that straddles a block
+# edge: the oracle's scan, the cap rule (on a lens-scan batch and on the
+# old 4097-angle table), the ball-measure grid and the oracle's exact pass
+_CALLER_SHAPES = [(24, 8, 900), (10, 16, 640), (10, 16, 4097), (1, 12, 20000), (8, 24, 70)]
+
+
+def _blocked_case(panels, order, rows):
+    rng = np.random.default_rng(rows)
+    lo = rng.uniform(0.0, 2.0, rows)
+    hi = lo + rng.uniform(-0.1, 1.5, rows)  # some empty rows too
+    scale = rng.uniform(0.1, 3.0, rows)[:, None, None]
+    flip = (np.arange(rows) % 3 == 0)  # a boolean row mask, as the exact pass has
+
+    def log_f(x, scale, flip):
+        out = np.log(x + 0.5) - scale * x * x
+        out[flip] += np.sin(5.0 * x[flip])
+        return out
+
+    return log_f, lo, hi, (scale, flip)
+
+
+@pytest.mark.parametrize("panels, order, rows", _CALLER_SHAPES)
+def test_fixed_rule_blocks_match_one_row_at_a_time(panels, order, rows):
+    log_f, lo, hi, args = _blocked_case(panels, order, rows)
+    got = fixed_log_integral(log_f, lo, hi, panels, order, args)
+    assert rows > quadrature.BLOCK_NODES // (panels * order)  # more than one block
+    one = [float(fixed_log_integral(log_f, lo[i:i + 1], hi[i:i + 1], panels, order,
+                                    tuple(a[i:i + 1] for a in args))[0]).hex()
+           for i in range(rows)]
+    assert [x.hex() for x in got.tolist()] == one
+
+
+@pytest.mark.parametrize("panels, order, rows", _CALLER_SHAPES)
+@pytest.mark.parametrize("block_nodes", [1, 3 * 96, 10 ** 9])
+def test_fixed_rule_blocks_change_no_float(monkeypatch, panels, order, rows, block_nodes):
+    # one row per block, a few rows per block, and one block for the batch
+    log_f, lo, hi, args = _blocked_case(panels, order, rows)
+    want = [x.hex() for x in fixed_log_integral(log_f, lo, hi, panels, order, args).tolist()]
+    seen = []
+
+    def counted(x, *block_args):
+        seen.append(x.shape[0])
+        assert all(len(a) == x.shape[0] for a in block_args)
+        return log_f(x, *block_args)
+
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
+    got = fixed_log_integral(counted, lo, hi, panels, order, args)
+    assert [x.hex() for x in got.tolist()] == want
+    assert sum(seen) == rows
+    assert max(seen) == max(1, min(rows, block_nodes // (panels * order)))
 
 
 # --- bit pinning ---------------------------------------------------------
