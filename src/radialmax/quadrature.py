@@ -7,9 +7,12 @@ thousands of log-units across its interval.  The recipe is
   1. probe ``phi`` on a grid (plus caller-supplied peak hints),
   2. shift by the probed maximum ``m``,
   3. truncate to the window where ``phi >= m - drop`` (drop = 46 log-units,
-     about 20 decimal digits, located by bisection on ``phi``; each call
-     of ``phi`` takes the midpoints of several steps of both window edges,
-     and each edge ends where a one-point-per-call bisection would),
+     about 20 decimal digits, located by bisection on ``phi`` from the
+     probe-grid neighbours of each edge; each call of ``phi`` takes, for
+     both window edges, the midpoints of the next few steps on every branch
+     and those of the steps the secant between the current ends predicts,
+     so a smooth edge settles in a few calls, and each edge ends where
+     a one-point-per-call bisection would),
   4. run global adaptive Gauss-Legendre on ``exp(phi - m)`` inside the
      window.  The loop bisects one panel per step; one integrand call
      evaluates the halves of every panel it must bisect before it can stop,
@@ -35,7 +38,8 @@ error estimate.  It is the library's one fixed rule: the cap integral J
 above exponent 6, the ball-measure grid (and so the Monte Carlo CDF) and
 the oracle's scan and exact pass all call it, each with its own panel
 count and order.  It runs the rows in blocks of at most BLOCK_NODES
-nodes, so no temporary exceeds 64 KiB.  glibc maps every allocation above
+nodes, and builds each block's panel centres with it, so no temporary
+exceeds 64 KiB.  glibc maps every allocation above
 its mmap threshold afresh, and pays page faults on it; the threshold
 starts at 128 KiB and rises only to the largest mapped block freed so
 far.  A whole oracle scan (512 t x 24 panels x 8 nodes, 786 KB per
@@ -62,7 +66,8 @@ WINDOW_DROP = 46.0
 N_PROBES = 257
 PANEL_EVALS = 37       # a 25- and a 12-point Gauss-Legendre rule per panel
 BISECT_STEPS = 90      # evaluations charged per bisected window edge
-BISECT_LEVELS = 3      # bisection steps per call of the integrand
+BISECT_LEVELS = 3      # bisection steps per call of the integrand, at least
+BISECT_PATH = 24       # predicted midpoints per window edge and call of the integrand
 BLOCK_NODES = 8192     # fixed-rule nodes per block: 64 KiB per float64 temporary
 
 
@@ -207,17 +212,28 @@ def integrate(f, a: float, b: float, *,
         k += 1
 
 
-def _bisect_walk(below, above, tau):
+def _bisect_walk(tau, below, above, phi_below=math.nan, phi_above=math.nan):
     """Locate phi = tau between a sub- and a super-threshold point, as a coroutine.
 
     Works for either orientation; returns the sub-threshold endpoint so the
     window always contains the crossing.  This is a plain bisection of at
-    most BISECT_STEPS steps, but each value of ``phi`` it asks for is the
-    array of the midpoints of the next BISECT_LEVELS steps on every branch:
-    it yields them, is sent ``phi`` there, and follows the branch the
-    comparisons pick.
+    most BISECT_STEPS steps: each step compares ``phi`` at the midpoint
+    ``0.5 * (below + above)`` with ``tau``.  But each value of ``phi`` it
+    asks for is an array of midpoints: it yields them, is sent ``phi``
+    there, and takes steps as long as the next midpoint is among them.
+    The array holds the midpoints of the next BISECT_LEVELS steps on every
+    branch, so a call takes at least that many steps.  Once ``phi`` is
+    known and finite at both ends (``phi_below`` and ``phi_above`` are its
+    values there, NaN when unknown), the array also holds the midpoints of
+    the first BISECT_PATH steps of the same bisection run against the
+    secant root between the ends: the steps the walk will most likely
+    take.  For a smooth ``phi`` the secant error shrinks quadratically, so
+    each call settles about twice as many steps as the one before, up to
+    BISECT_PATH.  At a jump of ``phi`` the prediction fails, and the trees
+    carry the walk.
     """
     below, above, steps = float(below), float(above), 0
+    phi_below, phi_above = float(phi_below), float(phi_above)
     while steps < BISECT_STEPS:
         levels = min(BISECT_LEVELS, BISECT_STEPS - steps)
         # the midpoints of every bracket the next steps can reach, level by
@@ -229,27 +245,52 @@ def _bisect_walk(below, above, tau):
             level = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
             mids += level
             ends = [x for pair in zip(ends, level) for x in pair] + ends[-1:]
-        vals = yield mids
-        at = 0  # mids is in level order: node i has the halves 2i + 1, 2i + 2
-        for _ in range(levels):
-            mid = mids[at]
+        # the predicted path: its midpoints, and whether each turned out
+        # super-threshold; its first steps are in the tree already
+        path, ups = [], []
+        if -math.inf < phi_below < tau <= phi_above < math.inf:
+            guess = below + (tau - phi_below) / (phi_above - phi_below) * (above - below)
+            lo, hi = below, above
+            for _ in range(min(BISECT_PATH, BISECT_STEPS - steps)):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                path.append(mid)
+                ups.append(mid >= guess if hi > lo else mid <= guess)
+                lo, hi = (lo, mid) if ups[-1] else (mid, hi)
+        vals = yield mids + path[levels:]
+        # mids is in level order: node i has the halves 2i + 1, 2i + 2;
+        # on_path: every step so far went as predicted, and the path goes on
+        at, on_path = 0, bool(path)
+        for depth in range(BISECT_STEPS - steps):
+            mid = 0.5 * (below + above)
             if mid == below or mid == above:
                 return below
-            if vals[at] >= tau:
-                above, at = mid, 2 * at + 1
+            if depth < levels:
+                val = vals[at]
+            elif on_path:
+                val = vals[len(mids) + depth - levels]
             else:
-                below, at = mid, 2 * at + 2
-        steps += levels
+                break
+            up = val >= tau
+            if up:
+                above, phi_above, at = mid, val, 2 * at + 1
+            else:
+                below, phi_below, at = mid, val, 2 * at + 2
+            on_path = on_path and depth + 1 < len(path) and up == ups[depth]
+            steps += 1
     return below
 
 
 def _bisect_crossings(log_f, brackets, tau) -> list:
-    """``_bisect_walk`` on every (below, above) bracket, the walks in lockstep.
+    """``_bisect_walk`` on every bracket, the walks in lockstep.
 
-    Each call of ``log_f`` takes the next midpoints of every walk still
-    running, so each walk sees the values it would see alone.
+    A bracket is (below, above), or (below, above, phi(below), phi(above))
+    when the caller holds ``log_f`` at its ends.  Each call of ``log_f``
+    takes the asks of every walk still running, so each walk sees the
+    values it would see alone.
     """
-    walks = [_bisect_walk(below, above, tau) for below, above in brackets]
+    walks = [_bisect_walk(tau, *bracket) for bracket in brackets]
     asks = [next(walk) for walk in walks]
     found = [None] * len(walks)
     running = list(range(len(walks)))
@@ -258,12 +299,13 @@ def _bisect_crossings(log_f, brackets, tau) -> list:
                           dtype=float).tolist()
         still, at = [], 0
         for i in running:
+            size = len(asks[i])
             try:
-                asks[i] = walks[i].send(vals[at:at + len(asks[i])])
+                asks[i] = walks[i].send(vals[at:at + size])
                 still.append(i)
             except StopIteration as stop:
                 found[i] = stop.value
-            at += len(asks[i])
+            at += size
         running = still
     return found
 
@@ -274,7 +316,8 @@ def fixed_log_integral(log_f, lo, hi, panels: int, order: int, args=()):
     A composite fixed rule: ``panels`` equal panels of ``order``-point
     Gauss-Legendre, exact for polynomials of degree 2 order - 1 on each
     panel.  The rows run in blocks along the first axis of lo and hi, of
-    at most BLOCK_NODES nodes where a row allows it: ``log_f`` receives a
+    at most BLOCK_NODES nodes where a row allows it, and each block builds
+    its own panel centres and nodes: ``log_f`` receives a
     block's nodes, shaped block + lo.shape[1:] + (panels, order), followed
     by the block's slice of every array in ``args``, which hold one entry
     per row along that axis.  A ``log_f`` that needs per-row data takes it
@@ -290,13 +333,14 @@ def fixed_log_integral(log_f, lo, hi, panels: int, order: int, args=()):
     lo, hi = np.atleast_1d(lo, hi)  # a 0-d batch is one row
     x, w = gauss_legendre_nodes(order)
     half = 0.5 * (hi - lo) / panels
-    centers = lo[..., None] + half[..., None] * np.arange(1.0, 2.0 * panels, 2.0)
+    odd = np.arange(1.0, 2.0 * panels, 2.0)
     shift, total = np.empty(lo.shape), np.empty(lo.shape)
     step = max(1, BLOCK_NODES // (panels * order * math.prod(lo.shape[1:])))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, len(lo), step):
             block = slice(start, start + step)
-            vals = np.asarray(log_f(centers[block, ..., None] + half[block, ..., None, None] * x,
+            centers = lo[block, ..., None] + half[block, ..., None] * odd
+            vals = np.asarray(log_f(centers[..., None] + half[block, ..., None, None] * x,
                                     *(arg[block] for arg in args)), dtype=float)
             top = np.max(vals, axis=(-2, -1), initial=-np.inf, where=np.isfinite(vals))
             top = np.where(np.isfinite(top), top, 0.0)
@@ -335,8 +379,9 @@ def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralRe
     i_hi = int(len(above) - 1 - np.argmax(above[::-1]))
     # both window edges, each bisected between its grid neighbours when
     # the probe grid did not end there
-    brackets = [(grid[i_lo - 1], grid[i_lo])] if i_lo > 0 else []
-    brackets += [(grid[i_hi + 1], grid[i_hi])] if i_hi < len(grid) - 1 else []
+    brackets = [(grid[i_lo - 1], grid[i_lo], vals[i_lo - 1], vals[i_lo])] if i_lo > 0 else []
+    brackets += ([(grid[i_hi + 1], grid[i_hi], vals[i_hi + 1], vals[i_hi])]
+                 if i_hi < len(grid) - 1 else [])
     found = _bisect_crossings(log_f, brackets, tau)
     lo = found.pop(0) if i_lo > 0 else grid[i_lo]
     hi = found.pop(0) if i_hi < len(grid) - 1 else grid[i_hi]

@@ -17,6 +17,8 @@ factorials, and the standard library, at a 1e-12 relative target.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _LANCZOS_G = 7.0
@@ -40,11 +42,11 @@ def lgamma(z):
     Arguments below 1/2 are lifted with Gamma(z) = Gamma(z+1)/z so the
     Lanczos series is only ever evaluated where it is most accurate.
     """
+    if np.ndim(z) == 0:
+        return _scalar_lgamma(float(z))
     arr = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("lgamma requires finite z > 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
 
     small = arr < 0.5
     zz = np.where(small, arr + 1.0, arr)
@@ -55,5 +57,22 @@ def lgamma(z):
         acc += c / (w + i)
     t = w + _LANCZOS_G + 0.5
     out = _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
-    out = np.where(small, out - np.log(arr), out)
-    return float(out[0]) if scalar else out
+    return np.where(small, out - np.log(arr), out)
+
+
+def _scalar_lgamma(z: float) -> float:
+    """``lgamma`` of one float: the array path's operations, in its order.
+
+    Python floats round each operation as numpy does; only the logs come
+    from numpy, in one call, since its log kernels need not be the libm's.
+    """
+    if not (math.isfinite(z) and z > 0.0):
+        raise ValueError("lgamma requires finite z > 0")
+    w = (z + 1.0 if z < 0.5 else z) - 1.0
+    acc = _LANCZOS_COEFFS[0]
+    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
+        acc += c / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    log_t, log_acc, log_z = np.log([t, acc, z]).tolist()
+    out = _HALF_LOG_TWO_PI + (w + 0.5) * log_t - t + log_acc
+    return out - log_z if z < 0.5 else out

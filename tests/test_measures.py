@@ -37,6 +37,17 @@ class TestSphereArea:
             log_sphere_area(0)
 
 
+    def test_scalar_path_gives_the_array_floats(self):
+        # a scalar runs on Python floats; it must give the array path's float
+        n = np.arange(1, 30001)
+        want = [x.hex() for x in log_sphere_area(n).tolist()]
+        assert [log_sphere_area(k).hex() for k in n.tolist()] == want
+        assert log_sphere_area(np.int64(37)).hex() == want[36]
+        assert log_sphere_area(37.0).hex() == want[36]
+        with pytest.raises(ValueError):
+            log_sphere_area(0.5)
+
+
 class TestSphereRatio:
     def test_frozen_n3(self):
         lo, hi = sphere_ratio_bounds(3)

@@ -228,9 +228,17 @@ def _scalar_bisect(log_f, below, above, tau):
     return below
 
 
-def _bisect_crossing(log_f, below, above, tau):
-    """One window edge, bisected alone."""
-    return _bisect_crossings(log_f, [(below, above)], tau)[0]
+def _with_ends(log_f, below, above):
+    """The bracket (below, above, log_f(below), log_f(above)), as log_integral passes it."""
+    with np.errstate(divide="ignore"):
+        ends = np.asarray(log_f(np.array([below, above], dtype=float)), dtype=float)
+    return (below, above, *ends.tolist())
+
+
+def _bisect_crossing(log_f, below, above, tau, *, ends=True):
+    """One window edge, bisected alone; ``ends`` passes log_f at both ends."""
+    bracket = _with_ends(log_f, below, above) if ends else (below, above)
+    return _bisect_crossings(log_f, [bracket], tau)[0]
 
 
 def _assert_same_float(got, want):
@@ -273,6 +281,72 @@ def test_bisect_crossing_exhausted_bracket():
     _assert_same_float(_bisect_crossing(log_f, 1.0, math.nextafter(1.0, 2.0), 0.0), 1.0)
 
 
+def test_bisect_crossing_without_end_values_matches_scalar_loop():
+    # with the end values withheld the walk predicts nothing until both
+    # ends have moved: the level trees alone carry it at first
+    rng = np.random.default_rng(7)
+    smooth = lambda x: -3.0 * np.asarray(x) ** 2
+    wavy = lambda x: np.sin(37.0 * np.asarray(x)) + 0.1 * np.asarray(x)
+    for _ in range(25):
+        a, b = np.sort(rng.uniform(0.0, 5.0, 2))
+        tau = -3.0 * rng.uniform(a, b) ** 2
+        for below, above in ((b, a), (-b, -a)):
+            _assert_same_float(_bisect_crossing(smooth, below, above, tau, ends=False),
+                               _scalar_bisect(smooth, below, above, tau))
+        below, above = rng.uniform(-2.0, 2.0, 2)
+        tau = rng.uniform(-1.0, 1.0)
+        _assert_same_float(_bisect_crossing(wavy, below, above, tau, ends=False),
+                           _scalar_bisect(wavy, below, above, tau))
+    for ulps in range(0, 12):
+        above = 1.0 + ulps * np.finfo(float).eps
+        _assert_same_float(_bisect_crossing(lambda x: np.asarray(x) - 1.0, 1.0, above, 0.0,
+                                            ends=False), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_bisect_crossing_at_a_step_density_knot(n):
+    # phi jumps across tau at a knot: the secant point lies anywhere in the
+    # bracket, the prediction fails, and the level trees carry the walk
+    rng = np.random.default_rng(11 + n)
+    phi = radial_log_integrand(_STEP, n)
+    mirrored = lambda x: phi(-np.asarray(x))
+    knots = np.array(_STEP.probe_points())
+    crossings = 0
+    for k in range(1, len(knots) - 1):
+        for _ in range(6):
+            below = rng.uniform(knots[k], knots[k + 1])
+            above = rng.uniform(knots[k - 1], knots[k])
+            sub, sup = phi(np.array([below, above])).tolist()
+            if not sub < sup:
+                continue
+            # phi rises inside each step, so tau in [sub, sup) crosses at the knot alone
+            tau = rng.uniform(sub, sup)
+            crossings += 1
+            got = _bisect_crossing(phi, below, above, tau)
+            _assert_same_float(got, _scalar_bisect(phi, below, above, tau))
+            _assert_same_float(_bisect_crossing(mirrored, -below, -above, tau),
+                               _scalar_bisect(mirrored, -below, -above, tau))
+            assert knots[k] <= got <= knots[k] + 2.0 * np.spacing(knots[k])
+    assert crossings >= 12
+
+
+def test_bisect_crossing_with_a_minus_inf_end():
+    # the radial integrand is -inf at s = 0, so a bracket from 0 predicts
+    # nothing until its sub-threshold end has moved off 0
+    phi = radial_log_integrand(Gaussian(), 50)
+    mirrored = lambda x: phi(-np.asarray(x))
+    peak = Gaussian().peak_radius(50)
+    tau = float(phi(np.array([peak]))[0]) - quadrature.WINDOW_DROP
+    for above in (0.9, 1.3, 1.7, peak):
+        counted = _Counted(phi)
+        got = _bisect_crossing(counted, 0.0, above, tau)
+        _assert_same_float(got, _scalar_bisect(phi, 0.0, above, tau))
+        assert counted.sizes[1] == 2 ** quadrature.BISECT_LEVELS - 1  # the tree alone
+        assert len(counted.sizes) <= 8
+        _assert_same_float(_bisect_crossing(mirrored, 0.0, -above, tau),
+                           _scalar_bisect(mirrored, 0.0, -above, tau))
+
+
 def test_bisect_crossing_runs_all_steps_in_batches():
     # log x = -69 lies far below 2^-90 of [0, 1], so no step exhausts the bracket
     calls = []
@@ -281,7 +355,8 @@ def test_bisect_crossing_runs_all_steps_in_batches():
         calls.append(len(x))
         return np.log(x)
 
-    got = _bisect_crossing(log_f, 0.0, 1.0, -69.0)
+    # log 0 = -inf predicts nothing, so the level trees carry every step
+    got = _bisect_crossings(log_f, [(0.0, 1.0, -math.inf, 0.0)], -69.0)[0]
     _assert_same_float(got, _scalar_bisect(np.log, 0.0, 1.0, -69.0))
     _assert_same_float(got, 0.0)
     assert len(calls) == math.ceil(quadrature.BISECT_STEPS / quadrature.BISECT_LEVELS)
@@ -495,36 +570,112 @@ def test_capped_step_density_stops_where_the_panel_loop_stops(max_evals):
     assert max_evals <= got.evaluations < max_evals + 2 * quadrature.PANEL_EVALS
 
 
-def test_two_window_edges_bisect_in_lockstep():
+def _window_searches(monkeypatch):
+    """Record the sizes of the integrand calls of every window search."""
+    searches, inner = [], quadrature._bisect_crossings
+
+    def counted(log_f, brackets, tau):
+        f = _Counted(log_f)
+        searches.append(f.sizes)
+        return inner(f, brackets, tau)
+
+    monkeypatch.setattr(quadrature, "_bisect_crossings", counted)
+    return searches
+
+
+def test_two_window_edges_bisect_in_lockstep(monkeypatch):
     # the Gaussian radial integrand at n = 50 falls 46 log-units below its
     # peak inside [0, 30] on both sides, so both window edges are bisected
     phi = radial_log_integrand(Gaussian(), 50)
     kwargs = {"probe_points": [Gaussian().peak_radius(50)]}
-    counted = _Counted(phi)
-    got = log_integral(counted, 0.0, 30.0, **kwargs)
+    searches = _window_searches(monkeypatch)
+    got = log_integral(phi, 0.0, 30.0, **kwargs)
     assert 0.0 < got.window[0] < got.window[1] < 30.0
     _assert_pinned(got, _panel_log_integral(phi, 0.0, 30.0, **kwargs), got.evaluations, True)
-    # after the probe grid, one call per level group takes the midpoints
-    # of both walks, 2 x 7 of them, until the first walk runs out of bits
+    # one search takes both edges; the probe values predict the path from
+    # the first call on, and each call takes the tree of both walks and
+    # their predicted midpoints, BISECT_PATH steps per edge at most
+    [sizes] = searches
     walk = 2 ** quadrature.BISECT_LEVELS - 1
-    assert counted.sizes[1] == 2 * walk
+    assert sizes[0] == 2 * (walk + quadrature.BISECT_PATH - quadrature.BISECT_LEVELS)
+    # about 52 steps per edge, against 18 calls of 2 x 7 midpoints with the
+    # level trees alone
+    assert len(sizes) <= 5
+    assert sum(sizes) <= 2 * walk * math.ceil(quadrature.BISECT_STEPS / quadrature.BISECT_LEVELS)
 
 
 def test_lockstep_calls_are_those_of_the_longer_walk():
     log_f = lambda x: -3.0 * np.asarray(x) ** 2
     eps = np.finfo(float).eps
-    brackets = [(2.0, 0.5), (-2.0, -0.25), (1.0 + 8.0 * eps, 1.0), (0.0, 1.0)]
+    brackets = [_with_ends(log_f, below, above) for below, above in
+                [(2.0, 0.5), (-2.0, -0.25), (1.0 + 8.0 * eps, 1.0), (0.0, 1.0)]]
     tau = -3.0
     alone = []
-    for below, above in brackets:
+    for bracket in brackets:
         counted = _Counted(log_f)
-        alone.append((_bisect_crossings(counted, [(below, above)], tau)[0], counted.sizes))
+        alone.append((_bisect_crossings(counted, [bracket], tau)[0], counted.sizes))
     counted = _Counted(log_f)
     together = _bisect_crossings(counted, brackets, tau)
     assert [float(x).hex() for x in together] == [float(x).hex() for x, _ in alone]
-    assert sorted({len(sizes) for _, sizes in alone}) == [2, 18, 30]
-    assert len(counted.sizes) == 30
+    assert [float(x).hex() for x in together] == [
+        float(_scalar_bisect(log_f, *bracket[:2], tau)).hex() for bracket in brackets]
+    assert len(counted.sizes) == max(len(sizes) for _, sizes in alone)
     assert sum(counted.sizes) == sum(sum(sizes) for _, sizes in alone)
+    calls = [len(sizes) for _, sizes in alone]
+    # the smooth crossings settle in a few calls, the exhausted bracket in
+    # one; (0, 1) lies above tau at both ends, so it has no secant point and
+    # runs all BISECT_STEPS steps on the level trees alone
+    assert max(calls[:2]) <= 6
+    assert calls[2:] == [1, math.ceil(quadrature.BISECT_STEPS / quadrature.BISECT_LEVELS)]
+
+
+def test_walks_with_asks_of_different_lengths_share_one_call():
+    # without end values a walk asks for its level tree first and for its
+    # predicted path too from then on; with them it asks for both at once,
+    # so each call must hand every walk its own slice of the values
+    log_f = lambda x: -3.0 * np.asarray(x) ** 2
+    brackets = [(2.0, 0.5), _with_ends(log_f, -2.0, -0.25), (1.7, 0.3),
+                _with_ends(log_f, 1.9, 0.1)]
+    tau = -3.0
+    counted = _Counted(log_f)
+    together = _bisect_crossings(counted, brackets, tau)
+    walk = 2 ** quadrature.BISECT_LEVELS - 1
+    path = quadrature.BISECT_PATH - quadrature.BISECT_LEVELS
+    assert counted.sizes[0] == 4 * walk + 2 * path
+    assert [float(x).hex() for x in together] == [
+        float(_bisect_crossings(log_f, [bracket], tau)[0]).hex() for bracket in brackets]
+    assert [float(x).hex() for x in together] == [
+        float(_scalar_bisect(log_f, *bracket[:2], tau)).hex() for bracket in brackets]
+
+
+@pytest.mark.parametrize("case", ["gaussian", "step", "off-center"] + [
+    f"random-step-{seed}" for seed in range(4)])
+def test_log_integral_same_floats_with_end_values_withheld(case, monkeypatch):
+    if case == "gaussian":
+        args = (radial_log_integrand(Gaussian(), 50), 0.0, 30.0)
+        kwargs = {"probe_points": [Gaussian().peak_radius(50)]}
+    elif case == "off-center":
+        d, t, n = 0.3, 0.5, 3
+        phi_radial = radial_log_integrand(Gaussian(), n)
+
+        def phi(s):
+            s = np.asarray(s, dtype=float)
+            theta = np.arccos(np.clip((d * d + s * s - t * t)
+                                      / np.maximum(2.0 * d * s, 1e-300), -1.0, 1.0))
+            return phi_radial(s) + _cap_j_log(n, theta)
+
+        args, kwargs = (phi, t - d, t + d), {"probe_points": [Gaussian().peak_radius(n)]}
+    else:
+        density, n = (_STEP, 3) if case == "step" else _random_step(int(case[-1]))
+        args = (radial_log_integrand(density, n), 0.0, float(density.probe_points()[-1]))
+        kwargs = {"probe_points": density.probe_points()}
+    searches = _window_searches(monkeypatch)
+    got = log_integral(*args, **kwargs)
+    inner = quadrature._bisect_crossings
+    monkeypatch.setattr(quadrature, "_bisect_crossings", lambda log_f, brackets, tau: inner(
+        log_f, [bracket[:2] for bracket in brackets], tau))
+    assert _hex_result(got) == _hex_result(log_integral(*args, **kwargs))
+    assert len(searches) == 2
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -535,8 +686,10 @@ def test_lockstep_walks_match_one_at_a_time(seed):
     log_f = lambda x: np.sin(37.0 * np.asarray(x)) + 0.1 * np.asarray(x)
     brackets = [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(5)]
     brackets += [(1.0, 1.0 + ulps * np.finfo(float).eps) for ulps in (1, 3, 7)]
+    # with and without end values, so the asks differ in length
+    brackets = [_with_ends(log_f, *b) if i % 2 else b for i, b in enumerate(brackets)]
     rng.shuffle(brackets)
     tau = rng.uniform(-1.0, 1.0)
     got = _bisect_crossings(log_f, brackets, tau)
     assert [float(x).hex() for x in got] == [
-        float(_scalar_bisect(log_f, below, above, tau)).hex() for below, above in brackets]
+        float(_scalar_bisect(log_f, *bracket[:2], tau)).hex() for bracket in brackets]

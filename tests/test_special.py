@@ -41,3 +41,18 @@ def test_domain_errors():
         lgamma(-1.5)
     with pytest.raises(ValueError):
         lgamma(float("nan"))
+
+
+def test_scalar_path_gives_the_array_floats():
+    # a scalar runs on Python floats, with numpy only for the logs; it must
+    # give the array path's float everywhere, on both sides of the 1/2 lift
+    rng = np.random.default_rng(5)
+    zs = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(1e7), 40000)),
+                         0.5 * np.arange(1, 2001) + 1.0,
+                         [np.nextafter(0.5, 0.0), 0.5, 1e-300, 1.0, 2.0]])
+    want = [x.hex() for x in lgamma(zs).tolist()]
+    assert [lgamma(z).hex() for z in zs.tolist()] == want
+    # numpy scalars and 0-d arrays take the scalar path too
+    assert lgamma(np.float64(zs[0])).hex() == want[0]
+    assert lgamma(np.array(zs[1])).hex() == want[1]
+    assert lgamma(3).hex() == lgamma(np.array([3.0]))[0].hex()
