@@ -15,9 +15,9 @@ from .bounds import (BoundReport, gaussian_ball_sandwich, gaussian_construction,
                      gaussian_upper_bound, general_construction, log_t_exact,
                      radius_growth_report, solve_radius_equation,
                      unitball_case_analysis, unitball_construction)
-from .densities import (Gaussian, Lebesgue, RadialDensity, TabulatedDecreasing,
-                        UnitBallIndicator, density_from_name)
-from .errors import BracketError, NoBalancedRadiusError, NonFiniteMeasureError
+from .densities import (Gaussian, RadialDensity, TabulatedDecreasing, UnitBallIndicator,
+                        density_from_name)
+from .errors import BracketError, NoBalancedRadiusError
 from .geometry import (cap_log_area, contact_angle, contact_angle_unit_ball,
                        intersect_with_centered_ball, off_center_ball_measure)
 from .logspace import LOG_ZERO, log_add, log_sub, log_sum
@@ -36,9 +36,7 @@ __all__ = [
     "BracketError",
     "Gaussian",
     "LOG_ZERO",
-    "Lebesgue",
     "NoBalancedRadiusError",
-    "NonFiniteMeasureError",
     "RadialDensity",
     "RadialProfile",
     "SupremumResult",

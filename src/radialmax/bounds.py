@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import Gaussian, RadialDensity, UnitBallIndicator
-from .errors import NoBalancedRadiusError, NonFiniteMeasureError
+from .errors import NoBalancedRadiusError
 from .geometry import contact_angle, contact_angle_unit_ball, off_center_ball_measure
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area)
 
@@ -234,8 +234,6 @@ def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float) -> float
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
     _check_p(p)
-    if not f.is_finite(n):
-        raise NonFiniteMeasureError(f"{f.kind} measure is not finite in dimension {n}")
     return _log_t(p, *_exact_measures(f, n, R, r, True))
 
 
@@ -248,10 +246,6 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> f
     the ratio is within 1e-6 of 1, scanning down in steps of R_max/10^4,
     and bisecting the first sign change to 1e-10 relative in R.
     """
-    if not f.is_finite(n):
-        raise NoBalancedRadiusError(
-            f"{f.kind} measure is not finite in dimension {n}; "
-            "the balanced-radius equation needs a finite measure")
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
     s = math.sin(beta0)
@@ -340,9 +334,6 @@ def general_construction(f: RadialDensity, n: int, p, lam: float, *,
     one report (or error) is returned per p, as ``_per_p`` describes.
     """
     def stage():
-        if not f.is_finite(n):
-            raise NonFiniteMeasureError(
-                f"{f.kind} measure is not finite in dimension {n}")
         beta0, s, log_s, l, k = _general_parameters(lam)
         R = solve_radius_equation(f, n, beta0, k)
         r = lam * R

@@ -26,8 +26,8 @@ import sys
 import numpy as np
 
 from . import bounds, optimize
-from .densities import density_from_name
-from .errors import BracketError, NoBalancedRadiusError, NonFiniteMeasureError
+from .densities import MEASURE_KINDS, density_from_name
+from .errors import BracketError, NoBalancedRadiusError
 from .geometry import off_center_ball_measure
 from .measures import log_mass, log_sphere_area, sphere_ratio_bounds
 from .oracle import (empirical_constant_lower_bound, maximal_function_at,
@@ -81,6 +81,13 @@ def _parse_floats(spec: str):
     return [float(tok) for tok in spec.split(",") if tok.strip()]
 
 
+def _check_points(option: str, value: int, least: int):
+    """A count option below ``least`` is a usage error."""
+    if value < least:
+        unit = "point" if least == 1 else "points"
+        raise _UsageError(f"argument {option}: needs at least {least} {unit}, got {value}")
+
+
 def _parse_list(option: str, parse, spec: str):
     """``parse(spec)``, with a malformed or empty list made a usage error."""
     try:
@@ -104,10 +111,11 @@ def build_parser() -> _Parser:
                     help="argument tolerance of the refinement (default 1e-12)")
     p0.add_argument("--output", default=None)
 
+    measure = argparse.ArgumentParser(add_help=False)  # bound, sweep and oracle
+    measure.add_argument("--measure", required=True, choices=MEASURE_KINDS)
+    measure.add_argument("--density-file", default=None)
+
     shared = argparse.ArgumentParser(add_help=False)  # bound and sweep
-    shared.add_argument("--measure", required=True,
-                        choices=["gaussian", "unitball", "lebesgue", "tabulated"])
-    shared.add_argument("--density-file", default=None)
     shared.add_argument("--construction", default=None,
                         choices=["general", "gaussian", "unitball"],
                         help="default: gaussian/unitball for those measures, else general")
@@ -119,13 +127,13 @@ def build_parser() -> _Parser:
 
     # no abbreviations: argparse would otherwise expand a unique prefix, and
     # read `sweep --n 10` as `--n-range 10`
-    bd = sub.add_parser("bound", parents=[shared], allow_abbrev=False,
+    bd = sub.add_parser("bound", parents=[measure, shared], allow_abbrev=False,
                         help="run one lower-bound construction")
     bd.add_argument("--n", type=int, required=True)
     bd.add_argument("--p", type=float, required=True)
     bd.add_argument("--lambda", dest="lam", type=float, required=True)
 
-    sw = sub.add_parser("sweep", parents=[shared], allow_abbrev=False,
+    sw = sub.add_parser("sweep", parents=[measure, shared], allow_abbrev=False,
                         help="tabulate constructions across dimensions")
     sw.add_argument("--n-range", required=True,
                     help="'a:b:step' inclusive, or comma-separated values")
@@ -143,10 +151,7 @@ def build_parser() -> _Parser:
                     help="radii per inclusion configuration (default 64)")
     vf.add_argument("--output", default=None)
 
-    orc = sub.add_parser("oracle", help="brute-force maximal function")
-    orc.add_argument("--measure", required=True,
-                     choices=["gaussian", "unitball", "lebesgue", "tabulated"])
-    orc.add_argument("--density-file", default=None)
+    orc = sub.add_parser("oracle", parents=[measure], help="brute-force maximal function")
     orc.add_argument("--n", type=int, required=True)
     orc.add_argument("--r", type=float, required=True)
     orc.add_argument("--rho", type=float, default=None,
@@ -167,8 +172,7 @@ def _parser() -> _Parser:
 
 
 def _cmd_p0(args) -> int:
-    if args.pre_scan < 2:
-        raise _UsageError(f"argument --pre-scan: needs at least 2 points, got {args.pre_scan}")
+    _check_points("--pre-scan", args.pre_scan, 2)
     fn = optimize.EXPONENT_SEARCHES[args.target]
     res = fn(tol=args.tol, pre_scan=args.pre_scan)
     payload = {"target": args.target, **res.as_dict(),
@@ -217,7 +221,7 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-_ROW_ERRORS = (NonFiniteMeasureError, NoBalancedRadiusError, ValueError)
+_ROW_ERRORS = (NoBalancedRadiusError, ValueError)
 
 
 def _cmd_sweep(args) -> int:
@@ -378,6 +382,7 @@ def _verify_montecarlo(suite: _Suite, samples: int, seed: int):
 
 
 def _cmd_verify(args) -> int:
+    _check_points("--inclusion-points", args.inclusion_points, 1)
     suite = _Suite()
     if args.suite in ("spheres", "all"):
         _verify_spheres(suite)
@@ -394,6 +399,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_points("--profile-points", args.profile_points, 2)
+    _check_points("--t-points", args.t_points, 1)
     f = density_from_name(args.measure, args.density_file)
     if args.rho is not None:
         value = maximal_function_at(f, args.n, args.r, args.rho, t_points=args.t_points)
@@ -440,8 +447,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (NonFiniteMeasureError, NoBalancedRadiusError, BracketError,
-            ValueError, OverflowError) as exc:
+    except (NoBalancedRadiusError, BracketError, ValueError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     return 0

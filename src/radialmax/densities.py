@@ -1,10 +1,9 @@
 """Radially decreasing densities: d(mu) = f(|x|) dx with f nonincreasing.
 
 All evaluation happens through ``log_density``, which accepts numpy arrays
-and returns -inf outside the support.  The four kinds:
+and returns -inf outside the support.  The three kinds, each a finite
+measure in every dimension:
 
-  lebesgue   f = 1 everywhere (infinite total mass; rejected whenever a
-             finite measure is required)
   gaussian   f(s) = exp(-pi s^2), the normalization with total mass 1 in
              every dimension
   unitball   f = 1 on [0, 1], 0 beyond: Lebesgue measure restricted to the
@@ -25,7 +24,7 @@ from .logspace import LOG_ZERO
 
 
 class RadialDensity:
-    """Base interface; subclasses fill in the fields and log_density."""
+    """A measure f(|x|) dx, finite in every dimension; subclasses fill in log_density."""
 
     kind: str = "?"
     support_upper_bound: float = math.inf
@@ -36,10 +35,6 @@ class RadialDensity:
     @property
     def log_density_at_zero(self) -> float:
         return float(self.log_density(np.asarray([0.0]))[0])
-
-    def is_finite(self, n: int) -> bool:
-        """Whether the measure f(|x|)dx on R^n is finite (kind-level property)."""
-        raise NotImplementedError
 
     def peak_radius(self, n: int):
         """Interior maximizer of f(s) s^(n-1) when known analytically, else None."""
@@ -53,16 +48,6 @@ class RadialDensity:
         return f"{type(self).__name__}()"
 
 
-class Lebesgue(RadialDensity):
-    kind = "lebesgue"
-
-    def log_density(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
-    def is_finite(self, n: int) -> bool:
-        return False
-
-
 class Gaussian(RadialDensity):
     """f(s) = exp(-pi s^2); log f is exactly -pi s^2."""
 
@@ -71,9 +56,6 @@ class Gaussian(RadialDensity):
     def log_density(self, s):
         s = np.asarray(s, dtype=float)
         return -math.pi * s * s
-
-    def is_finite(self, n: int) -> bool:
-        return True
 
     def peak_radius(self, n: int):
         # maximizer of exp(-pi s^2) s^(n-1)
@@ -87,9 +69,6 @@ class UnitBallIndicator(RadialDensity):
     def log_density(self, s):
         s = np.asarray(s, dtype=float)
         return np.where(s <= 1.0, 0.0, LOG_ZERO)
-
-    def is_finite(self, n: int) -> bool:
-        return True
 
 
 class TabulatedDecreasing(RadialDensity):
@@ -129,9 +108,6 @@ class TabulatedDecreasing(RadialDensity):
                        LOG_ZERO)
         return out
 
-    def is_finite(self, n: int) -> bool:
-        return True
-
     def probe_points(self) -> tuple:
         return tuple(self._radii)
 
@@ -152,11 +128,12 @@ class TabulatedDecreasing(RadialDensity):
         return cls(radii, vals)
 
 
+MEASURE_KINDS = ("gaussian", "unitball", "tabulated")
+
+
 def density_from_name(name: str, density_file=None) -> RadialDensity:
-    """CLI-facing selector: lebesgue, gaussian, unitball or tabulated (+file)."""
+    """CLI-facing selector: one of MEASURE_KINDS (tabulated needs a file)."""
     key = name.lower()
-    if key == "lebesgue":
-        return Lebesgue()
     if key == "gaussian":
         return Gaussian()
     if key == "unitball":

@@ -1,10 +1,6 @@
 """Exception types shared across the library."""
 
 
-class NonFiniteMeasureError(ValueError):
-    """The requested quantity needs a finite total measure and the density has none."""
-
-
 class NoBalancedRadiusError(RuntimeError):
     """The balanced-radius equation has no sign change on the scanned range.
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .densities import RadialDensity, UnitBallIndicator
 from .logspace import LOG_ZERO, log_add, log_sum
-from .measures import (log_ball_measure, log_ball_volume, log_sphere_area,
+from .measures import (_probe_hints, log_ball_measure, log_ball_volume, log_sphere_area,
                        radial_log_integrand)
 from .quadrature import fixed_log_integral, log_integral
 
@@ -275,7 +275,7 @@ def _off_center_1d(f: RadialDensity, d: float, t: float, rho: float) -> float:
         return LOG_ZERO
     pieces = []
     phi = lambda s: np.asarray(f.log_density(s), dtype=float)
-    hints = list(f.probe_points())
+    hints = _probe_hints(f, 1)
     if x1 > max(x0, 0.0):
         a, b = max(x0, 0.0), x1
         res = log_integral(phi, a, b, probe_points=[h for h in hints if a <= h <= b])
@@ -343,10 +343,7 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
             s = np.asarray(s, dtype=float)
             return phi_radial(s) + _cap_j_log(n, cap_angle(d, t, s))
 
-        hints = [h for h in f.probe_points() if lo < h < hi]
-        peak = f.peak_radius(n)
-        if peak is not None and lo < peak < hi:
-            hints.append(peak)
+        hints = [h for h in _probe_hints(f, n) if lo < h < hi]
         if d > t:
             widest = math.sqrt(d * d - t * t)  # theta(s) is maximal here
             if lo < widest < hi:

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .densities import RadialDensity, UnitBallIndicator
-from .errors import NonFiniteMeasureError
 from .logspace import LOG_ZERO
 from .quadrature import fixed_log_integral, log_integral
 from .special import lgamma
@@ -91,13 +90,11 @@ def upper_cutoff(f: RadialDensity, n: int) -> float:
 
     Finite-support densities return their support.  Otherwise the cutoff is
     found by doubling until the log-integrand has fallen 60 log-units below
-    the best value seen (only finite-mass densities may ask), once per
-    density instance and dimension: densities are immutable.
+    the best value seen, once per density instance and dimension: densities
+    are immutable.
     """
     if math.isfinite(f.support_upper_bound):
         return f.support_upper_bound
-    if not f.is_finite(n):
-        raise NonFiniteMeasureError(f"{f.kind} density has infinite mass in dimension {n}")
     return _decay_radius(f, n)
 
 
@@ -114,8 +111,7 @@ def _decay_radius(f: RadialDensity, n: int) -> float:
         if val < best - 60.0:
             return b
         b *= 2.0
-    raise NonFiniteMeasureError(
-        f"could not find a decay radius for {f.kind}; is the measure finite?")
+    raise ValueError(f"could not find a decay radius for {f.kind}; is the measure finite?")
 
 
 def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
@@ -128,19 +124,7 @@ def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
         return LOG_ZERO
     if isinstance(f, UnitBallIndicator):
         return log_ball_volume(n, min(rho, 1.0))
-    if math.isinf(rho):
-        if not f.is_finite(n):
-            raise NonFiniteMeasureError(
-                f"total mass of {f.kind} is infinite in dimension {n}")
-        b = upper_cutoff(f, n)
-    else:
-        b = min(rho, f.support_upper_bound)
-        if math.isinf(f.support_upper_bound) and f.is_finite(n):
-            # clamp to the decay horizon so the probe grid stays dense
-            # around the integrand's peak even for huge rho
-            b = min(b, max(upper_cutoff(f, n), 1.0))
-    if b <= 0.0:
-        return LOG_ZERO
+    b = min(rho, upper_cutoff(f, n))  # keeps the probe grid dense at the peak
     phi = radial_log_integrand(f, n)
     res = log_integral(phi, 0.0, b, probe_points=[h for h in _probe_hints(f, n) if h <= b])
     return float(log_sphere_area(n) + res.log_value)
@@ -166,6 +150,6 @@ def log_ball_measure_grid(f: RadialDensity, n: int, radii):
 
 
 def log_mass(f: RadialDensity, n: int) -> float:
-    """log of the total mass; raises NonFiniteMeasureError when infinite."""
+    """log of the total mass."""
     return log_ball_measure(f, n, math.inf)
 

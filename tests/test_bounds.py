@@ -11,8 +11,8 @@ from radialmax.bounds import (BoundReport, LAMBDA_MAX, _annulus_exponent, _gener
                               growth_base_log, log_t_exact, radius_growth_report,
                               solve_radius_equation, unitball_case_analysis,
                               unitball_construction)
-from radialmax.densities import Gaussian, Lebesgue, TabulatedDecreasing, UnitBallIndicator
-from radialmax.errors import NoBalancedRadiusError, NonFiniteMeasureError
+from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
+from radialmax.errors import NoBalancedRadiusError
 from radialmax.geometry import contact_angle
 from radialmax.measures import log_ball_measure
 
@@ -42,8 +42,6 @@ class TestTExact:
             log_t_exact(Gaussian(), 3, 1.1, 0.5, 0.5)
         with pytest.raises(ValueError):
             log_t_exact(Gaussian(), 3, 0.9, 1.0, 0.5)
-        with pytest.raises(NonFiniteMeasureError):
-            log_t_exact(Lebesgue(), 3, 1.1, 1.0, 0.5)
 
     def test_scale_invariance_in_the_density(self):
         # T is a ratio of measures, so a constant rescaling of f drops out;
@@ -99,10 +97,6 @@ class TestRadiusEquation:
                 hi = mid
         oracle = 0.5 * (lo + hi)
         assert got == pytest.approx(oracle, rel=1e-6)
-
-    def test_lebesgue_rejected(self):
-        with pytest.raises(NoBalancedRadiusError):
-            solve_radius_equation(Lebesgue(), 3, contact_angle(0.2), 0.05)
 
 
 def _loop_solve_radius_equation(f, n, beta0, k):
@@ -532,13 +526,16 @@ class TestPSequence:
         assert "extra" not in b.terms
 
     def test_stage_error_behind_p_check(self):
-        got = general_construction(Lebesgue(), 5, [1.01, 0.5, 1.02], 0.2)
-        assert [type(x) for x in got] == [NonFiniteMeasureError, ValueError,
-                                          NonFiniteMeasureError]
-        assert str(got[1]) == "p must be >= 1"
+        # next to sqrt(2)-1 the p-free stage fails, but only on the rows
+        # whose p passes the check made before it
+        lam = float(np.nextafter(LAMBDA_MAX, 0.0))
+        got = general_construction(Gaussian(), 5, [1.01, 0.5, 1.02], lam)
+        stage_error = f"lam = {lam!r} is too close to sqrt(2)-1: sin b0 rounds to 1"
+        assert [type(x) for x in got] == [ValueError] * 3
+        assert [str(x) for x in got] == [stage_error, "p must be >= 1", stage_error]
         with pytest.raises(ValueError, match="lam must lie"):
-            general_construction(Lebesgue(), 5, 0.5, 0.9)
-        assert [str(x) for x in general_construction(Lebesgue(), 5, [0.5, 1.01], 0.9)] \
+            general_construction(Gaussian(), 5, 0.5, 0.9)
+        assert [str(x) for x in general_construction(Gaussian(), 5, [0.5, 1.01], 0.9)] \
             == ["lam must lie in (0, sqrt(2)-1), got 0.9"] * 2
 
 

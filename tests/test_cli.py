@@ -60,6 +60,46 @@ class TestP0Command:
         assert json.loads(out)["value"] == pytest.approx(1.03946, abs=1e-3)
 
 
+class TestCountOptions:
+    """The oracle's and verify's counts below their minimum are usage errors,
+    as p0's --pre-scan below 2 is."""
+
+    ORACLE = ["oracle", "--measure", "gaussian", "--n", "2", "--r", "0.3"]
+
+    @pytest.mark.parametrize("argv,option,value,needs", [
+        # an IndexError traceback in maximal_profile
+        (ORACLE, "--profile-points", "0", "2 points"),
+        # "constant_lower_bound": 0 from a profile with no cell to integrate
+        (ORACLE + ["--p", "2"], "--profile-points", "1", "2 points"),
+        # a silently skipped t scan, and numpy's negative sample count
+        (ORACLE + ["--rho", "0.5"], "--t-points", "0", "1 point"),
+        (ORACLE + ["--rho", "0.5"], "--t-points", "-3", "1 point"),
+        # min() of an empty sequence, exit 2
+        (["verify", "inclusion"], "--inclusion-points", "0", "1 point"),
+    ], ids=["profile-points=0", "profile-points=1-p", "t-points=0", "t-points=-3",
+            "inclusion-points=0"])
+    def test_count_below_minimum_is_usage_error(self, capsys, argv, option, value, needs):
+        code, out, err = run(capsys, *argv, option, value)
+        assert code == 1
+        assert out == ""
+        assert (f"radialmax {argv[0]}: error: argument {option}: needs at least "
+                f"{needs}, got {value}") in err
+
+
+class TestMeasureOption:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", "10", "--p", "1.01", "--lambda", "0.2"],
+        ["sweep", "--n-range", "5,10", "--p", "1.01"],
+        ["oracle", "--n", "2", "--r", "0.3", "--rho", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_lebesgue_is_usage_error(self, capsys, argv):
+        # only finite measures are offered
+        code, out, err = run(capsys, argv[0], "--measure", "lebesgue", *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert "argument --measure: invalid choice: 'lebesgue'" in err
+
+
 class TestBoundCommand:
     def test_gaussian_construction_chain(self, capsys):
         code, out, _ = run(capsys, "bound", "--measure", "gaussian", "--n", "100",
@@ -88,12 +128,6 @@ class TestBoundCommand:
         payload = json.loads(out)
         assert payload["terms"]["sandwich_lower"] - 1e-9 <= payload["logT_exact"]
         assert payload["logT_exact"] <= payload["terms"]["sandwich_upper"] + 1e-9
-
-    def test_lebesgue_exits_two(self, capsys):
-        code, _, err = run(capsys, "bound", "--measure", "lebesgue", "--n", "10",
-                           "--p", "1.01", "--lambda", "0.2")
-        assert code == 2
-        assert "NonFiniteMeasure" in err
 
     def test_domain_error_exits_two(self, capsys):
         code, _, err = run(capsys, "bound", "--measure", "gaussian", "--n", "10",
@@ -188,16 +222,15 @@ class TestSweepCommand:
         assert all(b < a for a, b in zip(uppers, uppers[1:]))
 
     def test_row_errors_recorded_and_run_continues(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--measure", "lebesgue",
-                           "--n-range", "5,10", "--lambda", "0.2", "--p", "1.01",
-                           "--construction", "general")
+        code, out, _ = run(capsys, "sweep", "--measure", "unitball", "--R", "0.5",
+                           "--n-range", "5,10", "--lambda", "0.2", "--p", "1.01")
         assert code == 0
         rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
         assert len(rows) == 2
-        assert all("NonFiniteMeasure" in row for row in rows)
+        assert all("only certified at R = 1" in row for row in rows)
 
     def test_construction_measure_mismatch_recorded_per_row(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--measure", "lebesgue",
+        code, out, _ = run(capsys, "sweep", "--measure", "unitball",
                            "--construction", "gaussian", "--n-range", "10",
                            "--lambda", "0.2", "--p", "1.01")
         assert code == 0
@@ -292,14 +325,13 @@ class TestSweepBatchedRowErrors:
         assert rows[2].startswith("10,0.20000000000000001,1.01,1.02")
         assert rows[2].endswith(",,")
 
-    def test_lebesgue_error_on_every_p_row(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--measure", "lebesgue",
-                           "--construction", "general", "--n-range", "5,10",
-                           "--lambda", "0.2", "--p", "1.01,0.7,1.02")
+    def test_stage_error_on_every_valid_p_row(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "unitball", "--R", "0.5",
+                           "--n-range", "5,10", "--lambda", "0.2", "--p", "1.01,0.7,1.02")
         assert code == 0
+        error = "ValueError: the unit-ball lower bound is only certified at R = 1"
         rows = []
         for n in (5, 10):
-            error = f"NonFiniteMeasureError: lebesgue measure is not finite in dimension {n}"
             rows += [f"{n},0.20000000000000001,1.01,,,,,,{error}",
                      f"{n},0.20000000000000001,0.69999999999999996,,,,,,"
                      "ValueError: p must be >= 1",
@@ -307,7 +339,7 @@ class TestSweepBatchedRowErrors:
         assert csv_rows(out) == rows
 
     def test_measure_mismatch_on_every_row(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--measure", "lebesgue",
+        code, out, _ = run(capsys, "sweep", "--measure", "unitball",
                            "--construction", "gaussian", "--n-range", "10,20",
                            "--lambda", "0.2,0.3", "--p", "1.01,0.5")
         assert code == 0

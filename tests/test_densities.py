@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radialmax.densities import (Gaussian, Lebesgue, TabulatedDecreasing,
+from radialmax.densities import (MEASURE_KINDS, Gaussian, TabulatedDecreasing,
                                  UnitBallIndicator, density_from_name)
 from radialmax.logspace import LOG_ZERO
 
@@ -13,7 +13,6 @@ def test_gaussian_log_density_exact():
     s = np.array([0.0, 0.5, 2.0])
     assert np.allclose(g.log_density(s), -math.pi * s ** 2)
     assert g.log_density_at_zero == 0.0
-    assert g.is_finite(10 ** 6)
     assert g.peak_radius(3) == pytest.approx(math.sqrt(2.0 / (2.0 * math.pi)))
 
 
@@ -23,13 +22,6 @@ def test_unitball_indicator():
     assert out[0] == 0.0 and out[1] == 0.0
     assert out[2] == LOG_ZERO and out[3] == LOG_ZERO
     assert u.support_upper_bound == 1.0
-    assert u.is_finite(2)
-
-
-def test_lebesgue_infinite_mass():
-    l = Lebesgue()
-    assert not l.is_finite(3)
-    assert np.all(l.log_density(np.array([0.0, 10.0])) == 0.0)
 
 
 def test_tabulated_step_semantics():
@@ -81,11 +73,13 @@ def test_tabulated_from_file(tmp_path):
 def test_density_from_name(tmp_path):
     assert density_from_name("gaussian").kind == "gaussian"
     assert density_from_name("UNITBALL").kind == "unitball"
-    assert density_from_name("lebesgue").kind == "lebesgue"
     p = tmp_path / "d.txt"
     p.write_text("1.0 0.0\n", encoding="utf-8")
     assert density_from_name("tabulated", p).kind == "tabulated"
+    # the CLI's --measure choices are exactly the kinds the selector builds
+    assert [density_from_name(k, p).kind for k in MEASURE_KINDS] == list(MEASURE_KINDS)
     with pytest.raises(ValueError):
         density_from_name("tabulated")
-    with pytest.raises(ValueError):
-        density_from_name("cauchy")
+    for name in ("cauchy", "lebesgue"):  # every kind is a finite measure
+        with pytest.raises(ValueError, match="unknown measure"):
+            density_from_name(name)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from radialmax.densities import Gaussian, Lebesgue, TabulatedDecreasing, UnitBallIndicator
+from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
 from radialmax.geometry import (_cap_j_log, _cap_j_log_half, _cap_j_log_half_pi,
                                 arccos_clamped, cap_angle, cap_log_area, contact_angle,
                                 contact_angle_unit_ball, intersect_with_centered_ball,
@@ -335,7 +335,8 @@ class TestOffCenterBall:
         assert got == pytest.approx(LOG_UNIT_LENS, rel=1e-9)
 
     def test_lens_via_intersection(self):
-        got = intersect_with_centered_ball(Lebesgue(), 2, 1.0, 1.0, 1.0)
+        # a flat step density takes the quadrature route, not the unit ball's lens
+        got = intersect_with_centered_ball(TabulatedDecreasing([1.0], [0.0]), 2, 1.0, 1.0, 1.0)
         assert got == pytest.approx(LOG_UNIT_LENS, rel=1e-9)
 
     def test_containment_equals_off_center(self):

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from radialmax.densities import Gaussian, Lebesgue, TabulatedDecreasing, UnitBallIndicator
-from radialmax.errors import NonFiniteMeasureError
+from radialmax.densities import Gaussian, RadialDensity, TabulatedDecreasing, UnitBallIndicator
 from radialmax.logspace import LOG_ZERO
 from radialmax.measures import (_decay_radius, log_ball_measure, log_ball_measure_grid,
                                 log_mass, log_sphere_area, sphere_ratio_bounds,
                                 upper_cutoff)
+
+
+# Lebesgue measure on B_20: a one-knot step density whose knot lies beyond
+# every radius the tests below ask for, measured by the quadrature
+FLAT = TabulatedDecreasing([20.0], [0.0])
 
 
 def erf_taylor(x: float) -> float:
@@ -83,7 +87,7 @@ class TestSphereRatio:
 class TestBallMeasure:
     def test_lebesgue_ball_closed_form(self):
         # |B_2| in R^3 = (4/3) pi 8
-        got = log_ball_measure(Lebesgue(), 3, 2.0)
+        got = log_ball_measure(FLAT, 3, 2.0)
         assert got == pytest.approx(math.log(32.0 * math.pi / 3.0), rel=1e-12)
 
     def test_unitball_truncates_past_support(self):
@@ -103,15 +107,11 @@ class TestBallMeasure:
         for n in (1, 2, 10, 100):
             assert log_mass(Gaussian(), n) == pytest.approx(0.0, abs=1e-10)
 
-    def test_lebesgue_total_mass_rejected(self):
-        with pytest.raises(NonFiniteMeasureError):
-            log_mass(Lebesgue(), 3)
-
     def test_lebesgue_exactness(self):
         for n in range(1, 51):
             for rho in (0.1, 1.0, 10.0):
                 expected = log_sphere_area(n) - math.log(n) + n * math.log(rho)
-                got = log_ball_measure(Lebesgue(), n, rho)
+                got = log_ball_measure(FLAT, n, rho)
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-9), (n, rho)
 
     def test_monotone_in_rho(self):
@@ -190,7 +190,16 @@ class TestUpperCutoff:
             assert upper_cutoff(f, n) == _decay_radius.__wrapped__(f, n)
             assert upper_cutoff(f, n) == _decay_radius.__wrapped__(Gaussian(), n)
 
-    def test_finite_support_and_infinite_mass_skip_the_search(self):
+    def test_finite_support_skips_the_search(self):
         assert upper_cutoff(UnitBallIndicator(), 5) == 1.0
-        with pytest.raises(NonFiniteMeasureError):
-            upper_cutoff(Lebesgue(), 3)
+        assert upper_cutoff(FLAT, 3) == 20.0
+
+    def test_infinite_mass_subclass_is_refused(self):
+        class Flat(RadialDensity):  # f = 1 on all of R^n: no decay radius exists
+            kind = "flat"
+
+            def log_density(self, s):
+                return np.zeros_like(np.asarray(s, dtype=float))
+
+        with pytest.raises(ValueError, match="could not find a decay radius for flat"):
+            log_mass(Flat(), 3)
