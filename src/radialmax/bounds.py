@@ -29,15 +29,18 @@ testable, separately from the exact values.
 
 p enters T and the bounds only through (p-1)/p, so each construction runs
 in two stages: a p-free stage (domain checks, the radius, the exact
-measures) and a per-p stage of closed-form arithmetic.  Given a sequence of
-exponents, a construction runs the first stage once and the second for
-each p (see ``_per_p``).
+measures) and a per-p stage of closed-form arithmetic.  The p-free stage is
+a module-level function cached on its inputs (``maxsize=1``), so calls that
+change only p, as a sweep's innermost loop does, solve and integrate once.
+Its result is immutable, and each report builds its own ``terms``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -195,40 +198,6 @@ def _check_p(p: float):
         raise ValueError("p must be >= 1")
 
 
-def _per_p(p, check, stage, report):
-    """Run a construction's p-free ``stage()`` once and ``report(state, p)`` per p.
-
-    For a float ``p`` the report is returned, or its error raised.  For a
-    sequence the result is a list with one entry per p: the report, or the
-    exception that a call with that p alone would raise.  ``check(p)`` holds
-    the checks the construction makes before its p-free work, so an error of
-    the stage surfaces only behind them, on every p that passes them; the
-    stage runs only if some p does.
-    """
-    scalar = np.ndim(p) == 0
-    out = []
-    staged = None  # (state, error) once the stage has run
-    for q in [p] if scalar else p:
-        try:
-            check(q)
-            if staged is None:
-                try:
-                    staged = stage(), None
-                except Exception as exc:  # re-raised for every p that reaches it
-                    staged = None, exc
-            state, error = staged
-            if error is not None:
-                raise error
-            out.append(report(state, q))
-        except Exception as exc:
-            out.append(exc)
-    if not scalar:
-        return out
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
-
-
 def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float) -> float:
     """log T(R, r) by exact quadrature of the three measures involved."""
     if not 0.0 < r < R:
@@ -318,8 +287,36 @@ def _general_parameters(lam: float):
     return beta0, s, math.log(s), l, 1.0 / (1.0 + l)
 
 
-def general_construction(f: RadialDensity, n: int, p, lam: float, *,
-                         with_exact: bool | None = None) -> BoundReport | list:
+@functools.lru_cache(maxsize=1)
+def _general_stage(f: RadialDensity, n: int, lam: float, with_exact: bool | None):
+    """The p-free part of ``general_construction``: the radius and the measures."""
+    beta0, s, log_s, l, k = _general_parameters(lam)
+    R = solve_radius_equation(f, n, beta0, k)
+    r = lam * R
+    Q = 1.0 / (math.sqrt(math.pi) * s * math.cos(beta0))
+    terms = {
+        "ratio_lower_log": -math.log1p(Q) - n * k * log_s,
+        "annulus_power_margin": -l * log_s - math.log(2.0 + lam),
+        "outer_term_log": math.log(Q) + n * (1.0 - l * k) * log_s,
+        "inner_term_log": n * k * log_s,
+    }
+    measures = _exact_measures(f, n, R, r, with_exact)
+    if measures is not None:
+        lb_R, lb_r, lb_off = measures
+        lb_cap = log_ball_measure(f, n, R * s)
+        terms.update({
+            "log_mu_ball_R": lb_R,
+            "log_mu_ball_r": lb_r,
+            "log_mu_ball_R_sin": lb_cap,
+            "log_mu_offcenter": lb_off,
+            "radius_equation_residual": lb_cap - lb_R - n * k * log_s,
+        })
+    return (beta0, growth_parts("general", lam), l, k, R, r, Q, MappingProxyType(terms),
+            measures)
+
+
+def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
+                         with_exact: bool | None = None) -> BoundReport:
     """Lower-bound construction valid for every finite radially decreasing density.
 
     Splits B~ at the sphere of radius R, covers the inner piece by the cap
@@ -329,44 +326,14 @@ def general_construction(f: RadialDensity, n: int, p, lam: float, *,
     equation and
 
         log T >= -log(Q + 1) + n log alpha,  alpha = lam^((p-1)/p) / sin(b0)^k.
-
-    ``p`` may be a sequence: R and the measures are then computed once and
-    one report (or error) is returned per p, as ``_per_p`` describes.
     """
-    def stage():
-        beta0, s, log_s, l, k = _general_parameters(lam)
-        R = solve_radius_equation(f, n, beta0, k)
-        r = lam * R
-        Q = 1.0 / (math.sqrt(math.pi) * s * math.cos(beta0))
-        terms = {
-            "ratio_lower_log": -math.log1p(Q) - n * k * log_s,
-            "annulus_power_margin": -l * log_s - math.log(2.0 + lam),
-            "outer_term_log": math.log(Q) + n * (1.0 - l * k) * log_s,
-            "inner_term_log": n * k * log_s,
-        }
-        measures = _exact_measures(f, n, R, r, with_exact)
-        if measures is not None:
-            lb_R, lb_r, lb_off = measures
-            lb_cap = log_ball_measure(f, n, R * s)
-            terms.update({
-                "log_mu_ball_R": lb_R,
-                "log_mu_ball_r": lb_r,
-                "log_mu_ball_R_sin": lb_cap,
-                "log_mu_offcenter": lb_off,
-                "radius_equation_residual": lb_cap - lb_R - n * k * log_s,
-            })
-        return beta0, growth_parts("general", lam), l, k, R, r, Q, terms, measures
-
-    def report(state, p):
-        beta0, parts, l, k, R, r, Q, terms, measures = state
-        log_alpha = _log_alpha(*parts, p)
-        log_t_lower = -math.log1p(Q) + n * log_alpha
-        exact = None if measures is None else _log_t(p, *measures)
-        return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
-                           alpha=math.exp(log_alpha), log_t_lower=log_t_lower,
-                           log_t_exact=exact, l=l, k=k, Q=Q, terms=dict(terms))
-
-    return _per_p(p, lambda q: _check_lam_p(lam, q), stage, report)
+    _check_lam_p(lam, p)
+    beta0, parts, l, k, R, r, Q, terms, measures = _general_stage(f, n, lam, with_exact)
+    log_alpha = _log_alpha(*parts, p)
+    exact = None if measures is None else _log_t(p, *measures)
+    return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
+                       alpha=math.exp(log_alpha), log_t_lower=-math.log1p(Q) + n * log_alpha,
+                       log_t_exact=exact, l=l, k=k, Q=Q, terms=dict(terms))
 
 
 @dataclass
@@ -444,8 +411,45 @@ def gaussian_mass_concentration(n: int):
     return log_mass, floor
 
 
-def gaussian_construction(n: int, p, lam: float, *,
-                          with_exact: bool | None = None) -> BoundReport | list:
+@functools.lru_cache(maxsize=1)
+def _gaussian_stage(n: int, lam: float, with_exact: bool | None):
+    """The p-free part of ``gaussian_construction``: the radius, the estimates
+    and the measures."""
+    if n < 2:
+        raise ValueError("needs n >= 2")
+    beta0 = contact_angle(lam)
+    s = math.sin(beta0)
+    c = math.cos(beta0) ** 2
+    e_c = math.exp(-c)
+    R_n = gaussian_mode_radius(n)
+    R = math.exp(-0.5 * c) * R_n
+    r = lam * R
+    lsa = log_sphere_area(n)
+    log_K_half_n = 0.5 * n * (math.log(n - 1.0) - math.log(2.0 * math.pi))
+    terms = {
+        "bound_cap_cover": lsa - math.pi * R * R * s * s + n * math.log(R * s),
+        "bound_outside": (lsa + n * math.log(s)
+                          - math.log(math.sqrt(math.pi) * s * math.cos(beta0))
+                          + math.log(R + r) - math.pi * R_n * R_n
+                          + (n - 1.0) * math.log(R_n)),
+        "bound_offcenter_total": (lsa + math.log(2.0)
+                                  - 0.5 * n * (s * s * e_c + c) + log_K_half_n
+                                  + n * math.log(s)),
+        "bound_ball_R": 0.5 + lsa - math.log(n) - 0.5 * n * (e_c + c) + log_K_half_n,
+        "ratio_lower_log": -math.log(n) + math.pi * R * R * (1.0 - lam * lam)
+                           + n * math.log(lam),
+        # 1 - (s^2 e^-c + c) factors as (1-c)(1-e^-c); the product form
+        # stays positive down to c ~ 1e-18 where the difference underflows
+        "dominance_margin": (1.0 - c) * -math.expm1(-c),
+        "transcendental_residual": (n * math.log(R) - math.pi * R * R * s * s
+                                    - ((n - 1.0) * math.log(R_n) - math.pi * R_n * R_n)),
+    }
+    return (beta0, growth_parts("gaussian-lower", lam), R, r, MappingProxyType(terms),
+            _exact_measures(Gaussian(), n, R, r, with_exact))
+
+
+def gaussian_construction(n: int, p: float, lam: float, *,
+                          with_exact: bool | None = None) -> BoundReport:
     """Sharper lower-bound construction for the Gaussian measure.
 
     Balancing the cap-cover and annulus estimates suggests the radius
@@ -455,58 +459,20 @@ def gaussian_construction(n: int, p, lam: float, *,
         log T >= -log n + n log alpha,
 
     with alpha the Gaussian growth base; each displayed estimate of the
-    derivation lands in ``terms``.  ``p`` may be a sequence, as in
-    ``general_construction``.
+    derivation lands in ``terms``.
     """
-    def stage():
-        if n < 2:
-            raise ValueError("needs n >= 2")
-        beta0 = contact_angle(lam)
-        s = math.sin(beta0)
-        c = math.cos(beta0) ** 2
-        e_c = math.exp(-c)
-        R_n = gaussian_mode_radius(n)
-        R = math.exp(-0.5 * c) * R_n
-        r = lam * R
-        lsa = log_sphere_area(n)
-        log_K_half_n = 0.5 * n * (math.log(n - 1.0) - math.log(2.0 * math.pi))
-        terms = {
-            "bound_cap_cover": lsa - math.pi * R * R * s * s + n * math.log(R * s),
-            "bound_outside": (lsa + n * math.log(s)
-                              - math.log(math.sqrt(math.pi) * s * math.cos(beta0))
-                              + math.log(R + r) - math.pi * R_n * R_n
-                              + (n - 1.0) * math.log(R_n)),
-            "bound_offcenter_total": (lsa + math.log(2.0)
-                                      - 0.5 * n * (s * s * e_c + c) + log_K_half_n
-                                      + n * math.log(s)),
-            "bound_ball_R": 0.5 + lsa - math.log(n) - 0.5 * n * (e_c + c) + log_K_half_n,
-            "ratio_lower_log": -math.log(n) + math.pi * R * R * (1.0 - lam * lam)
-                               + n * math.log(lam),
-            # 1 - (s^2 e^-c + c) factors as (1-c)(1-e^-c); the product form
-            # stays positive down to c ~ 1e-18 where the difference underflows
-            "dominance_margin": (1.0 - c) * -math.expm1(-c),
-            "transcendental_residual": (n * math.log(R) - math.pi * R * R * s * s
-                                        - ((n - 1.0) * math.log(R_n) - math.pi * R_n * R_n)),
-        }
-        return (beta0, growth_parts("gaussian-lower", lam), R, r, terms,
-                _exact_measures(Gaussian(), n, R, r, with_exact))
-
-    def report(state, p):
-        beta0, parts, R, r, terms, measures = state
-        log_alpha = _log_alpha(*parts, p)
-        terms = {**terms, "growth_base_log": log_alpha,
-                 "decay_upper_bound": gaussian_upper_bound(n, p, R, r)}
-        exact = None
-        if measures is not None:
-            exact = _log_t(p, *measures)
-            terms.update(zip(("log_mu_ball_R", "log_mu_ball_r", "log_mu_offcenter"),
-                             measures))
-        return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
-                           alpha=math.exp(log_alpha),
-                           log_t_lower=-math.log(n) + n * log_alpha,
-                           log_t_exact=exact, terms=terms)
-
-    return _per_p(p, lambda q: _check_lam_p(lam, q), stage, report)
+    _check_lam_p(lam, p)
+    beta0, parts, R, r, terms, measures = _gaussian_stage(n, lam, with_exact)
+    log_alpha = _log_alpha(*parts, p)
+    terms = {**terms, "growth_base_log": log_alpha,
+             "decay_upper_bound": gaussian_upper_bound(n, p, R, r)}
+    exact = None
+    if measures is not None:
+        exact = _log_t(p, *measures)
+        terms.update(zip(("log_mu_ball_R", "log_mu_ball_r", "log_mu_offcenter"), measures))
+    return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
+                       alpha=math.exp(log_alpha), log_t_lower=-math.log(n) + n * log_alpha,
+                       log_t_exact=exact, terms=terms)
 
 
 def gaussian_upper_bound(n: int, p: float, R: float, r: float) -> float:
@@ -566,8 +532,15 @@ def unitball_case_analysis(n: int, p: float, R: float, lam: float):
             math.log(math.sqrt(math.pi) * n) + n * growth_base_log("unitball", p, lam))
 
 
-def unitball_construction(n: int, p, R: float, lam: float, *,
-                          with_exact: bool | None = None) -> BoundReport | list:
+@functools.lru_cache(maxsize=1)
+def _unitball_stage(n: int, R: float, lam: float, with_exact: bool | None):
+    """The p-free part of ``unitball_construction``: the angle and the measures."""
+    return (_unitball_beta0(R, lam), growth_parts("unitball", lam),
+            _exact_measures(UnitBallIndicator(), n, R, lam * R, with_exact))
+
+
+def unitball_construction(n: int, p: float, R: float, lam: float, *,
+                          with_exact: bool | None = None) -> BoundReport:
     """BoundReport for the unit-ball measure at explicit (R, lam).
 
     The terms hold the two-sided sandwich
@@ -577,38 +550,39 @@ def unitball_construction(n: int, p, R: float, lam: float, *,
     with b0 the contact angle against the unit sphere; it needs
     R < sqrt(2)/(1 + lam).  The lower end is certified only at R = 1: below
     it, it can exceed the exact T (n = 100, p = 1.02, R = 0.8, lam = 0.2
-    gives -8.29 against -12.45), so R < 1 is refused.  ``p`` may be a
-    sequence, as in ``general_construction``.
+    gives -8.29 against -12.45), so R < 1 is refused.
     """
-    r = lam * R
+    _check_p(p)
+    beta0, parts, measures = _unitball_stage(n, R, lam, with_exact)
+    log_alpha = _log_alpha(*parts, p)
+    lo = n * log_alpha  # R = 1, so log alpha has no log R term
+    case_id, case_upper = unitball_case_analysis(n, p, R, lam)
+    terms = {
+        "sandwich_lower": lo,
+        "sandwich_upper": math.log(math.sqrt(math.pi) * n) + lo,
+        "case_id": float(case_id),
+        "case_upper_bound": case_upper,
+    }
+    exact = None
+    if measures is not None:
+        lb_R, lb_r, lb_off = measures
+        exact = _log_t(p, *measures)
+        terms.update({
+            "log_mu_ball_R": lb_R,
+            "log_mu_ball_r": lb_r,
+            "log_mu_offcenter": lb_off,
+            "small_ratio_log": lb_r - lb_R,
+        })
+    return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=lam * R,
+                       alpha=math.exp(log_alpha), log_t_lower=lo,
+                       log_t_exact=exact, terms=terms)
 
-    def stage():
-        return (_unitball_beta0(R, lam), growth_parts("unitball", lam),
-                _exact_measures(UnitBallIndicator(), n, R, r, with_exact))
 
-    def report(state, p):
-        beta0, parts, measures = state
-        log_alpha = _log_alpha(*parts, p)
-        lo = n * log_alpha  # R = 1, so log alpha has no log R term
-        case_id, case_upper = unitball_case_analysis(n, p, R, lam)
-        terms = {
-            "sandwich_lower": lo,
-            "sandwich_upper": math.log(math.sqrt(math.pi) * n) + lo,
-            "case_id": float(case_id),
-            "case_upper_bound": case_upper,
-        }
-        exact = None
-        if measures is not None:
-            lb_R, lb_r, lb_off = measures
-            exact = _log_t(p, *measures)
-            terms.update({
-                "log_mu_ball_R": lb_R,
-                "log_mu_ball_r": lb_r,
-                "log_mu_offcenter": lb_off,
-                "small_ratio_log": lb_r - lb_R,
-            })
-        return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
-                           alpha=math.exp(log_alpha), log_t_lower=lo,
-                           log_t_exact=exact, terms=terms)
+def clear_stage_caches():
+    """Empty the constructions' p-free stage caches.
 
-    return _per_p(p, _check_p, stage, report)
+    The CLI does so once per invocation, so an invocation's work does not
+    depend on the invocations that ran before it in the same process.
+    """
+    for stage in (_general_stage, _gaussian_stage, _unitball_stage):
+        stage.cache_clear()

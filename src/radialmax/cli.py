@@ -81,10 +81,10 @@ def _parse_floats(spec: str):
     return [float(tok) for tok in spec.split(",") if tok.strip()]
 
 
-def _check_points(option: str, value: int, least: int):
+def _check_points(option: str, value: int, least: int, unit: str = "point"):
     """A count option below ``least`` is a usage error."""
     if value < least:
-        unit = "point" if least == 1 else "points"
+        unit += "" if least == 1 else "s"
         raise _UsageError(f"argument {option}: needs at least {least} {unit}, got {value}")
 
 
@@ -108,8 +108,9 @@ def build_parser() -> _Parser:
     p0.add_argument("--pre-scan", type=int, default=2049,
                     help="pre-scan grid points, at least 2 (default 2049)")
     p0.add_argument("--tol", type=float, default=1e-12,
-                    help="argument tolerance of the refinement (default 1e-12)")
+                    help="argument tolerance of the refinement, positive (default 1e-12)")
     p0.add_argument("--output", default=None)
+    p0.set_defaults(run=_cmd_p0)
 
     measure = argparse.ArgumentParser(add_help=False)  # bound, sweep and oracle
     measure.add_argument("--measure", required=True, choices=MEASURE_KINDS)
@@ -132,6 +133,7 @@ def build_parser() -> _Parser:
     bd.add_argument("--n", type=int, required=True)
     bd.add_argument("--p", type=float, required=True)
     bd.add_argument("--lambda", dest="lam", type=float, required=True)
+    bd.set_defaults(run=_cmd_bound)
 
     sw = sub.add_parser("sweep", parents=[measure, shared], allow_abbrev=False,
                         help="tabulate constructions across dimensions")
@@ -140,16 +142,18 @@ def build_parser() -> _Parser:
     sw.add_argument("--lambda", dest="lam", default="0.2",
                     help="comma-separated values (default 0.2)")
     sw.add_argument("--p", default="1.005", help="comma-separated values")
+    sw.set_defaults(run=_cmd_sweep)
 
     vf = sub.add_parser("verify", help="run an invariant suite")
     vf.add_argument("suite", choices=["spheres", "gaussian-lemmas", "remark",
                                       "inclusion", "montecarlo", "all"])
     vf.add_argument("--samples", type=int, default=10_000_000,
-                    help="Monte Carlo samples (default 1e7)")
+                    help="Monte Carlo samples, at least 1e4 (default 1e7)")
     vf.add_argument("--seed", type=int, default=20240214)
     vf.add_argument("--inclusion-points", type=int, default=64,
                     help="radii per inclusion configuration (default 64)")
     vf.add_argument("--output", default=None)
+    vf.set_defaults(run=_cmd_verify)
 
     orc = sub.add_parser("oracle", parents=[measure], help="brute-force maximal function")
     orc.add_argument("--n", type=int, required=True)
@@ -161,6 +165,7 @@ def build_parser() -> _Parser:
     orc.add_argument("--profile-points", type=int, default=256)
     orc.add_argument("--t-points", type=int, default=512)
     orc.add_argument("--output", default=None)
+    orc.set_defaults(run=_cmd_oracle)
     return parser
 
 
@@ -173,6 +178,8 @@ def _parser() -> _Parser:
 
 def _cmd_p0(args) -> int:
     _check_points("--pre-scan", args.pre_scan, 2)
+    if not args.tol > 0.0:  # NaN too: every search would run to its step cap
+        raise _UsageError(f"argument --tol: needs a positive value, got {args.tol}")
     fn = optimize.EXPONENT_SEARCHES[args.target]
     res = fn(tol=args.tol, pre_scan=args.pre_scan)
     payload = {"target": args.target, **res.as_dict(),
@@ -192,30 +199,31 @@ def _pick_construction(args) -> str:
     return "general"
 
 
-def _construct(args, f, construction: str, n: int, p, lam: float):
+def _construct(args, f, construction: str, n: int, p: float, lam: float):
     """Run ``construction`` at (n, p, lam) after checking the measure fits it.
 
-    ``p`` is one exponent, or a list of them sharing the p-free stage of
-    the construction; a list gives one report or exception per p.
+    A report whose exact T falls below its certified lower bound is a
+    ``ValueError``, so ``bound`` exits 2 and ``sweep`` records the row's error.
     """
     if construction != "general" and args.measure != construction:
         raise ValueError(f"the {construction} construction needs --measure {construction}")
     with_exact = n <= args.texact_max_n
     if construction == "gaussian":
-        return bounds.gaussian_construction(n, p, lam, with_exact=with_exact)
-    if construction == "unitball":
-        return bounds.unitball_construction(n, p, args.R, lam, with_exact=with_exact)
-    return bounds.general_construction(f, n, p, lam, with_exact=with_exact)
+        rep = bounds.gaussian_construction(n, p, lam, with_exact=with_exact)
+    elif construction == "unitball":
+        rep = bounds.unitball_construction(n, p, args.R, lam, with_exact=with_exact)
+    else:
+        rep = bounds.general_construction(f, n, p, lam, with_exact=with_exact)
+    if rep.log_t_exact is not None and rep.log_t_exact < rep.log_t_lower - 1e-9:
+        raise ValueError(f"certified chain violated: logT_exact={rep.log_t_exact!r} "
+                         f"< logT_lower={rep.log_t_lower!r}")
+    return rep
 
 
 def _cmd_bound(args) -> int:
     f = density_from_name(args.measure, args.density_file)
     construction = _pick_construction(args)
     rep = _construct(args, f, construction, args.n, args.p, args.lam)
-    if rep.log_t_exact is not None and rep.log_t_exact < rep.log_t_lower - 1e-9:
-        print(f"error: certified chain violated: logT_exact={rep.log_t_exact!r} "
-              f"< logT_lower={rep.log_t_lower!r}", file=sys.stderr)
-        return NUMERIC_EXIT
     payload = {"construction": construction, **rep.as_dict()}
     _emit(to_json(payload) + "\n", args.output)
     return 0
@@ -236,15 +244,10 @@ def _cmd_sweep(args) -> int:
     prev = {}
     for n in ns:
         for lam in lams:
-            try:
-                outcomes = _construct(args, f, construction, n, ps, lam)
-            except _ROW_ERRORS as exc:
-                outcomes = [exc] * len(ps)
-            for p, rep in zip(ps, outcomes):
+            for p in ps:  # innermost, so the rows of one (n, lam) share a stage
                 key = (lam, p)
                 try:
-                    if isinstance(rep, Exception):
-                        raise rep
+                    rep = _construct(args, f, construction, n, p, lam)
                     slope = None
                     if key in prev:
                         n0, v0 = prev[key]
@@ -383,6 +386,7 @@ def _verify_montecarlo(suite: _Suite, samples: int, seed: int):
 
 def _cmd_verify(args) -> int:
     _check_points("--inclusion-points", args.inclusion_points, 1)
+    _check_points("--samples", args.samples, 10_000, "sample")
     suite = _Suite()
     if args.suite in ("spheres", "all"):
         _verify_spheres(suite)
@@ -428,20 +432,8 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if args.command == "p0":
-            return _cmd_p0(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        parser.error(f"unknown command {args.command!r}")
+        bounds.clear_stage_caches()
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except _UsageError as exc:
@@ -450,7 +442,6 @@ def main(argv=None) -> int:
     except (NoBalancedRadiusError, BracketError, ValueError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    return 0
 
 
 if __name__ == "__main__":

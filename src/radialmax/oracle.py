@@ -395,6 +395,8 @@ def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
     The grading follows the smoothstep map (dense at both ends, where Mg
     is flat at 1/mu(B_r) and where the level-set boundary sits).
     """
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     rho_max = upper_cutoff(f, n)
     u = np.linspace(0.0, 1.0, points)
     radii = np.unique(rho_max * (3.0 * u ** 2 - 2.0 * u ** 3))
@@ -415,6 +417,8 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
     """
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     _check_dimension(n)
     log_mu_btilde = off_center_ball_measure(f, n, R, R + r)
     log_threshold = -log_mu_btilde

@@ -494,11 +494,15 @@ class TestBoundReport:
         assert rep.chain_margin == pytest.approx(d["logT_exact"] - d["logT_lower"])
 
 
+_GAUSSIAN = Gaussian()  # one instance, so consecutive calls share the general stage
+
+
 class TestPSequence:
-    """A sequence of p runs the p-free stage once and gives the single-p results."""
+    """Calls that change only p share one cached p-free stage, and each gives
+    the report of a call made on an empty cache."""
 
     CONSTRUCTIONS = {
-        "general": lambda p, lam, **kw: general_construction(Gaussian(), 12, p, lam, **kw),
+        "general": lambda p, lam, **kw: general_construction(_GAUSSIAN, 12, p, lam, **kw),
         "gaussian": lambda p, lam, **kw: gaussian_construction(30, p, lam, **kw),
         "unitball": lambda p, lam, **kw: unitball_construction(20, p, 1.0, lam, **kw),
     }
@@ -507,36 +511,61 @@ class TestPSequence:
     @pytest.mark.parametrize("with_exact", [None, False])
     def test_matches_single_p_calls(self, name, with_exact):
         build = self.CONSTRUCTIONS[name]
-        ps = [1.003, 0.9, 1.04, float("nan")]
-        batch = build(ps, 0.2, with_exact=with_exact)
-        assert len(batch) == len(ps)
-        for p, got in zip(ps[::2], batch[::2]):
-            assert got.as_dict() == build(p, 0.2, with_exact=with_exact).as_dict()
-        for p, got in zip(ps[1::2], batch[1::2]):
-            with pytest.raises(ValueError) as single:
+        bounds.clear_stage_caches()
+        build(1.003, 0.2, with_exact=with_exact)
+        for p in (1.04, 1.003):
+            cached = build(p, 0.2, with_exact=with_exact)
+            bounds.clear_stage_caches()
+            assert cached.as_dict() == build(p, 0.2, with_exact=with_exact).as_dict()
+        for p in (0.9, float("nan")):  # NaN is refused with p < 1, stage cached or not
+            with pytest.raises(ValueError, match=r"^p must be >= 1$"):
                 build(p, 0.2, with_exact=with_exact)
-            assert type(got) is ValueError
-            assert str(got) == str(single.value)
-        assert str(batch[1]) == "p must be >= 1"
-        assert str(batch[3]) == "p must be >= 1"  # NaN is refused with p < 1
+
+    @pytest.mark.parametrize("name,solves", [("general", 1), ("gaussian", 0),
+                                             ("unitball", 0)])
+    def test_stage_runs_once_for_k_exponents(self, monkeypatch, name, solves):
+        calls = {"solve_radius_equation": 0, "off_center_ball_measure": 0}
+
+        def counted(fn_name):
+            inner = getattr(bounds, fn_name)
+
+            def wrapper(*args, **kwargs):
+                calls[fn_name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for fn_name in calls:  # patched where the stages look them up
+            monkeypatch.setattr(bounds, fn_name, counted(fn_name))
+        bounds.clear_stage_caches()
+        ps = [1.003, 1.02, 1.04, 1.3]
+        reps = [self.CONSTRUCTIONS[name](p, 0.2) for p in ps]
+        assert [rep.p for rep in reps] == ps
+        assert len({rep.log_t_exact for rep in reps}) == len(ps)
+        assert calls == {"solve_radius_equation": solves, "off_center_ball_measure": 1}
 
     def test_reports_do_not_share_terms(self):
-        a, b = general_construction(Gaussian(), 12, [1.003, 1.04], 0.2, with_exact=False)
-        a.terms["extra"] = 1.0
-        assert "extra" not in b.terms
+        for build in self.CONSTRUCTIONS.values():
+            a = build(1.003, 0.2, with_exact=False)
+            key = next(iter(a.terms))
+            a.terms[key] = 0.0
+            a.terms["extra"] = 1.0
+            b = build(1.04, 0.2, with_exact=False)
+            assert "extra" not in b.terms
+            assert b.terms[key] != 0.0
 
     def test_stage_error_behind_p_check(self):
-        # next to sqrt(2)-1 the p-free stage fails, but only on the rows
+        # next to sqrt(2)-1 the p-free stage fails, but only on the calls
         # whose p passes the check made before it
         lam = float(np.nextafter(LAMBDA_MAX, 0.0))
-        got = general_construction(Gaussian(), 5, [1.01, 0.5, 1.02], lam)
         stage_error = f"lam = {lam!r} is too close to sqrt(2)-1: sin b0 rounds to 1"
-        assert [type(x) for x in got] == [ValueError] * 3
-        assert [str(x) for x in got] == [stage_error, "p must be >= 1", stage_error]
-        with pytest.raises(ValueError, match="lam must lie"):
-            general_construction(Gaussian(), 5, 0.5, 0.9)
-        assert [str(x) for x in general_construction(Gaussian(), 5, [0.5, 1.01], 0.9)] \
-            == ["lam must lie in (0, sqrt(2)-1), got 0.9"] * 2
+        for p, error in [(1.01, stage_error), (0.5, "p must be >= 1"),
+                         (1.02, stage_error)]:
+            with pytest.raises(ValueError) as got:
+                general_construction(_GAUSSIAN, 5, p, lam)
+            assert str(got.value) == error
+        for p in (0.5, 1.01):
+            with pytest.raises(ValueError, match=r"^lam must lie in \(0, sqrt\(2\)-1\), got 0.9$"):
+                general_construction(_GAUSSIAN, 5, p, 0.9)
 
 
 class TestGrowthTable:
@@ -548,18 +577,20 @@ class TestGrowthTable:
     @pytest.mark.parametrize("lam", LAMS)
     def test_general(self, lam):
         n = 7
-        reps = general_construction(UnitBallIndicator(), n, self.PS, lam, with_exact=False)
-        for p, rep in zip(self.PS, reps):
+        f = UnitBallIndicator()
+        for p in self.PS:
+            rep = general_construction(f, n, p, lam, with_exact=False)
             log_alpha = growth_base_log("general", p, lam)
             assert rep.log_t_lower == -math.log1p(rep.Q) + n * log_alpha
             assert rep.alpha == math.exp(log_alpha)
-        # the printed l is the one the table's k comes from
-        assert reps[0].l == math.ceil(float(_annulus_exponent(lam)))
+            # the printed l is the one the table's k comes from
+            assert rep.l == math.ceil(float(_annulus_exponent(lam)))
 
     @pytest.mark.parametrize("lam", LAMS)
     def test_gaussian(self, lam):
         n = 40
-        for p, rep in zip(self.PS, gaussian_construction(n, self.PS, lam, with_exact=False)):
+        for p in self.PS:
+            rep = gaussian_construction(n, p, lam, with_exact=False)
             log_alpha = growth_base_log("gaussian-lower", p, lam)
             assert rep.terms["growth_base_log"] == log_alpha
             assert rep.log_t_lower == -math.log(n) + n * log_alpha
@@ -568,8 +599,8 @@ class TestGrowthTable:
     @pytest.mark.parametrize("lam", LAMS)
     def test_unitball(self, lam):
         n = 30
-        for p, rep in zip(self.PS, unitball_construction(n, self.PS, 1.0, lam,
-                                                         with_exact=False)):
+        for p in self.PS:
+            rep = unitball_construction(n, p, 1.0, lam, with_exact=False)
             log_alpha = growth_base_log("unitball", p, lam)
             # n * log alpha, not sandwich_lower / n: that quotient rounds
             assert rep.terms["sandwich_lower"] == rep.log_t_lower == n * log_alpha

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -76,14 +77,25 @@ class TestCountOptions:
         (ORACLE + ["--rho", "0.5"], "--t-points", "-3", "1 point"),
         # min() of an empty sequence, exit 2
         (["verify", "inclusion"], "--inclusion-points", "0", "1 point"),
+        # "ValueError: need at least 1e4 samples", exit 2
+        (["verify", "montecarlo"], "--samples", "9999", "10000 samples"),
+        (["verify", "spheres"], "--samples", "0", "10000 samples"),
     ], ids=["profile-points=0", "profile-points=1-p", "t-points=0", "t-points=-3",
-            "inclusion-points=0"])
+            "inclusion-points=0", "samples=9999", "samples=0-spheres"])
     def test_count_below_minimum_is_usage_error(self, capsys, argv, option, value, needs):
         code, out, err = run(capsys, *argv, option, value)
         assert code == 1
         assert out == ""
         assert (f"radialmax {argv[0]}: error: argument {option}: needs at least "
                 f"{needs}, got {value}") in err
+
+    @pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("0", "0.0"), ("-0.5", "-0.5")])
+    def test_p0_tol_must_be_positive(self, capsys, tol, shown):
+        # a NaN or nonpositive tolerance ran every golden search to its step cap
+        code, out, err = run(capsys, "p0", "unitball", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert f"radialmax p0: error: argument --tol: needs a positive value, got {shown}" in err
 
 
 class TestMeasureOption:
@@ -445,6 +457,53 @@ class TestSweepSharesPFreeStage:
         assert all(row.endswith(",") for row in rows)  # no row has an error
         assert calls == {"solve_radius_equation": solves,
                          "off_center_ball_measure": 2 * 2}
+
+
+class TestChainViolation:
+    """A report whose exact T falls more than 1e-9 below its certified lower
+    bound is an error: bound exits 2, and sweep records it on the row."""
+
+    @pytest.fixture
+    def below_by(self, monkeypatch):
+        real = bounds.gaussian_construction
+        gap = {}
+
+        def construct(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return dataclasses.replace(rep, log_t_exact=rep.log_t_lower - gap["value"])
+
+        monkeypatch.setattr(bounds, "gaussian_construction", construct)
+        return gap
+
+    GAUSSIAN = ["--measure", "gaussian", "--lambda", "0.2", "--p", "1.01"]
+
+    def test_bound_exits_two(self, capsys, below_by):
+        below_by["value"] = 1e-6
+        code, out, err = run(capsys, "bound", *self.GAUSSIAN, "--n", "20")
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: ValueError: certified chain violated: "
+                            r"logT_exact=\S+ < logT_lower=\S+\n", err)
+
+    def test_sweep_row_records_the_error(self, capsys, below_by):
+        below_by["value"] = 1e-6
+        code, out, _ = run(capsys, "sweep", *self.GAUSSIAN, "--n-range", "20,30")
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 2
+        for n, row in zip((20, 30), rows):
+            assert row.startswith(f"{n},0.20000000000000001,1.01,,,,,,ValueError: "
+                                  "certified chain violated: logT_exact=")
+
+    def test_gap_within_tolerance_passes(self, capsys, below_by):
+        below_by["value"] = 1e-10
+        code, out, _ = run(capsys, "bound", *self.GAUSSIAN, "--n", "20")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["logT_exact"] < payload["logT_lower"]
+        code, out, _ = run(capsys, "sweep", *self.GAUSSIAN, "--n-range", "20")
+        assert code == 0
+        assert csv_rows(out)[0].endswith(",,")
 
 
 class TestVerifyCommand:

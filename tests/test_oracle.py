@@ -504,6 +504,17 @@ class TestProfile:
         with pytest.raises(ValueError):
             RadialProfile(radii=np.array([0.0, 0.0]), values=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_profile_refuses_empty_grid(self, points):
+        # points = 0 was an IndexError on the empty grid
+        with pytest.raises(ValueError, match=rf"^points must be >= 1, got {points}$"):
+            maximal_profile(Gaussian(), 2, 0.3, points=points)
+
+    def test_one_point_profile(self):
+        prof = maximal_profile(Gaussian(), 2, 0.3, points=1, t_points=16)
+        assert prof.radii.tolist() == [0.0]
+        assert prof.values[0] == pytest.approx(math.exp(-log_ball_measure(Gaussian(), 2, 0.3)))
+
 
 class TestLevelSetInclusion:
     def test_unitball_reference_config(self):
@@ -534,6 +545,17 @@ class TestLevelSetInclusion:
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_level_set_inclusion(Gaussian(), 2, 0.5, 0.7)
+
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_refuses_empty_grid(self, n_points):
+        # n_points = 0 gave no rows, passed = True and a min_margin that raised
+        with pytest.raises(ValueError, match=rf"^n_points must be >= 1, got {n_points}$"):
+            verify_level_set_inclusion(Gaussian(), 2, 0.8, 0.2, n_points=n_points)
+
+    def test_one_point_grid(self):
+        rep = verify_level_set_inclusion(Gaussian(), 2, 0.8, 0.2, n_points=1, t_points=16)
+        assert [row.rho for row in rep.rows] == [0.0]
+        assert rep.min_margin == rep.rows[0].margin
 
     def test_unitball_small_candidate_balls_do_not_stall(self):
         # the exact re-evaluation meets balls of radius ~2e-4 well inside B_r;
