@@ -18,9 +18,14 @@ At the oracle's dimensions the exponent m = n - 2 is at most 6 (a lens
 needs m = n <= 6), and there int_0^theta sin^m is elementary: a series in
 sin^2(theta/2) that is a polynomial for odd m, and for even m above pi/4
 the recurrence in sin and cos, with J(pi/2) from Wallis's formula.  Above
-m = 6 it reduces J to ``quadrature.fixed_log_integral`` (10 panels of 16
-nodes) on the sub-interval where the integrand is within 60 log-units of
-its maximum, which the arcsin substitution locates exactly.
+m = 6 the change of variables sin(beta) = sin(theta) e^(-v/m),
+x^2 = a^2 + v with a^2 = -m log sin(theta) turns J into a Gaussian tail,
+
+    J_m(theta) = sqrt(2/m) int_a^inf e^(-x^2) G(2 x^2 / m) dx,
+    G(z) = sqrt(z / expm1(z)),
+
+whose smooth integrand ``quadrature.fixed_log_integral`` integrates over
+[a, sqrt(a^2 + 40)] in 2 panels of 16 nodes (``_cap_j_log_half``).
 
 The unit ball needs no radial integral: B(d xi, t) ∩ B_a is a lens of two
 balls, two spherical caps cut by one hyperplane, and ``_log_lens`` adds
@@ -43,9 +48,9 @@ from .measures import (_probe_hints, log_ball_measure, log_ball_volume, log_sphe
 from .quadrature import fixed_log_integral, log_integral
 
 _ARCCOS_SLACK = 1e-12
-_CAP_WINDOW = 60.0
-_CAP_PANELS = 10
-_CAP_ORDER = 16
+_TAIL_WIDTH = 40.0  # the rule stops at x^2 = a^2 + 40: a dropped tail below e^-40
+_TAIL_PANELS = 2
+_TAIL_ORDER = 16
 _ELEMENTARY_MAX_M = 6  # J_m in elementary functions up to here: the oracle's n <= 6
 _SERIES_TERMS = 16     # of the even-m series, on theta <= pi/4
 
@@ -182,19 +187,46 @@ def _cap_j_log_elementary(m: int, th: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cap_tail_log(x, m: int):
+    """log of e^(-x^2) G(2 x^2 / m) for ``_cap_j_log_half``, with
+    G(z) = sqrt(z / expm1(z)) = e^(-z/2) sqrt(z / -expm1(-z)); x > 0."""
+    x2 = x * x
+    z = (2.0 / m) * x2
+    return 0.5 * np.log(z / -np.expm1(-z)) - (1.0 + 1.0 / m) * x2
+
+
 def _cap_j_log_half(m: int, theta):
     """log J_m on [0, pi/2]: J_m(theta) = int_0^theta sin^m, m >= 1, vectorized.
 
-    Elementary for m <= _ELEMENTARY_MAX_M, the oracle's dimensions; above,
-    the fixed rule.
+    Elementary for m <= _ELEMENTARY_MAX_M, the oracle's dimensions.  Above,
+    a Gaussian tail: put sin(beta) = sin(theta) e^(-v/m), v in [0, inf),
+    so that sin^m(beta) = sin^m(theta) e^(-v) and
+    dbeta = -tan(beta) dv / m; then x^2 = a^2 + v, a^2 = -m log sin(theta),
+    gives sin^m(beta) = e^(-x^2), dv = 2x dx, sin(beta) = e^(-x^2/m) and
+    cos(beta) = sqrt(-expm1(-z)) with z = 2 x^2 / m, so that
+
+        J_m(theta) = int_a^inf e^(-x^2) (2x/m) e^(-z/2) / sqrt(-expm1(-z)) dx
+                   = sqrt(2/m) int_a^inf e^(-x^2) G(z) dx,  G(z) = sqrt(z / expm1(z)),
+
+    since 2x/m = sqrt(2/m) sqrt(z).  G falls from 1 at z = 0, so the
+    integrand is smooth on [a, inf), also at theta = pi/2 (a = 0), and past
+    x^2 = a^2 + _TAIL_WIDTH it holds a share below e^-40 of the whole: the
+    fixed rule runs on [a, sqrt(a^2 + _TAIL_WIDTH)].  From pi/4 on,
+    a^2 = -(m/2) log1p(-cos^2 theta), since log(sin theta) loses its digits
+    next to pi/2.  theta = 0 (a = inf) is LOG_ZERO, masked before the rule.
     """
     th = np.asarray(theta, dtype=float)
     if m <= _ELEMENTARY_MAX_M:
         return _cap_j_log_elementary(m, th)
-    # the integrand spans exactly _CAP_WINDOW log-units over [b_lo, theta]
-    b_lo = np.arcsin(np.sin(th) * math.exp(-_CAP_WINDOW / m))
-    return fixed_log_integral(lambda b: m * np.log(np.sin(b)), b_lo, th,
-                              _CAP_PANELS, _CAP_ORDER)
+    cos = np.cos(th)
+    with np.errstate(divide="ignore"):  # theta = 0 gives +inf, masked next
+        a2 = np.where(th < 0.25 * math.pi, -m * np.log(np.sin(th)),
+                      -0.5 * m * np.log1p(-cos * cos))
+    inside = th > 0.0
+    a2 = np.where(inside, a2, 0.0)
+    tail = fixed_log_integral(lambda x: _cap_tail_log(x, m), np.sqrt(a2),
+                              np.sqrt(a2 + _TAIL_WIDTH), _TAIL_PANELS, _TAIL_ORDER)
+    return np.where(inside, 0.5 * math.log(2.0 / m) + tail, LOG_ZERO)
 
 
 @lru_cache(maxsize=256)

@@ -444,6 +444,8 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
     """
     if not p >= 1.0:
         raise ValueError("p must be >= 1")
+    if points < 2:  # one radius bounds no cell to integrate over
+        raise ValueError(f"points must be >= 2, got {points}")
     _check_dimension(n)
     profile = maximal_profile(f, n, r, points=points, t_points=t_points)
     radii = profile.radii

@@ -29,18 +29,13 @@ def csv_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# a quote or backslash gets a backslash, a control character 0-31 its \u00xx
+_JSON_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\",
+                 **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_JSON_ESCAPES)
 
 
 def to_json(obj, indent: int = 0) -> str:

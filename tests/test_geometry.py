@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -272,8 +273,9 @@ class TestElementaryCaps:
 
     def test_two_angle_call_not_slower_than_the_fixed_rule(self):
         # a unit-ball lens makes one call on its two cap angles.  Before the
-        # elementary forms, every m ran the fixed rule, whose cost does not
-        # depend on m; m = 7 still does.  Interleaved rounds, the best of each
+        # elementary forms, every m ran a fixed rule, whose cost does not
+        # depend on m; m = 7 now runs the 32-node Gaussian-tail rule of
+        # _cap_j_log_half.  Interleaved rounds, the best of each
         pairs = [np.array([0.7, 1.9]), np.array([0.3, 0.6]), np.array([1.2, 2.8])]
 
         def cost(n):
@@ -289,6 +291,47 @@ class TestElementaryCaps:
                 elementary.append(cost(m + 2))
                 fixed_rule.append(cost(9))
             assert min(elementary) <= min(fixed_rule), m
+
+
+_TAIL_MS = [7, 8, 9, 50, 998, 9998]
+_TAIL_THETAS = [1e-8, 0.05, 0.7, 1.2, 1.5707, 1.57079, math.nextafter(0.5 * math.pi, 0.0),
+                2.0, math.pi - 1e-6]
+
+
+class TestTailRule:
+    """J_m for m > 6 by the Gaussian-tail rule of ``_cap_j_log_half``."""
+
+    @pytest.mark.parametrize("m", _TAIL_MS)
+    def test_against_incomplete_beta(self, m):
+        # next to pi/2, a^2 taken from log(sin theta) is 1.3e-10 off at
+        # m = 9998, theta = 1.57079; from log1p(-cos^2 theta) it is not
+        got = _cap_j_log(m + 2, np.array(_TAIL_THETAS))
+        want = np.array([_log_cap_j_betainc(m, t) for t in _TAIL_THETAS])
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 1e-14, _TAIL_THETAS[err.argmax()]
+
+    @pytest.mark.parametrize("m", _TAIL_MS)
+    def test_ends_without_warnings(self, m):
+        # theta = 0 is masked before the rule, which would otherwise take
+        # inf - inf; theta = pi is the full integral of the complement rule
+        log_full = math.log(2.0) + _cap_j_log_half_pi(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = _cap_j_log(m + 2, np.array([0.0, math.pi]))
+            assert _cap_j_log(m + 2, 0.0) == LOG_ZERO
+            assert _cap_j_log_half(m, np.array([0.0, 0.0])).tolist() == [LOG_ZERO, LOG_ZERO]
+        assert ends.tolist() == [LOG_ZERO, log_full]
+
+    @pytest.mark.parametrize("m", _TAIL_MS)
+    def test_each_angle_alone(self, m):
+        # a batch's rows are the floats of the same angles evaluated alone
+        rng = np.random.default_rng(m)
+        theta = rng.uniform(0.0, math.pi, (3, 40))
+        theta.flat[:len(_TAIL_THETAS) + 3] = _TAIL_THETAS + [0.0, 0.25 * math.pi, math.pi]
+        got = _cap_j_log(m + 2, theta)
+        assert got.shape == theta.shape
+        alone = [_cap_j_log(m + 2, t).hex() for t in theta.ravel().tolist()]
+        assert [x.hex() for x in got.ravel().tolist()] == alone
 
 
 class TestContactAngles:

@@ -602,6 +602,17 @@ class TestEmpiricalBound:
         with pytest.raises(ValueError, match="p must be >= 1"):
             empirical_constant_lower_bound(Gaussian(), 2, 0.3, math.nan)
 
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_refuses_fewer_than_two_points(self, points, p):
+        # one radius bounds no cell: p > 1 returned 0.0 at points = 1
+        with pytest.raises(ValueError, match=rf"^points must be >= 2, got {points}$"):
+            empirical_constant_lower_bound(Gaussian(), 2, 0.3, p, points=points, t_points=16)
+
+    def test_two_point_profile(self):
+        emp = empirical_constant_lower_bound(Gaussian(), 2, 0.3, 2.0, points=2, t_points=16)
+        assert math.isfinite(emp) and emp > 0.0
+
 
 class TestMonteCarlo:
     def test_certain_event(self):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from radialmax.serialize import csv_float, csv_lines, fmt_float, to_json
+from radialmax.serialize import _json_escape, csv_float, csv_lines, fmt_float, to_json
 
 
 def test_floats_carry_seventeen_significant_digits():
@@ -28,6 +28,30 @@ def test_to_json_is_strictly_parseable():
     assert back["b"] == [1.5, None, True]
     assert back["c"]["nested"] == 'x"y'
     assert back["d"] == "-inf"
+
+
+def _loop_json_escape(s: str) -> str:
+    """The per-character escape loop that the translate table replaced."""
+    out = []
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_json_escape_matches_the_loop():
+    # every code point 0-127, alone and in one string, and non-ASCII text
+    texts = [chr(c) for c in range(128)] + ["".join(chr(c) for c in range(128)),
+                                            "λ = 0.3, ‖x‖ ≤ r\x7f\x80\u2028\U0001d53c", ""]
+    for text in texts:
+        assert _json_escape(text) == _loop_json_escape(text), repr(text)
+    assert json.loads(f'"{_json_escape(texts[128])}"') == texts[128]
 
 
 def test_to_json_rejects_unknown_types():
