@@ -50,7 +50,7 @@ from .geometry import contact_angle, contact_angle_unit_ball, off_center_ball_me
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area)
 
 LAMBDA_MAX = math.sqrt(2.0) - 1.0
-T_EXACT_MAX_N = 10_000  # beyond this, quadrature adds nothing over closed forms
+T_EXACT_MAX_N = 10_000  # the constructions' exact T stops here; above, it is untested
 
 
 def _angle_parts(lam):
@@ -123,7 +123,7 @@ class BoundReport:
 
     ``terms`` maps labels to intermediate log-quantities so the individual
     estimates of the derivation stay auditable.  ``log_t_exact`` is None
-    when the exact quadrature was skipped (very large n).
+    above n = T_EXACT_MAX_N, where the constructions skip the quadrature.
     """
 
     n: int
@@ -173,19 +173,16 @@ class BoundReport:
         }
 
 
-def _exact_measures(f: RadialDensity, n: int, R: float, r: float,
-                    with_exact: bool | None):
-    """(log mu(B_R), log mu(B_r), log mu(B~)) by exact quadrature.
-
-    None when the quadrature is skipped; ``with_exact`` None means run it
-    for n <= T_EXACT_MAX_N.
-    """
-    if with_exact is None:
-        with_exact = n <= T_EXACT_MAX_N
-    if not with_exact:
-        return None
+def _three_measures(f: RadialDensity, n: int, R: float, r: float):
+    """(log mu(B_R), log mu(B_r), log mu(B~)) by exact quadrature."""
     return (log_ball_measure(f, n, R), log_ball_measure(f, n, r),
             off_center_ball_measure(f, n, R, R + r))
+
+
+def _exact_measures(f: RadialDensity, n: int, R: float, r: float):
+    """The constructions' three measures: None above T_EXACT_MAX_N, where
+    they skip the quadrature and report only closed forms."""
+    return _three_measures(f, n, R, r) if n <= T_EXACT_MAX_N else None
 
 
 def _log_t(p: float, lb_R: float, lb_r: float, lb_off: float) -> float:
@@ -203,7 +200,7 @@ def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float) -> float
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
     _check_p(p)
-    return _log_t(p, *_exact_measures(f, n, R, r, True))
+    return _log_t(p, *_three_measures(f, n, R, r))
 
 
 def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> float:
@@ -288,7 +285,7 @@ def _general_parameters(lam: float):
 
 
 @functools.lru_cache(maxsize=1)
-def _general_stage(f: RadialDensity, n: int, lam: float, with_exact: bool | None):
+def _general_stage(f: RadialDensity, n: int, lam: float):
     """The p-free part of ``general_construction``: the radius and the measures."""
     beta0, s, log_s, l, k = _general_parameters(lam)
     R = solve_radius_equation(f, n, beta0, k)
@@ -300,7 +297,7 @@ def _general_stage(f: RadialDensity, n: int, lam: float, with_exact: bool | None
         "outer_term_log": math.log(Q) + n * (1.0 - l * k) * log_s,
         "inner_term_log": n * k * log_s,
     }
-    measures = _exact_measures(f, n, R, r, with_exact)
+    measures = _exact_measures(f, n, R, r)
     if measures is not None:
         lb_R, lb_r, lb_off = measures
         lb_cap = log_ball_measure(f, n, R * s)
@@ -315,8 +312,7 @@ def _general_stage(f: RadialDensity, n: int, lam: float, with_exact: bool | None
             measures)
 
 
-def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
-                         with_exact: bool | None = None) -> BoundReport:
+def general_construction(f: RadialDensity, n: int, p: float, lam: float) -> BoundReport:
     """Lower-bound construction valid for every finite radially decreasing density.
 
     Splits B~ at the sphere of radius R, covers the inner piece by the cap
@@ -328,7 +324,7 @@ def general_construction(f: RadialDensity, n: int, p: float, lam: float, *,
         log T >= -log(Q + 1) + n log alpha,  alpha = lam^((p-1)/p) / sin(b0)^k.
     """
     _check_lam_p(lam, p)
-    beta0, parts, l, k, R, r, Q, terms, measures = _general_stage(f, n, lam, with_exact)
+    beta0, parts, l, k, R, r, Q, terms, measures = _general_stage(f, n, lam)
     log_alpha = _log_alpha(*parts, p)
     exact = None if measures is None else _log_t(p, *measures)
     return BoundReport(n=n, p=p, lam=lam, beta0=beta0, R=R, r=r,
@@ -412,7 +408,7 @@ def gaussian_mass_concentration(n: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _gaussian_stage(n: int, lam: float, with_exact: bool | None):
+def _gaussian_stage(n: int, lam: float):
     """The p-free part of ``gaussian_construction``: the radius, the estimates
     and the measures."""
     if n < 2:
@@ -445,11 +441,10 @@ def _gaussian_stage(n: int, lam: float, with_exact: bool | None):
                                     - ((n - 1.0) * math.log(R_n) - math.pi * R_n * R_n)),
     }
     return (beta0, growth_parts("gaussian-lower", lam), R, r, MappingProxyType(terms),
-            _exact_measures(Gaussian(), n, R, r, with_exact))
+            _exact_measures(Gaussian(), n, R, r))
 
 
-def gaussian_construction(n: int, p: float, lam: float, *,
-                          with_exact: bool | None = None) -> BoundReport:
+def gaussian_construction(n: int, p: float, lam: float) -> BoundReport:
     """Sharper lower-bound construction for the Gaussian measure.
 
     Balancing the cap-cover and annulus estimates suggests the radius
@@ -462,7 +457,7 @@ def gaussian_construction(n: int, p: float, lam: float, *,
     derivation lands in ``terms``.
     """
     _check_lam_p(lam, p)
-    beta0, parts, R, r, terms, measures = _gaussian_stage(n, lam, with_exact)
+    beta0, parts, R, r, terms, measures = _gaussian_stage(n, lam)
     log_alpha = _log_alpha(*parts, p)
     terms = {**terms, "growth_base_log": log_alpha,
              "decay_upper_bound": gaussian_upper_bound(n, p, R, r)}
@@ -533,14 +528,13 @@ def unitball_case_analysis(n: int, p: float, R: float, lam: float):
 
 
 @functools.lru_cache(maxsize=1)
-def _unitball_stage(n: int, R: float, lam: float, with_exact: bool | None):
+def _unitball_stage(n: int, R: float, lam: float):
     """The p-free part of ``unitball_construction``: the angle and the measures."""
     return (_unitball_beta0(R, lam), growth_parts("unitball", lam),
-            _exact_measures(UnitBallIndicator(), n, R, lam * R, with_exact))
+            _exact_measures(UnitBallIndicator(), n, R, lam * R))
 
 
-def unitball_construction(n: int, p: float, R: float, lam: float, *,
-                          with_exact: bool | None = None) -> BoundReport:
+def unitball_construction(n: int, p: float, R: float, lam: float) -> BoundReport:
     """BoundReport for the unit-ball measure at explicit (R, lam).
 
     The terms hold the two-sided sandwich
@@ -553,7 +547,7 @@ def unitball_construction(n: int, p: float, R: float, lam: float, *,
     gives -8.29 against -12.45), so R < 1 is refused.
     """
     _check_p(p)
-    beta0, parts, measures = _unitball_stage(n, R, lam, with_exact)
+    beta0, parts, measures = _unitball_stage(n, R, lam)
     log_alpha = _log_alpha(*parts, p)
     lo = n * log_alpha  # R = 1, so log alpha has no log R term
     case_id, case_upper = unitball_case_analysis(n, p, R, lam)

@@ -7,7 +7,7 @@ Subcommands:
   sweep   tabulate constructions across dimensions as CSV
   verify  run a named invariant suite, exit 0 iff every check passes
   oracle  evaluate the brute-force maximal function (value, profile, or
-          empirical constant bound)
+          empirical constant estimate)
 
 Exit codes: 0 success, 1 usage error or verification failure, 2 numerical
 or domain failure.  Identical invocations (including --seed) produce
@@ -122,8 +122,6 @@ def build_parser() -> _Parser:
                         help="default: gaussian/unitball for those measures, else general")
     shared.add_argument("--R", type=float, default=1.0,
                         help="ball radius for the unitball construction (default 1)")
-    shared.add_argument("--texact-max-n", type=int, default=bounds.T_EXACT_MAX_N,
-                        help="skip exact quadrature above this dimension")
     shared.add_argument("--output", default=None)
 
     # no abbreviations: argparse would otherwise expand a unique prefix, and
@@ -161,7 +159,7 @@ def build_parser() -> _Parser:
     orc.add_argument("--rho", type=float, default=None,
                      help="evaluate Mg at one radius (JSON)")
     orc.add_argument("--p", type=float, default=None,
-                     help="emit the empirical constant lower bound (JSON)")
+                     help="emit the empirical estimate of the operator constant (JSON)")
     orc.add_argument("--profile-points", type=int, default=256)
     orc.add_argument("--t-points", type=int, default=512)
     orc.add_argument("--output", default=None)
@@ -191,6 +189,19 @@ def _cmd_p0(args) -> int:
     return 0
 
 
+def _density(args):
+    """The --measure density; every fault of --density-file is a usage error."""
+    needs_file = args.measure == "tabulated"
+    if needs_file != (args.density_file is not None):
+        raise _UsageError("argument --density-file: " + (
+            "--measure tabulated needs a density file" if needs_file else
+            f"only --measure tabulated reads a density file, got --measure {args.measure}"))
+    try:
+        return density_from_name(args.measure, args.density_file)
+    except (OSError, ValueError) as exc:  # unreadable, or refused by TabulatedDecreasing
+        raise _UsageError(f"argument --density-file: {exc}") from None
+
+
 def _pick_construction(args) -> str:
     if args.construction is not None:
         return args.construction
@@ -207,13 +218,12 @@ def _construct(args, f, construction: str, n: int, p: float, lam: float):
     """
     if construction != "general" and args.measure != construction:
         raise ValueError(f"the {construction} construction needs --measure {construction}")
-    with_exact = n <= args.texact_max_n
     if construction == "gaussian":
-        rep = bounds.gaussian_construction(n, p, lam, with_exact=with_exact)
+        rep = bounds.gaussian_construction(n, p, lam)
     elif construction == "unitball":
-        rep = bounds.unitball_construction(n, p, args.R, lam, with_exact=with_exact)
+        rep = bounds.unitball_construction(n, p, args.R, lam)
     else:
-        rep = bounds.general_construction(f, n, p, lam, with_exact=with_exact)
+        rep = bounds.general_construction(f, n, p, lam)
     if rep.log_t_exact is not None and rep.log_t_exact < rep.log_t_lower - 1e-9:
         raise ValueError(f"certified chain violated: logT_exact={rep.log_t_exact!r} "
                          f"< logT_lower={rep.log_t_lower!r}")
@@ -221,7 +231,7 @@ def _construct(args, f, construction: str, n: int, p: float, lam: float):
 
 
 def _cmd_bound(args) -> int:
-    f = density_from_name(args.measure, args.density_file)
+    f = _density(args)
     construction = _pick_construction(args)
     rep = _construct(args, f, construction, args.n, args.p, args.lam)
     payload = {"construction": construction, **rep.as_dict()}
@@ -236,7 +246,7 @@ def _cmd_sweep(args) -> int:
     ns = _parse_list("--n-range", _parse_int_range, args.n_range)
     lams = _parse_list("--lambda", _parse_floats, args.lam)
     ps = _parse_list("--p", _parse_floats, args.p)
-    f = density_from_name(args.measure, args.density_file)
+    f = _density(args)
     construction = _pick_construction(args)
     header = ["n", "lambda", "p", "alpha", "logT_lower", "logT_exact",
               "logT_upper", "dlogT_dn", "error"]
@@ -264,7 +274,7 @@ def _cmd_sweep(args) -> int:
     meta = {"command": "sweep", "measure": args.measure,
             "construction": construction, "n_range": args.n_range,
             "lambda": args.lam, "p": args.p,
-            "texact_max_n": args.texact_max_n}
+            "texact_max_n": bounds.T_EXACT_MAX_N}
     _emit(csv_lines(meta, header, rows), args.output)
     return 0
 
@@ -405,7 +415,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     _check_points("--profile-points", args.profile_points, 2)
     _check_points("--t-points", args.t_points, 1)
-    f = density_from_name(args.measure, args.density_file)
+    f = _density(args)
     if args.rho is not None:
         value = maximal_function_at(f, args.n, args.r, args.rho, t_points=args.t_points)
         payload = {"measure": args.measure, "n": args.n, "r": args.r,

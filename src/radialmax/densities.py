@@ -113,7 +113,10 @@ class TabulatedDecreasing(RadialDensity):
 
     @classmethod
     def from_file(cls, path):
-        """Two-column text format: lines "s logf", '#' comments ignored."""
+        """Two-column text format: lines "s logf", '#' comments ignored.
+
+        A line that is not two numbers is a ``ValueError`` naming ``path:line``.
+        """
         radii, vals = [], []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -123,8 +126,11 @@ class TabulatedDecreasing(RadialDensity):
                 parts = line.split()
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 's logf', got {raw!r}")
-                radii.append(float(parts[0]))
-                vals.append(float(parts[1]))
+                try:
+                    radii.append(float(parts[0]))
+                    vals.append(float(parts[1]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
         return cls(radii, vals)
 
 

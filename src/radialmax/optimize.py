@@ -69,11 +69,12 @@ def find_root(g, lo, hi, tol: float = 1e-12):
     its bracket alone gives.  An element that stops is frozen at its root
     (lo = hi), which every later step leaves as it is.  Scalar brackets
     return a float; a one-element bracket takes the same steps on Python
-    floats, and a g that takes scalars only still works.  The steps run
-    under one ``np.errstate(over="ignore")``, the array steps updating
-    their arrays in place: only the signs of the products g(lo) g(mid) are
-    read, and an overflow to +-inf keeps them, so an overflow inside g
-    during the steps is not reported either.
+    floats, each calling g on the float midpoint alone, so a g that takes
+    scalars only still works.  The steps run under one
+    ``np.errstate(over="ignore")``, the array steps updating their arrays
+    in place: only the signs of the products g(lo) g(mid) are read, and an
+    overflow to +-inf keeps them, so an overflow inside g during the steps
+    is not reported either.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
@@ -102,7 +103,9 @@ def find_root(g, lo, hi, tol: float = 1e-12):
                 mid = 0.5 * (lo + hi)
                 if hi - lo <= tol or mid <= lo or mid >= hi:
                     break
-                g_mid = float(_eval_grid(g, np.array([mid]))[0])
+                g_mid = g(mid)  # a float, or a one-element array
+                g_mid = (float(g_mid) if isinstance(g_mid, float)
+                         else float(np.asarray(g_mid, dtype=float).reshape(1)[0]))
                 if g_mid == 0.0:
                     lo = hi = mid
                 elif g_lo * g_mid < 0.0:

@@ -6,7 +6,7 @@ function g = chi(B_r)/mu(B_r) directly from its definition,
     Mg(rho) = sup_t  mu(B(rho xi, t) ∩ B_r) / (mu(B(rho xi, t)) mu(B_r)),
 
 verifies the level-set inclusion that underpins the certified bound T,
-produces empirical lower bounds on the operator constant, and cross-checks
+produces empirical estimates of the operator constant, and cross-checks
 the geometry quadrature by importance-sampled Monte Carlo.
 
 Below r the sup is known: every t <= r - rho gives ratio 1, and no t
@@ -196,7 +196,7 @@ def _check_dimension(n: int):
     if not 1 <= n <= MAX_ORACLE_DIMENSION:
         raise ValueError(
             f"the oracle is restricted to 1 <= n <= {MAX_ORACLE_DIMENSION} "
-            "(quadrature cost bound)")
+            "(the dimensions its tests check)")
 
 
 class _MaximalEvaluator:
@@ -435,10 +435,12 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
 
 def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float, *,
                                    points: int = 256, t_points: int = 512) -> float:
-    """Empirical lower bound on the operator constant from the Mg profile.
+    """Empirical estimate of the operator constant from the Mg profile.
 
     p > 1: ( int Mg^p dmu / int g^p dmu )^(1/p) by radial quadrature of the
-    interpolated profile.  p = 1: the weak form sup_tau tau mu({Mg > tau})
+    interpolated profile.  It is an estimate, not a lower bound: log Mg is
+    interpolated linearly between the profile radii, and nothing keeps
+    that below the true Mg.  p = 1: the weak form sup_tau tau mu({Mg > tau})
     over the profile levels (int g dmu = 1, and the value is invariant
     under normalizing mu to mass 1).
     """

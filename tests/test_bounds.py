@@ -33,7 +33,7 @@ class TestTExact:
 
     def test_unitball_value_inside_sandwich(self):
         n, p, lam = 20, 1.02, 0.15
-        rep = unitball_construction(n, p, 1.0, lam, with_exact=False)
+        rep = unitball_construction(n, p, 1.0, lam)
         got = log_t_exact(UnitBallIndicator(), n, p, 1.0, lam)
         assert rep.terms["sandwich_lower"] - 1e-9 <= got <= rep.terms["sandwich_upper"] + 1e-9
 
@@ -243,7 +243,7 @@ class TestGeneralConstruction:
     def test_affine_growth_in_dimension(self):
         # closed-form lower bound is exactly affine in n; slope = log alpha
         lam, p = 0.2, 1.004
-        reps = [general_construction(Gaussian(), n, p, lam, with_exact=False)
+        reps = [general_construction(Gaussian(), n, p, lam)
                 for n in (1000, 10_000)]
         slope = ((reps[1].log_t_lower - reps[0].log_t_lower)
                  / (reps[1].n - reps[0].n))
@@ -345,8 +345,7 @@ class TestGaussianConstruction:
         # the cap-cover estimate must dominate the annulus estimate
         # exponentially: sin^2(b0) e^(-cos^2 b0) + cos^2 b0 < 1
         for lam in np.linspace(1e-6, LAMBDA_MAX - 1e-9, 200):
-            rep_margin = gaussian_construction(20, 1.0, float(lam),
-                                               with_exact=False).terms["dominance_margin"]
+            rep_margin = gaussian_construction(20, 1.0, float(lam)).terms["dominance_margin"]
             assert rep_margin > 0.0
 
     def test_transcendental_residual_linear_growth(self):
@@ -355,7 +354,7 @@ class TestGaussianConstruction:
         # vanishing fraction of each side of the equation
         vals = {}
         for n in (100, 1000, 10_000):
-            rep = gaussian_construction(n, 1.005, 0.2, with_exact=False)
+            rep = gaussian_construction(n, 1.005, 0.2)
             vals[n] = rep.terms["transcendental_residual"]
             side = abs(n * math.log(rep.R) - math.pi * rep.R ** 2 * math.sin(rep.beta0) ** 2)
             assert 0.0 < vals[n] < 0.1 * side
@@ -363,8 +362,8 @@ class TestGaussianConstruction:
 
     def test_growth_base_matches_lower_bound_slope(self):
         lam, p = 0.15, 1.008
-        r1 = gaussian_construction(1000, p, lam, with_exact=False)
-        r2 = gaussian_construction(10_000, p, lam, with_exact=False)
+        r1 = gaussian_construction(1000, p, lam)
+        r2 = gaussian_construction(10_000, p, lam)
         slope = (r2.log_t_lower + math.log(10_000)
                  - (r1.log_t_lower + math.log(1000))) / 9000.0
         assert slope == pytest.approx(growth_base_log("gaussian-lower", p, lam), abs=1e-9)
@@ -502,24 +501,23 @@ class TestPSequence:
     the report of a call made on an empty cache."""
 
     CONSTRUCTIONS = {
-        "general": lambda p, lam, **kw: general_construction(_GAUSSIAN, 12, p, lam, **kw),
-        "gaussian": lambda p, lam, **kw: gaussian_construction(30, p, lam, **kw),
-        "unitball": lambda p, lam, **kw: unitball_construction(20, p, 1.0, lam, **kw),
+        "general": lambda p, lam: general_construction(_GAUSSIAN, 12, p, lam),
+        "gaussian": lambda p, lam: gaussian_construction(30, p, lam),
+        "unitball": lambda p, lam: unitball_construction(20, p, 1.0, lam),
     }
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
-    @pytest.mark.parametrize("with_exact", [None, False])
-    def test_matches_single_p_calls(self, name, with_exact):
+    def test_matches_single_p_calls(self, name):
         build = self.CONSTRUCTIONS[name]
         bounds.clear_stage_caches()
-        build(1.003, 0.2, with_exact=with_exact)
+        build(1.003, 0.2)
         for p in (1.04, 1.003):
-            cached = build(p, 0.2, with_exact=with_exact)
+            cached = build(p, 0.2)
             bounds.clear_stage_caches()
-            assert cached.as_dict() == build(p, 0.2, with_exact=with_exact).as_dict()
+            assert cached.as_dict() == build(p, 0.2).as_dict()
         for p in (0.9, float("nan")):  # NaN is refused with p < 1, stage cached or not
             with pytest.raises(ValueError, match=r"^p must be >= 1$"):
-                build(p, 0.2, with_exact=with_exact)
+                build(p, 0.2)
 
     @pytest.mark.parametrize("name,solves", [("general", 1), ("gaussian", 0),
                                              ("unitball", 0)])
@@ -545,11 +543,11 @@ class TestPSequence:
 
     def test_reports_do_not_share_terms(self):
         for build in self.CONSTRUCTIONS.values():
-            a = build(1.003, 0.2, with_exact=False)
+            a = build(1.003, 0.2)
             key = next(iter(a.terms))
             a.terms[key] = 0.0
             a.terms["extra"] = 1.0
-            b = build(1.04, 0.2, with_exact=False)
+            b = build(1.04, 0.2)
             assert "extra" not in b.terms
             assert b.terms[key] != 0.0
 
@@ -579,7 +577,7 @@ class TestGrowthTable:
         n = 7
         f = UnitBallIndicator()
         for p in self.PS:
-            rep = general_construction(f, n, p, lam, with_exact=False)
+            rep = general_construction(f, n, p, lam)
             log_alpha = growth_base_log("general", p, lam)
             assert rep.log_t_lower == -math.log1p(rep.Q) + n * log_alpha
             assert rep.alpha == math.exp(log_alpha)
@@ -590,7 +588,7 @@ class TestGrowthTable:
     def test_gaussian(self, lam):
         n = 40
         for p in self.PS:
-            rep = gaussian_construction(n, p, lam, with_exact=False)
+            rep = gaussian_construction(n, p, lam)
             log_alpha = growth_base_log("gaussian-lower", p, lam)
             assert rep.terms["growth_base_log"] == log_alpha
             assert rep.log_t_lower == -math.log(n) + n * log_alpha
@@ -600,7 +598,7 @@ class TestGrowthTable:
     def test_unitball(self, lam):
         n = 30
         for p in self.PS:
-            rep = unitball_construction(n, p, 1.0, lam, with_exact=False)
+            rep = unitball_construction(n, p, 1.0, lam)
             log_alpha = growth_base_log("unitball", p, lam)
             # n * log alpha, not sandwich_lower / n: that quotient rounds
             assert rep.terms["sandwich_lower"] == rep.log_t_lower == n * log_alpha

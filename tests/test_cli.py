@@ -112,6 +112,82 @@ class TestMeasureOption:
         assert "argument --measure: invalid choice: 'lebesgue'" in err
 
 
+FOUR_KNOTS = "# s logf\n0.25 0.0\n0.67 -0.5\n1.19 -0.8\n1.45 -1.7\n"
+
+MEASURE_COMMANDS = [
+    ["bound", "--n", "7", "--p", "1.01", "--lambda", "0.2"],
+    ["sweep", "--n-range", "7", "--p", "1.01"],
+    ["oracle", "--n", "2", "--r", "0.3", "--rho", "0.5"],
+]
+
+
+class TestDensityFileOption:
+    """``--measure tabulated`` reads ``--density-file``; every fault of that
+    option is a usage error that names it."""
+
+    @pytest.mark.parametrize("argv", MEASURE_COMMANDS, ids=lambda argv: argv[0])
+    def test_missing_option(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--measure", "tabulated", *argv[1:])
+        assert (code, out) == (1, "")
+        assert (f"radialmax {argv[0]}: error: argument --density-file: "
+                "--measure tabulated needs a density file") in err
+
+    @pytest.mark.parametrize("argv", MEASURE_COMMANDS, ids=lambda argv: argv[0])
+    def test_missing_file(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "absent.txt")
+        code, out, err = run(capsys, argv[0], "--measure", "tabulated",
+                             "--density-file", path, *argv[1:])
+        assert (code, out) == (1, "")
+        assert f"radialmax {argv[0]}: error: argument --density-file: " in err
+        assert "No such file or directory" in err and path in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("# s logf\n0.5 0.0\n1.0 abc\n", "{path}:3: could not convert string to float: 'abc'"),
+        ("0.5 0.0\n1.0 0.5\n", "log densities must be nonincreasing (radially decreasing f)"),
+    ], ids=["non-numeric", "increasing"])
+    def test_malformed_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "bound", "--measure", "tabulated", "--density-file",
+                             str(path), "--n", "7", "--p", "1.01", "--lambda", "0.2")
+        assert (code, out) == (1, "")
+        assert ("radialmax bound: error: argument --density-file: "
+                + message.format(path=path)) in err
+
+    @pytest.mark.parametrize("measure", ["gaussian", "unitball"])
+    @pytest.mark.parametrize("argv", MEASURE_COMMANDS, ids=lambda argv: argv[0])
+    def test_file_with_other_measure(self, capsys, tmp_path, measure, argv):
+        path = tmp_path / "density.txt"
+        path.write_text(FOUR_KNOTS, encoding="utf-8")
+        code, out, err = run(capsys, argv[0], "--measure", measure,
+                             "--density-file", str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert (f"radialmax {argv[0]}: error: argument --density-file: only --measure "
+                f"tabulated reads a density file, got --measure {measure}") in err
+
+
+class TestExactThreshold:
+    """Exact T is computed up to bounds.T_EXACT_MAX_N, and no option moves it."""
+
+    def test_texact_max_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bound", "--measure", "gaussian", "--n", "10",
+                             "--p", "1.01", "--lambda", "0.2", "--texact-max-n", "5")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --texact-max-n 5" in err
+
+    def test_sweep_exact_column_ends_at_threshold(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "gaussian",
+                           "--n-range", "10000,10001", "--p", "1.01")
+        assert code == 0
+        assert "# texact_max_n=10000\n" in out
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+        assert [row["n"] for row in rows] == ["10000", "10001"]
+        assert float(rows[0]["logT_exact"]) > float(rows[0]["logT_lower"])
+        assert rows[1]["logT_exact"] == ""
+
+
 class TestBoundCommand:
     def test_gaussian_construction_chain(self, capsys):
         code, out, _ = run(capsys, "bound", "--measure", "gaussian", "--n", "100",
@@ -370,14 +446,19 @@ class TestBoundSweepAgree:
         ("gaussian", "gaussian", 50, "1.005", "0.2", "decay_upper_bound"),
         ("gaussian", "general", 30, "1.003", "0.2", None),
         ("unitball", "unitball", 20, "1.02", "0.15", "sandwich_upper"),
+        ("tabulated", "general", 7, "1.01", "0.2", None),
     ])
-    def test_sweep_row_matches_bound_json(self, capsys, measure, construction,
+    def test_sweep_row_matches_bound_json(self, capsys, tmp_path, measure, construction,
                                           n, p, lam, upper_key):
         common = ["--measure", measure, "--construction", construction,
                   "--R", "1", "--lambda", lam, "--p", p]
+        if measure == "tabulated":
+            (tmp_path / "density.txt").write_text(FOUR_KNOTS, encoding="utf-8")
+            common += ["--density-file", str(tmp_path / "density.txt")]
         code, bound_out, _ = run(capsys, "bound", *common, "--n", str(n))
         assert code == 0
-        assert json.loads(bound_out)["logT_exact"] is not None
+        report = json.loads(bound_out)
+        assert report["logT_exact"] >= report["logT_lower"]
         code, sweep_out, _ = run(capsys, "sweep", *common, "--n-range", str(n))
         assert code == 0
         lines = [l for l in sweep_out.splitlines() if l and not l.startswith("#")]

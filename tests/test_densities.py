@@ -68,6 +68,10 @@ def test_tabulated_from_file(tmp_path):
     bad.write_text("0.5 0.0 extra\n", encoding="utf-8")
     with pytest.raises(ValueError):
         TabulatedDecreasing.from_file(bad)
+    bad.write_text("0.5 0.0\n\n1.0 abc\n", encoding="utf-8")
+    with pytest.raises(ValueError) as got:
+        TabulatedDecreasing.from_file(bad)
+    assert str(got.value) == f"{bad}:3: could not convert string to float: 'abc'"
 
 
 def test_density_from_name(tmp_path):
