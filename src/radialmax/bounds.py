@@ -193,6 +193,8 @@ def _log_t(p: float, lb_R: float, lb_r: float, lb_off: float) -> float:
 def _check_p(p: float):
     if not p >= 1.0:  # catches NaN too
         raise ValueError("p must be >= 1")
+    if p == math.inf:
+        raise ValueError("p must be finite")
 
 
 def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float) -> float:

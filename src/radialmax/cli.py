@@ -397,6 +397,8 @@ def _verify_montecarlo(suite: _Suite, samples: int, seed: int):
 def _cmd_verify(args) -> int:
     _check_points("--inclusion-points", args.inclusion_points, 1)
     _check_points("--samples", args.samples, 10_000, "sample")
+    if args.seed < 0:  # numpy's generators take only nonnegative seeds
+        raise _UsageError(f"argument --seed: must be nonnegative, got {args.seed}")
     suite = _Suite()
     if args.suite in ("spheres", "all"):
         _verify_spheres(suite)

@@ -29,18 +29,15 @@ def log_sphere_area(n):
     """log omega_{n-1}: surface measure of the unit sphere in R^n (n >= 1).
 
     n=1 gives log 2 (two endpoints), n=2 log(2 pi), n=3 log(4 pi).
-    Accepts integer scalars or arrays; a scalar runs on Python floats,
-    with the array path's floats.
+    Accepts an integer or an array of them; an array gets, element by
+    element, the scalar's floats.
     """
-    if np.ndim(n) == 0:
-        n = float(n)
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        return float(np.log(n)) + 0.5 * n * math.log(math.pi) - lgamma(0.5 * n + 1.0)
-    arr = np.asarray(n, dtype=float)
-    if np.any(arr < 1):
+    if np.ndim(n) > 0:
+        return np.vectorize(log_sphere_area, otypes=[float])(n)
+    n = float(n)
+    if n < 1:
         raise ValueError("dimension must be >= 1")
-    return np.log(arr) + 0.5 * arr * math.log(math.pi) - lgamma(0.5 * arr + 1.0)
+    return math.log(n) + 0.5 * n * math.log(math.pi) - lgamma(0.5 * n + 1.0)
 
 
 def log_ball_volume(n: int, rho: float) -> float:

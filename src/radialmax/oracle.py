@@ -48,6 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bounds import _check_p
 from .densities import RadialDensity, UnitBallIndicator
 from .geometry import (_cap_j_log, cap_angle, intersect_with_centered_ball,
                        off_center_ball_measure)
@@ -190,6 +191,8 @@ def _j_lookup(n: int) -> _UniformLookup:
 def _check_rho(rho: float, name: str = "rho"):
     if not rho >= 0:  # NaN too
         raise ValueError(f"{name} must be nonnegative")
+    if rho == math.inf:
+        raise ValueError(f"{name} must be finite")
 
 
 def _check_dimension(n: int):
@@ -215,14 +218,20 @@ class _MaximalEvaluator:
         _check_dimension(n)
         if not r > 0:
             raise ValueError("test-function radius r must be positive")
-        _check_rho(max_rho, "max_rho")  # before the tables: a NaN horizon fills them with -inf
+        if r == math.inf:
+            raise ValueError("test-function radius r must be finite")
+        # before the tables: a NaN or infinite horizon fills them with -inf or NaN
+        _check_rho(max_rho, "max_rho")
         self.f, self.n, self.r = f, n, r
         self.t_points = t_points
         self.support = upper_cutoff(f, n)
+        self.horizon = 2.0 * (max_rho + r) + self.support + 1.0
+        if self.horizon == math.inf:
+            raise ValueError(f"r = {r!r} and max_rho = {max_rho!r} overflow the table "
+                             "horizon 2 (max_rho + r) + support + 1")
         self.log_mu_br = log_ball_measure(f, n, r)
         if self.log_mu_br == LOG_ZERO:
             raise ValueError("mu(B_r) vanishes; the test function is undefined")
-        self.horizon = 2.0 * (max_rho + r) + self.support + 1.0
         radii = np.linspace(0.0, self.horizon, _TABLE_POINTS)
         self._log_ball = _UniformLookup(radii, np.concatenate(
             [[LOG_ZERO], log_ball_measure_grid(f, n, radii[1:])]))
@@ -444,8 +453,7 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
     over the profile levels (int g dmu = 1, and the value is invariant
     under normalizing mu to mass 1).
     """
-    if not p >= 1.0:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if points < 2:  # one radius bounds no cell to integrate over
         raise ValueError(f"points must be >= 2, got {points}")
     _check_dimension(n)
@@ -453,6 +461,9 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
     radii = profile.radii
     with np.errstate(divide="ignore"):
         log_mg = np.log(np.maximum(profile.values, 1e-300))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(p * log_mg).all():
+            raise ValueError(f"p = {p!r} overflows p log Mg")
     log_mu_br = log_ball_measure(f, n, r)
     if p == 1.0:
         cum = np.concatenate([[LOG_ZERO],
@@ -475,7 +486,10 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
                        probe_points=list(radii[:: max(len(radii) // 64, 1)]))
     log_num = log_sphere_area(n) + res.log_value
     log_den = (1.0 - p) * log_mu_br
-    return math.exp((log_num - log_den) / p)
+    log_estimate = (log_num - log_den) / p
+    if not math.isfinite(log_estimate):
+        raise ValueError(f"the estimate at p = {p!r} is not finite")
+    return math.exp(log_estimate)
 
 
 def monte_carlo_ball_measure(f: RadialDensity, n: int, d: float, t: float,

@@ -518,6 +518,8 @@ class TestPSequence:
         for p in (0.9, float("nan")):  # NaN is refused with p < 1, stage cached or not
             with pytest.raises(ValueError, match=r"^p must be >= 1$"):
                 build(p, 0.2)
+        with pytest.raises(ValueError, match=r"^p must be finite$"):
+            build(math.inf, 0.2)
 
     @pytest.mark.parametrize("name,solves", [("general", 1), ("gaussian", 0),
                                              ("unitball", 0)])

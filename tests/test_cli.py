@@ -223,6 +223,14 @@ class TestBoundCommand:
         assert code == 2
         assert "error" in err
 
+    def test_infinite_p_exits_two(self, capsys):
+        # "alpha must be positive" from the report, after the construction ran
+        code, out, err = run(capsys, "bound", "--measure", "gaussian", "--n", "10",
+                             "--p", "inf", "--lambda", "0.2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: ValueError: p must be finite\n"
+
     def test_unitball_radius_zero_exits_two(self, capsys):
         code, out, err = run(capsys, "bound", "--measure", "unitball",
                              "--construction", "unitball", "--R", "0", "--n", "20",
@@ -376,6 +384,14 @@ class TestSweepBatchedRowErrors:
         assert rows[0] == "10,0.20000000000000001,0.5,,,,,,ValueError: p must be >= 1"
         assert rows[1].startswith("10,0.20000000000000001,1.01,0.98")
         assert rows[1].endswith(",,")
+
+    def test_infinite_p_is_a_row_error(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--measure", "gaussian", "--n-range", "10",
+                           "--lambda", "0.2", "--p", "1.01,inf")
+        assert code == 0
+        rows = csv_rows(out)
+        assert rows[0].startswith("10,0.20000000000000001,1.01,0.99")
+        assert rows[1] == "10,0.20000000000000001,inf,,,,,,ValueError: p must be finite"
 
     def test_invalid_lambda_next_to_valid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--measure", "gaussian",
@@ -627,6 +643,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "montecarlo-vs-quadrature" in out
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # numpy's "expected non-negative integer", exit 2
+        code, out, err = run(capsys, "verify", "montecarlo", "--seed", "-1",
+                             "--samples", "10000")
+        assert code == 1
+        assert out == ""
+        assert "radialmax verify: error: argument --seed: must be nonnegative, got -1" in err
+
 
 class TestOracleCommand:
     def test_point_value_json(self, capsys):
@@ -659,6 +683,15 @@ class TestOracleCommand:
         (["--r", "0.3", "--p", "nan"], "p must be >= 1"),
         (["--r", "0.3", "--rho", "nan"], "rho must be nonnegative"),
         (["--r", "nan", "--rho", "0.5"], "test-function radius r must be positive"),
+        # a "nan" estimate, and values of 1 or a math domain error from
+        # tables built out to an infinite horizon
+        (["--r", "0.3", "--p", "inf"], "p must be finite"),
+        (["--r", "0.2", "--p", "1e308", "--profile-points", "16", "--t-points", "16"],
+         "p = 1e+308 overflows p log Mg"),
+        (["--r", "inf", "--rho", "0.5"], "test-function radius r must be finite"),
+        (["--r", "1e308", "--rho", "0.5"], "r = 1e+308 and max_rho = 1e+308 overflow "
+         "the table horizon 2 (max_rho + r) + support + 1"),
+        (["--r", "0.3", "--rho", "inf"], "rho must be finite"),
     ])
     def test_nan_inputs_refused(self, capsys, flag, message):
         # refused by the domain checks: exit 2 and nothing on stdout

@@ -40,9 +40,21 @@ class TestSphereArea:
         with pytest.raises(ValueError):
             log_sphere_area(0)
 
+    def test_against_mpmath(self):
+        # relative to max(1, |value|); the worst over n = 1..30000 and the
+        # last 2000 dimensions up to 10**6 is 1.8e-15, at n = 18
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(22)
+        ns = set(np.exp(rng.uniform(0.0, math.log(1e6), 2000)).astype(int).tolist())
+        with mpmath.workdps(40):
+            for n in sorted(ns | {1, 2, 3, 18, 10**6}):
+                m = mpmath.mpf(n)
+                ref = float(mpmath.log(m) + m / 2 * mpmath.log(mpmath.pi)
+                            - mpmath.loggamma(m / 2 + 1))
+                assert abs(log_sphere_area(n) - ref) <= 2.5e-15 * max(1.0, abs(ref)), n
 
     def test_scalar_path_gives_the_array_floats(self):
-        # a scalar runs on Python floats; it must give the array path's float
+        # an array is mapped element by element: each gets the scalar's float
         n = np.arange(1, 30001)
         want = [x.hex() for x in log_sphere_area(n).tolist()]
         assert [log_sphere_area(k).hex() for k in n.tolist()] == want

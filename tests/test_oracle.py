@@ -101,6 +101,22 @@ class TestMaximalFunction:
         with pytest.raises(ValueError, match="max_rho must be nonnegative"):
             _MaximalEvaluator(Gaussian(), 2, 0.3, max_rho=max_rho)
 
+    @pytest.mark.parametrize("r,rho,message", [
+        (math.inf, 0.5, "^test-function radius r must be finite$"),
+        (1e308, 0.5, r"^r = 1e\+308 and max_rho = 1e\+308 overflow the table horizon"),
+        (0.5, math.inf, "^rho must be finite$"),
+        (0.5, 1e308, r"^r = 0.5 and max_rho = 1e\+308 overflow the table horizon"),
+    ])
+    def test_infinite_horizon_refused_before_the_table(self, monkeypatch, r, rho, message):
+        # an infinite horizon printed a value of about 1 after RuntimeWarnings,
+        # or failed with a math domain error
+        def no_table(*args):
+            raise AssertionError("the ball-measure table was built")
+
+        monkeypatch.setattr(oracle, "log_ball_measure_grid", no_table)
+        with pytest.raises(ValueError, match=message):
+            maximal_function_at(Gaussian(), 3, r, rho)
+
     def test_nan_rho_refused_before_the_evaluator(self, monkeypatch):
         def no_evaluator(*args, **kwargs):
             raise AssertionError("the evaluator was built")
@@ -601,6 +617,15 @@ class TestEmpiricalBound:
             empirical_constant_lower_bound(Gaussian(), 2, 0.3, 0.9)
         with pytest.raises(ValueError, match="p must be >= 1"):
             empirical_constant_lower_bound(Gaussian(), 2, 0.3, math.nan)
+        with pytest.raises(ValueError, match="^p must be finite$"):
+            empirical_constant_lower_bound(Gaussian(), 2, 0.3, math.inf)
+
+    def test_overflowing_p_refused(self):
+        # p log Mg overflowed to a printed "nan"
+        with pytest.raises(ValueError, match=r"^p = 1e\+308 overflows p log Mg$"):
+            empirical_constant_lower_bound(Gaussian(), 2, 0.2, 1e308, points=16, t_points=16)
+        with pytest.raises(ValueError, match=r"^the estimate at p = 1e\+305 is not finite$"):
+            empirical_constant_lower_bound(Gaussian(), 6, 5.0, 1e305, points=8, t_points=8)
 
     @pytest.mark.parametrize("points", [1, 0, -3])
     @pytest.mark.parametrize("p", [1.0, 2.0])

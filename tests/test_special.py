@@ -17,21 +17,32 @@ def test_integer_factorials(k):
     assert lgamma(float(k)) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
-def test_against_stdlib_twelve_digits():
-    zs = np.concatenate([np.linspace(0.05, 4.0, 80),
-                         np.geomspace(4.0, 5.0e5, 60)])
-    ours = lgamma(zs)
-    ref = np.array([math.lgamma(z) for z in zs])
-    # relative where ref is away from zero, absolute near the lgamma zeros
-    err = np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)
-    assert float(err.max()) < 1e-12
+def _argument_sample(rng):
+    """Uniform in [1e-3, 30], log-uniform in [1e-3, 6e5], and n/2 + 1 for n up
+    to 10**6: the arguments the sphere areas take, and the rest of the range."""
+    n = np.unique(np.exp(rng.uniform(0.0, math.log(1e6), 4000)).astype(int))
+    return np.concatenate([rng.uniform(1e-3, 30.0, 4000),
+                           np.exp(rng.uniform(math.log(1e-3), math.log(6e5), 4000)),
+                           0.5 * n + 1.0, [0.5 * 1e6 + 1.0]]).tolist()
 
 
-def test_array_and_scalar_shapes():
-    assert isinstance(lgamma(3.0), float)
-    out = lgamma(np.array([1.0, 2.0, 3.0]))
-    assert out.shape == (3,)
-    assert np.allclose(out, [0.0, 0.0, math.log(2.0)], atol=1e-14)
+def test_against_mpmath_loggamma():
+    # relative to max(1, |log Gamma|): absolute near the zeros at 1 and 2.
+    # The standard library's worst here is 1.2e-15; a 9-term Lanczos sum's
+    # was 2.8e-15
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for z in _argument_sample(np.random.default_rng(22)):
+            ref = float(mpmath.loggamma(mpmath.mpf(z)))
+            assert abs(lgamma(z) - ref) <= 2.5e-15 * max(1.0, abs(ref)), z
+
+
+def test_returns_a_python_float():
+    # integers, numpy scalars and 0-d arrays give the float of 3.0
+    values = [lgamma(z) for z in (3.0, 3, np.float64(3.0), np.array(3.0))]
+    assert all(type(v) is float for v in values)
+    assert values == [lgamma(3.0)] * 4
+    assert values[0] == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_domain_errors():
@@ -41,18 +52,3 @@ def test_domain_errors():
         lgamma(-1.5)
     with pytest.raises(ValueError):
         lgamma(float("nan"))
-
-
-def test_scalar_path_gives_the_array_floats():
-    # a scalar runs on Python floats, with numpy only for the logs; it must
-    # give the array path's float everywhere, on both sides of the 1/2 lift
-    rng = np.random.default_rng(5)
-    zs = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(1e7), 40000)),
-                         0.5 * np.arange(1, 2001) + 1.0,
-                         [np.nextafter(0.5, 0.0), 0.5, 1e-300, 1.0, 2.0]])
-    want = [x.hex() for x in lgamma(zs).tolist()]
-    assert [lgamma(z).hex() for z in zs.tolist()] == want
-    # numpy scalars and 0-d arrays take the scalar path too
-    assert lgamma(np.float64(zs[0])).hex() == want[0]
-    assert lgamma(np.array(zs[1])).hex() == want[1]
-    assert lgamma(3).hex() == lgamma(np.array([3.0]))[0].hex()
