@@ -18,8 +18,8 @@ from .bounds import (BoundReport, gaussian_ball_sandwich, gaussian_construction,
 from .densities import (Gaussian, RadialDensity, TabulatedDecreasing, UnitBallIndicator,
                         density_from_name)
 from .errors import BracketError, NoBalancedRadiusError
-from .geometry import (cap_log_area, contact_angle, contact_angle_unit_ball,
-                       intersect_with_centered_ball, off_center_ball_measure)
+from .geometry import (contact_angle, contact_angle_unit_ball, intersect_with_centered_ball,
+                       off_center_ball_measure)
 from .logspace import LOG_ZERO, log_add, log_sub, log_sum
 from .measures import log_ball_measure, log_mass, log_sphere_area, sphere_ratio_bounds
 from .optimize import (SupremumResult, find_root, growth_base_log,
@@ -42,7 +42,6 @@ __all__ = [
     "SupremumResult",
     "TabulatedDecreasing",
     "UnitBallIndicator",
-    "cap_log_area",
     "contact_angle",
     "contact_angle_unit_ball",
     "density_from_name",

@@ -9,9 +9,10 @@ integral
     mu(B(d xi, t)) = omega_{n-2} * int f(s) s^(n-1) J_n(theta(s)) ds,
     J_n(theta) = int_0^theta sin(beta)^(n-2) dbeta,
 
-plus a fully-contained core when t > d.  ``cap_log_area`` runs J_n through
-the adaptive quadrature (the accuracy reference).  The vectorized
-evaluator ``_cap_j_log`` used inside integrands evaluates each angle once:
+plus a fully-contained core when t > d.  At n = 1 the sphere is the two
+points +-s: the core holds both and a band radius one, so the band has
+weight 1 and no cap.  The vectorized evaluator ``_cap_j_log`` used inside
+integrands evaluates each angle once:
 on theta itself up to pi/2, and past pi/2 on pi - theta, whose value the
 complement rule J(theta) = 2 J(pi/2) - J(pi - theta) turns into J(theta).
 At the oracle's dimensions the exponent m = n - 2 is at most 6 (a lens
@@ -27,9 +28,9 @@ x^2 = a^2 + v with a^2 = -m log sin(theta) turns J into a Gaussian tail,
 whose smooth integrand ``quadrature.fixed_log_integral`` integrates over
 [a, sqrt(a^2 + 40)] in 2 panels of 16 nodes (``_cap_j_log_half``).
 
-The unit ball needs no radial integral: B(d xi, t) ∩ B_a is a lens of two
-balls, two spherical caps cut by one hyperplane, and ``_log_lens`` adds
-their closed-form volumes.
+From n = 2 on, the unit ball needs no radial integral: B(d xi, t) ∩ B_a
+is a lens of two balls, two spherical caps cut by one hyperplane, and
+``_log_lens`` adds their closed-form volumes.
 
 Pure functions throughout.
 """
@@ -269,56 +270,6 @@ def _cap_j_log(n: int, theta):
     return float(out[0]) if scalar else out
 
 
-def cap_log_area(n: int, theta: float) -> float:
-    """log surface measure of the cap of angular radius theta on S^(n-1).
-
-    omega_{n-2} * int_0^theta sin^(n-2), by adaptive log-domain quadrature;
-    this is the ground-truth route against which the fast evaluator and
-    every closed form are tested.
-    """
-    if n < 2:
-        raise ValueError("caps need dimension n >= 2")
-    if not 0.0 <= theta <= math.pi + 1e-12:
-        raise ValueError("theta must lie in [0, pi]")
-    theta = min(theta, math.pi)
-    if theta == 0.0:
-        return LOG_ZERO
-    if n == 2:
-        return math.log(theta) + log_sphere_area(1)
-    m = n - 2
-
-    def phi(beta):
-        beta = np.asarray(beta, dtype=float)
-        sin_b = np.sin(np.clip(beta, 0.0, math.pi))
-        with np.errstate(divide="ignore"):
-            return np.where(sin_b > 0.0, m * np.log(np.maximum(sin_b, 1e-300)), LOG_ZERO)
-
-    hint = min(theta, 0.5 * math.pi)
-    res = log_integral(phi, 0.0, theta, probe_points=[hint])
-    return float(log_sphere_area(n - 1) + res.log_value)
-
-
-def _off_center_1d(f: RadialDensity, d: float, t: float, rho: float) -> float:
-    """mu(B(d, t) ∩ B_rho) on the line: an interval integral of f(|x|)."""
-    S = f.support_upper_bound
-    x0 = max(d - t, -rho, -S)
-    x1 = min(d + t, rho, S)
-    if x1 <= x0:
-        return LOG_ZERO
-    pieces = []
-    phi = lambda s: np.asarray(f.log_density(s), dtype=float)
-    hints = _probe_hints(f, 1)
-    if x1 > max(x0, 0.0):
-        a, b = max(x0, 0.0), x1
-        res = log_integral(phi, a, b, probe_points=[h for h in hints if a <= h <= b])
-        pieces.append(res.log_value)
-    if x0 < min(x1, 0.0):
-        a, b = -min(x1, 0.0), -x0
-        res = log_integral(phi, a, b, probe_points=[h for h in hints if a <= h <= b])
-        pieces.append(res.log_value)
-    return log_sum(pieces)
-
-
 def _log_lens(n: int, d: float, t: float, a: float) -> float:
     """log Lebesgue volume of B(d xi, t) ∩ B_a in R^n, for n >= 2 and d > 0.
 
@@ -355,11 +306,9 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
         raise ValueError("need d >= 0 and t > 0")
     if not rho > 0:
         raise ValueError("rho must be positive")
-    if n == 1:
-        return _off_center_1d(f, d, t, rho)
     if d == 0.0:
         return log_ball_measure(f, n, min(t, rho))
-    if isinstance(f, UnitBallIndicator):
+    if n > 1 and isinstance(f, UnitBallIndicator):
         return _log_lens(n, d, t, min(rho, 1.0))
     S = f.support_upper_bound
     hi = min(d + t, rho, S)
@@ -380,8 +329,9 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
             widest = math.sqrt(d * d - t * t)  # theta(s) is maximal here
             if lo < widest < hi:
                 hints.append(widest)
-        res = log_integral(phi, lo, hi, probe_points=hints)
-        pieces.append(log_sphere_area(n - 1) + res.log_value)
+        # at n = 1 a band radius s holds one of the two points +-s: weight 1, no cap
+        res = log_integral(phi if n > 1 else phi_radial, lo, hi, probe_points=hints)
+        pieces.append((log_sphere_area(n - 1) if n > 1 else 0.0) + res.log_value)
     return log_sum(pieces)
 
 

@@ -18,26 +18,27 @@ few surviving candidates are re-evaluated exactly, together with the
 witness radius t = rho + r whose value already certifies the level-set
 bound.  The exact pass puts the numerator and the denominator through one
 ``quadrature.fixed_log_integral`` call per rule order (8 panels, orders 16
-and 24, on four rows: the centered core and the cap band, each cut at r and
-at the support), after the smoothstep substitution
+and 24, on four rows: the centered core and the cap band, each cut at r
+and at the support), after the smoothstep substitution
 s = lo + (hi - lo)(3u^2 - 2u^3), which turns the band's (s - lo)^((n-1)/2)
 ends into polynomials.  The higher order is kept when every row agrees
-with the lower one to 1e-12 in the log; otherwise, at n = 1, and on the
-unit ball (whose lens is closed form) the candidate goes through
-``geometry``'s adaptive ``intersect_with_centered_ball`` and
-``off_center_ball_measure``.  The scan integrates with
-``quadrature.fixed_log_integral`` (24 panels of 8 nodes), in one call for
-every t's numerator and denominator cap bands that are not empty and not
-copies of each other (the three zooms share one scan); the rule runs the
-rows in blocks, each with its own t.  It reads the cap integral J_{n-2}
-from a table of 4097 angles, built once per dimension and shared
-read-only by every evaluator, and the centered ball measure from a
-``log_ball_measure_grid`` table; both are uniform grids, so a lookup finds
-each point's cell by a multiplication and gives ``np.interp``'s float.
-Every cap integral here, J_{n-2} in the table and the exact pass and J_n
-in the unit ball's lens, has exponent at most 6, so ``geometry`` gives it
-in elementary functions.  The Monte Carlo sampler's inverse CDF is a
-``log_ball_measure_grid`` table too.
+with the lower one to 1e-12 in the log; otherwise, and on the unit ball (a
+closed-form lens from n = 2 on), the candidate goes through ``geometry``'s
+``intersect_with_centered_ball`` and ``off_center_ball_measure``.  The
+scan integrates with ``quadrature.fixed_log_integral`` (24 panels of 8
+nodes), in one call for every t's numerator and denominator cap bands that
+are not empty and not copies of each other (the three zooms share one
+scan); the rule runs the rows in blocks, each with its own t.  At n = 1 a
+band radius holds one of the two points +-s: the band rows have weight 1
+and no cap, and the scan's band is half the ball table's difference.  The
+scan reads the cap integral J_{n-2} from a table of 4097 angles, built
+once per dimension and shared read-only by every evaluator, and the
+centered ball measure from a ``log_ball_measure_grid`` table; both are
+uniform grids, so a lookup finds each point's cell by a multiplication and
+gives ``np.interp``'s float.  Every cap integral here, J_{n-2} in the
+table and the exact pass and J_n in the unit ball's lens, has exponent at
+most 6, so ``geometry`` gives it in elementary functions.  The Monte Carlo
+sampler's inverse CDF is a ``log_ball_measure_grid`` table too.
 """
 
 from __future__ import annotations
@@ -207,8 +208,9 @@ class _MaximalEvaluator:
 
     Scan-grade ratios come from ``fixed_log_integral`` with the cap
     integral and the cumulative radial mass looked up in uniform tables
-    (``_UniformLookup``, the floats of ``np.interp``); final values are
-    re-computed exactly, by the two-order fixed rule where it settles them
+    (``_UniformLookup``, the floats of ``np.interp``), and at n = 1 from the
+    mass table alone; final values are re-computed exactly, in every
+    dimension by the two-order fixed rule where it settles them
     (``_fixed_pair``) and by ``geometry`` otherwise.
     ``exact_fixed`` and ``exact_geometry`` count the candidates of each.
     """
@@ -237,13 +239,10 @@ class _MaximalEvaluator:
             [[LOG_ZERO], log_ball_measure_grid(f, n, radii[1:])]))
         self._phi = radial_log_integrand(f, n)
         self.exact_fixed = self.exact_geometry = 0
-        self._fixed_rule = n >= 2 and not isinstance(f, UnitBallIndicator)
-        if n >= 2:
-            self._cap_j = _j_lookup(n)
-            self._log_omega_sub = log_sphere_area(n - 1)
-        if self._fixed_rule:
-            # log omega_{n-1} on the core rows, log omega_{n-2} on the band rows
-            self._row_log_omega = np.array([log_sphere_area(n), self._log_omega_sub] * 2)
+        self._fixed_rule = not isinstance(f, UnitBallIndicator)
+        # log omega_{n-1} on the core rows, log omega_{n-2} (0 at n = 1) on the band rows
+        self._log_omega_sub = log_sphere_area(n - 1) if n > 1 else 0.0
+        self._row_log_omega = np.array([log_sphere_area(n), self._log_omega_sub] * 2)
 
     def _scan_pair(self, rho: float, ts: np.ndarray):
         """(log numerator, log denominator) for all t at once, scan grade.
@@ -254,63 +253,52 @@ class _MaximalEvaluator:
         row with hi <= lo gives LOG_ZERO without it, and a numerator row
         equal to its denominator row (rho + t <= r) takes that row's value.
         """
-        if self.n == 1:
-            return (self._interval_mass(rho, ts, self.r),
-                    self._interval_mass(rho, ts, np.inf))
         inner = np.abs(ts - rho)
-        den_hi = np.minimum(ts + rho, self.support)
-        num_hi = np.minimum(den_hi, self.r)
-        den_lo, num_lo = np.minimum(inner, den_hi), np.minimum(inner, num_hi)
-        den_rows = den_hi > den_lo
-        num_rows = (num_hi > num_lo) & (num_hi < den_hi)
-        t = np.concatenate([ts[den_rows], ts[num_rows]])[:, None, None]
+        if self.n == 1:
+            # a band radius holds one of +-s: half the ball table's difference,
+            # read at rho + t (cut at r), not at the support it interpolates across
+            mass = [np.exp(self._log_ball(hi)) - np.exp(self._log_ball(np.minimum(inner, hi)))
+                    for hi in (ts + rho, np.minimum(ts + rho, self.r))]
+            with np.errstate(divide="ignore"):
+                den_band, num_band = np.log(np.maximum(0.5 * np.array(mass), 0.0))
+        else:
+            den_hi = np.minimum(ts + rho, self.support)
+            num_hi = np.minimum(den_hi, self.r)
+            den_lo, num_lo = np.minimum(inner, den_hi), np.minimum(inner, num_hi)
+            den_rows = den_hi > den_lo
+            num_rows = (num_hi > num_lo) & (num_hi < den_hi)
+            t = np.concatenate([ts[den_rows], ts[num_rows]])[:, None, None]
+            cap_j = _j_lookup(self.n)
 
-        def log_f(s, t):
-            # the law-of-cosines angle: it only ranks candidates, and costs
-            # less than ``cap_angle``'s half-angle form on this many nodes
-            cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
-            return self._phi(s) + self._cap_j(np.arccos(np.clip(cos, -1.0, 1.0)))
+            def log_f(s, t):
+                # the law-of-cosines angle: it only ranks candidates, and costs
+                # less than ``cap_angle``'s half-angle form on this many nodes
+                cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
+                return self._phi(s) + cap_j(np.arccos(np.clip(cos, -1.0, 1.0)))
 
-        bands = fixed_log_integral(log_f, np.concatenate([den_lo[den_rows], num_lo[num_rows]]),
-                                   np.concatenate([den_hi[den_rows], num_hi[num_rows]]),
-                                   _SCAN_PANELS, _SCAN_ORDER, (t,))
-        split = np.count_nonzero(den_rows)
-        den_band = np.full(ts.shape, LOG_ZERO)
-        den_band[den_rows] = bands[:split]
-        num_band = np.where(num_hi < den_hi, LOG_ZERO, den_band)
-        num_band[num_rows] = bands[split:]
+            bands = fixed_log_integral(
+                log_f, np.concatenate([den_lo[den_rows], num_lo[num_rows]]),
+                np.concatenate([den_hi[den_rows], num_hi[num_rows]]),
+                _SCAN_PANELS, _SCAN_ORDER, (t,))
+            split = np.count_nonzero(den_rows)
+            den_band = np.full(ts.shape, LOG_ZERO)
+            den_band[den_rows] = bands[:split]
+            num_band = np.where(num_hi < den_hi, LOG_ZERO, den_band)
+            num_band[num_rows] = bands[split:]
         full = np.clip(ts - rho, 0.0, None)
         den = np.logaddexp(self._log_ball(full), den_band + self._log_omega_sub)
         num = np.logaddexp(self._log_ball(np.minimum(full, self.r)),
                            num_band + self._log_omega_sub)
         return num, den
 
-    def _interval_mass(self, rho: float, ts: np.ndarray, cap: float):
-        """1-D case: mu((rho-t, rho+t) ∩ (-cap, cap)) via the cumulative table.
-
-        The table stores log mu(B_s) = log(2 int_0^s f); one-sided masses
-        are half of that in linear space (n <= 6 keeps them representable).
-        """
-        x0 = np.maximum(rho - ts, -cap)
-        x1 = np.minimum(rho + ts, cap)
-
-        def half_mass(a, b):
-            a = np.maximum(a, 0.0)
-            b = np.maximum(np.maximum(b, 0.0), a)
-            return np.maximum(0.5 * (np.exp(self._log_ball(b))
-                                     - np.exp(self._log_ball(a))), 0.0)
-
-        mass = half_mass(x0, x1) + half_mass(-x1, -x0)
-        with np.errstate(divide="ignore"):
-            return np.where(mass > 0.0, np.log(np.maximum(mass, 1e-300)), LOG_ZERO)
-
     def _fixed_pair(self, rho: float, t: float):
         """(log numerator, log denominator) by the two-order fixed rule, or None.
 
         Four rows: the centered core [0, min(max(t - rho, 0), cap, H)] and
         the cap band [max(|t - rho|, core), min(rho + t, cap, H)], for
-        cap = r and cap = inf, with H the support.  Each row runs on
-        u in [0, 1] through s = lo + (hi - lo)(3u^2 - 2u^3).  None when a
+        cap = r and cap = inf, with H the support; at n = 1 the band has
+        no cap integral.  Each row runs on u in [0, 1] through
+        s = lo + (hi - lo)(3u^2 - 2u^3).  None when a
         row's two orders differ by more than _EXACT_AGREEMENT max(1, |log|);
         rows empty at both orders agree.
         """
@@ -328,7 +316,8 @@ class _MaximalEvaluator:
         def log_f(u, lo, width, band):
             s = lo + width * (u * u * (3.0 - 2.0 * u))
             out = self._phi(s) + np.log(width * (6.0 * u * (1.0 - u)))
-            out[band] += _cap_j_log(n, cap_angle(rho, t, s[band]))
+            if n > 1:
+                out[band] += _cap_j_log(n, cap_angle(rho, t, s[band]))
             return out
 
         u_hi = np.where(width[:, 0, 0] > 0.0, 1.0, 0.0)  # an empty row gives LOG_ZERO

@@ -360,7 +360,9 @@ def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralRe
 
     ``probe_points`` should include any interior maxima the caller knows
     about (density peaks, tabulation knots); the uniform probe grid alone
-    only resolves peaks wider than (b - a) / N_PROBES.
+    only resolves peaks wider than (b - a) / N_PROBES.  A probed maximum m
+    that is not finite, or so large that m - WINDOW_DROP == m, is refused
+    with a ValueError: no window and no shifted exponential can be formed.
     """
     if not b > a:
         return LogIntegralResult(LOG_ZERO, 0.0, 0, True, LOG_ZERO, (a, b))
@@ -373,6 +375,9 @@ def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralRe
     m = float(np.max(vals))
     if m == LOG_ZERO:
         return LogIntegralResult(LOG_ZERO, 0.0, evals, True, LOG_ZERO, (a, b))
+    if not math.isfinite(m) or m - WINDOW_DROP == m:
+        raise ValueError(f"log-integrand maximum {m!r} leaves no window of {WINDOW_DROP} "
+                         "log-units below it")
     tau = m - WINDOW_DROP
     above = vals >= tau
     i_lo = int(np.argmax(above))

@@ -7,16 +7,46 @@ import pytest
 
 from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
 from radialmax.geometry import (_cap_j_log, _cap_j_log_half, _cap_j_log_half_pi,
-                                arccos_clamped, cap_angle, cap_log_area, contact_angle,
+                                arccos_clamped, cap_angle, contact_angle,
                                 contact_angle_unit_ball, intersect_with_centered_ball,
                                 off_center_ball_measure)
 from radialmax.logspace import LOG_ZERO, log_add, log_sub
 from radialmax.measures import log_ball_measure, log_sphere_area
+from radialmax.quadrature import log_integral
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 
 # log of the classical two-unit-disk lens area at center distance 1
 LOG_UNIT_LENS = math.log(2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0)
+
+
+def cap_log_area(n: int, theta: float) -> float:
+    """log surface measure of the cap of angular radius theta on S^(n-1).
+
+    omega_{n-2} * int_0^theta sin^(n-2), by adaptive log-domain quadrature;
+    this is the reference route against which the fast evaluator and
+    every closed form are tested.
+    """
+    if n < 2:
+        raise ValueError("caps need dimension n >= 2")
+    if not 0.0 <= theta <= math.pi + 1e-12:
+        raise ValueError("theta must lie in [0, pi]")
+    theta = min(theta, math.pi)
+    if theta == 0.0:
+        return LOG_ZERO
+    if n == 2:
+        return math.log(theta) + log_sphere_area(1)
+    m = n - 2
+
+    def phi(beta):
+        beta = np.asarray(beta, dtype=float)
+        sin_b = np.sin(np.clip(beta, 0.0, math.pi))
+        with np.errstate(divide="ignore"):
+            return np.where(sin_b > 0.0, m * np.log(np.maximum(sin_b, 1e-300)), LOG_ZERO)
+
+    hint = min(theta, 0.5 * math.pi)
+    res = log_integral(phi, 0.0, theta, probe_points=[hint])
+    return float(log_sphere_area(n - 1) + res.log_value)
 
 
 def _two_pass_cap_j_log(n, theta):

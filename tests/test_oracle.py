@@ -143,9 +143,11 @@ class TestCapTable:
         assert [x.hex() for x in _j_table(n).tolist()] == [x.hex() for x in want.tolist()]
 
     def test_shared_between_evaluators(self):
-        a = _MaximalEvaluator(Gaussian(), 3, 0.2, max_rho=1.0)
-        b = _MaximalEvaluator(Gaussian(), 3, 0.5, max_rho=1.0)
-        assert a._cap_j is b._cap_j is _j_lookup(3)
+        _j_lookup(3)
+        misses = _j_lookup.cache_info().misses
+        for r in (0.2, 0.5):
+            _MaximalEvaluator(Gaussian(), 3, r, max_rho=1.0).log_maximal_at(0.7)
+        assert _j_lookup.cache_info().misses == misses
         assert _j_lookup(3).fp is _j_table(3)
 
 
@@ -205,21 +207,19 @@ def _reference_scan_pair(ev, rho, ts):
     def log_ball(radius):
         return np.interp(np.minimum(radius, ev.horizon), xp, fp)
 
-    if ev.n == 1:
-        def mass(cap):
-            x0, x1 = np.maximum(rho - ts, -cap), np.minimum(rho + ts, cap)
-
-            def half_mass(a, b):
-                a = np.maximum(a, 0.0)
-                b = np.maximum(np.maximum(b, 0.0), a)
-                return np.maximum(0.5 * (np.exp(log_ball(b)) - np.exp(log_ball(a))), 0.0)
-
-            total = half_mass(x0, x1) + half_mass(-x1, -x0)
-            with np.errstate(divide="ignore"):
-                return np.where(total > 0.0, np.log(np.maximum(total, 1e-300)), LOG_ZERO)
-
-        return mass(ev.r), mass(np.inf)
     inner = np.abs(ts - rho)
+    full = np.clip(ts - rho, 0.0, None)
+    if ev.n == 1:
+        # the band holds one of +-s: half the table's difference on every row
+        def band(hi):
+            lo = np.minimum(inner, hi)
+            with np.errstate(divide="ignore"):
+                return np.log(np.maximum(0.5 * (np.exp(log_ball(hi)) - np.exp(log_ball(lo))),
+                                         0.0))
+
+        return (np.logaddexp(log_ball(np.minimum(full, ev.r)),
+                             band(np.minimum(ts + rho, ev.r))),
+                np.logaddexp(log_ball(full), band(ts + rho)))
     outer = np.minimum(ts + rho, ev.support)
     j_table = _j_table(ev.n)
 
@@ -233,7 +233,6 @@ def _reference_scan_pair(ev, rho, ts):
                                    (ts[:, None, None],))
                 + ev._log_omega_sub)
 
-    full = np.clip(ts - rho, 0.0, None)
     den = np.logaddexp(log_ball(full), partial(np.inf))
     num = np.logaddexp(log_ball(np.minimum(full, ev.r)), partial(ev.r))
     return num, den
@@ -334,6 +333,16 @@ class TestScan:
             assert len(lo) == np.count_nonzero(den_nonempty) + np.count_nonzero(num_own)
             assert len(lo) < 2 * len(ts)
 
+    def test_one_dimensional_band_reads_past_the_support(self):
+        # at n = 1 the band is half the ball table's difference, read at
+        # rho + t: the table interpolates across the unit ball's support at 1,
+        # and a read there was 3.4e-4 to 6.9e-4 off on these rows
+        ev = _MaximalEvaluator(UnitBallIndicator(), 1, 0.3, max_rho=1.0)
+        rho, cell = 0.8, ev._log_ball.xp[1]
+        ts = np.linspace(0.2 + 2.0 * cell, 0.6, 101)  # rho + t past the support's cell
+        _, den = ev._scan_pair(rho, ts)
+        assert np.max(np.abs(den - np.log(1.0 - (rho - ts)))) <= 1e-5
+
     def test_two_scans_per_evaluation(self, monkeypatch):
         calls = []
         scan_pair = _MaximalEvaluator._scan_pair
@@ -402,6 +411,65 @@ def _log_noncentral_chi2(n, d, t):
             j += 1
 
 
+def _log_gaussian_interval(x0, x1):
+    """log int_x0^x1 e^(-pi x^2) dx, the Gaussian on the line, by erf, or by
+    erfc for an interval in one tail."""
+    if x1 <= x0:
+        return LOG_ZERO
+    a, b = math.sqrt(math.pi) * x0, math.sqrt(math.pi) * x1
+    if a >= 0.0:
+        return math.log(0.5 * (math.erfc(a) - math.erfc(b)))
+    if b <= 0.0:
+        return math.log(0.5 * (math.erfc(-b) - math.erfc(-a)))
+    return math.log(0.5 * (math.erf(b) - math.erf(a)))
+
+
+def _log_gaussian_line(d, t, rho=math.inf):
+    """log mu(B(d, t) ∩ B_rho) for the Gaussian at n = 1."""
+    return _log_gaussian_interval(max(d - t, -rho), min(d + t, rho))
+
+
+class TestOneDimensionalGaussian:
+    """n = 1 runs the core-and-band route of every dimension, checked against
+    the erf closed form to 1e-12 max(1, |log|).  The thinnest balls keep
+    t >= d / 200: below that the erfc difference itself loses digits (at
+    d = 3, t = 1e-4 it was 1.7e-12 off an mpmath quadrature)."""
+
+    @pytest.mark.parametrize("d,t,rho", [
+        (0.5, 0.2, math.inf),  # t < d
+        (0.5, 0.9, math.inf),  # t > d: a core and a band
+        (2.0, 1e-2, math.inf),  # t << d
+        (4.0, 0.5, math.inf),  # in the tail
+        (0.7, 0.5, 0.9),  # cut at rho on one side
+        (0.3, 1.2, 0.4),  # cut at rho on both sides
+        (0.7, 0.5, 0.1),  # no overlap with B_rho
+    ])
+    def test_geometry(self, d, t, rho):
+        want = _log_gaussian_line(d, t, rho)
+        got = (off_center_ball_measure(Gaussian(), 1, d, t) if rho == math.inf
+               else intersect_with_centered_ball(Gaussian(), 1, d, t, rho))
+        assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_exact_pass(self):
+        r = 0.3
+        ev = _MaximalEvaluator(Gaussian(), 1, r, max_rho=2.0)
+        rng = np.random.default_rng(11)
+        for i in range(100):
+            rho = float(rng.uniform(r, 2.0))
+            t = float(rng.uniform(1e-2, 3.0) if i % 4 else rng.uniform(rho / 200.0, 1e-2))
+            num, den = _log_gaussian_line(rho, t, r), _log_gaussian_line(rho, t)
+            for got, want in zip(ev._fixed_pair(rho, t), (num, den)):
+                assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            ratio = ev._exact_ratio(rho, t)
+            assert ratio == num - den or abs(ratio - (num - den)) <= 2e-12 * max(1.0, abs(den))
+        assert (ev.exact_fixed, ev.exact_geometry) == (100, 0)
+
+    def test_inclusion_settles_every_candidate_by_the_fixed_rule(self):
+        # at n = 1 the margins sit within rounding of 0, so only the routes count
+        rep = verify_level_set_inclusion(Gaussian(), 1, 1.2, 0.3, n_points=8)
+        assert (rep.exact_fixed, rep.exact_geometry) == (24, 0)
+
+
 class TestExactPass:
     def test_fixed_rule_matches_adaptive_route(self):
         # the adaptive route is good to its DEFAULT_REL_TOL (1e-10); on draws
@@ -445,12 +513,24 @@ class TestExactPass:
     @pytest.mark.parametrize("f,n", [(Gaussian(), 1), (UnitBallIndicator(), 1),
                                      (UnitBallIndicator(), 2), (UnitBallIndicator(), 5)])
     def test_closed_form_and_one_dimensional_paths_unchanged(self, f, n):
+        # the unit ball takes geometry's route, to the last bit; the Gaussian
+        # at n = 1 settles by the fixed rule, as at n >= 2, within the exact
+        # pass's agreement tolerance of that route
         ev = _MaximalEvaluator(f, n, 0.3, max_rho=1.0)
+        fixed = isinstance(f, Gaussian)
         for rho, t in [(0.5, 0.1), (0.5, 0.9), (0.8, 2e-4), (0.2, 1.7)]:
             num, den = _adaptive_pair(f, n, 0.3, rho, t)
             want = -math.inf if den == -math.inf else num - den
-            assert ev._exact_ratio(rho, t).hex() == want.hex()
-        assert (ev.exact_fixed, ev.exact_geometry) == (0, 4)
+            got = ev._exact_ratio(rho, t)
+            if fixed:
+                pair = ev._fixed_pair(rho, t)
+                assert got == pair[0] - pair[1]
+                for got_part, want_part in zip(pair, (num, den)):
+                    assert got_part == want_part or abs(got_part - want_part) <= (
+                        oracle._EXACT_AGREEMENT * max(1.0, abs(want_part)))
+            else:
+                assert got.hex() == want.hex()
+        assert (ev.exact_fixed, ev.exact_geometry) == ((4, 0) if fixed else (0, 4))
 
     def test_report_counts_every_candidate(self, monkeypatch):
         calls = []
@@ -624,8 +704,19 @@ class TestEmpiricalBound:
         # p log Mg overflowed to a printed "nan"
         with pytest.raises(ValueError, match=r"^p = 1e\+308 overflows p log Mg$"):
             empirical_constant_lower_bound(Gaussian(), 2, 0.2, 1e308, points=16, t_points=16)
-        with pytest.raises(ValueError, match=r"^the estimate at p = 1e\+305 is not finite$"):
+        # a finite p log Mg of about 1e290 leaves the integral no window
+        no_window = r"^log-integrand maximum 1\.3\d*e\+290 leaves no window"
+        with pytest.raises(ValueError, match=no_window):
             empirical_constant_lower_bound(Gaussian(), 6, 5.0, 1e305, points=8, t_points=8)
+
+    def test_integrand_without_window_refused_at_once(self):
+        # p log Mg of about 2e305: the integral spent 10^6 evaluations, about
+        # 2 s, reaching NaN, which the estimate then refused as not finite
+        start = time.perf_counter()
+        no_window = r"^log-integrand maximum 2\.\d*e\+305 leaves no window"
+        with pytest.raises(ValueError, match=no_window):
+            empirical_constant_lower_bound(Gaussian(), 2, 0.2, 1e305, points=8, t_points=8)
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("points", [1, 0, -3])
     @pytest.mark.parametrize("p", [1.0, 2.0])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ def test_log_integral_handles_huge_shifts():
     res = log_integral(lambda x: 5000.0 - np.asarray(x) ** 2, -50.0, 50.0)
     assert res.log_value == pytest.approx(5000.0 + 0.5 * math.log(math.pi), rel=1e-12)
     assert res.shift >= 4999.0
+
+
+@pytest.mark.parametrize("peak", [math.nan, math.inf, 1e18, 2e305, -1e20])
+def test_log_integral_refuses_a_maximum_without_window(peak):
+    # a maximum m with m - WINDOW_DROP == m gave NaN after 10^6 evaluations
+    message = rf"^log-integrand maximum {re.escape(repr(peak))} leaves no window"
+    with pytest.raises(ValueError, match=message):
+        log_integral(lambda x: peak - np.asarray(x) ** 2, -1.0, 1.0)
 
 
 def test_log_integral_narrow_peak_via_probe_hint():
