@@ -11,8 +11,8 @@ integral
 
 plus a fully-contained core when t > d.  At n = 1 the sphere is the two
 points +-s: the core holds both and a band radius one, so the band has
-weight 1 and no cap.  The vectorized evaluator ``_cap_j_log`` used inside
-integrands evaluates each angle once:
+weight 1 and no cap (``_band_log_weight``).  The vectorized evaluator
+``_cap_j_log`` used inside integrands evaluates each angle once:
 on theta itself up to pi/2, and past pi/2 on pi - theta, whose value the
 complement rule J(theta) = 2 J(pi/2) - J(pi - theta) turns into J(theta).
 At the oracle's dimensions the exponent m = n - 2 is at most 6 (a lens
@@ -38,7 +38,7 @@ Pure functions throughout.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -270,6 +270,14 @@ def _cap_j_log(n: int, theta):
     return float(out[0]) if scalar else out
 
 
+def _band_log_weight(n: int):
+    """(log omega_{n-2}, theta -> log J_{n-2}(theta)), a band radius's cap
+    weight; at n = 1, (0, 0): it holds one of the two points +-s, no cap."""
+    if n == 1:
+        return 0.0, np.zeros_like
+    return log_sphere_area(n - 1), partial(_cap_j_log, n)
+
+
 def _log_lens(n: int, d: float, t: float, a: float) -> float:
     """log Lebesgue volume of B(d xi, t) ∩ B_a in R^n, for n >= 2 and d > 0.
 
@@ -319,19 +327,19 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
     lo = max(abs(t - d), full_hi)
     if hi > lo:
         phi_radial = radial_log_integrand(f, n)
+        log_omega, cap_j = _band_log_weight(n)
 
         def phi(s):
             s = np.asarray(s, dtype=float)
-            return phi_radial(s) + _cap_j_log(n, cap_angle(d, t, s))
+            return phi_radial(s) + cap_j(cap_angle(d, t, s))
 
         hints = [h for h in _probe_hints(f, n) if lo < h < hi]
         if d > t:
             widest = math.sqrt(d * d - t * t)  # theta(s) is maximal here
             if lo < widest < hi:
                 hints.append(widest)
-        # at n = 1 a band radius s holds one of the two points +-s: weight 1, no cap
-        res = log_integral(phi if n > 1 else phi_radial, lo, hi, probe_points=hints)
-        pieces.append((log_sphere_area(n - 1) if n > 1 else 0.0) + res.log_value)
+        res = log_integral(phi, lo, hi, probe_points=hints)
+        pieces.append(log_omega + res.log_value)
     return log_sum(pieces)
 
 

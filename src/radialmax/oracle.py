@@ -30,7 +30,8 @@ nodes), in one call for every t's numerator and denominator cap bands that
 are not empty and not copies of each other (the three zooms share one
 scan); the rule runs the rows in blocks, each with its own t.  At n = 1 a
 band radius holds one of the two points +-s: the band rows have weight 1
-and no cap, and the scan's band is half the ball table's difference.  The
+and no cap (``geometry._band_log_weight``), and the scan's band is half
+the ball table's difference, at a sixth of the fixed rule's cost.  The
 scan reads the cap integral J_{n-2} from a table of 4097 angles, built
 once per dimension and shared read-only by every evaluator, and the
 centered ball measure from a ``log_ball_measure_grid`` table; both are
@@ -51,7 +52,7 @@ import numpy as np
 
 from .bounds import _check_p
 from .densities import RadialDensity, UnitBallIndicator
-from .geometry import (_cap_j_log, cap_angle, intersect_with_centered_ball,
+from .geometry import (_band_log_weight, cap_angle, intersect_with_centered_ball,
                        off_center_ball_measure)
 from .logspace import LOG_ZERO
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area,
@@ -177,8 +178,8 @@ class _UniformLookup:
 
 @lru_cache(maxsize=MAX_ORACLE_DIMENSION)
 def _j_table(n: int) -> np.ndarray:
-    """log J_{n-2} on the scan's angle grid, once per dimension; read-only."""
-    table = _cap_j_log(n, _J_THETAS)
+    """log J_{n-2} on the scan's angle grid, 0 at n = 1; once per dimension, read-only."""
+    table = _band_log_weight(n)[1](_J_THETAS)
     table.flags.writeable = False
     return table
 
@@ -240,8 +241,9 @@ class _MaximalEvaluator:
         self._phi = radial_log_integrand(f, n)
         self.exact_fixed = self.exact_geometry = 0
         self._fixed_rule = not isinstance(f, UnitBallIndicator)
-        # log omega_{n-1} on the core rows, log omega_{n-2} (0 at n = 1) on the band rows
-        self._log_omega_sub = log_sphere_area(n - 1) if n > 1 else 0.0
+        self._cap_j = _j_lookup(n)
+        self._log_omega_sub, self._cap_j_log = _band_log_weight(n)
+        # log omega_{n-1} on the core rows, the band's weight on the band rows
         self._row_log_omega = np.array([log_sphere_area(n), self._log_omega_sub] * 2)
 
     def _scan_pair(self, rho: float, ts: np.ndarray):
@@ -268,13 +270,12 @@ class _MaximalEvaluator:
             den_rows = den_hi > den_lo
             num_rows = (num_hi > num_lo) & (num_hi < den_hi)
             t = np.concatenate([ts[den_rows], ts[num_rows]])[:, None, None]
-            cap_j = _j_lookup(self.n)
 
             def log_f(s, t):
                 # the law-of-cosines angle: it only ranks candidates, and costs
                 # less than ``cap_angle``'s half-angle form on this many nodes
                 cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
-                return self._phi(s) + cap_j(np.arccos(np.clip(cos, -1.0, 1.0)))
+                return self._phi(s) + self._cap_j(np.arccos(np.clip(cos, -1.0, 1.0)))
 
             bands = fixed_log_integral(
                 log_f, np.concatenate([den_lo[den_rows], num_lo[num_rows]]),
@@ -296,13 +297,13 @@ class _MaximalEvaluator:
 
         Four rows: the centered core [0, min(max(t - rho, 0), cap, H)] and
         the cap band [max(|t - rho|, core), min(rho + t, cap, H)], for
-        cap = r and cap = inf, with H the support; at n = 1 the band has
-        no cap integral.  Each row runs on u in [0, 1] through
+        cap = r and cap = inf, with H the support; the band rows carry
+        ``geometry._band_log_weight``.  Each row runs on u in [0, 1] through
         s = lo + (hi - lo)(3u^2 - 2u^3).  None when a
         row's two orders differ by more than _EXACT_AGREEMENT max(1, |log|);
         rows empty at both orders agree.
         """
-        n, H = self.n, self.support
+        H = self.support
         core = min(max(t - rho, 0.0), H)
         lo, hi = [], []
         for cap in (self.r, math.inf):
@@ -316,8 +317,7 @@ class _MaximalEvaluator:
         def log_f(u, lo, width, band):
             s = lo + width * (u * u * (3.0 - 2.0 * u))
             out = self._phi(s) + np.log(width * (6.0 * u * (1.0 - u)))
-            if n > 1:
-                out[band] += _cap_j_log(n, cap_angle(rho, t, s[band]))
+            out[band] += self._cap_j_log(cap_angle(rho, t, s[band]))
             return out
 
         u_hi = np.where(width[:, 0, 0] > 0.0, 1.0, 0.0)  # an empty row gives LOG_ZERO

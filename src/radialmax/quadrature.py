@@ -361,8 +361,10 @@ def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralRe
     ``probe_points`` should include any interior maxima the caller knows
     about (density peaks, tabulation knots); the uniform probe grid alone
     only resolves peaks wider than (b - a) / N_PROBES.  A probed maximum m
-    that is not finite, or so large that m - WINDOW_DROP == m, is refused
-    with a ValueError: no window and no shifted exponential can be formed.
+    that is not finite, or positive and so large that m - WINDOW_DROP == m,
+    is refused with a ValueError: no window below it can be formed.  A
+    negative m that large keeps the whole interval as its window, where
+    every value rounds to m.
     """
     if not b > a:
         return LogIntegralResult(LOG_ZERO, 0.0, 0, True, LOG_ZERO, (a, b))
@@ -375,7 +377,7 @@ def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralRe
     m = float(np.max(vals))
     if m == LOG_ZERO:
         return LogIntegralResult(LOG_ZERO, 0.0, evals, True, LOG_ZERO, (a, b))
-    if not math.isfinite(m) or m - WINDOW_DROP == m:
+    if not math.isfinite(m) or (m > 0.0 and m - WINDOW_DROP == m):
         raise ValueError(f"log-integrand maximum {m!r} leaves no window of {WINDOW_DROP} "
                          "log-units below it")
     tau = m - WINDOW_DROP

@@ -143,11 +143,9 @@ class TestCapTable:
         assert [x.hex() for x in _j_table(n).tolist()] == [x.hex() for x in want.tolist()]
 
     def test_shared_between_evaluators(self):
-        _j_lookup(3)
-        misses = _j_lookup.cache_info().misses
-        for r in (0.2, 0.5):
-            _MaximalEvaluator(Gaussian(), 3, r, max_rho=1.0).log_maximal_at(0.7)
-        assert _j_lookup.cache_info().misses == misses
+        a = _MaximalEvaluator(Gaussian(), 3, 0.2, max_rho=1.0)
+        b = _MaximalEvaluator(Gaussian(), 3, 0.5, max_rho=1.0)
+        assert a._cap_j is b._cap_j is _j_lookup(3)
         assert _j_lookup(3).fp is _j_table(3)
 
 
