@@ -70,11 +70,10 @@ def _annulus_exponent(lam):
     Diverges to +inf as lam approaches sqrt(2)-1 where sin b0 rounds to 1.
     """
     _, s = _angle_parts(lam)
-    with np.errstate(divide="ignore"):
-        log_s = np.log(s)
-        return np.where(log_s < 0.0,
-                        -np.log(2.0 + np.asarray(lam, dtype=float)) / np.minimum(log_s, -1e-300),
-                        np.inf)
+    log_s = np.log(s)  # s >= 1e-150
+    return np.where(log_s < 0.0,
+                    -np.log(2.0 + np.asarray(lam, dtype=float)) / np.minimum(log_s, -1e-300),
+                    np.inf)
 
 
 def growth_parts(kind: str, lam):
@@ -114,7 +113,7 @@ def gaussian_mode_radius(n: int) -> float:
     """Maximizer of exp(-pi s^2) s^(n-1): sqrt((n-1)/(2 pi))."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return math.sqrt((n - 1) / (2.0 * math.pi))
+    return Gaussian().peak_radius(n)
 
 
 @dataclass
@@ -123,7 +122,8 @@ class BoundReport:
 
     ``terms`` maps labels to intermediate log-quantities so the individual
     estimates of the derivation stay auditable.  ``log_t_exact`` is None
-    above n = T_EXACT_MAX_N, where the constructions skip the quadrature.
+    above n = T_EXACT_MAX_N, where the constructions skip the quadrature;
+    an exact T more than 1e-9 below ``log_t_lower`` is refused.
     """
 
     n: int
@@ -147,6 +147,9 @@ class BoundReport:
             raise ValueError("k must equal 1/(1+l) when l is present")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
+        if self.log_t_exact is not None and self.log_t_exact < self.log_t_lower - 1e-9:
+            raise ValueError(f"certified chain violated: logT_exact={self.log_t_exact!r} "
+                             f"< logT_lower={self.log_t_lower!r}")
 
     @property
     def chain_margin(self):

@@ -253,8 +253,7 @@ def _cap_j_log(n: int, theta):
     th = np.atleast_1d(np.clip(th, 0.0, math.pi))
     m = n - 2
     if m == 0:
-        with np.errstate(divide="ignore"):
-            out = np.where(th > 0.0, np.log(np.maximum(th, 1e-300)), LOG_ZERO)
+        out = np.where(th > 0.0, np.log(np.maximum(th, 1e-300)), LOG_ZERO)
         return float(out[0]) if scalar else out
     over = th > 0.5 * math.pi
     # one rule evaluation per angle: past pi/2 it runs on the complement angle
@@ -279,7 +278,7 @@ def _band_log_weight(n: int):
 
 
 def _log_lens(n: int, d: float, t: float, a: float) -> float:
-    """log Lebesgue volume of B(d xi, t) ∩ B_a in R^n, for n >= 2 and d > 0.
+    """log Lebesgue volume of B(d xi, t) ∩ B_a in R^n, for n >= 2 and d >= 0.
 
     The boundary spheres meet in the hyperplane x_1 = (d^2 + a^2 - t^2)/(2d),
     which cuts a cap of half-angle phi_1 off B_a and one of half-angle phi_2
@@ -314,8 +313,6 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
         raise ValueError("need d >= 0 and t > 0")
     if not rho > 0:
         raise ValueError("rho must be positive")
-    if d == 0.0:
-        return log_ball_measure(f, n, min(t, rho))
     if n > 1 and isinstance(f, UnitBallIndicator):
         return _log_lens(n, d, t, min(rho, 1.0))
     S = f.support_upper_bound
@@ -324,7 +321,7 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
     pieces = []
     if full_hi > 0.0:
         pieces.append(log_ball_measure(f, n, full_hi))
-    lo = max(abs(t - d), full_hi)
+    lo = abs(t - d)  # the core never passes |t - d|
     if hi > lo:
         phi_radial = radial_log_integrand(f, n)
         log_omega, cap_j = _band_log_weight(n)

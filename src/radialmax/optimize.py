@@ -69,8 +69,8 @@ def find_root(g, lo, hi, tol: float = 1e-12):
     its bracket alone gives.  An element that stops is frozen at its root
     (lo = hi), which every later step leaves as it is.  Scalar brackets
     return a float; a one-element bracket takes the same steps on Python
-    floats, each calling g on the float midpoint alone, so a g that takes
-    scalars only still works.  The steps run under one
+    floats, each calling g on the float midpoint alone.  Larger brackets
+    need a vectorized g (see ``_eval_grid``).  The steps run under one
     ``np.errstate(over="ignore")``, the array steps updating their arrays
     in place: only the signs of the products g(lo) g(mid) are read, and an
     overflow to +-inf keeps them, so an overflow inside g during the steps
@@ -201,23 +201,20 @@ def _golden_lockstep(f, intervals, tol: float) -> list:
 def _eval_grid(f, xs):
     """f at every entry of the 1-D float array xs, in one call.
 
-    A one-entry batch is evaluated as a scalar, and an f that takes scalars
-    only is called entry by entry.
+    A one-entry batch is evaluated as a scalar.  f must be vectorized: a
+    result whose shape is not that of xs is refused.
     """
     if xs.size == 1:
         return np.asarray(f(float(xs[0])), dtype=float).reshape(1)
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-        return vals
-    except (TypeError, ValueError):
-        return np.array([float(f(float(x))) for x in xs])
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise ValueError(f"f returned shape {vals.shape} on an array of shape {xs.shape}")
+    return vals
 
 
 def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-12, *,
                     pre_scan: int = 2049, jump_locator=None) -> SupremumResult:
-    """Global maximum of a scalar objective on [lo, hi].
+    """Global maximum of a vectorized scalar objective on [lo, hi].
 
     Uniform pre-scan (pre_scan points), then golden-section refinement of
     the cell around the best grid point.  When a ``jump_locator`` is

@@ -177,17 +177,10 @@ class _UniformLookup:
 
 
 @lru_cache(maxsize=MAX_ORACLE_DIMENSION)
-def _j_table(n: int) -> np.ndarray:
-    """log J_{n-2} on the scan's angle grid, 0 at n = 1; once per dimension, read-only."""
-    table = _band_log_weight(n)[1](_J_THETAS)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=MAX_ORACLE_DIMENSION)
 def _j_lookup(n: int) -> _UniformLookup:
-    """The lookup of ``_j_table(n)``, once per dimension; read-only."""
-    return _UniformLookup(_J_THETAS, _j_table(n))
+    """The scan's lookup of log J_{n-2} (0 at n = 1) on its angle grid, once
+    per dimension; read-only, and ``_j_lookup(n).fp`` is the table."""
+    return _UniformLookup(_J_THETAS, _band_log_weight(n)[1](_J_THETAS))
 
 
 def _check_rho(rho: float, name: str = "rho"):
@@ -296,7 +289,7 @@ class _MaximalEvaluator:
         """(log numerator, log denominator) by the two-order fixed rule, or None.
 
         Four rows: the centered core [0, min(max(t - rho, 0), cap, H)] and
-        the cap band [max(|t - rho|, core), min(rho + t, cap, H)], for
+        the cap band [|t - rho|, min(rho + t, cap, H)], for
         cap = r and cap = inf, with H the support; the band rows carry
         ``geometry._band_log_weight``.  Each row runs on u in [0, 1] through
         s = lo + (hi - lo)(3u^2 - 2u^3).  None when a
@@ -308,7 +301,7 @@ class _MaximalEvaluator:
         lo, hi = [], []
         for cap in (self.r, math.inf):
             c = min(core, cap)
-            lo += [0.0, max(abs(t - rho), c)]
+            lo += [0.0, abs(t - rho)]  # c never passes |t - rho|
             hi += [c, min(rho + t, cap, H)]
         lo = np.array(lo)[:, None, None]
         width = np.maximum(np.array(hi)[:, None, None] - lo, 0.0)
@@ -386,6 +379,17 @@ def maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
     return math.exp(ev.log_maximal_at(rho))
 
 
+def _log_profile(f: RadialDensity, n: int, r: float, points: int, t_points: int):
+    """(rho_max, radii, log Mg) on ``maximal_profile``'s grid."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
+    rho_max = upper_cutoff(f, n)
+    u = np.linspace(0.0, 1.0, points)
+    radii = np.unique(rho_max * (3.0 * u ** 2 - 2.0 * u ** 3))
+    ev = _MaximalEvaluator(f, n, r, max_rho=float(radii[-1]), t_points=t_points)
+    return rho_max, radii, np.array([ev.log_maximal_at(float(rho)) for rho in radii])
+
+
 def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
                     t_points: int = 512) -> RadialProfile:
     """Mg sampled on [0, upper_cutoff] on a grid graded toward both ends.
@@ -393,13 +397,8 @@ def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
     The grading follows the smoothstep map (dense at both ends, where Mg
     is flat at 1/mu(B_r) and where the level-set boundary sits).
     """
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
-    rho_max = upper_cutoff(f, n)
-    u = np.linspace(0.0, 1.0, points)
-    radii = np.unique(rho_max * (3.0 * u ** 2 - 2.0 * u ** 3))
-    ev = _MaximalEvaluator(f, n, r, max_rho=float(radii[-1]), t_points=t_points)
-    values = np.array([math.exp(ev.log_maximal_at(float(rho))) for rho in radii])
+    rho_max, radii, log_mg = _log_profile(f, n, r, points, t_points)
+    values = np.array([math.exp(x) for x in log_mg.tolist()])
     meta = {"kind": f.kind, "n": n, "r": repr(r),
             "grid": f"smoothstep:{points}:0:{rho_max!r}", "seed": "none"}
     return RadialProfile(radii=radii, values=values, meta=meta)
@@ -440,16 +439,14 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
     interpolated linearly between the profile radii, and nothing keeps
     that below the true Mg.  p = 1: the weak form sup_tau tau mu({Mg > tau})
     over the profile levels (int g dmu = 1, and the value is invariant
-    under normalizing mu to mass 1).
+    under normalizing mu to mass 1).  log Mg is read from the evaluator and
+    the p = 1 masses relative to the last ball's, so no scale of f moves it.
     """
     _check_p(p)
     if points < 2:  # one radius bounds no cell to integrate over
         raise ValueError(f"points must be >= 2, got {points}")
     _check_dimension(n)
-    profile = maximal_profile(f, n, r, points=points, t_points=t_points)
-    radii = profile.radii
-    with np.errstate(divide="ignore"):
-        log_mg = np.log(np.maximum(profile.values, 1e-300))
+    _, radii, log_mg = _log_profile(f, n, r, points, t_points)
     with np.errstate(over="ignore"):
         if not np.isfinite(p * log_mg).all():
             raise ValueError(f"p = {p!r} overflows p log Mg")
@@ -457,14 +454,15 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
     if p == 1.0:
         cum = np.concatenate([[LOG_ZERO],
                               log_ball_measure_grid(f, n, radii[1:])])
-        cell_mass = np.exp(cum[1:]) - np.exp(cum[:-1])
+        # the masses relative to the last ball's, which no scale of f overflows
+        cell_mass = np.exp(cum[1:] - cum[-1]) - np.exp(cum[:-1] - cum[-1])
         best = LOG_ZERO
         for tau in log_mg:
             mask = (log_mg[1:] > tau) & (log_mg[:-1] > tau)
             mass = float(cell_mass[mask].sum())
             if mass > 0.0:
                 best = max(best, tau + math.log(mass))
-        return math.exp(best)
+        return math.exp(best + cum[-1])
     phi_radial = radial_log_integrand(f, n)
 
     def phi(s):

@@ -22,11 +22,7 @@ def fmt_float(x: float) -> str:
 
 
 def csv_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return fmt_float(x).strip('"')
 
 
 # a quote or backslash gets a backslash, a control character 0-31 its \u00xx

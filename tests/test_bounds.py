@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -482,6 +483,16 @@ class TestBoundReport:
         with pytest.raises(ValueError):
             BoundReport(n=3, p=1.1, lam=0.2, beta0=1.0, R=1.0, r=0.2,
                         alpha=1.01, log_t_lower=0.0, l=4, k=0.3)
+
+    def test_violated_chain_refused(self):
+        # an exact T more than 1e-9 below the certified bound is refused by
+        # the report itself, not only by the CLI
+        rep = gaussian_construction(20, 1.01, 0.2)
+        with pytest.raises(ValueError, match=r"^certified chain violated: "
+                                             r"logT_exact=\S+ < logT_lower=\S+$"):
+            dataclasses.replace(rep, log_t_exact=rep.log_t_lower - 1e-6)
+        within = dataclasses.replace(rep, log_t_exact=rep.log_t_lower - 1e-10)
+        assert within.chain_margin < 0.0
 
     def test_serialization_keys(self):
         rep = gaussian_construction(30, 1.004, 0.2)

@@ -18,6 +18,7 @@ import math
 
 import pytest
 
+from radialmax.bounds import gaussian_construction
 from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
 from radialmax.geometry import intersect_with_centered_ball, off_center_ball_measure
 from radialmax.measures import log_ball_measure
@@ -108,7 +109,7 @@ def _log_noncentral_chi2(n: int, d: float, t: float) -> float:
 _THIN = (0.39438040059138463 * math.sqrt(math.pi), 3.0265303763987245e-4 * math.sqrt(math.pi))
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 10, 100])
+@pytest.mark.parametrize("n", [2, 3, 6, 10, 100, 1000])
 @pytest.mark.parametrize("d,t", [(0.4, 1.1), (1.0, 0.5), pytest.param(*_THIN, id="thin")])
 def test_gaussian_off_center_is_noncentral_chi2(n, d, t):
     # (d, t) in units of the mode radius sqrt((n - 1) / (2 pi)).  With d < t
@@ -123,6 +124,26 @@ def test_gaussian_off_center_is_noncentral_chi2(n, d, t):
     exact = _log_noncentral_chi2(n, d, t)
     lib = off_center_ball_measure(Gaussian(), n, d, t)
     assert abs(lib - exact) <= tol * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("n,geometry", [
+    pytest.param(1000, "construction", id="1000-construction"),
+    pytest.param(10_000, (0.4, 1.1), id="10000-0.4-1.1")])
+def test_gaussian_off_center_is_noncentral_chi2_at_bound_dimensions(n, geometry):
+    # bound-exact evaluates the Gaussian off-center measure up to n = 10^4:
+    # at n = 1000 the Gaussian construction's own B(R xi, R + r), lam = 0.2,
+    # and at n = 10^4 (0.4, 1.1) in units of the mode radius.  Measured
+    # errors: 5.3e-15 and 6.2e-12 of max(1, |exact|).  The construction's
+    # ball at n = 10^4 is left out: its mpmath sum takes about 20 s
+    if geometry == "construction":
+        rep = gaussian_construction(n, 1.01, 0.2)
+        d, t = rep.R, rep.R + rep.r
+    else:
+        scale = math.sqrt((n - 1) / (2.0 * math.pi))
+        d, t = geometry[0] * scale, geometry[1] * scale
+    exact = _log_noncentral_chi2(n, d, t)
+    lib = off_center_ball_measure(Gaussian(), n, d, t)
+    assert abs(lib - exact) <= 1e-11 * max(1.0, abs(exact))
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])

@@ -11,7 +11,7 @@ from radialmax.geometry import (_cap_j_log, _cap_j_log_half, _cap_j_log_half_pi,
                                 contact_angle_unit_ball, intersect_with_centered_ball,
                                 off_center_ball_measure)
 from radialmax.logspace import LOG_ZERO, log_add, log_sub
-from radialmax.measures import log_ball_measure, log_sphere_area
+from radialmax.measures import log_ball_measure, log_sphere_area, upper_cutoff
 from radialmax.quadrature import log_integral
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
@@ -399,9 +399,19 @@ class TestContactAngles:
 
 class TestOffCenterBall:
     def test_centered_reduction(self):
-        f = Gaussian()
-        got = off_center_ball_measure(f, 3, 0.0, 1.2)
-        assert got == pytest.approx(log_ball_measure(f, 3, 1.2), rel=1e-9)
+        # at d = 0 the core-and-band route gives the centered ball's float:
+        # the core is min(t, rho, support), the band is empty, and the unit
+        # ball's lens returns the smaller ball's volume
+        step = TabulatedDecreasing([0.5, 1.0, 1.5], [0.0, -0.7, -2.0])
+        for f in (Gaussian(), UnitBallIndicator(), step):
+            for n in (1, 2, 7):
+                past = 1.5 * upper_cutoff(f, n)  # past the support or the decay radius
+                for t in (0.4, 1.2, past):
+                    assert (off_center_ball_measure(f, n, 0.0, t).hex()
+                            == log_ball_measure(f, n, t).hex())
+                    for rho in (0.9, 2.0 * past):  # rho below or above t
+                        assert (intersect_with_centered_ball(f, n, 0.0, t, rho).hex()
+                                == log_ball_measure(f, n, min(t, rho)).hex())
 
     def test_unit_disk_lens(self):
         got = off_center_ball_measure(UnitBallIndicator(), 2, 1.0, 1.0)

@@ -434,13 +434,14 @@ class TestBatchedFindRoot:
         for tol in (0.0, 1e-9):
             self._check(lo, hi, c, sign, tol)
 
-    def test_scalar_only_g_on_arrays(self):
-        # math.sin takes floats only, so it is called entry by entry
+    def test_wrong_shape_refused(self):
+        # a callable must be vectorized: a result of another shape is refused
+        # by find_root and maximize_scalar alike, naming both shapes
         lo, hi = np.array([3.0, 6.0, -0.5]), np.array([3.5, 6.5, 0.3])
-        got = find_root(math.sin, lo, hi)
-        for i in range(3):
-            assert float(got[i]).hex() == _scalar_find_root(math.sin, lo[i], hi[i]).hex()
-        assert got[0] == pytest.approx(math.pi, abs=1e-12)
+        with pytest.raises(ValueError, match=r"shape \(2,\) on an array of shape \(3,\)"):
+            find_root(lambda x: np.zeros(2), lo, hi)
+        with pytest.raises(ValueError, match=r"shape \(\) on an array of shape \(9,\)"):
+            maximize_scalar(lambda x: 1.0, 0.0, 1.0, pre_scan=9)
 
     def test_no_bracket_in_one_element(self):
         with pytest.raises(BracketError, match=r"no sign change on \[2.0, 3.0\]"):
@@ -476,20 +477,3 @@ class TestBatchedJumpSearch:
     def test_p0_search_is_the_scalar_search(self, kind, pre_scan):
         got = EXPONENT_SEARCHES[kind](pre_scan=pre_scan).as_dict()
         assert _hex(got) == _hex(_scalar_search(kind, pre_scan=pre_scan).as_dict())
-
-    def test_scalar_only_callable_with_jumps(self):
-        # a sawtooth rising to each jump at k/8; a Python `if` takes floats only
-        def f(x):
-            if x >= 0.875:
-                return -1.0
-            return x - math.floor(8.0 * x) / 8.0 - 0.01 * x
-
-        def jumps(a, b):
-            return [k / 8.0 for k in range(9) if a <= k / 8.0 <= b]
-
-        for pre_scan in (2, 5, 9, 33):
-            got = maximize_scalar(f, 0.0, 1.0, pre_scan=pre_scan, jump_locator=jumps)
-            want = _scalar_maximize(f, 0.0, 1.0, pre_scan=pre_scan, jump_locator=jumps)
-            assert _hex(got.as_dict()) == _hex(want.as_dict())
-        assert got.discontinuity_notes == [0.125]
-        assert got.argmax == np.nextafter(0.125, 0.0)  # the left limit

@@ -14,7 +14,7 @@ from radialmax.measures import log_ball_measure, log_mass
 from radialmax.quadrature import DEFAULT_REL_TOL, fixed_log_integral
 from radialmax.oracle import (_J_THETAS, _SCAN_ORDER, _SCAN_PANELS, _TABLE_POINTS,
                               InclusionReport, RadialProfile, _j_lookup,
-                              _j_table, _MaximalEvaluator,
+                              _MaximalEvaluator,
                               empirical_constant_lower_bound,
                               maximal_function_at, maximal_profile,
                               monte_carlo_ball_measure,
@@ -130,23 +130,22 @@ class TestMaximalFunction:
 class TestCapTable:
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_built_once_per_dimension(self, n):
-        assert _j_table(n) is _j_table(n)
+        assert _j_lookup(n) is _j_lookup(n)
 
     def test_read_only(self):
-        table = _j_table(4)
+        table = _j_lookup(4).fp
         with pytest.raises(ValueError):
             table[0] = 1.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_same_floats_as_direct_evaluation(self, n):
         want = _cap_j_log(n, np.linspace(0.0, math.pi, _TABLE_POINTS))
-        assert [x.hex() for x in _j_table(n).tolist()] == [x.hex() for x in want.tolist()]
+        assert [x.hex() for x in _j_lookup(n).fp.tolist()] == [x.hex() for x in want.tolist()]
 
     def test_shared_between_evaluators(self):
         a = _MaximalEvaluator(Gaussian(), 3, 0.2, max_rho=1.0)
         b = _MaximalEvaluator(Gaussian(), 3, 0.5, max_rho=1.0)
         assert a._cap_j is b._cap_j is _j_lookup(3)
-        assert _j_lookup(3).fp is _j_table(3)
 
 
 def _hexes(values):
@@ -219,7 +218,7 @@ def _reference_scan_pair(ev, rho, ts):
                              band(np.minimum(ts + rho, ev.r))),
                 np.logaddexp(log_ball(full), band(ts + rho)))
     outer = np.minimum(ts + rho, ev.support)
-    j_table = _j_table(ev.n)
+    j_table = _j_lookup(ev.n).fp
 
     def log_f(s, t):
         cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
@@ -726,6 +725,19 @@ class TestEmpiricalBound:
     def test_two_point_profile(self):
         emp = empirical_constant_lower_bound(Gaussian(), 2, 0.3, 2.0, points=2, t_points=16)
         assert math.isfinite(emp) and emp > 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.01, 1.5])
+    def test_scale_of_the_density_cancels(self, n, p):
+        # log f = c on [0, 1] gives the estimate of c = 0; at n = 2, e^800 gave
+        # 2.93e47 at p = 1.5 and 0 at p = 1, and e^-800 an OverflowError
+        def estimate(c):
+            f = TabulatedDecreasing([0.5, 1.0], [c, c])
+            return empirical_constant_lower_bound(f, n, 0.2, p, points=16, t_points=64)
+
+        want = estimate(0.0)
+        for c in (800.0, -800.0):
+            assert estimate(c) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestMonteCarlo:
