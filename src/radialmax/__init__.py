@@ -20,7 +20,7 @@ from .densities import (Gaussian, RadialDensity, TabulatedDecreasing, UnitBallIn
 from .errors import BracketError, NoBalancedRadiusError
 from .geometry import (contact_angle, contact_angle_unit_ball, intersect_with_centered_ball,
                        off_center_ball_measure)
-from .logspace import LOG_ZERO, log_add, log_sub, log_sum
+from .logspace import LOG_ZERO, log_add
 from .measures import log_ball_measure, log_mass, log_sphere_area, sphere_ratio_bounds
 from .optimize import (SupremumResult, find_root, growth_base_log,
                        max_growth_base_log, maximize_scalar, p0_gaussian,
@@ -59,8 +59,6 @@ __all__ = [
     "log_ball_measure",
     "log_mass",
     "log_sphere_area",
-    "log_sub",
-    "log_sum",
     "log_t_exact",
     "max_growth_base_log",
     "maximal_function_at",

@@ -30,7 +30,7 @@ from .densities import MEASURE_KINDS, density_from_name
 from .errors import NoBalancedRadiusError
 from .geometry import off_center_ball_measure
 from .measures import log_mass, log_sphere_area, sphere_ratio_bounds
-from .oracle import (empirical_constant_lower_bound, maximal_function_at,
+from .oracle import (_log_maximal_function_at, empirical_constant_lower_bound,
                      maximal_profile, monte_carlo_ball_measure,
                      verify_level_set_inclusion)
 from .serialize import csv_lines, to_json
@@ -414,10 +414,11 @@ def _cmd_oracle(args) -> int:
     _check_points("--t-points", args.t_points, 1)
     f = _density(args)
     if args.rho is not None:
-        value = maximal_function_at(f, args.n, args.r, args.rho, t_points=args.t_points)
+        log_value = _log_maximal_function_at(f, args.n, args.r, args.rho, args.t_points)
+        with np.errstate(over="ignore"):  # past e^709.78 the value prints as "inf"
+            value = float(np.exp(log_value))
         payload = {"measure": args.measure, "n": args.n, "r": args.r,
-                   "rho": args.rho, "value": value,
-                   "log_value": math.log(value)}
+                   "rho": args.rho, "value": value, "log_value": log_value}
         _emit(to_json(payload) + "\n", args.output)
         return 0
     if args.p is not None:

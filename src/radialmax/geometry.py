@@ -32,6 +32,11 @@ From n = 2 on, the unit ball needs no radial integral: B(d xi, t) ∩ B_a
 is a lens of two balls, two spherical caps cut by one hyperplane, and
 ``_log_lens`` adds their closed-form volumes.
 
+Every other off-center measure takes one exact route, ``_log_measures``,
+a two-order fixed rule on a core and a band per cap: with one cap rho for
+the public functions, and so for ``bounds``'s exact T, and with the two
+caps r and inf for the oracle's exact pass.
+
 Pure functions throughout.
 """
 
@@ -43,10 +48,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .densities import RadialDensity, UnitBallIndicator
-from .logspace import LOG_ZERO, log_add, log_sum
-from .measures import (_probe_hints, log_ball_measure, log_ball_volume, log_sphere_area,
-                       radial_log_integrand)
-from .quadrature import fixed_log_integral, log_integral
+from .logspace import LOG_ZERO, log_add
+from .measures import _probe_hints, log_ball_volume, log_sphere_area, radial_log_integrand
+from .quadrature import N_PROBES, WINDOW_DROP, fixed_log_integral, log_integral
 
 _ARCCOS_SLACK = 1e-12
 _TAIL_WIDTH = 40.0  # the rule stops at x^2 = a^2 + 40: a dropped tail below e^-40
@@ -54,6 +58,9 @@ _TAIL_PANELS = 2
 _TAIL_ORDER = 16
 _ELEMENTARY_MAX_M = 6  # J_m in elementary functions up to here: the oracle's n <= 6
 _SERIES_TERMS = 16     # of the even-m series, on theta <= pi/4
+_RULE_PANELS = 8       # the off-center measure's two-order fixed rule
+_RULE_ORDERS = (16, 24)
+_RULE_AGREEMENT = 1e-12
 
 
 def arccos_clamped(x: float) -> float:
@@ -260,9 +267,9 @@ def _cap_j_log(n: int, theta):
     out = _cap_j_log_half(m, np.where(over, math.pi - th, th))
     if np.any(over):
         log_full = math.log(2.0) + _cap_j_log_half_pi(m)
-        # J(theta) = 2 J(pi/2) - J(pi - theta); operands stay within 2x, no
-        # cancellation.  As in logspace.log_sub, a complement of -inf
-        # (theta = pi) leaves log_full and equal operands give -inf
+        # J(theta) = 2 J(pi/2) - J(pi - theta), as log_full + log(-expm1(c -
+        # log_full)); operands stay within 2x, no cancellation.  A complement
+        # c of -inf (theta = pi) leaves log_full, and equal operands give -inf
         with np.errstate(divide="ignore"):
             out[over] = log_full + np.log(-np.expm1(np.minimum(out[over], log_full)
                                                     - log_full))
@@ -306,6 +313,74 @@ def _log_lens(n: int, d: float, t: float, a: float) -> float:
                                                  n * math.log(t) + float(j2))
 
 
+def _log_measures(f: RadialDensity, n: int, d: float, t: float, caps: tuple):
+    """([log mu(B(d xi, t) ∩ B_cap) for each cap], whether the fixed rule settled all).
+
+    Each cap gives two rows: the core [0, min(max(t - d, 0), cap, S)], a
+    centered ball that B(d xi, t) holds whole, with weight omega_{n-1}, and
+    the band [|t - d|, min(d + t, cap, S)], with the cap weight of
+    ``_band_log_weight``; S is the support.  Each row runs on u in [0, 1]
+    through s = lo + (hi - lo)(3u^2 - 2u^3), which turns the band's
+    (s - lo)^((n-1)/2) ends into polynomials, by ``fixed_log_integral`` at
+    _RULE_ORDERS on _RULE_PANELS panels, and settles when the two orders
+    agree to _RULE_AGREEMENT max(1, |log|); rows empty at both orders
+    agree.  A row that does not settle is cut to its window, the cells of
+    an N_PROBES-point scan within WINDOW_DROP of the row's maximum and one
+    more on each side, and runs again.  A row that still does not settle,
+    such as one across a jump of a step density, takes ``log_integral`` on
+    the whole row, probed at the density's knots and peak and, on a band
+    with d > t, at sqrt(d^2 - t^2), where theta(s) is maximal.
+    """
+    S = f.support_upper_bound
+    lo = np.array([0.0, abs(t - d)] * len(caps))  # the core never passes |t - d|
+    hi = np.array([x for cap in caps for x in (min(max(t - d, 0.0), cap, S),
+                                                min(d + t, cap, S))])
+    band = np.arange(len(lo)) % 2 == 1
+    phi_radial = radial_log_integrand(f, n)
+    log_omega_sub, cap_j = _band_log_weight(n)
+    weight = np.where(band, log_omega_sub, log_sphere_area(n))
+
+    def add_caps(out, s, band):
+        out[band] += cap_j(cap_angle(d, t, s[band]))
+        return out
+
+    def log_f(u, lo, width, band):
+        s = lo + width * (u * u * (3.0 - 2.0 * u))
+        return add_caps(phi_radial(s) + np.log(width * (6.0 * u * (1.0 - u))), s, band)
+
+    def band_phi(s):  # a band row's log-integrand for ``log_integral``
+        return phi_radial(s) + cap_j(cap_angle(d, t, s))
+
+    def rule(lo, hi, band, weight):
+        width = np.maximum(hi - lo, 0.0)
+        u_hi = np.where(width > 0.0, 1.0, 0.0)  # an empty row gives LOG_ZERO
+        args = (lo[:, None, None], width[:, None, None], band)
+        low, high = (fixed_log_integral(log_f, np.zeros(len(lo)), u_hi, _RULE_PANELS,
+                                        order, args) + weight for order in _RULE_ORDERS)
+        with np.errstate(invalid="ignore"):  # -inf - -inf on empty rows
+            return high, (low == high) | (np.abs(high - low)
+                                          <= _RULE_AGREEMENT * np.maximum(1.0, np.abs(high)))
+
+    vals, settled = rule(lo, hi, band, weight)
+    redo = np.flatnonzero(~settled)
+    if redo.size:
+        grid = np.linspace(lo[redo], hi[redo], N_PROBES, axis=1)
+        scan = add_caps(phi_radial(grid), grid, band[redo])
+        keep = scan >= np.max(scan, axis=1, keepdims=True) - WINDOW_DROP
+        rows = np.arange(redo.size)
+        first = np.maximum(np.argmax(keep, axis=1) - 1, 0)
+        last = np.minimum(N_PROBES - np.argmax(keep[:, ::-1], axis=1), N_PROBES - 1)
+        vals[redo], settled[redo] = rule(grid[rows, first], grid[rows, last], band[redo],
+                                         weight[redo])
+    by_rule = bool(settled.all())
+    for i in np.flatnonzero(~settled).tolist():
+        hints = _probe_hints(f, n) + ([math.sqrt(d * d - t * t)] if band[i] and d > t else [])
+        res = log_integral(band_phi if band[i] else phi_radial, lo[i], hi[i],
+                           probe_points=[h for h in hints if lo[i] < h < hi[i]])
+        vals[i] = weight[i] + res.log_value
+    return np.logaddexp(vals[0::2], vals[1::2]).tolist(), by_rule
+
+
 def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) -> float:
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -315,29 +390,7 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
         raise ValueError("rho must be positive")
     if n > 1 and isinstance(f, UnitBallIndicator):
         return _log_lens(n, d, t, min(rho, 1.0))
-    S = f.support_upper_bound
-    hi = min(d + t, rho, S)
-    full_hi = min(max(t - d, 0.0), rho, S)
-    pieces = []
-    if full_hi > 0.0:
-        pieces.append(log_ball_measure(f, n, full_hi))
-    lo = abs(t - d)  # the core never passes |t - d|
-    if hi > lo:
-        phi_radial = radial_log_integrand(f, n)
-        log_omega, cap_j = _band_log_weight(n)
-
-        def phi(s):
-            s = np.asarray(s, dtype=float)
-            return phi_radial(s) + cap_j(cap_angle(d, t, s))
-
-        hints = [h for h in _probe_hints(f, n) if lo < h < hi]
-        if d > t:
-            widest = math.sqrt(d * d - t * t)  # theta(s) is maximal here
-            if lo < widest < hi:
-                hints.append(widest)
-        res = log_integral(phi, lo, hi, probe_points=hints)
-        pieces.append(log_omega + res.log_value)
-    return log_sum(pieces)
+    return _log_measures(f, n, d, t, (rho,))[0][0]
 
 
 def off_center_ball_measure(f: RadialDensity, n: int, d: float, t: float) -> float:

@@ -16,22 +16,18 @@ decades), zooms on the three best cells (the objective can be
 multimodal: a ball swallowing B_r competes with one hugging it), and the
 few surviving candidates are re-evaluated exactly, together with the
 witness radius t = rho + r whose value already certifies the level-set
-bound.  The exact pass puts the numerator and the denominator through one
-``quadrature.fixed_log_integral`` call per rule order (8 panels, orders 16
-and 24, on four rows: the centered core and the cap band, each cut at r
-and at the support), after the smoothstep substitution
-s = lo + (hi - lo)(3u^2 - 2u^3), which turns the band's (s - lo)^((n-1)/2)
-ends into polynomials.  The higher order is kept when every row agrees
-with the lower one to 1e-12 in the log; otherwise, and on the unit ball (a
-closed-form lens from n = 2 on), the candidate goes through ``geometry``'s
-``intersect_with_centered_ball`` and ``off_center_ball_measure``.  The
-scan integrates with ``quadrature.fixed_log_integral`` (24 panels of 8
-nodes), in one call for every t's numerator and denominator cap bands that
-are not empty and not copies of each other (the three zooms share one
-scan); the rule runs the rows in blocks, each with its own t.  At n = 1 a
-band radius holds one of the two points +-s: the band rows have weight 1
-and no cap (``geometry._band_log_weight``), and the scan's band is half
-the ball table's difference, at a sixth of the fixed rule's cost.  The
+bound.  The exact pass calls ``geometry._log_measures`` for the numerator
+and the denominator at once (the caps r and inf), the one exact route of
+every off-center measure; the unit ball, a closed-form lens from n = 2 on,
+goes through ``geometry``'s ``intersect_with_centered_ball`` and
+``off_center_ball_measure``.  The scan integrates with
+``quadrature.fixed_log_integral`` (24 panels of 8 nodes), in one call for
+every t's numerator and denominator cap bands that are not empty and not
+copies of each other (the three zooms share one scan); the rule runs the
+rows in blocks, each with its own t.  At n = 1 a band radius holds one of
+the two points +-s, with weight 1 and no cap
+(``geometry._band_log_weight``), and the scan's band is half the ball
+table's difference, at a sixth of the fixed rule's cost.  The
 scan reads the cap integral J_{n-2} from a table of 4097 angles, built
 once per dimension and shared read-only by every evaluator, and the
 centered ball measure from a ``log_ball_measure_grid`` table; both are
@@ -52,7 +48,7 @@ import numpy as np
 
 from .bounds import _check_p
 from .densities import RadialDensity, UnitBallIndicator
-from .geometry import (_band_log_weight, cap_angle, intersect_with_centered_ball,
+from .geometry import (_band_log_weight, _log_measures, intersect_with_centered_ball,
                        off_center_ball_measure)
 from .logspace import LOG_ZERO
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area,
@@ -63,9 +59,6 @@ from .serialize import csv_lines
 MAX_ORACLE_DIMENSION = 6
 _SCAN_PANELS = 24
 _SCAN_ORDER = 8
-_EXACT_PANELS = 8
-_EXACT_ORDERS = (16, 24)
-_EXACT_AGREEMENT = 1e-12
 _TABLE_POINTS = 4097
 _MC_KNOTS = 10_000
 _MC_CHUNK = 1_000_000
@@ -113,8 +106,8 @@ class InclusionReport:
     kind: str
     rows: list
     log_threshold: float
-    exact_fixed: int = 0     # exact candidates the two-order fixed rule settled
-    exact_geometry: int = 0  # the others: geometry's adaptive or closed-form route
+    exact_fixed: int = 0     # exact candidates geometry's two-order fixed rule settled
+    exact_geometry: int = 0  # the others: a row on the adaptive route, or the lens
 
     @property
     def min_margin(self) -> float:
@@ -203,10 +196,11 @@ class _MaximalEvaluator:
     Scan-grade ratios come from ``fixed_log_integral`` with the cap
     integral and the cumulative radial mass looked up in uniform tables
     (``_UniformLookup``, the floats of ``np.interp``), and at n = 1 from the
-    mass table alone; final values are re-computed exactly, in every
-    dimension by the two-order fixed rule where it settles them
-    (``_fixed_pair``) and by ``geometry`` otherwise.
-    ``exact_fixed`` and ``exact_geometry`` count the candidates of each.
+    mass table alone; final values are re-computed exactly by
+    ``geometry._log_measures``, or for the unit ball by its lens.
+    ``exact_fixed`` counts the candidates whose four rows that rule's two
+    orders settled, and ``exact_geometry`` the lens and the candidates with
+    a row on the adaptive route.
     """
 
     def __init__(self, f: RadialDensity, n: int, r: float, *, max_rho: float,
@@ -233,11 +227,9 @@ class _MaximalEvaluator:
             [[LOG_ZERO], log_ball_measure_grid(f, n, radii[1:])]))
         self._phi = radial_log_integrand(f, n)
         self.exact_fixed = self.exact_geometry = 0
-        self._fixed_rule = not isinstance(f, UnitBallIndicator)
+        self._lens = isinstance(f, UnitBallIndicator)
         self._cap_j = _j_lookup(n)
-        self._log_omega_sub, self._cap_j_log = _band_log_weight(n)
-        # log omega_{n-1} on the core rows, the band's weight on the band rows
-        self._row_log_omega = np.array([log_sphere_area(n), self._log_omega_sub] * 2)
+        self._log_omega_sub = _band_log_weight(n)[0]
 
     def _scan_pair(self, rho: float, ts: np.ndarray):
         """(log numerator, log denominator) for all t at once, scan grade.
@@ -285,54 +277,17 @@ class _MaximalEvaluator:
                            num_band + self._log_omega_sub)
         return num, den
 
-    def _fixed_pair(self, rho: float, t: float):
-        """(log numerator, log denominator) by the two-order fixed rule, or None.
-
-        Four rows: the centered core [0, min(max(t - rho, 0), cap, H)] and
-        the cap band [|t - rho|, min(rho + t, cap, H)], for
-        cap = r and cap = inf, with H the support; the band rows carry
-        ``geometry._band_log_weight``.  Each row runs on u in [0, 1] through
-        s = lo + (hi - lo)(3u^2 - 2u^3).  None when a
-        row's two orders differ by more than _EXACT_AGREEMENT max(1, |log|);
-        rows empty at both orders agree.
-        """
-        H = self.support
-        core = min(max(t - rho, 0.0), H)
-        lo, hi = [], []
-        for cap in (self.r, math.inf):
-            c = min(core, cap)
-            lo += [0.0, abs(t - rho)]  # c never passes |t - rho|
-            hi += [c, min(rho + t, cap, H)]
-        lo = np.array(lo)[:, None, None]
-        width = np.maximum(np.array(hi)[:, None, None] - lo, 0.0)
-        band = np.array([False, True, False, True])
-
-        def log_f(u, lo, width, band):
-            s = lo + width * (u * u * (3.0 - 2.0 * u))
-            out = self._phi(s) + np.log(width * (6.0 * u * (1.0 - u)))
-            out[band] += self._cap_j_log(cap_angle(rho, t, s[band]))
-            return out
-
-        u_hi = np.where(width[:, 0, 0] > 0.0, 1.0, 0.0)  # an empty row gives LOG_ZERO
-        low, high = (fixed_log_integral(log_f, np.zeros(4), u_hi, _EXACT_PANELS, order,
-                                        (lo, width, band))
-                     + self._row_log_omega for order in _EXACT_ORDERS)
-        with np.errstate(invalid="ignore"):  # -inf - -inf on empty rows
-            agree = (low == high) | (np.abs(high - low)
-                                     <= _EXACT_AGREEMENT * np.maximum(1.0, np.abs(high)))
-        if not agree.all():
-            return None
-        return float(np.logaddexp(high[0], high[1])), float(np.logaddexp(high[2], high[3]))
-
     def _exact_ratio(self, rho: float, t: float) -> float:
-        pair = self._fixed_pair(rho, t) if self._fixed_rule else None
-        if pair is not None:
-            self.exact_fixed += 1
-            num, den = pair
-        else:
+        if self._lens:
             self.exact_geometry += 1
             num = intersect_with_centered_ball(self.f, self.n, rho, t, self.r)
             den = off_center_ball_measure(self.f, self.n, rho, t)
+        else:
+            (num, den), by_rule = _log_measures(self.f, self.n, rho, t, (self.r, math.inf))
+            if by_rule:
+                self.exact_fixed += 1
+            else:
+                self.exact_geometry += 1
         if den == LOG_ZERO:
             return LOG_ZERO
         return num - den
@@ -371,23 +326,29 @@ class _MaximalEvaluator:
         return best - self.log_mu_br
 
 
+def _log_maximal_function_at(f: RadialDensity, n: int, r: float, rho: float,
+                             t_points: int) -> float:
+    """log Mg(rho), from an evaluator built for this one radius."""
+    _check_rho(rho)  # before the evaluator's tables are built
+    ev = _MaximalEvaluator(f, n, r, max_rho=max(rho, r), t_points=t_points)
+    return ev.log_maximal_at(rho)
+
+
 def maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
                         t_points: int = 512) -> float:
     """Mg(rho) for the normalized indicator test function (linear scale)."""
-    _check_rho(rho)  # before the evaluator's tables are built
-    ev = _MaximalEvaluator(f, n, r, max_rho=max(rho, r), t_points=t_points)
-    return math.exp(ev.log_maximal_at(rho))
+    return math.exp(_log_maximal_function_at(f, n, r, rho, t_points))
 
 
 def _log_profile(f: RadialDensity, n: int, r: float, points: int, t_points: int):
-    """(rho_max, radii, log Mg) on ``maximal_profile``'s grid."""
+    """(rho_max, radii, log Mg, the evaluator) on ``maximal_profile``'s grid."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     rho_max = upper_cutoff(f, n)
     u = np.linspace(0.0, 1.0, points)
     radii = np.unique(rho_max * (3.0 * u ** 2 - 2.0 * u ** 3))
     ev = _MaximalEvaluator(f, n, r, max_rho=float(radii[-1]), t_points=t_points)
-    return rho_max, radii, np.array([ev.log_maximal_at(float(rho)) for rho in radii])
+    return rho_max, radii, np.array([ev.log_maximal_at(float(rho)) for rho in radii]), ev
 
 
 def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
@@ -397,7 +358,7 @@ def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
     The grading follows the smoothstep map (dense at both ends, where Mg
     is flat at 1/mu(B_r) and where the level-set boundary sits).
     """
-    rho_max, radii, log_mg = _log_profile(f, n, r, points, t_points)
+    rho_max, radii, log_mg, _ = _log_profile(f, n, r, points, t_points)
     values = np.array([math.exp(x) for x in log_mg.tolist()])
     meta = {"kind": f.kind, "n": n, "r": repr(r),
             "grid": f"smoothstep:{points}:0:{rho_max!r}", "seed": "none"}
@@ -434,11 +395,15 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
                                    points: int = 256, t_points: int = 512) -> float:
     """Empirical estimate of the operator constant from the Mg profile.
 
-    p > 1: ( int Mg^p dmu / int g^p dmu )^(1/p) by radial quadrature of the
-    interpolated profile.  It is an estimate, not a lower bound: log Mg is
-    interpolated linearly between the profile radii, and nothing keeps
-    that below the true Mg.  p = 1: the weak form sup_tau tau mu({Mg > tau})
-    over the profile levels (int g dmu = 1, and the value is invariant
+    p > 1: ( int Mg^p dmu / int g^p dmu )^(1/p).  On B_r, Mg = 1/mu(B_r) = g,
+    so that part of the numerator is the denominator mu(B_r)^(1 - p)
+    exactly, and the estimate is (1 + rest / mu(B_r)^(1 - p))^(1/p), taken
+    in log space by log1p of the share, so it is never below 1, as Mg >= g
+    demands.  The rest is a radial quadrature of log Mg interpolated
+    linearly on [r, upper_cutoff], from log Mg(r) through the profile radii
+    past r.  It is an estimate, not a lower bound: nothing keeps the
+    interpolation below the true Mg.  p = 1: the weak form
+    sup_tau tau mu({Mg > tau}) over the profile levels (int g dmu = 1, and the value is invariant
     under normalizing mu to mass 1).  log Mg is read from the evaluator and
     the p = 1 masses relative to the last ball's, so no scale of f moves it.
     """
@@ -446,7 +411,7 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
     if points < 2:  # one radius bounds no cell to integrate over
         raise ValueError(f"points must be >= 2, got {points}")
     _check_dimension(n)
-    _, radii, log_mg = _log_profile(f, n, r, points, t_points)
+    _, radii, log_mg, ev = _log_profile(f, n, r, points, t_points)
     with np.errstate(over="ignore"):
         if not np.isfinite(p * log_mg).all():
             raise ValueError(f"p = {p!r} overflows p log Mg")
@@ -463,17 +428,19 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
             if mass > 0.0:
                 best = max(best, tau + math.log(mass))
         return math.exp(best + cum[-1])
+    # the jump of Mg at r is a knot of the interpolation, not a cell of it
+    past = radii > r
+    knots = np.concatenate([[r], radii[past]])
+    log_knots = np.concatenate([[ev.log_maximal_at(r)], log_mg[past]])
     phi_radial = radial_log_integrand(f, n)
 
     def phi(s):
-        s = np.asarray(s, dtype=float)
-        return p * np.interp(s, radii, log_mg) + phi_radial(s)
+        return p * np.interp(s, knots, log_knots) + phi_radial(s)
 
-    res = log_integral(phi, float(radii[0]), float(radii[-1]),
-                       probe_points=list(radii[:: max(len(radii) // 64, 1)]))
-    log_num = log_sphere_area(n) + res.log_value
-    log_den = (1.0 - p) * log_mu_br
-    log_estimate = (log_num - log_den) / p
+    res = log_integral(phi, r, float(knots[-1]),
+                       probe_points=list(knots[:: max(len(knots) // 64, 1)]))
+    log_share = log_sphere_area(n) + res.log_value - (1.0 - p) * log_mu_br
+    log_estimate = float(np.logaddexp(0.0, log_share)) / p  # log1p(e^share) / p
     if not math.isfinite(log_estimate):
         raise ValueError(f"the estimate at p = {p!r} is not finite")
     return math.exp(log_estimate)

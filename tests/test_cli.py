@@ -663,6 +663,24 @@ class TestOracleCommand:
         assert payload["value"] == pytest.approx(
             math.exp(-log_ball_measure(Gaussian(), 3, 0.2)), rel=1e-9)
 
+    def test_point_value_of_a_rescaled_density(self, capsys, tmp_path):
+        # log Mg comes from the evaluator, so f e^(+-800) moves it by -+800;
+        # the linear value underflows to 0 or overflows to "inf", where the
+        # log of it was a math domain error
+        logs = {}
+        for scale in (0, 800, -800):
+            path = tmp_path / f"flat{scale}.txt"
+            path.write_text(f"0.5 {scale}\n1.0 {scale}\n", encoding="utf-8")
+            code, out, err = run(capsys, "oracle", "--measure", "tabulated", "--density-file",
+                                 str(path), "--n", "2", "--r", "0.2", "--rho", "0.5",
+                                 "--t-points", "64")
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            logs[scale] = payload["log_value"]
+            assert payload["value"] == {800: 0.0, 0: math.exp(logs[0]), -800: "inf"}[scale]
+        for scale in (800, -800):
+            assert abs(logs[scale] - (logs[0] - scale)) <= 1e-12 * abs(logs[0] - scale)
+
     def test_profile_csv(self, capsys):
         code, out, _ = run(capsys, "oracle", "--measure", "unitball", "--n", "2",
                            "--r", "0.3", "--profile-points", "16")

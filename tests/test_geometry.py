@@ -6,18 +6,29 @@ import numpy as np
 import pytest
 
 from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
-from radialmax.geometry import (_cap_j_log, _cap_j_log_half, _cap_j_log_half_pi,
-                                arccos_clamped, cap_angle, contact_angle,
-                                contact_angle_unit_ball, intersect_with_centered_ball,
-                                off_center_ball_measure)
-from radialmax.logspace import LOG_ZERO, log_add, log_sub
-from radialmax.measures import log_ball_measure, log_sphere_area, upper_cutoff
+from radialmax.bounds import gaussian_construction
+from radialmax.geometry import (_band_log_weight, _cap_j_log, _cap_j_log_half,
+                                _cap_j_log_half_pi, _log_measures, arccos_clamped, cap_angle,
+                                contact_angle, contact_angle_unit_ball,
+                                intersect_with_centered_ball, off_center_ball_measure)
+from radialmax.logspace import LOG_ZERO, log_add
+from radialmax.measures import (_probe_hints, log_ball_measure, log_sphere_area,
+                                radial_log_integrand, upper_cutoff)
 from radialmax.quadrature import log_integral
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 
 # log of the classical two-unit-disk lens area at center distance 1
 LOG_UNIT_LENS = math.log(2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0)
+
+
+def _log_sub(a: float, b: float) -> float:
+    """log(e^a - e^b) for a >= b, one scalar at a time with math's log and expm1."""
+    if b == LOG_ZERO:
+        return a
+    if a == b:
+        return LOG_ZERO
+    return a + math.log(-math.expm1(b - a))
 
 
 def cap_log_area(n: int, theta: float) -> float:
@@ -219,8 +230,8 @@ class TestCapArea:
 
     @pytest.mark.parametrize("m", [1, 2, 10, 10_000])
     def test_complement_rule_is_log_sub(self, m):
-        # the vectorized complement past pi/2 against logspace.log_sub per
-        # angle: numpy's log and expm1 may round differently from math's, by
+        # the vectorized complement past pi/2 against a scalar log-difference
+        # per angle: numpy's log and expm1 may round differently from math's, by
         # at most one unit in the last place of max(1, |value|); theta = pi
         # (complement -inf) gives the full value exactly
         n = m + 2
@@ -229,7 +240,7 @@ class TestCapArea:
         got = _cap_j_log(n, theta)
         log_full = math.log(2.0) + _cap_j_log_half_pi(m)
         comp = _cap_j_log_half(m, math.pi - theta)
-        want = np.array([log_sub(log_full, min(c, log_full)) for c in comp.tolist()])
+        want = np.array([_log_sub(log_full, min(c, log_full)) for c in comp.tolist()])
         assert np.all(np.abs(got - want) <= np.spacing(np.maximum(1.0, np.abs(want))))
         assert got[-1] == want[-1] == log_full
 
@@ -399,19 +410,33 @@ class TestContactAngles:
 
 class TestOffCenterBall:
     def test_centered_reduction(self):
-        # at d = 0 the core-and-band route gives the centered ball's float:
-        # the core is min(t, rho, support), the band is empty, and the unit
-        # ball's lens returns the smaller ball's volume
+        # at d = 0 the band is empty and the core is c = min(t, rho, support).
+        # The unit ball's lens returns the smaller ball's volume, and a core
+        # across a knot of the step density falls back to the adaptive route:
+        # both give the centered ball's float.  Every other core settles by
+        # the fixed rule, and is checked against a closed form: the
+        # Gaussian's regularized P(n/2, pi c^2), and below the first knot
+        # (the unit ball at n = 1 too) the Lebesgue volume of B_c
+        mpmath = pytest.importorskip("mpmath")
         step = TabulatedDecreasing([0.5, 1.0, 1.5], [0.0, -0.7, -2.0])
         for f in (Gaussian(), UnitBallIndicator(), step):
             for n in (1, 2, 7):
                 past = 1.5 * upper_cutoff(f, n)  # past the support or the decay radius
                 for t in (0.4, 1.2, past):
-                    assert (off_center_ball_measure(f, n, 0.0, t).hex()
-                            == log_ball_measure(f, n, t).hex())
-                    for rho in (0.9, 2.0 * past):  # rho below or above t
-                        assert (intersect_with_centered_ball(f, n, 0.0, t, rho).hex()
-                                == log_ball_measure(f, n, min(t, rho)).hex())
+                    for rho in (math.inf, 0.9, 2.0 * past):  # rho below or above t
+                        got = (off_center_ball_measure(f, n, 0.0, t) if rho == math.inf
+                               else intersect_with_centered_ball(f, n, 0.0, t, rho))
+                        c = min(t, rho, f.support_upper_bound)
+                        if isinstance(f, UnitBallIndicator) and n > 1 or f is step and c > 0.5:
+                            assert got.hex() == log_ball_measure(f, n, c).hex()
+                            continue
+                        if isinstance(f, Gaussian):
+                            want = float(mpmath.log(mpmath.gammainc(
+                                n / 2, 0, mpmath.pi * mpmath.mpf(c) ** 2, regularized=True)))
+                        else:
+                            want = (0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+                                    + n * math.log(c))
+                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (f, n, t, rho)
 
     def test_unit_disk_lens(self):
         got = off_center_ball_measure(UnitBallIndicator(), 2, 1.0, 1.0)
@@ -467,7 +492,7 @@ class TestOffCenterBall:
         t = R * (1.0 + lam)
         whole = off_center_ball_measure(f, n, R, t)
         inner = intersect_with_centered_ball(f, n, R, t, R)
-        outer = log_sub(whole, inner)
+        outer = _log_sub(whole, inner)
         assert log_add(inner, outer) == pytest.approx(whole, rel=1e-8)
 
     @pytest.mark.parametrize("n", list(range(2, 9)))
@@ -505,3 +530,143 @@ class TestOffCenterBall:
         riemann = float((dens * inside).sum() * (0.8 / 2000) ** 2)
         assert got == pytest.approx(math.log(riemann), abs=2e-3)
 
+
+
+def _random_gaussian_cases(seed, count):
+    """Seeded (n, r, rho, t) draws: n in 2..6, every fifth ball thin."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        n = int(rng.integers(2, 7))
+        r, rho = float(rng.uniform(0.05, 0.6)), float(rng.uniform(0.01, 1.5))
+        t = float(rng.uniform(1e-4, 1e-3) if i % 5 == 0 else rng.uniform(1e-4, 3.0))
+        cases.append((n, r, rho, t))
+    return cases
+
+
+def _log_noncentral_chi2(n, d, t):
+    """log mu(B(d xi, t)) for the Gaussian, sum_j Pois(j; pi d^2) P(n/2 + j, pi t^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, x = mpmath.pi * mpmath.mpf(d) ** 2, mpmath.pi * mpmath.mpf(t) ** 2
+        total, j = mpmath.mpf(0), 0
+        while True:
+            term = (mpmath.exp(-lam) * lam ** j / mpmath.factorial(j)
+                    * mpmath.gammainc(mpmath.mpf(n) / 2 + j, 0, x, regularized=True))
+            total += term
+            if j > lam and term < total * mpmath.mpf(10) ** -30:
+                return float(mpmath.log(total))
+            j += 1
+
+
+def _log_gaussian_intersection(n, d, t, rho):
+    """log mu(B(d xi, t) ∩ B_rho) for the Gaussian, n >= 2, in mpmath.
+
+    The core P(n/2, pi c^2), c = min(max(t - d, 0), rho), plus the band's
+    omega_{n-2} int e^(-pi s^2) s^(n-1) J_{n-2}(theta(s)) ds by tanh-sinh,
+    with theta(s) from the law of cosines at 30 digits and the cap integral
+    J_m(theta) = B(sin^2 theta; (m + 1)/2, 1/2) / 2 up to pi/2, and its
+    complement B((m + 1)/2, 1/2) - J_m(pi - theta) past it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        d, t, rho = mpmath.mpf(d), mpmath.mpf(t), mpmath.mpf(rho)
+        a = mpmath.mpf(n - 1) / 2
+        full = mpmath.beta(a, 0.5)  # J_m(pi)
+
+        def band(s):
+            cos = (d * d + s * s - t * t) / (2 * d * s)
+            cap = (0 if cos >= 1 else full if cos <= -1
+                   else mpmath.betainc(a, 0.5, 0, 1 - cos * cos) / 2)
+            if -1 < cos < 0:
+                cap = full - cap
+            return mpmath.exp(-mpmath.pi * s * s) * s ** (n - 1) * cap
+
+        core = min(max(t - d, 0), rho)
+        total = mpmath.gammainc(mpmath.mpf(n) / 2, 0, mpmath.pi * core ** 2, regularized=True)
+        lo, hi = abs(t - d), min(d + t, rho)
+        if hi > lo:
+            knots = [lo, hi]
+            if d > t and lo < mpmath.sqrt(d * d - t * t) < hi:  # theta's peak
+                knots.insert(1, mpmath.sqrt(d * d - t * t))
+            total += 2 * mpmath.pi ** a / mpmath.gamma(a) * mpmath.quad(band, knots)
+        return float(mpmath.log(total)) if total > 0 else LOG_ZERO
+
+
+def _adaptive_reference(f, n, d, t, cap):
+    """log mu(B(d xi, t) ∩ B_cap) from ``log_integral`` on the core and the
+    band, probed where the fallback of ``_log_measures`` probes them."""
+    S = f.support_upper_bound
+    phi_radial = radial_log_integrand(f, n)
+    log_omega_sub, cap_j = _band_log_weight(n)
+    rows = [(0.0, min(max(t - d, 0.0), cap, S), log_sphere_area(n), phi_radial, []),
+            (abs(t - d), min(d + t, cap, S), log_omega_sub,
+             lambda s: phi_radial(s) + cap_j(cap_angle(d, t, s)),
+             [math.sqrt(d * d - t * t)] if d > t else [])]
+    logs = []
+    for lo, hi, weight, phi, hints in rows:
+        hints = [h for h in _probe_hints(f, n) + hints if lo < h < hi]
+        logs.append(weight + log_integral(phi, lo, hi, probe_points=hints).log_value)
+    return float(np.logaddexp(*logs))
+
+
+def _close(got, want, tol):
+    return got == want or abs(got - want) <= tol * max(1.0, abs(want))
+
+
+class TestOffCenterRule:
+    """``_log_measures``, the one exact route of every off-center measure."""
+
+    def test_gaussian_against_closed_forms(self):
+        # both caps of the oracle's exact pass: the whole ball against the
+        # noncentral chi-squared sum, the one cut at r against an mpmath
+        # radial integral with incomplete-beta caps
+        for n, r, rho, t in _random_gaussian_cases(2, 25):
+            (num, den), by_rule = _log_measures(Gaussian(), n, rho, t, (r, math.inf))
+            assert by_rule, (n, r, rho, t)
+            assert _close(den, _log_noncentral_chi2(n, rho, t), 1e-12), (n, r, rho, t)
+            assert _close(num, _log_gaussian_intersection(n, rho, t, r), 1e-12), (n, r, rho, t)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.2, 0.4])
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    def test_settles_at_the_gaussian_construction(self, n, lam):
+        # bound's exact T measures B(R xi, R + r) here; the public route gives
+        # the rule's float, which test_closed_forms holds to the noncentral
+        # chi-squared sum within 1e-11 (checked here up to n = 1000)
+        rep = gaussian_construction(n, 1.01, lam)
+        (got,), by_rule = _log_measures(Gaussian(), n, rep.R, rep.R + rep.r, (math.inf,))
+        assert by_rule
+        assert got == off_center_ball_measure(Gaussian(), n, rep.R, rep.R + rep.r)
+        if n <= 1000:
+            assert _close(got, _log_noncentral_chi2(n, rep.R, rep.R + rep.r), 1e-11)
+
+    @pytest.mark.parametrize("n", [192, 500])
+    def test_settles_at_oracle_geometries_in_high_dimension(self, n):
+        # the Gaussian construction's inclusion check (p = 1.01, lam = 0.1,
+        # 16 radii), past the oracle's dimension cap: the radii at or above r,
+        # the witness t = rho + r and the shorter balls its scans pick
+        rep = gaussian_construction(n, 1.01, 0.1)
+        R, r = rep.R, rep.r
+        for rho in np.linspace(0.0, R * (1.0 - 1e-6), 16).tolist():
+            if rho < r:
+                continue
+            for c in (0.7, 0.8, 0.9, 1.0, 1.1):
+                t = c * (rho + r)
+                logs, by_rule = _log_measures(Gaussian(), n, rho, t, (r, math.inf))
+                assert by_rule, (rho, c)
+                if c == 1.0:
+                    for got, cap in zip(logs, (r, math.inf)):
+                        want = _adaptive_reference(Gaussian(), n, rho, t, cap)
+                        assert _close(got, want, 1e-10), (rho, cap)
+
+    def test_step_density_jump_falls_back(self):
+        # the density jumps from 0 to -3 at s = 0.5, inside the whole ball's
+        # band [0.23, 0.97] and off its panel edges: the orders 16 and 24
+        # disagree there, on the whole row and on its window, so that row
+        # takes the adaptive route, to the last bit.  The band cut at
+        # r = 0.3 holds no jump and settles by the rule
+        f = TabulatedDecreasing([0.5, 2.0], [0.0, -3.0])
+        (num, den), by_rule = _log_measures(f, 3, 0.6, 0.37, (0.3, math.inf))
+        assert not by_rule
+        assert den.hex() == _adaptive_reference(f, 3, 0.6, 0.37, math.inf).hex()
+        assert _close(num, _adaptive_reference(f, 3, 0.6, 0.37, 0.3), 1e-10)

@@ -7,7 +7,7 @@ import pytest
 from radialmax import oracle
 from radialmax.bounds import log_t_exact
 from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
-from radialmax.geometry import (_cap_j_log, intersect_with_centered_ball,
+from radialmax.geometry import (_cap_j_log, _log_measures, intersect_with_centered_ball,
                                 off_center_ball_measure)
 from radialmax.logspace import LOG_ZERO
 from radialmax.measures import log_ball_measure, log_mass
@@ -19,6 +19,8 @@ from radialmax.oracle import (_J_THETAS, _SCAN_ORDER, _SCAN_PANELS, _TABLE_POINT
                               maximal_function_at, maximal_profile,
                               monte_carlo_ball_measure,
                               verify_level_set_inclusion)
+from test_geometry import (_adaptive_reference, _close, _log_gaussian_intersection,
+                           _log_noncentral_chi2, _random_gaussian_cases)
 
 
 def mg_1d_interval_oracle(rho: float, r: float, support: float = 1.0) -> float:
@@ -376,38 +378,6 @@ class TestScan:
             assert integral(np.array([i])) == [everything[i]]
 
 
-def _adaptive_pair(f, n, r, rho, t):
-    return (intersect_with_centered_ball(f, n, rho, t, r),
-            off_center_ball_measure(f, n, rho, t))
-
-
-def _random_gaussian_cases(seed, count):
-    """Seeded (n, r, rho, t) draws: n in 2..6, every fifth ball thin."""
-    rng = np.random.default_rng(seed)
-    cases = []
-    for i in range(count):
-        n = int(rng.integers(2, 7))
-        r, rho = float(rng.uniform(0.05, 0.6)), float(rng.uniform(0.01, 1.5))
-        t = float(rng.uniform(1e-4, 1e-3) if i % 5 == 0 else rng.uniform(1e-4, 3.0))
-        cases.append((n, r, rho, t))
-    return cases
-
-
-def _log_noncentral_chi2(n, d, t):
-    """log mu(B(d xi, t)) for the Gaussian, sum_j Pois(j; pi d^2) P(n/2 + j, pi t^2)."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        lam, x = mpmath.pi * mpmath.mpf(d) ** 2, mpmath.pi * mpmath.mpf(t) ** 2
-        total, j = mpmath.mpf(0), 0
-        while True:
-            term = (mpmath.exp(-lam) * lam ** j / mpmath.factorial(j)
-                    * mpmath.gammainc(mpmath.mpf(n) / 2 + j, 0, x, regularized=True))
-            total += term
-            if j > lam and term < total * mpmath.mpf(10) ** -30:
-                return float(mpmath.log(total))
-            j += 1
-
-
 def _log_gaussian_interval(x0, x1):
     """log int_x0^x1 e^(-pi x^2) dx, the Gaussian on the line, by erf, or by
     erfc for an interval in one tail."""
@@ -455,9 +425,12 @@ class TestOneDimensionalGaussian:
             rho = float(rng.uniform(r, 2.0))
             t = float(rng.uniform(1e-2, 3.0) if i % 4 else rng.uniform(rho / 200.0, 1e-2))
             num, den = _log_gaussian_line(rho, t, r), _log_gaussian_line(rho, t)
-            for got, want in zip(ev._fixed_pair(rho, t), (num, den)):
+            pair, by_rule = _log_measures(Gaussian(), 1, rho, t, (r, math.inf))
+            assert by_rule
+            for got, want in zip(pair, (num, den)):
                 assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want))
             ratio = ev._exact_ratio(rho, t)
+            assert ratio == pair[0] - pair[1]
             assert ratio == num - den or abs(ratio - (num - den)) <= 2e-12 * max(1.0, abs(den))
         assert (ev.exact_fixed, ev.exact_geometry) == (100, 0)
 
@@ -468,65 +441,79 @@ class TestOneDimensionalGaussian:
 
 
 class TestExactPass:
+    """The exact pass takes geometry's ``_log_measures`` on both caps, r and
+    inf, for every density but the unit ball, whose lens goes through the
+    public geometry functions; the ratios are checked against references
+    built apart from that route."""
+
     def test_fixed_rule_matches_adaptive_route(self):
-        # the adaptive route is good to its DEFAULT_REL_TOL (1e-10); on draws
-        # like these it is up to 1.1e-11 off the noncentral chi-squared sum,
-        # where the fixed rule holds 1e-12 (next test), so the two are
-        # compared at the adaptive route's tolerance
+        # the reference is ``log_integral`` on the same core and band rows,
+        # good to its DEFAULT_REL_TOL (1e-10); on draws like these it is up
+        # to 1.1e-11 off the closed forms, which the rule holds to 1e-12
         for n, r, rho, t in _random_gaussian_cases(1, 60):
             ev = _MaximalEvaluator(Gaussian(), n, r, max_rho=rho)
-            pair = ev._fixed_pair(rho, t)
-            assert pair is not None, (n, r, rho, t)
-            for got, want in zip(pair, _adaptive_pair(Gaussian(), n, r, rho, t)):
-                if want == -math.inf:
-                    assert got == want
-                else:
-                    assert abs(got - want) <= DEFAULT_REL_TOL * max(1.0, abs(want))
+            got = ev._exact_ratio(rho, t)
+            assert (ev.exact_fixed, ev.exact_geometry) == (1, 0), (n, r, rho, t)
+            num, den = (_adaptive_reference(Gaussian(), n, rho, t, cap)
+                        for cap in (r, math.inf))
+            if num == -math.inf:
+                assert got == num
+            else:
+                assert abs(got - (num - den)) <= DEFAULT_REL_TOL * (max(1.0, abs(num))
+                                                                    + max(1.0, abs(den)))
 
     def test_denominator_is_noncentral_chi2(self):
-        for n, r, rho, t in _random_gaussian_cases(2, 25):
+        # the ratio's denominator is the noncentral chi-squared sum and its
+        # numerator an mpmath radial integral, each held to 1e-12
+        for n, r, rho, t in _random_gaussian_cases(2, 10):
             ev = _MaximalEvaluator(Gaussian(), n, r, max_rho=rho)
-            exact = _log_noncentral_chi2(n, rho, t)
-            _, den = ev._fixed_pair(rho, t)
-            assert abs(den - exact) <= 1e-12 * max(1.0, abs(exact)), (n, r, rho, t)
+            num = _log_gaussian_intersection(n, rho, t, r)
+            den = _log_noncentral_chi2(n, rho, t)
+            got = ev._exact_ratio(rho, t)
+            if num == -math.inf:
+                assert got == num
+            else:
+                assert abs(got - (num - den)) <= 1e-12 * (max(1.0, abs(num))
+                                                          + max(1.0, abs(den))), (n, r, rho, t)
 
     def test_disagreeing_orders_fall_back(self):
         # the density jumps from 0 to -3 at s = 0.5, inside the cap band
-        # [0.23, 0.97] and off its panel edges: the orders 16 and 24
-        # disagree and the candidate takes the adaptive route, to the last bit
+        # [0.23, 0.97]: that row takes the adaptive route, to the last bit,
+        # and the candidate counts as geometry's
         f = TabulatedDecreasing([0.5, 2.0], [0.0, -3.0])
         ev = _MaximalEvaluator(f, 3, 0.3, max_rho=1.0)
-        assert ev._fixed_pair(0.6, 0.37) is None
-        num, den = _adaptive_pair(f, 3, 0.3, 0.6, 0.37)
+        (num, den), by_rule = _log_measures(f, 3, 0.6, 0.37, (0.3, math.inf))
+        assert not by_rule
+        assert den.hex() == _adaptive_reference(f, 3, 0.6, 0.37, math.inf).hex()
         assert ev._exact_ratio(0.6, 0.37).hex() == (num - den).hex()
         assert (ev.exact_fixed, ev.exact_geometry) == (0, 1)
 
     def test_fixed_rule_settles_the_gaussian(self):
         ev = _MaximalEvaluator(Gaussian(), 4, 0.25, max_rho=1.0)
-        num, den = ev._fixed_pair(0.7, 0.5)
+        (num, den), by_rule = _log_measures(Gaussian(), 4, 0.7, 0.5, (0.25, math.inf))
+        assert by_rule
         assert ev._exact_ratio(0.7, 0.5) == num - den
         assert (ev.exact_fixed, ev.exact_geometry) == (1, 0)
 
     @pytest.mark.parametrize("f,n", [(Gaussian(), 1), (UnitBallIndicator(), 1),
                                      (UnitBallIndicator(), 2), (UnitBallIndicator(), 5)])
     def test_closed_form_and_one_dimensional_paths_unchanged(self, f, n):
-        # the unit ball takes geometry's route, to the last bit; the Gaussian
-        # at n = 1 settles by the fixed rule, as at n >= 2, within the exact
-        # pass's agreement tolerance of that route
+        # the unit ball takes geometry's public functions, to the last bit;
+        # the Gaussian at n = 1 settles by the fixed rule, as at n >= 2,
+        # within 1e-12 of the adaptive reference on the same rows
         ev = _MaximalEvaluator(f, n, 0.3, max_rho=1.0)
         fixed = isinstance(f, Gaussian)
         for rho, t in [(0.5, 0.1), (0.5, 0.9), (0.8, 2e-4), (0.2, 1.7)]:
-            num, den = _adaptive_pair(f, n, 0.3, rho, t)
-            want = -math.inf if den == -math.inf else num - den
             got = ev._exact_ratio(rho, t)
             if fixed:
-                pair = ev._fixed_pair(rho, t)
-                assert got == pair[0] - pair[1]
-                for got_part, want_part in zip(pair, (num, den)):
-                    assert got_part == want_part or abs(got_part - want_part) <= (
-                        oracle._EXACT_AGREEMENT * max(1.0, abs(want_part)))
+                (num, den), by_rule = _log_measures(f, n, rho, t, (0.3, math.inf))
+                assert by_rule and got == num - den
+                for part, cap in zip((num, den), (0.3, math.inf)):
+                    assert _close(part, _adaptive_reference(f, n, rho, t, cap), 1e-12)
             else:
-                assert got.hex() == want.hex()
+                num = intersect_with_centered_ball(f, n, rho, t, 0.3)
+                den = off_center_ball_measure(f, n, rho, t)
+                assert got.hex() == (-math.inf if den == -math.inf else num - den).hex()
         assert (ev.exact_fixed, ev.exact_geometry) == ((4, 0) if fixed else (0, 4))
 
     def test_report_counts_every_candidate(self, monkeypatch):
@@ -680,6 +667,18 @@ class TestEmpiricalBound:
         emp = empirical_constant_lower_bound(f, n, r, p, points=64)
         assert emp >= 1.0 - 1e-6
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("f", [Gaussian(), UnitBallIndicator()])
+    def test_never_below_one(self, f, n):
+        # Mg >= g, so the ratio of norms is at least 1.  The B_r part is
+        # added exactly, and the log of the estimate is log1p of the rest's
+        # share: an interpolation across the jump of Mg at r printed
+        # 0.9679 for the Gaussian at n = 6, r = 0.2, p = 4
+        for r in (0.2, 0.5):
+            for p in (1.5, 4.0, 8.0):
+                emp = empirical_constant_lower_bound(f, n, r, p, points=32, t_points=64)
+                assert emp >= 1.0, (r, p)
+
     def test_weak_type_level_bound(self):
         # tau = 1/mu(B~) catches at least B_R, so the weak functional is
         # at least mu(B_R)/mu(B~)
@@ -701,16 +700,18 @@ class TestEmpiricalBound:
         # p log Mg overflowed to a printed "nan"
         with pytest.raises(ValueError, match=r"^p = 1e\+308 overflows p log Mg$"):
             empirical_constant_lower_bound(Gaussian(), 2, 0.2, 1e308, points=16, t_points=16)
-        # a finite p log Mg of about 1e290 leaves the integral no window
-        no_window = r"^log-integrand maximum 1\.3\d*e\+290 leaves no window"
+        # a finite p log Mg of about 1.8e290 (log Mg = 2^-49, at the level of
+        # rounding) leaves the integral no window
+        no_window = r"^log-integrand maximum 1\.77\d*e\+290 leaves no window"
         with pytest.raises(ValueError, match=no_window):
             empirical_constant_lower_bound(Gaussian(), 6, 5.0, 1e305, points=8, t_points=8)
 
     def test_integrand_without_window_refused_at_once(self):
-        # p log Mg of about 2e305: the integral spent 10^6 evaluations, about
-        # 2 s, reaching NaN, which the estimate then refused as not finite
+        # p log Mg of about 1.4e305 on [r, cutoff]: the integral spent 10^6
+        # evaluations, about 2 s, reaching NaN, which the estimate then
+        # refused as not finite
         start = time.perf_counter()
-        no_window = r"^log-integrand maximum 2\.\d*e\+305 leaves no window"
+        no_window = r"^log-integrand maximum 1\.44\d*e\+305 leaves no window"
         with pytest.raises(ValueError, match=no_window):
             empirical_constant_lower_bound(Gaussian(), 2, 0.2, 1e305, points=8, t_points=8)
         assert time.perf_counter() - start < 0.5
