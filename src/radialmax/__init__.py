@@ -20,14 +20,13 @@ from .densities import (Gaussian, RadialDensity, TabulatedDecreasing, UnitBallIn
 from .errors import BracketError, NoBalancedRadiusError
 from .geometry import (contact_angle, contact_angle_unit_ball, intersect_with_centered_ball,
                        off_center_ball_measure)
-from .logspace import LOG_ZERO, log_add
+from .logspace import LOG_ZERO
 from .measures import log_ball_measure, log_mass, log_sphere_area, sphere_ratio_bounds
 from .optimize import (SupremumResult, find_root, growth_base_log,
                        max_growth_base_log, maximize_scalar, p0_gaussian,
                        p0_general, p0_unitball, p1_gaussian)
-from .oracle import (RadialProfile, empirical_constant_lower_bound,
-                     maximal_function_at, maximal_profile,
-                     monte_carlo_ball_measure, verify_level_set_inclusion)
+from .oracle import (RadialProfile, log_constant_estimate, log_maximal_function_at,
+                     maximal_profile, monte_carlo_ball_measure, verify_level_set_inclusion)
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,6 @@ __all__ = [
     "contact_angle",
     "contact_angle_unit_ball",
     "density_from_name",
-    "empirical_constant_lower_bound",
     "find_root",
     "gaussian_ball_sandwich",
     "gaussian_construction",
@@ -55,13 +53,13 @@ __all__ = [
     "general_construction",
     "growth_base_log",
     "intersect_with_centered_ball",
-    "log_add",
     "log_ball_measure",
+    "log_constant_estimate",
     "log_mass",
+    "log_maximal_function_at",
     "log_sphere_area",
     "log_t_exact",
     "max_growth_base_log",
-    "maximal_function_at",
     "maximal_profile",
     "maximize_scalar",
     "monte_carlo_ball_measure",

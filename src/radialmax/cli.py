@@ -6,8 +6,8 @@ Subcommands:
   bound   run a lower-bound construction and emit the full report as JSON
   sweep   tabulate constructions across dimensions as CSV
   verify  run a named invariant suite, exit 0 iff every check passes
-  oracle  evaluate the brute-force maximal function (value, profile, or
-          empirical constant estimate)
+  oracle  evaluate the brute-force maximal function as logs (log Mg at one
+          radius or on a profile, or the log of an empirical constant estimate)
 
 Exit codes: 0 success, 1 usage error or verification failure, 2 numerical
 or domain failure.  Identical invocations (including --seed) produce
@@ -30,9 +30,8 @@ from .densities import MEASURE_KINDS, density_from_name
 from .errors import NoBalancedRadiusError
 from .geometry import off_center_ball_measure
 from .measures import log_mass, log_sphere_area, sphere_ratio_bounds
-from .oracle import (_log_maximal_function_at, empirical_constant_lower_bound,
-                     maximal_profile, monte_carlo_ball_measure,
-                     verify_level_set_inclusion)
+from .oracle import (log_constant_estimate, log_maximal_function_at, maximal_profile,
+                     monte_carlo_ball_measure, verify_level_set_inclusion)
 from .serialize import csv_lines, to_json
 
 USAGE_EXIT = 1
@@ -156,10 +155,12 @@ def build_parser() -> _Parser:
     orc = sub.add_parser("oracle", parents=[measure], help="brute-force maximal function")
     orc.add_argument("--n", type=int, required=True)
     orc.add_argument("--r", type=float, required=True)
-    orc.add_argument("--rho", type=float, default=None,
-                     help="evaluate Mg at one radius (JSON)")
-    orc.add_argument("--p", type=float, default=None,
-                     help="emit the empirical estimate of the operator constant (JSON)")
+    mode = orc.add_mutually_exclusive_group()  # neither: the profile (CSV)
+    mode.add_argument("--rho", type=float, default=None,
+                      help="evaluate log Mg at one radius (JSON)")
+    mode.add_argument("--p", type=float, default=None,
+                      help="emit the log of the empirical estimate of the operator "
+                           "constant (JSON)")
     orc.add_argument("--profile-points", type=int, default=256)
     orc.add_argument("--t-points", type=int, default=512)
     orc.add_argument("--output", default=None)
@@ -414,19 +415,18 @@ def _cmd_oracle(args) -> int:
     _check_points("--t-points", args.t_points, 1)
     f = _density(args)
     if args.rho is not None:
-        log_value = _log_maximal_function_at(f, args.n, args.r, args.rho, args.t_points)
-        with np.errstate(over="ignore"):  # past e^709.78 the value prints as "inf"
-            value = float(np.exp(log_value))
+        log_value = log_maximal_function_at(f, args.n, args.r, args.rho,
+                                            t_points=args.t_points)
         payload = {"measure": args.measure, "n": args.n, "r": args.r,
-                   "rho": args.rho, "value": value, "log_value": log_value}
+                   "rho": args.rho, "log_value": log_value}
         _emit(to_json(payload) + "\n", args.output)
         return 0
     if args.p is not None:
-        bound = empirical_constant_lower_bound(f, args.n, args.r, args.p,
-                                               points=args.profile_points,
-                                               t_points=args.t_points)
+        log_estimate = log_constant_estimate(f, args.n, args.r, args.p,
+                                             points=args.profile_points,
+                                             t_points=args.t_points)
         payload = {"measure": args.measure, "n": args.n, "r": args.r,
-                   "p": args.p, "constant_lower_bound": bound,
+                   "p": args.p, "log_constant_estimate": log_estimate,
                    "profile_points": args.profile_points}
         _emit(to_json(payload) + "\n", args.output)
         return 0

@@ -48,7 +48,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .densities import RadialDensity, UnitBallIndicator
-from .logspace import LOG_ZERO, log_add
+from .logspace import LOG_ZERO
 from .measures import _probe_hints, log_ball_volume, log_sphere_area, radial_log_integrand
 from .quadrature import N_PROBES, WINDOW_DROP, fixed_log_integral, log_integral
 
@@ -309,8 +309,8 @@ def _log_lens(n: int, d: float, t: float, a: float) -> float:
     phi = [2.0 * math.atan2(math.sqrt(u * v), math.sqrt(w * s)),
            2.0 * math.atan2(math.sqrt(u * w), math.sqrt(v * s))]
     j1, j2 = _cap_j_log(n + 2, np.asarray(phi))  # log J_n = log J_{(n+2)-2}
-    return log_ball_volume(n - 1, 1.0) + log_add(n * math.log(a) + float(j1),
-                                                 n * math.log(t) + float(j2))
+    return log_ball_volume(n - 1, 1.0) + float(np.logaddexp(n * math.log(a) + float(j1),
+                                                            n * math.log(t) + float(j2)))
 
 
 def _log_measures(f: RadialDensity, n: int, d: float, t: float, caps: tuple):

@@ -1,4 +1,4 @@
-"""Log-domain arithmetic for nonnegative quantities.
+"""The log domain of nonnegative quantities, and its zero ``LOG_ZERO``.
 
 Every measure value in this library is carried as ``log(value)`` with
 ``-inf`` standing for zero.  That representation survives dimensions up to
@@ -9,17 +9,4 @@ infinite measure, which callers must reject explicitly.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 LOG_ZERO = float("-inf")
-
-
-def log_add(a: float, b: float) -> float:
-    """log(e^a + e^b).  Exact for the zero element: log_add(x, -inf) == x."""
-    if a == LOG_ZERO:
-        return b
-    if b == LOG_ZERO:
-        return a
-    return float(np.logaddexp(a, b))

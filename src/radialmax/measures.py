@@ -132,9 +132,9 @@ def log_ball_measure_grid(f: RadialDensity, n: int, radii):
 
     One fixed _GRID_ORDER-point Gauss-Legendre panel between consecutive
     radii (``quadrature.fixed_log_integral``), summed cumulatively in the
-    log domain.  Used by scan-style callers that need thousands of
-    measures at once: the oracle's radial mass table and the inverse CDF of
-    the Monte Carlo sampler.  The adaptive path remains the accuracy
+    log domain; a radius of 0 gives LOG_ZERO.  Used by scan-style callers
+    that need thousands of measures at once: the oracle's radial mass table
+    and the inverse CDF of the Monte Carlo sampler.  The adaptive path remains the accuracy
     reference.
     """
     radii = np.asarray(radii, dtype=float)

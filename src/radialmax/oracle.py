@@ -7,7 +7,9 @@ function g = chi(B_r)/mu(B_r) directly from its definition,
 
 verifies the level-set inclusion that underpins the certified bound T,
 produces empirical estimates of the operator constant, and cross-checks
-the geometry quadrature by importance-sampled Monte Carlo.
+the geometry quadrature by importance-sampled Monte Carlo.  Mg and the
+estimates are returned as logs, which no scale of the density under- or
+overflows.
 
 Below r the sup is known: every t <= r - rho gives ratio 1, and no t
 more, so Mg(rho) = 1/mu(B_r) for every rho < r.  From r on, the sup over
@@ -27,7 +29,7 @@ copies of each other (the three zooms share one scan); the rule runs the
 rows in blocks, each with its own t.  At n = 1 a band radius holds one of
 the two points +-s, with weight 1 and no cap
 (``geometry._band_log_weight``), and the scan's band is half the ball
-table's difference, at a sixth of the fixed rule's cost.  The
+table's difference, taken in logs, at a sixth of the fixed rule's cost.  The
 scan reads the cap integral J_{n-2} from a table of 4097 angles, built
 once per dimension and shared read-only by every evaluator, and the
 centered ball measure from a ``log_ball_measure_grid`` table; both are
@@ -68,23 +70,23 @@ _J_THETAS.flags.writeable = False
 
 @dataclass
 class RadialProfile:
-    """A radial function sampled on an increasing grid, CSV-serializable."""
+    """The log of a radial function sampled on an increasing grid, CSV-serializable."""
 
     radii: np.ndarray
-    values: np.ndarray
+    log_values: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.radii.ndim != 1 or self.radii.shape != self.values.shape:
-            raise ValueError("radii and values must be equal-length 1-D arrays")
+        self.log_values = np.asarray(self.log_values, dtype=float)
+        if self.radii.ndim != 1 or self.radii.shape != self.log_values.shape:
+            raise ValueError("radii and log_values must be equal-length 1-D arrays")
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("radii must be strictly increasing")
 
     def to_csv(self) -> str:
-        return csv_lines(self.meta, ["rho", "value"],
-                         list(zip(self.radii.tolist(), self.values.tolist())))
+        return csv_lines(self.meta, ["rho", "log_value"],
+                         list(zip(self.radii.tolist(), self.log_values.tolist())))
 
 
 @dataclass
@@ -223,8 +225,7 @@ class _MaximalEvaluator:
         if self.log_mu_br == LOG_ZERO:
             raise ValueError("mu(B_r) vanishes; the test function is undefined")
         radii = np.linspace(0.0, self.horizon, _TABLE_POINTS)
-        self._log_ball = _UniformLookup(radii, np.concatenate(
-            [[LOG_ZERO], log_ball_measure_grid(f, n, radii[1:])]))
+        self._log_ball = _UniformLookup(radii, log_ball_measure_grid(f, n, radii))
         self._phi = radial_log_integrand(f, n)
         self.exact_fixed = self.exact_geometry = 0
         self._lens = isinstance(f, UnitBallIndicator)
@@ -243,11 +244,13 @@ class _MaximalEvaluator:
         inner = np.abs(ts - rho)
         if self.n == 1:
             # a band radius holds one of +-s: half the ball table's difference,
-            # read at rho + t (cut at r), not at the support it interpolates across
-            mass = [np.exp(self._log_ball(hi)) - np.exp(self._log_ball(np.minimum(inner, hi)))
-                    for hi in (ts + rho, np.minimum(ts + rho, self.r))]
-            with np.errstate(divide="ignore"):
-                den_band, num_band = np.log(np.maximum(0.5 * np.array(mass), 0.0))
+            # log((e^a - e^b) / 2) where a > b, read at rho + t (cut at r), not
+            # at the support it interpolates across
+            den_band, num_band = np.full((2,) + ts.shape, LOG_ZERO)
+            for band, hi in zip((den_band, num_band), (ts + rho, np.minimum(ts + rho, self.r))):
+                a, b = self._log_ball(hi), self._log_ball(np.minimum(inner, hi))
+                more = a > b
+                band[more] = a[more] + np.log(-np.expm1(b[more] - a[more])) - math.log(2.0)
         else:
             den_hi = np.minimum(ts + rho, self.support)
             num_hi = np.minimum(den_hi, self.r)
@@ -326,18 +329,13 @@ class _MaximalEvaluator:
         return best - self.log_mu_br
 
 
-def _log_maximal_function_at(f: RadialDensity, n: int, r: float, rho: float,
-                             t_points: int) -> float:
-    """log Mg(rho), from an evaluator built for this one radius."""
+def log_maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
+                            t_points: int = 512) -> float:
+    """log Mg(rho) for the normalized indicator test function, from an
+    evaluator built for this one radius."""
     _check_rho(rho)  # before the evaluator's tables are built
     ev = _MaximalEvaluator(f, n, r, max_rho=max(rho, r), t_points=t_points)
     return ev.log_maximal_at(rho)
-
-
-def maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
-                        t_points: int = 512) -> float:
-    """Mg(rho) for the normalized indicator test function (linear scale)."""
-    return math.exp(_log_maximal_function_at(f, n, r, rho, t_points))
 
 
 def _log_profile(f: RadialDensity, n: int, r: float, points: int, t_points: int):
@@ -353,16 +351,15 @@ def _log_profile(f: RadialDensity, n: int, r: float, points: int, t_points: int)
 
 def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
                     t_points: int = 512) -> RadialProfile:
-    """Mg sampled on [0, upper_cutoff] on a grid graded toward both ends.
+    """log Mg sampled on [0, upper_cutoff] on a grid graded toward both ends.
 
     The grading follows the smoothstep map (dense at both ends, where Mg
     is flat at 1/mu(B_r) and where the level-set boundary sits).
     """
     rho_max, radii, log_mg, _ = _log_profile(f, n, r, points, t_points)
-    values = np.array([math.exp(x) for x in log_mg.tolist()])
     meta = {"kind": f.kind, "n": n, "r": repr(r),
             "grid": f"smoothstep:{points}:0:{rho_max!r}", "seed": "none"}
-    return RadialProfile(radii=radii, values=values, meta=meta)
+    return RadialProfile(radii=radii, log_values=log_mg, meta=meta)
 
 
 def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
@@ -391,15 +388,15 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
                            exact_geometry=ev.exact_geometry)
 
 
-def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float, *,
-                                   points: int = 256, t_points: int = 512) -> float:
-    """Empirical estimate of the operator constant from the Mg profile.
+def log_constant_estimate(f: RadialDensity, n: int, r: float, p: float, *,
+                          points: int = 256, t_points: int = 512) -> float:
+    """log of an empirical estimate of the operator constant from the Mg profile.
 
     p > 1: ( int Mg^p dmu / int g^p dmu )^(1/p).  On B_r, Mg = 1/mu(B_r) = g,
     so that part of the numerator is the denominator mu(B_r)^(1 - p)
     exactly, and the estimate is (1 + rest / mu(B_r)^(1 - p))^(1/p), taken
-    in log space by log1p of the share, so it is never below 1, as Mg >= g
-    demands.  The rest is a radial quadrature of log Mg interpolated
+    in log space by log1p of the share, so its log is never below 0, as
+    Mg >= g demands.  The rest is a radial quadrature of log Mg interpolated
     linearly on [r, upper_cutoff], from log Mg(r) through the profile radii
     past r.  It is an estimate, not a lower bound: nothing keeps the
     interpolation below the true Mg.  p = 1: the weak form
@@ -417,8 +414,7 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
             raise ValueError(f"p = {p!r} overflows p log Mg")
     log_mu_br = log_ball_measure(f, n, r)
     if p == 1.0:
-        cum = np.concatenate([[LOG_ZERO],
-                              log_ball_measure_grid(f, n, radii[1:])])
+        cum = log_ball_measure_grid(f, n, radii)
         # the masses relative to the last ball's, which no scale of f overflows
         cell_mass = np.exp(cum[1:] - cum[-1]) - np.exp(cum[:-1] - cum[-1])
         best = LOG_ZERO
@@ -427,7 +423,7 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
             mass = float(cell_mass[mask].sum())
             if mass > 0.0:
                 best = max(best, tau + math.log(mass))
-        return math.exp(best + cum[-1])
+        return float(best + cum[-1])
     # the jump of Mg at r is a knot of the interpolation, not a cell of it
     past = radii > r
     knots = np.concatenate([[r], radii[past]])
@@ -443,7 +439,7 @@ def empirical_constant_lower_bound(f: RadialDensity, n: int, r: float, p: float,
     log_estimate = float(np.logaddexp(0.0, log_share)) / p  # log1p(e^share) / p
     if not math.isfinite(log_estimate):
         raise ValueError(f"the estimate at p = {p!r} is not finite")
-    return math.exp(log_estimate)
+    return log_estimate
 
 
 def monte_carlo_ball_measure(f: RadialDensity, n: int, d: float, t: float,
@@ -462,10 +458,10 @@ def monte_carlo_ball_measure(f: RadialDensity, n: int, d: float, t: float,
     if not d >= 0 or not t > 0:
         raise ValueError("need d >= 0 and t > 0")
     knots = np.linspace(0.0, upper_cutoff(f, n), _MC_KNOTS + 1)
-    log_cdf = log_ball_measure_grid(f, n, knots[1:])
+    log_cdf = log_ball_measure_grid(f, n, knots)
     if log_cdf[-1] == LOG_ZERO:
         raise ValueError("density has zero mass on its support")
-    cdf = np.concatenate([[0.0], np.exp(log_cdf - log_cdf[-1])])
+    cdf = np.exp(log_cdf - log_cdf[-1])
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     remaining = samples

@@ -5,8 +5,10 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radialmax
@@ -660,26 +662,39 @@ class TestOracleCommand:
         payload = json.loads(out)
         from radialmax.densities import Gaussian
         from radialmax.measures import log_ball_measure
-        assert payload["value"] == pytest.approx(
-            math.exp(-log_ball_measure(Gaussian(), 3, 0.2)), rel=1e-9)
+        assert sorted(payload) == ["log_value", "measure", "n", "r", "rho"]
+        assert payload["log_value"] == -log_ball_measure(Gaussian(), 3, 0.2)
 
     def test_point_value_of_a_rescaled_density(self, capsys, tmp_path):
-        # log Mg comes from the evaluator, so f e^(+-800) moves it by -+800;
-        # the linear value underflows to 0 or overflows to "inf", where the
-        # log of it was a math domain error
-        logs = {}
-        for scale in (0, 800, -800):
-            path = tmp_path / f"flat{scale}.txt"
-            path.write_text(f"0.5 {scale}\n1.0 {scale}\n", encoding="utf-8")
-            code, out, err = run(capsys, "oracle", "--measure", "tabulated", "--density-file",
-                                 str(path), "--n", "2", "--r", "0.2", "--rho", "0.5",
-                                 "--t-points", "64")
-            assert (code, err) == (0, "")
-            payload = json.loads(out)
-            logs[scale] = payload["log_value"]
-            assert payload["value"] == {800: 0.0, 0: math.exp(logs[0]), -800: "inf"}[scale]
-        for scale in (800, -800):
-            assert abs(logs[scale] - (logs[0] - scale)) <= 1e-12 * abs(logs[0] - scale)
+        # log Mg comes from the evaluator, so f e^(+-800) moves every log Mg by
+        # -+800 and leaves the log of the estimate as it is; e^+-800 printed a
+        # profile of 0s or exited 2 with an OverflowError, and at n = 1 the
+        # scan's band overflowed in exp
+        modes = {"--rho": ["--rho", "0.5"], "profile": ["--profile-points", "16"],
+                 "--p": ["--p", "1.5", "--profile-points", "16"]}
+        for n in (1, 2):
+            logs = {}
+            for scale in (0, 800, -800):
+                path = tmp_path / f"flat{scale}.txt"
+                path.write_text(f"0.5 {scale}\n1.0 {scale}\n", encoding="utf-8")
+                for mode, argv in modes.items():
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        code, out, err = run(capsys, "oracle", "--measure", "tabulated",
+                                             "--density-file", str(path), "--n", str(n),
+                                             "--r", "0.2", "--t-points", "64", *argv)
+                    assert (code, err) == (0, ""), (n, scale, mode)
+                    if mode == "profile":
+                        logs[scale, mode] = np.array([float(row.split(",")[1])
+                                                      for row in csv_rows(out)])
+                    else:
+                        payload = json.loads(out)
+                        logs[scale, mode] = payload[{"--rho": "log_value",
+                                                     "--p": "log_constant_estimate"}[mode]]
+            for scale in (800, -800):
+                for mode, shift in (("--rho", scale), ("profile", scale), ("--p", 0)):
+                    got, want = logs[scale, mode], logs[0, mode] - shift
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (n, scale, mode)
 
     def test_profile_csv(self, capsys):
         code, out, _ = run(capsys, "oracle", "--measure", "unitball", "--n", "2",
@@ -687,7 +702,7 @@ class TestOracleCommand:
         assert code == 0
         lines = out.splitlines()
         assert lines[0].startswith("# kind=unitball")
-        assert "rho,value" in lines
+        assert "rho,log_value" in lines
         assert any("seed=none" in l for l in lines[:6])
 
     def test_empirical_bound_json(self, capsys):
@@ -695,7 +710,16 @@ class TestOracleCommand:
                            "--r", "0.2", "--p", "1.5", "--profile-points", "48")
         assert code == 0
         payload = json.loads(out)
-        assert payload["constant_lower_bound"] >= 1.0 - 1e-9
+        assert "constant_lower_bound" not in payload
+        assert payload["log_constant_estimate"] >= 0.0
+
+    def test_rho_and_p_are_exclusive(self, capsys):
+        # --p was silently ignored next to --rho, which printed log Mg and exited 0
+        code, out, err = run(capsys, "oracle", "--measure", "gaussian", "--n", "2",
+                             "--r", "0.3", "--rho", "0.5", "--p", "2")
+        assert code == 1
+        assert out == ""
+        assert "radialmax oracle: error: argument --p: not allowed with argument --rho" in err
 
     @pytest.mark.parametrize("flag,message", [
         (["--r", "0.3", "--p", "nan"], "p must be >= 1"),
