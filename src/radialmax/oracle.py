@@ -30,14 +30,14 @@ rows in blocks, each with its own t.  At n = 1 a band radius holds one of
 the two points +-s, with weight 1 and no cap
 (``geometry._band_log_weight``), and the scan's band is half the ball
 table's difference, taken in logs, at a sixth of the fixed rule's cost.  The
-scan reads the cap integral J_{n-2} from a table of 4097 angles, built
-once per dimension and shared read-only by every evaluator, and the
-centered ball measure from a ``log_ball_measure_grid`` table; both are
-uniform grids, so a lookup finds each point's cell by a multiplication and
-gives ``np.interp``'s float.  Every cap integral here, J_{n-2} in the
-table and the exact pass and J_n in the unit ball's lens, has exponent at
-most 6, so ``geometry`` gives it in elementary functions.  The Monte Carlo
-sampler's inverse CDF is a ``log_ball_measure_grid`` table too.
+scan reads the cap integral J_{n-2} from a table of 4097 angles, built once
+per dimension and shared read-only by every evaluator, and the centered ball
+measure from a ``log_ball_measure_grid`` table; both are uniform grids, so a
+lookup finds each point's cell by a multiplication and gives ``np.interp``'s
+float away from a knot.  Every cap integral here, J_{n-2} in the table and
+the exact pass and J_n in the unit ball's lens, has exponent at most 6, so
+``geometry`` gives it in elementary functions.  The Monte Carlo sampler's
+inverse CDF is a ``log_ball_measure_grid`` table too.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .geometry import (_band_log_weight, _log_measures, intersect_with_centered_
 from .logspace import LOG_ZERO
 from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area,
                        radial_log_integrand, upper_cutoff)
-from .quadrature import fixed_log_integral, log_integral
+from .quadrature import fixed_log_integral
 from .serialize import csv_lines
 
 MAX_ORACLE_DIMENSION = 6
@@ -125,33 +125,27 @@ class InclusionReport:
 
 
 class _UniformLookup:
-    """``np.interp(x, xp, fp)`` on a ``np.linspace`` grid xp, float for float.
+    """``np.interp(x, xp, fp)``'s formula on a ``np.linspace`` grid xp.
 
     A point's cell j is the integer part of (x - xp[0]) / h: the cell of x
     or, next to a knot, a neighbour.  Its value is numpy's own formula,
-    slope[j] (x - xp[j]) + fp[j], with numpy's slopes.  The points that
-    formula may not settle as numpy does go to ``np.interp`` itself: those
-    whose x - xp[j] is within a two-thousandth of a cell of 0 or of h
-    (every knot, every point below the first, and every point whose j is
-    a neighbour cell), those past the last knot, whose slope is NaN, and
-    every NaN result, which covers NaN and infinite x and the cells next
-    to a -inf.  Read-only.
+    slope[j] (x - xp[j]) + fp[j], with numpy's slopes: ``np.interp``'s
+    float, except next to a knot, where it is the line of either piece that
+    meets there.  ``np.interp`` itself takes the points outside [xp[0],
+    xp[-1]], infinite x among them, and every result that is not finite: NaN
+    x, a last knot read in its own cell (slope NaN) and the cells next to a
+    -inf.  Read-only.
     """
 
-    _EDGE = 1e-3
-
     def __init__(self, xp: np.ndarray, fp: np.ndarray):
-        cells = len(xp) - 1
         self.xp, self.fp = xp, fp
-        self._inv_h = cells / (xp[-1] - xp[0])
+        self._inv_h = (len(xp) - 1) / (xp[-1] - xp[0])
         self._offset = xp[0] * self._inv_h
         with np.errstate(invalid="ignore"):  # -inf - -inf
             slope = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])
         self._slope = np.append(slope, np.nan)
         for table in (xp, fp, self._slope):
             table.flags.writeable = False
-        self._half = 0.5 * (xp[-1] - xp[0]) / cells
-        self._reach = self._half * (1.0 - self._EDGE)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -163,9 +157,9 @@ class _UniformLookup:
             d = x - self.xp.take(j, mode="clip")
             out = self._slope.take(j, mode="clip") * d
             out += self.fp.take(j, mode="clip")
-        d -= self._half
-        edge = np.abs(d, out=d) >= self._reach
-        edge |= np.isnan(out)
+        edge = ~np.isfinite(out)
+        edge |= x < self.xp[0]
+        edge |= x > self.xp[-1]
         if edge.any():
             out[edge] = np.interp(x[edge], self.xp, self.fp)
         return out
@@ -197,7 +191,7 @@ class _MaximalEvaluator:
 
     Scan-grade ratios come from ``fixed_log_integral`` with the cap
     integral and the cumulative radial mass looked up in uniform tables
-    (``_UniformLookup``, the floats of ``np.interp``), and at n = 1 from the
+    (``_UniformLookup``, ``np.interp``'s formula), and at n = 1 from the
     mass table alone; final values are re-computed exactly by
     ``geometry._log_measures``, or for the unit ball by its lens.
     ``exact_fixed`` counts the candidates whose four rows that rule's two
@@ -388,6 +382,17 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
                            exact_geometry=ev.exact_geometry)
 
 
+def _log_cells(f: RadialDensity, n: int, edges: np.ndarray, log_weight) -> np.ndarray:
+    """log int e^(log_weight(s)) f(s) s^(n-1) ds on each cell [edges[i], edges[i+1]],
+    by ``fixed_log_integral`` (4 panels of 16 nodes) on every piece of the cell
+    cut at the density's knots and support, so that no piece straddles a jump."""
+    cuts = np.append(f.probe_points(), f.support_upper_bound)
+    cuts = np.union1d(edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])])
+    phi = radial_log_integrand(f, n)
+    pieces = fixed_log_integral(lambda s: log_weight(s) + phi(s), cuts[:-1], cuts[1:], 4, 16)
+    return np.logaddexp.reduceat(pieces, np.searchsorted(cuts, edges[:-1]))
+
+
 def log_constant_estimate(f: RadialDensity, n: int, r: float, p: float, *,
                           points: int = 256, t_points: int = 512) -> float:
     """log of an empirical estimate of the operator constant from the Mg profile.
@@ -396,13 +401,13 @@ def log_constant_estimate(f: RadialDensity, n: int, r: float, p: float, *,
     so that part of the numerator is the denominator mu(B_r)^(1 - p)
     exactly, and the estimate is (1 + rest / mu(B_r)^(1 - p))^(1/p), taken
     in log space by log1p of the share, so its log is never below 0, as
-    Mg >= g demands.  The rest is a radial quadrature of log Mg interpolated
-    linearly on [r, upper_cutoff], from log Mg(r) through the profile radii
-    past r.  It is an estimate, not a lower bound: nothing keeps the
-    interpolation below the true Mg.  p = 1: the weak form
-    sup_tau tau mu({Mg > tau}) over the profile levels (int g dmu = 1, and the value is invariant
+    Mg >= g demands.  The rest integrates log Mg, interpolated linearly from
+    log Mg(r) through the profile radii past r, on the cells of those radii.
+    It is an estimate, not a lower bound: nothing keeps the interpolation
+    below the true Mg.  p = 1: the weak form sup_tau tau mu({Mg > tau}) over
+    the profile levels and cells (int g dmu = 1, and the value is invariant
     under normalizing mu to mass 1).  log Mg is read from the evaluator and
-    the p = 1 masses relative to the last ball's, so no scale of f moves it.
+    the p = 1 masses relative to the largest cell's, so no scale of f moves it.
     """
     _check_p(p)
     if points < 2:  # one radius bounds no cell to integrate over
@@ -412,30 +417,24 @@ def log_constant_estimate(f: RadialDensity, n: int, r: float, p: float, *,
     with np.errstate(over="ignore"):
         if not np.isfinite(p * log_mg).all():
             raise ValueError(f"p = {p!r} overflows p log Mg")
-    log_mu_br = log_ball_measure(f, n, r)
     if p == 1.0:
-        cum = log_ball_measure_grid(f, n, radii)
-        # the masses relative to the last ball's, which no scale of f overflows
-        cell_mass = np.exp(cum[1:] - cum[-1]) - np.exp(cum[:-1] - cum[-1])
+        cells = _log_cells(f, n, radii, lambda s: 0.0)
+        top = float(np.max(cells))
+        cell_mass = np.exp(cells - top)  # no scale of f overflows it
         best = LOG_ZERO
         for tau in log_mg:
             mask = (log_mg[1:] > tau) & (log_mg[:-1] > tau)
             mass = float(cell_mass[mask].sum())
             if mass > 0.0:
                 best = max(best, tau + math.log(mass))
-        return float(best + cum[-1])
+        return float(best + top + log_sphere_area(n))
     # the jump of Mg at r is a knot of the interpolation, not a cell of it
     past = radii > r
     knots = np.concatenate([[r], radii[past]])
     log_knots = np.concatenate([[ev.log_maximal_at(r)], log_mg[past]])
-    phi_radial = radial_log_integrand(f, n)
-
-    def phi(s):
-        return p * np.interp(s, knots, log_knots) + phi_radial(s)
-
-    res = log_integral(phi, r, float(knots[-1]),
-                       probe_points=list(knots[:: max(len(knots) // 64, 1)]))
-    log_share = log_sphere_area(n) + res.log_value - (1.0 - p) * log_mu_br
+    cells = _log_cells(f, n, knots, lambda s: p * np.interp(s, knots, log_knots))
+    log_share = (log_sphere_area(n) + np.logaddexp.reduce(cells, initial=LOG_ZERO)
+                 - (1.0 - p) * ev.log_mu_br)
     log_estimate = float(np.logaddexp(0.0, log_share)) / p  # log1p(e^share) / p
     if not math.isfinite(log_estimate):
         raise ValueError(f"the estimate at p = {p!r} is not finite")
