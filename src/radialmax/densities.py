@@ -97,16 +97,13 @@ class TabulatedDecreasing(RadialDensity):
         if vals[0] == LOG_ZERO:
             raise ValueError("density is identically zero")
         self._radii = radii
-        self._vals = vals
+        # one table read per point: past the last knot, and at NaN, the
+        # search lands on the appended zero
+        self._table = np.append(vals, LOG_ZERO)
         self.support_upper_bound = float(radii[-1])
 
     def log_density(self, s):
-        s = np.asarray(s, dtype=float)
-        idx = np.searchsorted(self._radii, s, side="left")
-        out = np.where(idx < self._radii.size,
-                       self._vals[np.minimum(idx, self._radii.size - 1)],
-                       LOG_ZERO)
-        return out
+        return self._table[np.searchsorted(self._radii, s, side="left")]
 
     def probe_points(self) -> tuple:
         return tuple(self._radii)

@@ -22,11 +22,24 @@ Truncation error is then below the quadrature tolerance, DEFAULT_REL_TOL,
 which is the one tolerance of every measure in the library, and the shifted
 integrand is O(1), so nothing ever under- or overflows.  Integrands must
 accept numpy arrays and act on each point alone.  Batching changes no
-result: each rule is one dot product per panel, the steps and the panel
+result: each rule is one dot product per panel (``np.vecdot`` runs the
+``ddot`` of a per-panel ``np.dot`` on every row), the steps and the panel
 table are those of a loop that calls the integrand once per bisected
 panel, and the panel sums run left to right in a fixed order, the same on
 every Python version.  The evaluation counts, and so the cap, count only
 the panels the loop uses.
+
+A step that takes stored halves costs O(1) Python work and no numpy
+call: O(log k) heap operations and a dozen float operations, for k panels.
+The worst panel is the top of a heap keyed (-error, column): ties go to
+the lower column, and a NaN error comes first, as ``argmax`` has them.
+The stop test reads running sums of the values and errors and a bound on
+their rounding.  They are summed again exactly, left to right, and the
+test and the returned floats read those, only where the running test is
+within that bound of firing, at the evaluation cap, and where a sum is
+not finite, as before the first step: in practice twice per integral.
+The steps that call the integrand also sort the panels' errors
+(``_ahead``).
 
 On evaluation-cap overrun the best estimate is returned flagged with the
 achieved tolerance instead of raising; callers that care can inspect the
@@ -52,6 +65,7 @@ with each block (``args``).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -101,23 +115,29 @@ class LogIntegralResult:
 _X25, _W25 = gauss_legendre_nodes(25)
 _X12, _W12 = gauss_legendre_nodes(12)
 _PANEL_NODES = np.concatenate([_X25, _X12])
+# the refinement loop's running sums drift by at most this much per operation
+# and unit of magnitude: 8 units in the last place, 4 times the bound it
+# needs (see ``integrate``)
+_DRIFT = 2.0 ** -50
 
 
 def _panels(f, a, b):
     """Both Gauss-Legendre rules on the panels [a_i, b_i], from one call of f.
 
-    Returns one (25-point value, distance from the 12-point value) pair per
-    panel.  Each rule is its own dot product, so every panel sums exactly
-    as it would alone.
+    Returns the panels' 25-point values, and their distances from the
+    12-point values, as two lists.  Each rule is one ``np.vecdot``, which
+    sums each row by the same ``ddot`` call as a per-panel ``np.dot``, so
+    every panel sums exactly as it would alone; the scaling and the
+    distances are float operations, which warn of nothing.
     """
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     y = np.asarray(f((mid[:, None] + h[:, None] * _PANEL_NODES).ravel()), dtype=float)
-    out = []
-    for hi, yi in zip(h.tolist(), y.reshape(len(h), -1)):
-        v = hi * float(np.dot(_W25, yi[:25]))
-        out.append((v, abs(v - hi * float(np.dot(_W12, yi[25:])))))
-    return out
+    y = y.reshape(len(h), -1)
+    h = h.tolist()
+    v = [hi * s for hi, s in zip(h, np.vecdot(_W25, y[:, :25]).tolist())]
+    return v, [abs(vi - hi * s)
+               for vi, hi, s in zip(v, h, np.vecdot(_W12, y[:, 25:]).tolist())]
 
 
 def _sequential_sum(x):
@@ -145,15 +165,21 @@ def _ahead(lo, hi, err, k, worst, error, budget, splits_left, known):
     taken.  Panels whose halves are ``known`` already, or that no longer
     split, are left out.
     """
-    if error - err[worst] <= budget:
-        return [worst]
+    ahead = [worst]
+    if error - err.item(worst) <= budget:
+        return ahead
     order = np.argsort(-err[:k], kind="stable")
-    tail = np.cumsum(err[order][::-1])[::-1]
-    must = order[:np.count_nonzero(tail > budget)]
-    mid = 0.5 * (lo[must] + hi[must])
-    must = must[(lo[must] < mid) & (mid < hi[must])]
-    ahead = [worst, *(i for i in must.tolist() if i != worst and i not in known)]
-    return ahead[:splits_left]
+    # the tail sums, summed from the end: each one above budget starts at
+    # a panel ahead of the longest tail within it
+    for i in order[:np.count_nonzero(np.cumsum(err[order[::-1]]) > budget)].tolist():
+        if i == worst or i in known:
+            continue
+        if len(ahead) == splits_left:
+            break
+        left, right = lo.item(i), hi.item(i)
+        if left < 0.5 * (left + right) < right:
+            ahead.append(i)
+    return ahead
 
 
 def integrate(f, a: float, b: float, *,
@@ -169,47 +195,92 @@ def integrate(f, a: float, b: float, *,
     (see ``_ahead``); the loop then takes the stored halves one bisection
     at a time, so its steps, and every float, are those of a loop that
     calls ``f`` once per bisected panel.
+
+    The worst panel comes from a heap, and the stop test from running sums
+    (see the module docstring).  A NaN error's key has a third entry,
+    which puts it first.  The running sums are at most the rounding of
+    their updates since the last exact sums, and of the left-to-right sums
+    themselves, away from those: below ``_DRIFT`` times (panels + 2 steps
+    since the exact sums) times a bound on the summed errors plus
+    DEFAULT_REL_TOL times the summed absolute values.
     """
     if not b > a:
         return QuadratureResult(0.0, 0.0, 0, True)
-    edges = np.array([float(a), float(b)])
+    a, b = float(a), float(b)
+    (v,), (e,) = _panels(f, np.array([a]), np.array([b]))
     k = 1
     # the panel table, one column per panel with its ends, value and error;
     # a bisected panel keeps its column for its left half and appends its
     # right half, and the table doubles when full
-    table = np.concatenate([edges[None, :-1], edges[None, 1:],
-                            np.array(_panels(f, edges[:-1], edges[1:])).T])
+    table = np.array([[a], [b], [v], [e]])
     lo, hi, val, err = table
+    heap = [(-e, 0) if e == e else (-math.inf, -1, 0)]
     evals = PANEL_EVALS * k
-    halves = {}  # panel -> the (value, error) pairs of its two halves, evaluated ahead
+    halves = {}  # panel -> its mid, its right end and its halves' values and errors
+    # not finite: the first stop test sums exactly
+    total = error = scale = math.nan
+    ops = 0
     while True:
-        total, error = _sequential_sum(table[2:, :k])
-        if error <= DEFAULT_REL_TOL * abs(total) or error == 0.0:
-            return QuadratureResult(total, error, evals, True)
-        if evals >= max_evals:
-            return QuadratureResult(total, error, evals, False)
-        worst = int(err[:k].argmax())
-        left, right = float(lo[worst]), float(hi[worst])
-        mid = 0.5 * (left + right)
-        if mid <= left or mid >= right:  # interval exhausted at machine precision
-            err[worst] = 0.0
-            continue
+        if not error - DEFAULT_REL_TOL * abs(total) > _DRIFT * ops * scale or evals >= max_evals:
+            total, error = _sequential_sum(table[2:, :k])
+            if error <= DEFAULT_REL_TOL * abs(total) or error == 0.0:
+                return QuadratureResult(total, error, evals, True)
+            if evals >= max_evals:
+                return QuadratureResult(total, error, evals, False)
+            # the drift bound's operations and magnitude, both only growing
+            ops, scale = k, error + DEFAULT_REL_TOL * float(np.abs(val[:k]).sum())
+        worst = heap[0][-1]
         if worst not in halves:
+            left, right = lo.item(worst), hi.item(worst)
+            mid = 0.5 * (left + right)
+            if mid <= left or mid >= right:  # interval exhausted at machine precision
+                error -= err.item(worst)
+                err[worst] = 0.0
+                heapq.heapreplace(heap, (-0.0, worst))
+                ops += 2
+                continue
             splits_left = -(-(max_evals - evals) // (2 * PANEL_EVALS))  # before the cap
             ahead = _ahead(lo, hi, err, k, worst, error,
                            DEFAULT_REL_TOL * (abs(total) + error), splits_left, halves)
-            mids = 0.5 * (lo[ahead] + hi[ahead])
-            pairs = _panels(f, np.concatenate([lo[ahead], mids]),
-                            np.concatenate([mids, hi[ahead]]))
-            halves.update(zip(ahead, zip(pairs, pairs[len(ahead):])))
-        (v1, e1), (v2, e2) = halves.pop(worst)
+            lefts, rights = [lo.item(i) for i in ahead], [hi.item(i) for i in ahead]
+            mids = [0.5 * (x + y) for x, y in zip(lefts, rights)]
+            # the left halves, then the right ones
+            n = len(ahead)
+            ends = np.array(lefts + mids + rights)
+            values, errors = _panels(f, ends[:2 * n], ends[n:])
+            halves.update(zip(ahead, zip(mids, rights, values, errors,
+                                         values[n:], errors[n:])))
+        mid, right, v1, e1, v2, e2 = halves.pop(worst)
+        v, e = val.item(worst), err.item(worst)
         evals += 2 * PANEL_EVALS
         if k == table.shape[1]:
             table = np.concatenate([table, np.empty_like(table)], axis=1)
             lo, hi, val, err = table
         hi[worst], val[worst], err[worst] = mid, v1, e1
         lo[k], hi[k], val[k], err[k] = mid, right, v2, e2
+        total += v1 + v2 - v
+        error += e1 + e2 - e
+        ops += 3
+        scale += e1 + e2 + DEFAULT_REL_TOL * (abs(v1) + abs(v2))
+        heapq.heapreplace(heap, (-e1, worst) if e1 == e1 else (-math.inf, -1, worst))
+        heapq.heappush(heap, (-e2, k) if e2 == e2 else (-math.inf, -1, k))
         k += 1
+
+
+@lru_cache(maxsize=None)
+def _level_tree(levels):
+    """The next ``levels`` steps of a bisection, as a tree of brackets.
+
+    Node i, in level order, is the midpoint of the points at the two
+    indices ``pairs[i]`` of [below, above, node 0, node 1, ...], the
+    bracket's below and above end; its halves are node 2i + 1 (its
+    midpoint turned out super-threshold) and node 2i + 2.
+    """
+    pairs = [(0, 1)]
+    for i in range(2 ** (levels - 1) - 1):
+        below, above = pairs[i]
+        pairs += [(below, 2 + i), (2 + i, above)]
+    return tuple(pairs)
 
 
 def _bisect_walk(tau, below, above, phi_below=math.nan, phi_above=math.nan):
@@ -234,17 +305,14 @@ def _bisect_walk(tau, below, above, phi_below=math.nan, phi_above=math.nan):
     """
     below, above, steps = float(below), float(above), 0
     phi_below, phi_above = float(phi_below), float(phi_above)
+    rising = above > below
     while steps < BISECT_STEPS:
         levels = min(BISECT_LEVELS, BISECT_STEPS - steps)
-        # the midpoints of every bracket the next steps can reach, level by
-        # level: ends[j], ends[j + 1] is bracket j of a level, and its halves
-        # are brackets 2j (its midpoint turned out super-threshold) and
-        # 2j + 1 of the next
-        ends, mids = [below, above], []
-        for _ in range(levels):
-            level = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
-            mids += level
-            ends = [x for pair in zip(ends, level) for x in pair] + ends[-1:]
+        # the midpoints of every bracket the next steps can reach
+        points = [below, above]
+        for i, j in _level_tree(levels):
+            points.append(0.5 * (points[i] + points[j]))
+        mids = points[2:]
         # the predicted path: its midpoints, and whether each turned out
         # super-threshold; its first steps are in the tree already
         path, ups = [], []
@@ -255,9 +323,13 @@ def _bisect_walk(tau, below, above, phi_below=math.nan, phi_above=math.nan):
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
+                up = mid >= guess if rising else mid <= guess
                 path.append(mid)
-                ups.append(mid >= guess if hi > lo else mid <= guess)
-                lo, hi = (lo, mid) if ups[-1] else (mid, hi)
+                ups.append(up)
+                if up:
+                    hi = mid
+                else:
+                    lo = mid
         vals = yield mids + path[levels:]
         # mids is in level order: node i has the halves 2i + 1, 2i + 2;
         # on_path: every step so far went as predicted, and the path goes on

@@ -39,6 +39,39 @@ def test_tabulated_step_semantics():
     assert t.probe_points() == (0.5, 1.0, 2.0)
 
 
+
+def _chained_log_density(radii, vals, s):
+    """The tabulated lookup as four numpy calls, before it read one table."""
+    s = np.asarray(s, dtype=float)
+    idx = np.searchsorted(radii, s, side="left")
+    return np.where(idx < radii.size, vals[np.minimum(idx, radii.size - 1)], LOG_ZERO)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tabulated_lookup_same_floats_as_chained_lookup(seed):
+    rng = np.random.default_rng(seed)
+    knots = int(rng.integers(1, 33))
+    radii = np.sort(rng.uniform(0.0, 3.0, knots))
+    vals = np.concatenate([[rng.uniform(-5.0, 5.0)], -rng.exponential(0.5, knots - 1)])
+    vals = np.cumsum(vals)
+    if seed % 2 and knots > 1:
+        vals[-1] = LOG_ZERO  # zero on its last step, before the last knot
+    if seed == 2:
+        vals[0] = -0.0
+    t = TabulatedDecreasing(radii, vals)
+    between = 0.5 * (radii[:-1] + radii[1:])
+    s = np.concatenate([
+        radii, np.nextafter(radii, -np.inf), np.nextafter(radii, np.inf), between,
+        rng.uniform(-1.0, 4.0, 200),
+        [0.0, -0.0, -1.0, radii[-1] + 1.0, 1e300, math.nan, math.inf, -math.inf]])
+    want = _chained_log_density(radii, vals, s)
+    got = t.log_density(s)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+    # a 2-D batch, as the fixed rule passes its nodes
+    grid = s[:len(s) // 4 * 4].reshape(-1, 4)
+    assert t.log_density(grid).tobytes() == _chained_log_density(radii, vals, grid).tobytes()
+
 def test_tabulated_monotonicity_is_enforced():
     with pytest.raises(ValueError):
         TabulatedDecreasing([0.0, 1.0], [-1.0, 0.0])  # increasing sample

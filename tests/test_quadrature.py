@@ -1,10 +1,11 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from radialmax import quadrature
+from radialmax import bounds, geometry, measures, quadrature
 from radialmax.densities import Gaussian, TabulatedDecreasing
 from radialmax.geometry import _cap_j_log
 from radialmax.logspace import LOG_ZERO
@@ -710,3 +711,167 @@ def test_lockstep_walks_match_one_at_a_time(seed):
     got = _bisect_crossings(log_f, brackets, tau)
     assert [float(x).hex() for x in got] == [
         float(_scalar_bisect(log_f, *bracket[:2], tau)).hex() for bracket in brackets]
+
+
+# --- the refinement loop's heap and running sums ------------------------
+# integrate takes the worst panel from a heap and tests the stop on running
+# sums, which it sums again exactly, left to right, only near the stop, at
+# the cap and when a sum is not finite; _panels sums both rules of every
+# panel by np.vecdot.  The floats, the counts and the flags stay those of
+# the one-panel loop above.
+
+def _argmax_integrate(f, a, b, *, max_evals):
+    """_panel_integrate with numpy's argmax, which takes a NaN error as the largest.
+
+    Also returns every error the loop saw.
+    """
+    v, e = _one_panel(f, float(a), float(b))
+    segs = [[e, v, float(a), float(b)]]  # [error, value, lo, hi]
+    evals, seen = quadrature.PANEL_EVALS, [e]
+    while True:
+        total = _left_sum(s[1] for s in segs)
+        err = _left_sum(s[0] for s in segs)
+        if err <= quadrature.DEFAULT_REL_TOL * abs(total) or err == 0.0:
+            return QuadratureResult(total, err, evals, True), seen
+        if evals >= max_evals:
+            return QuadratureResult(total, err, evals, False), seen
+        worst = int(np.argmax([s[0] for s in segs]))
+        lo, hi = segs[worst][2:]
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            segs[worst][0] = 0.0
+            continue
+        v1, e1 = _one_panel(f, lo, mid)
+        v2, e2 = _one_panel(f, mid, hi)
+        evals += 2 * quadrature.PANEL_EVALS
+        seen += [e1, e2]
+        segs[worst] = [e1, v1, lo, mid]
+        segs.append([e2, v2, mid, hi])
+
+
+def test_worst_panel_ties_go_to_the_lower_column():
+    # a step pattern of period 1/4: dyadic panels a multiple of it apart
+    # see the same values at their nodes, so their errors tie bit for bit,
+    # and the worst error is tied at most steps
+    f = lambda x: np.where(np.mod(4.0 * np.asarray(x) + 1.0 / 3.0, 1.0) < 0.5, 1.0, 0.25)
+    got = integrate(f, 0.0, 1.0)
+    want, seen = _argmax_integrate(f, 0.0, 1.0, max_evals=quadrature.DEFAULT_MAX_EVALS)
+    assert _hex_result(got) == _hex_result(want)
+    assert _hex_result(got) == _hex_result(_panel_integrate(f, 0.0, 1.0))
+    assert got.converged and len(seen) - len(set(seen)) >= 100
+
+
+@pytest.mark.parametrize("max_evals", [800, 3000])
+def test_a_nan_error_comes_first_as_argmax_has_it(max_evals):
+    # NaN near 0.8 on every panel there; +inf at one 12-point node of
+    # [0, 0.5], so that panel's error is +inf, and the NaN panel [0.5, 1]
+    # after it goes first; then the NaN panels in column order
+    x12, _ = quadrature.gauss_legendre_nodes(12)
+    spike = 0.25 + 0.25 * float(x12[3])
+
+    def f(x, points):
+        x = np.asarray(x, dtype=float)
+        points.append(x)
+        out = np.exp(-x)
+        out[x == spike] = math.inf
+        out[np.abs(x - 0.8) < 0.03] = math.nan
+        return out
+
+    got_points, want_points = [], []
+    got = integrate(partial(f, points=got_points), 0.0, 1.0, max_evals=max_evals)
+    want, seen = _argmax_integrate(partial(f, points=want_points), 0.0, 1.0,
+                                   max_evals=max_evals)
+    assert _hex_result(got) == _hex_result(want)
+    assert not got.converged
+    assert math.isnan(seen[0]) and seen[1] == math.inf and math.isnan(seen[2])
+    # the NaN total hides which panels were bisected; the nodes show it
+    assert (np.sort(np.concatenate(got_points)).tobytes()
+            == np.sort(np.concatenate(want_points)).tobytes())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_running_sums_stop_where_the_exact_sums_stop(seed):
+    # signed integrands that cancel, scaled from 1e-290 to 1e290: the stop
+    # test fires within the running sums' rounding bound only at the step
+    # the left-to-right sums fire on
+    rng = np.random.default_rng(300 + seed)
+    omega, phase = rng.uniform(1.0, 60.0), rng.uniform(0.0, 2.0 * math.pi)
+    offset, scale = rng.uniform(-0.05, 0.05), 10.0 ** rng.uniform(-290.0, 290.0)
+    a = rng.uniform(-3.0, 3.0)
+    b = a + rng.uniform(0.1, 8.0)
+    f = lambda x: scale * (np.cos(omega * np.asarray(x) + phase) + offset
+                           + 0.3 * np.sqrt(np.abs(np.asarray(x) - a - 0.37 * (b - a))))
+    kwargs = {"max_evals": 40_000}
+    assert _hex_result(integrate(f, a, b, **kwargs)) == _hex_result(
+        _panel_integrate(f, a, b, **kwargs))
+
+
+def test_exact_sums_only_at_the_first_step_and_the_stop(monkeypatch):
+    # about 200 refinement steps, and the left-to-right sums twice: the
+    # loop's own work per step is O(1)
+    phi = radial_log_integrand(_STEP, 3)
+    f = lambda x: np.exp(phi(x))
+    sums, inner = [], quadrature._sequential_sum
+    monkeypatch.setattr(quadrature, "_sequential_sum",
+                        lambda x: sums.append(x.shape) or inner(x))
+    res = integrate(f, 0.0, 2.7)
+    assert (res.evaluations, res.converged) == (14689, True)
+    assert len(sums) == 2
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 10_000])
+def test_panels_same_floats_as_a_dot_per_panel(rows):
+    # values from e^-700 to e^700, and zeros: each rule sums every panel as
+    # np.dot sums it alone
+    rng = np.random.default_rng(rows)
+    a = rng.uniform(-5.0, 5.0, rows)
+    b = a + rng.uniform(1e-6, 3.0, rows)
+    y = np.exp(rng.uniform(-700.0, 700.0, (rows, quadrature.PANEL_EVALS)))
+    y[rng.random(y.shape) < 0.1] = 0.0
+    seen = []
+
+    def f(x):
+        seen.append(x.shape)
+        return y.ravel()
+
+    values, errors = quadrature._panels(f, a, b)
+    assert seen == [(rows * quadrature.PANEL_EVALS,)]
+    _, w25 = quadrature.gauss_legendre_nodes(25)
+    _, w12 = quadrature.gauss_legendre_nodes(12)
+    h = 0.5 * (b - a)
+    want_v = [hi * float(np.dot(w25, yi[:25])) for hi, yi in zip(h.tolist(), y)]
+    want_e = [abs(v - hi * float(np.dot(w12, yi[25:])))
+              for v, hi, yi in zip(want_v, h.tolist(), y)]
+    assert [x.hex() for x in values] == [x.hex() for x in want_v]
+    assert [x.hex() for x in errors] == [x.hex() for x in want_e]
+
+
+def _solver_floats(density, n):
+    """The balanced radius, and the general construction's radii, exact log T and terms."""
+    bounds.clear_stage_caches()
+    beta0, _, _, _, k = bounds._general_parameters(0.2)
+    rep = bounds.general_construction(density, n, 1.01, 0.2)
+    bounds.clear_stage_caches()
+    floats = [bounds.solve_radius_equation(density, n, beta0, k), rep.R, rep.r,
+              rep.log_t_exact, *rep.terms.values()]
+    return [float(x).hex() for x in floats], list(rep.terms)
+
+
+@pytest.mark.parametrize("case", ["step-5", "step-12", "gaussian-40"])
+def test_solver_same_floats_as_with_the_one_panel_loop(case, monkeypatch):
+    # the radius solver and the exact T run hundreds of integrals through
+    # log_integral; each must be the float of the one-panel loop
+    kind, n = case.split("-")
+    density = Gaussian() if kind == "gaussian" else _random_step(int(n))[0]
+    got, names = _solver_floats(density, int(n))
+    assert "log_mu_offcenter" in names
+    calls = []
+
+    def reference(*args, **kwargs):
+        calls.append(args[1:3])
+        return _panel_log_integral(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "log_integral", reference)
+    monkeypatch.setattr(geometry, "log_integral", reference)
+    assert _solver_floats(density, int(n))[0] == got
+    assert len(calls) >= 50
