@@ -92,7 +92,7 @@ class TabulatedDecreasing(RadialDensity):
             raise ValueError("radii must be strictly increasing")
         if np.any(np.isnan(vals)) or np.any(vals == math.inf):
             raise ValueError("log densities must be < +inf and not NaN")
-        if np.any(np.diff(vals) > 0):
+        if np.any(vals[1:] > vals[:-1]):  # no subtraction: -inf - -inf would warn
             raise ValueError("log densities must be nonincreasing (radially decreasing f)")
         if vals[0] == LOG_ZERO:
             raise ValueError("density is identically zero")

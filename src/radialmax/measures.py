@@ -112,7 +112,14 @@ def _decay_radius(f: RadialDensity, n: int) -> float:
 
 
 def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
-    """log mu(B_rho) for the centered ball; rho = inf means total mass."""
+    """log mu(B_rho) for the centered ball; rho = inf means total mass.
+
+    Every rho at or past ``upper_cutoff(f, n)`` holds the total mass, which
+    is integrated over [0, cutoff] once per density instance and dimension
+    (``_log_mass``) and read back after; a smaller rho is integrated over
+    [0, rho].  Both take one route, ``_log_ball_integral``, so a cached
+    mass is the float the integral gives.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if rho < 0:
@@ -121,9 +128,26 @@ def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
         return LOG_ZERO
     if isinstance(f, UnitBallIndicator):
         return log_ball_volume(n, min(rho, 1.0))
-    b = min(rho, upper_cutoff(f, n))  # keeps the probe grid dense at the peak
-    phi = radial_log_integrand(f, n)
-    res = log_integral(phi, 0.0, b, probe_points=[h for h in _probe_hints(f, n) if h <= b])
+    cutoff = upper_cutoff(f, n)  # integrating no further keeps the probe grid dense at the peak
+    if rho >= cutoff:
+        return _log_mass(f, n, cutoff)
+    return _log_ball_integral(f, n, rho)
+
+
+@lru_cache(maxsize=64)
+def _log_mass(f: RadialDensity, n: int, cutoff: float) -> float:
+    """The total mass of ``log_ball_measure``, cached per (density, n).
+
+    ``cutoff`` is ``upper_cutoff(f, n)``, so it adds nothing to the key.
+    A raised ``ValueError`` is not cached: it is raised again on every call.
+    """
+    return _log_ball_integral(f, n, cutoff)
+
+
+def _log_ball_integral(f: RadialDensity, n: int, b: float) -> float:
+    """log mu(B_b) by the adaptive quadrature over [0, b]."""
+    res = log_integral(radial_log_integrand(f, n), 0.0, b,
+                       probe_points=[h for h in _probe_hints(f, n) if h <= b])
     return float(log_sphere_area(n) + res.log_value)
 
 
@@ -147,6 +171,8 @@ def log_ball_measure_grid(f: RadialDensity, n: int, radii):
 
 
 def log_mass(f: RadialDensity, n: int) -> float:
-    """log of the total mass."""
+    """log of the total mass: ``log_ball_measure`` at rho = inf, so the
+    unit ball's closed form, and otherwise the mass integrated once per
+    (density, n)."""
     return log_ball_measure(f, n, math.inf)
 

@@ -189,12 +189,14 @@ def integrate(f, a: float, b: float, *,
     Starting from the one panel [a, b], the panel with the worst error
     estimate is bisected until the summed error estimate meets
     DEFAULT_REL_TOL relative to the summed value, or the evaluation budget
-    runs out.  Every panel the loop uses costs ``PANEL_EVALS`` evaluations.
-    When the worst panel's halves are not known yet, one call evaluates them
-    together with the halves of every panel the loop must bisect anyway
-    (see ``_ahead``); the loop then takes the stored halves one bisection
-    at a time, so its steps, and every float, are those of a loop that
-    calls ``f`` once per bisected panel.
+    runs out.  An infinite sum of the values ends the loop at once, flagged
+    unconverged; a NaN sum runs to the budget.  Every panel the loop uses
+    costs ``PANEL_EVALS`` evaluations.  When the worst panel's halves are
+    not known yet, one call evaluates them together with the halves of
+    every panel the loop must bisect anyway (see ``_ahead``); the loop then
+    takes the stored halves one bisection at a time, so its steps, and
+    every float, are those of a loop that calls ``f`` once per bisected
+    panel.
 
     The worst panel comes from a heap, and the stop test from running sums
     (see the module docstring).  A NaN error's key has a third entry,
@@ -223,6 +225,8 @@ def integrate(f, a: float, b: float, *,
     while True:
         if not error - DEFAULT_REL_TOL * abs(total) > _DRIFT * ops * scale or evals >= max_evals:
             total, error = _sequential_sum(table[2:, :k])
+            if math.isinf(total):  # inf <= inf would pass the stop test
+                return QuadratureResult(total, error, evals, False)
             if error <= DEFAULT_REL_TOL * abs(total) or error == 0.0:
                 return QuadratureResult(total, error, evals, True)
             if evals >= max_evals:

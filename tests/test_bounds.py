@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from radialmax import bounds
+from radialmax import bounds, measures
 from radialmax.bounds import (BoundReport, LAMBDA_MAX, _annulus_exponent, _general_parameters,
                               gaussian_ball_sandwich, gaussian_construction,
                               gaussian_mass_concentration, gaussian_mode_radius,
@@ -16,6 +16,7 @@ from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
 from radialmax.errors import NoBalancedRadiusError
 from radialmax.geometry import contact_angle
 from radialmax.measures import log_ball_measure
+from radialmax.quadrature import log_integral
 
 
 class TestTExact:
@@ -255,6 +256,47 @@ class TestGeneralConstruction:
             general_construction(Gaussian(), 5, 1.01, 0.5)  # lam beyond sqrt(2)-1
         with pytest.raises(ValueError):
             general_construction(Gaussian(), 5, 0.99, 0.2)
+
+
+def _solve_and_construct(f, n):
+    beta0, _, _, _, k = _general_parameters(0.2)
+    R = solve_radius_equation(f, n, beta0, k)
+    terms = general_construction(f, n, 1.003, 0.2).terms
+    return [R.hex()] + [(key, value.hex()) for key, value in sorted(terms.items())]
+
+
+class TestCachedTotalMass:
+    """The radius solver and the construction read the same floats whether
+    the total mass is cached or integrated at every radius past the cutoff."""
+
+    @pytest.mark.parametrize("case", ["step-5", "step-12", "gaussian-40"])
+    def test_same_floats_with_the_mass_cache_bypassed(self, case, monkeypatch):
+        kind, n = case.split("-")
+
+        def density():  # a new object per run: no stage or mass is shared
+            if kind == "gaussian":
+                return Gaussian()
+            return TabulatedDecreasing([0.25, 0.67, 1.19, 1.45, 2.3],
+                                       [0.0, -0.5, -0.8, -1.7, -2.0])
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return log_integral(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "log_integral", counted)
+        cached = _solve_and_construct(density(), int(n))
+        cached_calls = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(measures, "_log_mass", measures._log_ball_integral)
+            calls.clear()
+            bypassed = _solve_and_construct(density(), int(n))
+        assert cached == bypassed
+        if kind == "step":  # past the support every radius asks for the total mass
+            assert cached_calls < len(calls)
+        else:  # the Gaussian's solve never reaches its decay radius
+            assert cached_calls == len(calls)
 
 
 class TestRadiusGrowth:

@@ -157,6 +157,17 @@ class TestDensityFileOption:
         assert ("radialmax bound: error: argument --density-file: "
                 + message.format(path=path)) in err
 
+    def test_two_zero_steps_in_a_row_load(self, capsys, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("0.5 0\n1.0 -inf\n2.0 -inf\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bound", "--measure", "tabulated", "--density-file",
+                                 str(path), "--construction", "general", "--n", "10",
+                                 "--p", "1.01", "--lambda", "0.2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 10
+
     @pytest.mark.parametrize("measure", ["gaussian", "unitball"])
     @pytest.mark.parametrize("argv", MEASURE_COMMANDS, ids=lambda argv: argv[0])
     def test_file_with_other_measure(self, capsys, tmp_path, measure, argv):

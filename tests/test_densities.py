@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def test_unitball_indicator():
     assert out[0] == 0.0 and out[1] == 0.0
     assert out[2] == LOG_ZERO and out[3] == LOG_ZERO
     assert u.support_upper_bound == 1.0
+
+
+def test_tabulated_two_zero_steps_in_a_row():
+    # the monotonicity check subtracts nothing, so -inf - -inf cannot warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = TabulatedDecreasing([0.5, 1.0, 2.0], [0.0, -math.inf, -math.inf])
+        out = t.log_density(np.array([0.0, 0.5, 0.5000001, 1.0, 1.5, 2.0, 3.0]))
+    assert out[0] == 0.0 and out[1] == 0.0
+    assert np.all(out[2:] == LOG_ZERO)
 
 
 def test_tabulated_step_semantics():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from radialmax import measures
 from radialmax.densities import Gaussian, RadialDensity, TabulatedDecreasing, UnitBallIndicator
 from radialmax.logspace import LOG_ZERO
 from radialmax.measures import (_decay_radius, log_ball_measure, log_ball_measure_grid,
-                                log_mass, log_sphere_area, sphere_ratio_bounds,
-                                upper_cutoff)
+                                log_mass, log_sphere_area, radial_log_integrand,
+                                sphere_ratio_bounds, upper_cutoff)
+from radialmax.quadrature import log_integral
 
 
 # Lebesgue measure on B_20: a one-knot step density whose knot lies beyond
@@ -215,3 +217,98 @@ class TestUpperCutoff:
 
         with pytest.raises(ValueError, match="could not find a decay radius for flat"):
             log_mass(Flat(), 3)
+
+
+def _uncached_log_ball(f, n, b):
+    """log mu(B_b) by its own adaptive integral over [0, b], with no cache."""
+    hints = list(f.probe_points())
+    if f.peak_radius(n):
+        hints.append(f.peak_radius(n))
+    res = log_integral(radial_log_integrand(f, n), 0.0, b,
+                       probe_points=[h for h in hints if h <= b])
+    return float(log_sphere_area(n) + res.log_value)
+
+
+def _random_step(seed):
+    """A random step density with 8-32 knots and a dimension in 1..39."""
+    rng = np.random.default_rng(2000 + seed)
+    knots = int(rng.integers(8, 33))
+    radii = np.sort(rng.uniform(0.05, 3.0, knots))
+    log_f = np.concatenate([[0.0], -np.cumsum(rng.exponential(0.5, knots - 1))])
+    return TabulatedDecreasing(radii, log_f), int(rng.integers(1, 40))
+
+
+@pytest.fixture
+def count_integrals(monkeypatch):
+    """The list of intervals ``measures`` hands to ``log_integral`` from now on."""
+    calls = []
+
+    def counted(log_f, a, b, **kwargs):
+        calls.append((a, b))
+        return log_integral(log_f, a, b, **kwargs)
+
+    monkeypatch.setattr(measures, "log_integral", counted)
+    return calls
+
+
+class TestTotalMass:
+    @pytest.mark.parametrize("case", ["gaussian-1", "gaussian-5", "gaussian-1000"]
+                             + [f"step-{seed}" for seed in range(6)])
+    def test_every_radius_past_the_cutoff_reads_the_integral(self, case):
+        kind, arg = case.split("-")
+        f, n = (Gaussian(), int(arg)) if kind == "gaussian" else _random_step(int(arg))
+        cutoff = upper_cutoff(f, n)
+        want = _uncached_log_ball(f, n, cutoff).hex()
+        assert log_mass(f, n).hex() == want
+        for rho in (cutoff, 2.0 * cutoff, math.inf):
+            assert log_ball_measure(f, n, rho).hex() == want
+        assert log_mass(f, n).hex() == want
+        # below the cutoff every radius is integrated as before
+        assert (log_ball_measure(f, n, 0.5 * cutoff).hex()
+                == _uncached_log_ball(f, n, 0.5 * cutoff).hex())
+
+    def test_mass_is_integrated_once_per_density_and_dimension(self, count_integrals):
+        radii, log_f = [0.25, 0.67, 1.19, 1.45], [0.0, -0.5, -0.8, -1.7]
+        f = TabulatedDecreasing(radii, log_f)
+        mass = log_mass(f, 7)
+        assert count_integrals == [(0.0, 1.45)]
+        for rho in (1.45, 3.0, math.inf):
+            assert log_ball_measure(f, 7, rho) == mass
+        assert log_mass(f, 7) == mass
+        assert len(count_integrals) == 1
+        log_ball_measure(f, 7, 1.0)
+        log_ball_measure(f, 7, 1.0)  # a smaller radius is integrated every time
+        assert count_integrals[1:] == [(0.0, 1.0), (0.0, 1.0)]
+        log_mass(f, 8)  # another dimension integrates its own mass
+        assert len(count_integrals) == 4
+        # an equal table is another density: it integrates its own mass
+        g = TabulatedDecreasing(radii, log_f)
+        assert log_mass(g, 7) == mass
+        assert len(count_integrals) == 5
+        assert log_mass(g, 7) == mass
+        assert len(count_integrals) == 5
+
+    def test_a_raising_integral_raises_on_every_call(self, count_integrals):
+        f = TabulatedDecreasing([1.0], [1e20])  # positive maximum with no window below it
+        for calls in (1, 2, 3):
+            with pytest.raises(ValueError, match="leaves no window"):
+                log_mass(f, 1)
+            assert len(count_integrals) == calls
+
+    def test_a_failed_decay_radius_search_raises_on_every_call(self):
+        class Flat(RadialDensity):
+            kind = "flat"
+
+            def log_density(self, s):
+                return np.zeros_like(np.asarray(s, dtype=float))
+
+        f = Flat()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="could not find a decay radius"):
+                log_ball_measure(f, 3, math.inf)
+
+    def test_nan_radius_takes_the_integral_path(self, count_integrals):
+        f = Gaussian()
+        assert log_ball_measure(f, 3, math.nan) == LOG_ZERO
+        assert log_ball_measure(f, 3, math.nan) == LOG_ZERO
+        assert len(count_integrals) == 2

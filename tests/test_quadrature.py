@@ -41,6 +41,35 @@ def test_eval_cap_flags_not_converged():
     assert res.value == pytest.approx(4.0 / 3.0, rel=1e-3)
 
 
+def _spiked_exp(x):
+    """e^-x, set to +inf where (100 x mod 1) < 0.05."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.mod(100.0 * x, 1.0) < 0.05, math.inf, np.exp(-x))
+
+
+def test_an_infinite_total_is_not_converged():
+    # the first panel's sums are inf and inf; inf <= 1e-10 inf must not stop it
+    res = integrate(_spiked_exp, 0.0, 1.0)
+    assert res.value == math.inf
+    assert not res.converged
+    assert res.evaluations == quadrature.PANEL_EVALS == 37
+
+
+def test_log_integral_passes_an_infinite_total_on():
+    # -x on the probe grid, so the window is all of [0, 1]; +inf on the
+    # spiked set off it, which only the quadrature's nodes meet
+    grid = np.linspace(0.0, 1.0, quadrature.N_PROBES)
+
+    def log_f(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.isin(x, grid), -x, np.log(_spiked_exp(x)))
+
+    res = log_integral(log_f, 0.0, 1.0)
+    assert res.log_value == math.inf
+    assert not res.converged
+    assert res.evaluations == quadrature.N_PROBES + quadrature.PANEL_EVALS
+
+
 def test_log_integral_gaussian_total():
     # int_-40^40 e^(-x^2) dx = sqrt(pi) to all displayed digits
     res = log_integral(lambda x: -np.asarray(x) ** 2, -40.0, 40.0)
