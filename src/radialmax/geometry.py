@@ -49,7 +49,8 @@ import numpy as np
 
 from .densities import RadialDensity, UnitBallIndicator
 from .logspace import LOG_ZERO
-from .measures import _probe_hints, log_ball_volume, log_sphere_area, radial_log_integrand
+from .measures import (_probe_hints, check_radius, log_ball_volume, log_sphere_area,
+                       radial_log_integrand)
 from .quadrature import N_PROBES, WINDOW_DROP, fixed_log_integral, log_integral
 
 _ARCCOS_SLACK = 1e-12
@@ -384,8 +385,8 @@ def _log_measures(f: RadialDensity, n: int, d: float, t: float, caps: tuple):
 def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) -> float:
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if d < 0 or t <= 0:
-        raise ValueError("need d >= 0 and t > 0")
+    check_radius("d", d)
+    check_radius("t", t, positive=True)
     if not rho > 0:
         raise ValueError("rho must be positive")
     if n > 1 and isinstance(f, UnitBallIndicator):
@@ -394,12 +395,12 @@ def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) ->
 
 
 def off_center_ball_measure(f: RadialDensity, n: int, d: float, t: float) -> float:
-    """log mu(B(d xi, t)); reduces to the centered ball when d = 0."""
+    """log mu(B(d xi, t)) for finite d >= 0 and t > 0; d = 0 is the centered ball."""
     return _log_off_center(f, n, d, t, math.inf)
 
 
 def intersect_with_centered_ball(f: RadialDensity, n: int, d: float, t: float,
                                  rho: float) -> float:
-    """log mu(B(d xi, t) ∩ B_rho): the off-center measure with outer limit rho."""
+    """log mu(B(d xi, t) ∩ B_rho), d and t as in ``off_center_ball_measure``, rho > 0."""
     return _log_off_center(f, n, d, t, rho)
 

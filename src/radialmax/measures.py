@@ -8,6 +8,8 @@ with omega_{n-1} = n pi^(n/2) / Gamma(n/2 + 1) the surface measure of the
 unit sphere in R^n.  The integral runs through the shifted log-domain
 quadrature so dimensions up to 10**6 are routine.  The unit ball's
 centered ball needs no integral: it is the volume omega_{n-1}/n min(rho, 1)^n.
+Tables of many radii sum ``_log_cells``, fixed-rule cells cut at the density's
+knots; ``check_radius`` is the one check of every public measure's radii.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ def log_sphere_area(n):
     if n < 1:
         raise ValueError("dimension must be >= 1")
     return math.log(n) + 0.5 * n * math.log(math.pi) - lgamma(0.5 * n + 1.0)
+
+
+def check_radius(name: str, value: float, *, positive: bool = False):
+    """Refuse a NaN, negative, zero when ``positive``, or infinite radius by name."""
+    if not (value > 0 if positive else value >= 0):  # NaN too
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite")
 
 
 def log_ball_volume(n: int, rho: float) -> float:
@@ -112,7 +122,7 @@ def _decay_radius(f: RadialDensity, n: int) -> float:
 
 
 def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
-    """log mu(B_rho) for the centered ball; rho = inf means total mass.
+    """log mu(B_rho) for the centered ball; rho = inf is the total mass.
 
     Every rho at or past ``upper_cutoff(f, n)`` holds the total mass, which
     is integrated over [0, cutoff] once per density instance and dimension
@@ -122,8 +132,8 @@ def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if rho != math.inf:
+        check_radius("rho", rho)
     if rho == 0.0:
         return LOG_ZERO
     if isinstance(f, UnitBallIndicator):
@@ -136,11 +146,9 @@ def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
 
 @lru_cache(maxsize=64)
 def _log_mass(f: RadialDensity, n: int, cutoff: float) -> float:
-    """The total mass of ``log_ball_measure``, cached per (density, n).
-
-    ``cutoff`` is ``upper_cutoff(f, n)``, so it adds nothing to the key.
-    A raised ``ValueError`` is not cached: it is raised again on every call.
-    """
+    """The total mass of ``log_ball_measure``, cached per (density, n); ``cutoff``
+    is ``upper_cutoff(f, n)``, so it adds nothing to the key.  A raised
+    ``ValueError`` is not cached: it is raised again on every call."""
     return _log_ball_integral(f, n, cutoff)
 
 
@@ -151,23 +159,37 @@ def _log_ball_integral(f: RadialDensity, n: int, b: float) -> float:
     return float(log_sphere_area(n) + res.log_value)
 
 
-def log_ball_measure_grid(f: RadialDensity, n: int, radii):
-    """log mu(B_r) on a sorted grid of radii, by one cumulative sweep.
+def _log_cells(f: RadialDensity, n: int, edges: np.ndarray, log_weight=None) -> np.ndarray:
+    """log int e^(log_weight(s)) f(s) s^(n-1) ds (no weight: 0) on each cell of the
+    sorted ``edges``, cut at the density's knots and support strictly inside it:
+    one _GRID_ORDER-point Gauss-Legendre panel per piece, exact on a step density
+    up to n = 2 _GRID_ORDER, and the pieces added in logs.  Equal edges give
+    LOG_ZERO; with no cut inside, the pieces are the cells."""
+    phi = radial_log_integrand(f, n)
+    log_f = phi if log_weight is None else lambda s: log_weight(s) + phi(s)
+    cuts = np.unique(np.append(f.probe_points(), f.support_upper_bound))
+    at = np.searchsorted(edges, cuts)
+    inside = (at > 0) & (at < len(edges)) & (at == np.searchsorted(edges, cuts, "right"))
+    cuts = cuts[inside]
+    points = np.insert(edges, at[inside], cuts)
+    pieces = fixed_log_integral(log_f, points[:-1], points[1:], 1, _GRID_ORDER)
+    if not cuts.size:
+        return pieces
+    # cell i starts at edges[i], after i edges and the cuts below it
+    return np.logaddexp.reduceat(pieces, np.arange(len(edges) - 1)
+                                 + np.searchsorted(cuts, edges[:-1]))
 
-    One fixed _GRID_ORDER-point Gauss-Legendre panel between consecutive
-    radii (``quadrature.fixed_log_integral``), summed cumulatively in the
-    log domain; a radius of 0 gives LOG_ZERO.  Used by scan-style callers
-    that need thousands of measures at once: the oracle's radial mass table
-    and the inverse CDF of the Monte Carlo sampler.  The adaptive path remains the accuracy
-    reference.
-    """
+
+def log_ball_measure_grid(f: RadialDensity, n: int, radii):
+    """log mu(B_r) on a sorted grid of finite radii: the running log-sum of the
+    ``_log_cells`` from 0, for the scans of many radii (the radius solver's, the
+    oracle's mass table, the Monte Carlo inverse CDF).  A radius of 0 gives
+    LOG_ZERO; the adaptive path remains the accuracy reference."""
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or np.any(np.diff(radii) < 0) or radii[0] < 0:
         raise ValueError("radii must be a sorted nonnegative 1-D grid")
-    edges = np.concatenate([[0.0], radii])
-    panel = fixed_log_integral(radial_log_integrand(f, n), edges[:-1],
-                               np.minimum(edges[1:], f.support_upper_bound), 1, _GRID_ORDER)
-    return log_sphere_area(n) + np.logaddexp.accumulate(panel)
+    check_radius("radii", np.max(radii))  # a NaN anywhere, or an infinite radius
+    return log_sphere_area(n) + np.logaddexp.accumulate(_log_cells(f, n, np.append(0.0, radii)))
 
 
 def log_mass(f: RadialDensity, n: int) -> float:

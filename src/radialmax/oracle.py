@@ -30,14 +30,14 @@ rows in blocks, each with its own t.  At n = 1 a band radius holds one of
 the two points +-s, with weight 1 and no cap
 (``geometry._band_log_weight``), and the scan's band is half the ball
 table's difference, taken in logs, at a sixth of the fixed rule's cost.  The
-scan reads the cap integral J_{n-2} from a table of 4097 angles, built once
-per dimension and shared read-only by every evaluator, and the centered ball
-measure from a ``log_ball_measure_grid`` table; both are uniform grids, so a
-lookup finds each point's cell by a multiplication and gives ``np.interp``'s
-float away from a knot.  Every cap integral here, J_{n-2} in the table and
-the exact pass and J_n in the unit ball's lens, has exponent at most 6, so
-``geometry`` gives it in elementary functions.  The Monte Carlo sampler's
-inverse CDF is a ``log_ball_measure_grid`` table too.
+scan reads J_{n-2} from a table of 4097 angles, built once per dimension and
+shared read-only, and the centered ball measure from a
+``log_ball_measure_grid`` table: on these uniform grids a lookup finds a
+point's cell by one multiplication and gives ``np.interp``'s float away from
+a knot.  That table, the Monte Carlo inverse CDF and the cells of
+``log_constant_estimate`` are ``measures._log_cells``, cut at the density's
+knots.  Every cap integral here has exponent at most 6, so ``geometry``
+gives it in elementary functions.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .densities import RadialDensity, UnitBallIndicator
 from .geometry import (_band_log_weight, _log_measures, intersect_with_centered_ball,
                        off_center_ball_measure)
 from .logspace import LOG_ZERO
-from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area,
-                       radial_log_integrand, upper_cutoff)
+from .measures import (_log_cells, check_radius, log_ball_measure, log_ball_measure_grid,
+                       log_sphere_area, radial_log_integrand, upper_cutoff)
 from .quadrature import fixed_log_integral
 from .serialize import csv_lines
 
@@ -172,13 +172,6 @@ def _j_lookup(n: int) -> _UniformLookup:
     return _UniformLookup(_J_THETAS, _band_log_weight(n)[1](_J_THETAS))
 
 
-def _check_rho(rho: float, name: str = "rho"):
-    if not rho >= 0:  # NaN too
-        raise ValueError(f"{name} must be nonnegative")
-    if rho == math.inf:
-        raise ValueError(f"{name} must be finite")
-
-
 def _check_dimension(n: int):
     if not 1 <= n <= MAX_ORACLE_DIMENSION:
         raise ValueError(
@@ -189,25 +182,20 @@ def _check_dimension(n: int):
 class _MaximalEvaluator:
     """Shared tables for repeated Mg evaluations at fixed (f, n, r).
 
-    Scan-grade ratios come from ``fixed_log_integral`` with the cap
-    integral and the cumulative radial mass looked up in uniform tables
-    (``_UniformLookup``, ``np.interp``'s formula), and at n = 1 from the
-    mass table alone; final values are re-computed exactly by
-    ``geometry._log_measures``, or for the unit ball by its lens.
-    ``exact_fixed`` counts the candidates whose four rows that rule's two
-    orders settled, and ``exact_geometry`` the lens and the candidates with
-    a row on the adaptive route.
+    Scan-grade ratios come from ``fixed_log_integral`` with the cap integral
+    and the radial mass read from ``_UniformLookup`` tables, and at n = 1 from
+    the mass table alone; final values are exact (``geometry._log_measures``,
+    or the unit ball's lens).  ``exact_fixed`` counts the candidates whose four
+    rows that rule's two orders settled, and ``exact_geometry`` the lens and
+    the candidates with a row on the adaptive route.
     """
 
     def __init__(self, f: RadialDensity, n: int, r: float, *, max_rho: float,
                  t_points: int = 512):
         _check_dimension(n)
-        if not r > 0:
-            raise ValueError("test-function radius r must be positive")
-        if r == math.inf:
-            raise ValueError("test-function radius r must be finite")
+        check_radius("test-function radius r", r, positive=True)
         # before the tables: a NaN or infinite horizon fills them with -inf or NaN
-        _check_rho(max_rho, "max_rho")
+        check_radius("max_rho", max_rho)
         self.f, self.n, self.r = f, n, r
         self.t_points = t_points
         self.support = upper_cutoff(f, n)
@@ -291,7 +279,7 @@ class _MaximalEvaluator:
 
     def log_maximal_at(self, rho: float) -> float:
         """log Mg(rho): exact below r, certified from below by the witness t = rho + r."""
-        _check_rho(rho)
+        check_radius("rho", rho)
         if rho < self.r:
             # every t <= r - rho gives ratio 1, and no t gives more
             return -self.log_mu_br
@@ -327,7 +315,7 @@ def log_maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
                             t_points: int = 512) -> float:
     """log Mg(rho) for the normalized indicator test function, from an
     evaluator built for this one radius."""
-    _check_rho(rho)  # before the evaluator's tables are built
+    check_radius("rho", rho)  # before the evaluator's tables are built
     ev = _MaximalEvaluator(f, n, r, max_rho=max(rho, r), t_points=t_points)
     return ev.log_maximal_at(rho)
 
@@ -382,17 +370,6 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
                            exact_geometry=ev.exact_geometry)
 
 
-def _log_cells(f: RadialDensity, n: int, edges: np.ndarray, log_weight) -> np.ndarray:
-    """log int e^(log_weight(s)) f(s) s^(n-1) ds on each cell [edges[i], edges[i+1]],
-    by ``fixed_log_integral`` (4 panels of 16 nodes) on every piece of the cell
-    cut at the density's knots and support, so that no piece straddles a jump."""
-    cuts = np.append(f.probe_points(), f.support_upper_bound)
-    cuts = np.union1d(edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])])
-    phi = radial_log_integrand(f, n)
-    pieces = fixed_log_integral(lambda s: log_weight(s) + phi(s), cuts[:-1], cuts[1:], 4, 16)
-    return np.logaddexp.reduceat(pieces, np.searchsorted(cuts, edges[:-1]))
-
-
 def log_constant_estimate(f: RadialDensity, n: int, r: float, p: float, *,
                           points: int = 256, t_points: int = 512) -> float:
     """log of an empirical estimate of the operator constant from the Mg profile.
@@ -402,7 +379,7 @@ def log_constant_estimate(f: RadialDensity, n: int, r: float, p: float, *,
     exactly, and the estimate is (1 + rest / mu(B_r)^(1 - p))^(1/p), taken
     in log space by log1p of the share, so its log is never below 0, as
     Mg >= g demands.  The rest integrates log Mg, interpolated linearly from
-    log Mg(r) through the profile radii past r, on the cells of those radii.
+    log Mg(r) through the profile radii past r, on ``_log_cells`` between them.
     It is an estimate, not a lower bound: nothing keeps the interpolation
     below the true Mg.  p = 1: the weak form sup_tau tau mu({Mg > tau}) over
     the profile levels and cells (int g dmu = 1, and the value is invariant
@@ -418,7 +395,7 @@ def log_constant_estimate(f: RadialDensity, n: int, r: float, p: float, *,
         if not np.isfinite(p * log_mg).all():
             raise ValueError(f"p = {p!r} overflows p log Mg")
     if p == 1.0:
-        cells = _log_cells(f, n, radii, lambda s: 0.0)
+        cells = _log_cells(f, n, radii)
         top = float(np.max(cells))
         cell_mass = np.exp(cells - top)  # no scale of f overflows it
         best = LOG_ZERO
@@ -454,8 +431,8 @@ def monte_carlo_ball_measure(f: RadialDensity, n: int, d: float, t: float,
         raise ValueError(f"Monte Carlo supports 2 <= n <= {MAX_ORACLE_DIMENSION}")
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
-    if not d >= 0 or not t > 0:
-        raise ValueError("need d >= 0 and t > 0")
+    check_radius("d", d)
+    check_radius("t", t, positive=True)
     knots = np.linspace(0.0, upper_cutoff(f, n), _MC_KNOTS + 1)
     log_cdf = log_ball_measure_grid(f, n, knots)
     if log_cdf[-1] == LOG_ZERO:

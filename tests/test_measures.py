@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from radialmax.logspace import LOG_ZERO
 from radialmax.measures import (_decay_radius, log_ball_measure, log_ball_measure_grid,
                                 log_mass, log_sphere_area, radial_log_integrand,
                                 sphere_ratio_bounds, upper_cutoff)
-from radialmax.quadrature import log_integral
+from radialmax.geometry import intersect_with_centered_ball, off_center_ball_measure
+from radialmax.oracle import monte_carlo_ball_measure
+from radialmax.quadrature import fixed_log_integral, log_integral
 
 
 # Lebesgue measure on B_20: a one-knot step density whose knot lies beyond
@@ -173,6 +176,153 @@ class TestGridMeasure:
         assert vals[1] == pytest.approx(vals[2], abs=1e-12)
 
 
+STEP = TabulatedDecreasing([0.25, 0.67, 1.19, 1.45], [0.0, -0.5, -0.8, -1.7])
+
+
+def _exact_step_log_ball(f, n, rho):
+    """log mu(B_rho) of a step density in mpmath: omega_{n-1} sum_i f_i
+    (min(rho, h_i)^n - min(rho, h_{i-1})^n) / n, with h_0 = 0."""
+    mpmath = pytest.importorskip("mpmath")
+
+    with mpmath.workdps(40):
+        m = mpmath.mpf(n)
+        total, below = mpmath.mpf(0), mpmath.mpf(0)
+        knots = f.probe_points()
+        for h, v in zip(knots, f.log_density(np.asarray(knots)).tolist()):
+            top = min(mpmath.mpf(rho), mpmath.mpf(h))
+            total += mpmath.exp(v) * (top ** n - below ** n) / n
+            below = top
+        if total == 0:
+            return LOG_ZERO
+        return float(mpmath.log(m) + m / 2 * mpmath.log(mpmath.pi)
+                     - mpmath.loggamma(m / 2 + 1) + mpmath.log(total))
+
+
+def _one_panel_grid(f, n, radii):
+    """The grid rule before the cells were cut at the knots: one
+    _GRID_ORDER-point panel per cell, capped at the support."""
+    edges = np.concatenate([[0.0], radii])
+    panel = fixed_log_integral(radial_log_integrand(f, n), edges[:-1],
+                               np.minimum(edges[1:], f.support_upper_bound), 1,
+                               measures._GRID_ORDER)
+    return log_sphere_area(n) + np.logaddexp.accumulate(panel)
+
+
+class TestGridCells:
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("seed", [None] + list(range(6)))
+    def test_step_density_grid_is_the_exact_step_sum(self, seed, n):
+        # one panel per piece between knots is exact for s^(n-1) up to degree
+        # 2 _GRID_ORDER - 1; one panel across a jump was off by up to 1e-2
+        f = STEP if seed is None else _random_step(seed)[0]
+        radii = np.linspace(0.0, 2.0, 41)
+        got = log_ball_measure_grid(f, n, radii)
+        assert got[0] == LOG_ZERO
+        for rho, value in zip(radii[1:].tolist(), got[1:].tolist()):
+            want = _exact_step_log_ball(f, n, rho)
+            assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (rho, value, want)
+
+    @pytest.mark.parametrize("kind,n", [("gaussian", 2), ("gaussian", 6), ("gaussian", 40),
+                                        ("gaussian", 10 ** 4), ("unitball", 2),
+                                        ("unitball", 6)])
+    @pytest.mark.parametrize("grid", ["oracle-table", "solver-scan"])
+    def test_grid_without_knots_keeps_the_one_panel_floats(self, kind, n, grid):
+        # no knot, and the unit ball's support only adds empty pieces past it
+        f = Gaussian() if kind == "gaussian" else UnitBallIndicator()
+        cutoff = upper_cutoff(f, n)
+        if grid == "oracle-table":
+            radii = np.linspace(0.0, 2.0 * (0.5 * cutoff + 0.2) + cutoff + 1.0, 4097)
+        else:
+            scan = 1.5 * cutoff * (1.0 - np.arange(10_000) / 10_000)
+            radii = np.unique(np.concatenate([scan, scan * 0.7]))
+        got = log_ball_measure_grid(f, n, radii)
+        want = _one_panel_grid(f, n, radii)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+    def test_leading_zero_and_duplicate_radii_give_empty_cells(self):
+        radii = np.array([0.0, 0.0, 0.5, 0.5, 0.67, 1.0, 1.0, 1.45, 2.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = measures._log_cells(STEP, 3, np.append(0.0, radii))
+            got = log_ball_measure_grid(STEP, 3, radii)
+        assert cells[[0, 1, 3, 6, 9]].tolist() == [LOG_ZERO] * 5
+        assert got[0] == got[1] == LOG_ZERO
+        for a, b in [(2, 3), (5, 6), (8, 9), (7, 8)]:  # nothing past the support
+            assert got[a] == got[b]
+        for rho, value in zip(radii[2:].tolist(), got[2:].tolist()):
+            assert value == pytest.approx(_exact_step_log_ball(STEP, 3, rho), rel=1e-13)
+
+    def test_weighted_cells_cut_at_the_knots(self):
+        # a weight e^s at n = 2: each piece integrates f_i s e^s, whose
+        # antiderivative is f_i (s - 1) e^s
+        mpmath = pytest.importorskip("mpmath")
+        edges = [0.1, 0.5, 1.3, 2.0]
+        cells = measures._log_cells(STEP, 2, np.array(edges), lambda s: s)
+        radii = STEP.probe_points()
+        knots = list(zip(radii, STEP.log_density(np.asarray(radii)).tolist()))
+        with mpmath.workdps(40):
+            for lo, hi, value in zip(edges[:-1], edges[1:], cells.tolist()):
+                total, a = mpmath.mpf(0), mpmath.mpf(lo)
+                for h, v in knots:
+                    b = min(mpmath.mpf(hi), mpmath.mpf(h))
+                    if b > a:
+                        total += mpmath.exp(v) * ((b - 1) * mpmath.exp(b) - (a - 1) * mpmath.exp(a))
+                        a = b
+                assert value == pytest.approx(float(mpmath.log(total)), rel=1e-14, abs=1e-15)
+
+
+_REFUSAL_DENSITIES = {"gaussian": Gaussian(), "unitball": UnitBallIndicator(), "step": STEP}
+
+
+def _refusals():
+    """(id, call taking a density, the argument its ValueError names)."""
+    cases = [("log_ball_measure-nan", lambda f: log_ball_measure(f, 3, math.nan), "rho")]
+    for x in (math.nan, math.inf):
+        cases.append((f"log_ball_measure_grid-{x}",
+                      lambda f, x=x: log_ball_measure_grid(f, 3, [0.0, 0.5, x]), "radii"))
+        cases.append((f"log_ball_measure_grid-alone-{x}",
+                      lambda f, x=x: log_ball_measure_grid(f, 3, [x]), "radii"))
+    calls = {
+        "off_center_ball_measure": lambda f, d, t: off_center_ball_measure(f, 3, d, t),
+        "intersect_with_centered_ball":
+            lambda f, d, t: intersect_with_centered_ball(f, 3, d, t, 0.8),
+        "monte_carlo_ball_measure":
+            lambda f, d, t: monte_carlo_ball_measure(f, 3, d, t, 10_000, seed=1),
+    }
+    for name, call in calls.items():
+        for d in (math.nan, math.inf):
+            cases.append((f"{name}-d-{d}", lambda f, d=d, call=call: call(f, d, 0.5), "d"))
+        for t in (math.nan, 0.0, math.inf):
+            cases.append((f"{name}-t-{t}", lambda f, t=t, call=call: call(f, 0.5, t), "t"))
+    return cases
+
+
+class TestRadiusRefusals:
+    @pytest.mark.parametrize("kind", sorted(_REFUSAL_DENSITIES))
+    @pytest.mark.parametrize("case,call,name", _refusals(),
+                             ids=[case for case, _, _ in _refusals()])
+    def test_non_finite_radius_is_refused_by_name(self, kind, case, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be (nonnegative|positive|finite)$"):
+            call(_REFUSAL_DENSITIES[kind])
+
+    @pytest.mark.parametrize("kind", sorted(_REFUSAL_DENSITIES))
+    def test_infinite_rho_is_still_the_total_mass(self, kind):
+        f = _REFUSAL_DENSITIES[kind]
+        assert log_ball_measure(f, 3, math.inf) == log_mass(f, 3)
+        assert log_ball_measure(f, 3, math.inf) == log_ball_measure(f, 3, upper_cutoff(f, 3))
+
+    @pytest.mark.parametrize("value,positive,message", [
+        (math.nan, False, "x must be nonnegative"), (-1e-300, False, "x must be nonnegative"),
+        (math.inf, False, "x must be finite"), (0.0, True, "x must be positive"),
+        (math.nan, True, "x must be positive"), (-math.inf, True, "x must be positive"),
+        (math.inf, True, "x must be finite")])
+    def test_check_radius(self, value, positive, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            measures.check_radius("x", value, positive=positive)
+        measures.check_radius("x", 0.0 if not positive else 5e-324, positive=positive)
+        measures.check_radius("x", 1e308, positive=positive)
+
+
 class _CountingGaussian(Gaussian):
     """The Gaussian, counting the calls of its log-density."""
 
@@ -295,8 +445,9 @@ class TestTotalMass:
                 log_mass(f, 1)
             assert len(count_integrals) == calls
 
-    def test_nan_radius_takes_the_integral_path(self, count_integrals):
-        f = Gaussian()
-        assert log_ball_measure(f, 3, math.nan) == LOG_ZERO
-        assert log_ball_measure(f, 3, math.nan) == LOG_ZERO
-        assert len(count_integrals) == 2
+    def test_nan_radius_is_refused(self, count_integrals):
+        # a NaN radius used to fail ``rho >= cutoff`` and integrate to LOG_ZERO
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^rho must be nonnegative$"):
+                log_ball_measure(Gaussian(), 3, math.nan)
+        assert count_integrals == []

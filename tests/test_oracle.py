@@ -926,6 +926,12 @@ class TestMonteCarlo:
             monte_carlo_ball_measure(Gaussian(), 7, 0.5, 1.0, 10_000, seed=1)
         with pytest.raises(ValueError):
             monte_carlo_ball_measure(Gaussian(), 3, 0.5, 1.0, 100, seed=1)
-        for d, t in [(math.nan, 1.0), (0.5, math.nan), (-0.1, 1.0), (0.5, 0.0)]:
-            with pytest.raises(ValueError, match="need d >= 0 and t > 0"):
+        # measures.check_radius: each radius refused by its own name
+        for d, t, message in [(math.nan, 1.0, "d must be nonnegative"),
+                              (-0.1, 1.0, "d must be nonnegative"),
+                              (math.inf, 1.0, "d must be finite"),
+                              (0.5, math.nan, "t must be positive"),
+                              (0.5, 0.0, "t must be positive"),
+                              (0.5, math.inf, "t must be finite")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 monte_carlo_ball_measure(Gaussian(), 3, d, t, 10_000, seed=1)

@@ -1,0 +1,73 @@
+"""Check every benchmark catalogue item against perfbench/reference.json.
+
+    python3 tools/check_catalogue.py [--workload NAME ...]
+
+Runs each item of the named workloads (default: all) once, in this
+process, against ``src/`` of this checkout, through the benchmark's own
+``worker.run_item`` and ``checks.check_item``; density files go to a
+temporary directory, and nothing under ``perfbench/`` is written.  Prints,
+per workload, the item count, the failures, the largest relative gap to
+the reference and a SHA-256 over every item's id, exit code, output (the
+margins and growth values as ``float.hex``) and stderr, which is equal on
+two trees exactly when their outputs are byte-identical.  Exits 1 when an
+item fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True  # no __pycache__ under perfbench/ or src/
+
+import checks  # noqa: E402
+import worker  # noqa: E402
+from workloads import WORKLOADS, catalogue_item, write_density_files  # noqa: E402
+
+
+def _hashable(out):
+    if isinstance(out, list):
+        return [float(x).hex() for x in out]
+    return float(out).hex() if isinstance(out, float) else out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
+    args = parser.parse_args(argv)
+    program = worker._load_program(str(ROOT / "src"))
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())["items"]
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in args.workload or list(WORKLOADS):
+            digest, worst, bad, count = hashlib.sha256(), 0.0, 0, 0
+            for cell in range(WORKLOADS[name].cells):
+                for variant in range(WORKLOADS[name].variants):
+                    item, = write_density_files([catalogue_item(name, cell, variant)],
+                                                Path(tmp))
+                    rc, out, err = worker.run_item(program, item)
+                    count += 1
+                    digest.update(json.dumps([item["id"], rc, _hashable(out), err]).encode())
+                    reason = checks.check_item(dict(item, rc=rc, out=out, err=err), reference)
+                    if reason is not None:
+                        print(f"FAIL {item['id']}: {reason}")
+                        bad += 1
+                        continue
+                    values, _ = checks.item_values(item, rc, out, err)
+                    for got, want in zip(values, reference.get(item["id"], [None, []])[1]):
+                        if got is not None and want is not None:
+                            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+            print(f"{name}: {count} items, {bad} failed, worst relative gap {worst:.2g}, "
+                  f"sha256 {digest.hexdigest()}")
+            failed += bad
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
