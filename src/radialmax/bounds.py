@@ -47,7 +47,8 @@ import numpy as np
 from .densities import Gaussian, RadialDensity, UnitBallIndicator
 from .errors import NoBalancedRadiusError
 from .geometry import contact_angle, contact_angle_unit_ball, off_center_ball_measure
-from .measures import (log_ball_measure, log_ball_measure_grid, log_sphere_area)
+from .measures import (check_dimension, log_ball_measure, log_ball_measure_grid,
+                       log_sphere_area)
 
 LAMBDA_MAX = math.sqrt(2.0) - 1.0
 T_EXACT_MAX_N = 10_000  # the constructions' exact T stops here; above, it is untested
@@ -111,9 +112,7 @@ def _log_alpha(a, b, p):
 
 def gaussian_mode_radius(n: int) -> float:
     """Maximizer of exp(-pi s^2) s^(n-1): sqrt((n-1)/(2 pi))."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return Gaussian().peak_radius(n)
+    return Gaussian().peak_radius(check_dimension(n))
 
 
 @dataclass
@@ -328,6 +327,7 @@ def general_construction(f: RadialDensity, n: int, p: float, lam: float) -> Boun
 
         log T >= -log(Q + 1) + n log alpha,  alpha = lam^((p-1)/p) / sin(b0)^k.
     """
+    n = check_dimension(n)
     _check_lam_p(lam, p)
     beta0, parts, l, k, R, r, Q, terms, measures = _general_stage(f, n, lam)
     log_alpha = _log_alpha(*parts, p)
@@ -405,8 +405,7 @@ def gaussian_mass_concentration(n: int):
     The returned floor is the quoted one and holds only for n <= 5: the mass
     equals P(chi2_n <= n-1), which is below 1/2 for every n.
     """
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    n = check_dimension(n, least=2)
     log_mass = log_ball_measure(Gaussian(), n, gaussian_mode_radius(n))
     floor = 1.0 - 2.0 / (math.sqrt(math.pi) * math.sqrt(n - 1.0))
     return log_mass, floor
@@ -416,8 +415,6 @@ def gaussian_mass_concentration(n: int):
 def _gaussian_stage(n: int, lam: float):
     """The p-free part of ``gaussian_construction``: the radius, the estimates
     and the measures."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
     beta0 = contact_angle(lam)
     s = math.sin(beta0)
     c = math.cos(beta0) ** 2
@@ -461,6 +458,7 @@ def gaussian_construction(n: int, p: float, lam: float) -> BoundReport:
     with alpha the Gaussian growth base; each displayed estimate of the
     derivation lands in ``terms``.
     """
+    n = check_dimension(n, least=2)
     _check_lam_p(lam, p)
     beta0, parts, R, r, terms, measures = _gaussian_stage(n, lam)
     log_alpha = _log_alpha(*parts, p)
@@ -482,6 +480,7 @@ def gaussian_upper_bound(n: int, p: float, R: float, r: float) -> float:
       * ((e^((1-lam^2)/2) lam)^((p-1)/p) / sin b0)^n,
     valid for 0 < r < R <= sqrt((n-1)/(2 pi)).
     """
+    _check_p(p)
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
     if R > gaussian_mode_radius(n) * (1.0 + 1e-12):
@@ -516,6 +515,7 @@ def unitball_case_analysis(n: int, p: float, R: float, lam: float):
     Case 4: R >= sqrt(2)/(1+lam)            2 lam^(n(p-1)/p), from the
                                             half-ball volume floor on B~
     """
+    n = check_dimension(n)
     r = lam * R
     if not 0.0 < r < R <= 1.0:
         raise ValueError("need 0 < r < R <= 1")
@@ -551,6 +551,7 @@ def unitball_construction(n: int, p: float, R: float, lam: float) -> BoundReport
     it, it can exceed the exact T (n = 100, p = 1.02, R = 0.8, lam = 0.2
     gives -8.29 against -12.45), so R < 1 is refused.
     """
+    n = check_dimension(n)
     _check_p(p)
     beta0, parts, measures = _unitball_stage(n, R, lam)
     log_alpha = _log_alpha(*parts, p)

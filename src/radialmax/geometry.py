@@ -49,8 +49,8 @@ import numpy as np
 
 from .densities import RadialDensity, UnitBallIndicator
 from .logspace import LOG_ZERO
-from .measures import (_probe_hints, check_radius, log_ball_volume, log_sphere_area,
-                       radial_log_integrand)
+from .measures import (_probe_hints, check_dimension, check_radius, log_ball_volume,
+                       log_sphere_area, radial_log_integrand)
 from .quadrature import N_PROBES, WINDOW_DROP, fixed_log_integral, log_integral
 
 _ARCCOS_SLACK = 1e-12
@@ -383,8 +383,7 @@ def _log_measures(f: RadialDensity, n: int, d: float, t: float, caps: tuple):
 
 
 def _log_off_center(f: RadialDensity, n: int, d: float, t: float, rho: float) -> float:
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    n = check_dimension(n)
     check_radius("d", d)
     check_radius("t", t, positive=True)
     if not rho > 0:

@@ -9,7 +9,8 @@ unit sphere in R^n.  The integral runs through the shifted log-domain
 quadrature so dimensions up to 10**6 are routine.  The unit ball's
 centered ball needs no integral: it is the volume omega_{n-1}/n min(rho, 1)^n.
 Tables of many radii sum ``_log_cells``, fixed-rule cells cut at the density's
-knots; ``check_radius`` is the one check of every public measure's radii.
+knots; ``check_radius`` is the one check of every public measure's radii, and
+``check_dimension`` of every public entry's dimension n.
 """
 
 from __future__ import annotations
@@ -36,10 +37,16 @@ def log_sphere_area(n):
     """
     if np.ndim(n) > 0:
         return np.vectorize(log_sphere_area, otypes=[float])(n)
-    n = float(n)
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    n = check_dimension(n)
     return math.log(n) + 0.5 * n * math.log(math.pi) - lgamma(0.5 * n + 1.0)
+
+
+def check_dimension(n, *, least: int = 1, most: float = math.inf) -> int:
+    """n as an int; a bool, a NaN, infinite or non-integral n, or one outside
+    [least, most] is refused by a ValueError that names n and the range."""
+    if isinstance(n, (bool, np.bool_)) or not (least <= n <= most and float(n).is_integer()):
+        raise ValueError(f"the dimension must be an integer in [{least}, {most}], got n = {n!r}")
+    return int(n)
 
 
 def check_radius(name: str, value: float, *, positive: bool = False):
@@ -130,8 +137,7 @@ def log_ball_measure(f: RadialDensity, n: int, rho: float) -> float:
     [0, rho].  Both take one route, ``_log_ball_integral``, so a cached
     mass is the float the integral gives.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    n = check_dimension(n)
     if rho != math.inf:
         check_radius("rho", rho)
     if rho == 0.0:
@@ -170,11 +176,11 @@ def _log_cells(f: RadialDensity, n: int, edges: np.ndarray, log_weight=None) -> 
     cuts = np.unique(np.append(f.probe_points(), f.support_upper_bound))
     at = np.searchsorted(edges, cuts)
     inside = (at > 0) & (at < len(edges)) & (at == np.searchsorted(edges, cuts, "right"))
+    if not inside.any():  # the pieces are the cells, and the edges need no copy
+        return fixed_log_integral(log_f, edges[:-1], edges[1:], 1, _GRID_ORDER)
     cuts = cuts[inside]
     points = np.insert(edges, at[inside], cuts)
     pieces = fixed_log_integral(log_f, points[:-1], points[1:], 1, _GRID_ORDER)
-    if not cuts.size:
-        return pieces
     # cell i starts at edges[i], after i edges and the cuts below it
     return np.logaddexp.reduceat(pieces, np.arange(len(edges) - 1)
                                  + np.searchsorted(cuts, edges[:-1]))
@@ -185,6 +191,7 @@ def log_ball_measure_grid(f: RadialDensity, n: int, radii):
     ``_log_cells`` from 0, for the scans of many radii (the radius solver's, the
     oracle's mass table, the Monte Carlo inverse CDF).  A radius of 0 gives
     LOG_ZERO; the adaptive path remains the accuracy reference."""
+    n = check_dimension(n)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or np.any(np.diff(radii) < 0) or radii[0] < 0:
         raise ValueError("radii must be a sorted nonnegative 1-D grid")

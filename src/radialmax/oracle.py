@@ -53,12 +53,12 @@ from .densities import RadialDensity, UnitBallIndicator
 from .geometry import (_band_log_weight, _log_measures, intersect_with_centered_ball,
                        off_center_ball_measure)
 from .logspace import LOG_ZERO
-from .measures import (_log_cells, check_radius, log_ball_measure, log_ball_measure_grid,
-                       log_sphere_area, radial_log_integrand, upper_cutoff)
+from .measures import (_log_cells, check_dimension, check_radius, log_ball_measure,
+                       log_ball_measure_grid, log_sphere_area, radial_log_integrand, upper_cutoff)
 from .quadrature import fixed_log_integral
 from .serialize import csv_lines
 
-MAX_ORACLE_DIMENSION = 6
+MAX_ORACLE_DIMENSION = 6  # the dimensions its tests check
 _SCAN_PANELS = 24
 _SCAN_ORDER = 8
 _TABLE_POINTS = 4097
@@ -172,27 +172,20 @@ def _j_lookup(n: int) -> _UniformLookup:
     return _UniformLookup(_J_THETAS, _band_log_weight(n)[1](_J_THETAS))
 
 
-def _check_dimension(n: int):
-    if not 1 <= n <= MAX_ORACLE_DIMENSION:
-        raise ValueError(
-            f"the oracle is restricted to 1 <= n <= {MAX_ORACLE_DIMENSION} "
-            "(the dimensions its tests check)")
-
-
 class _MaximalEvaluator:
     """Shared tables for repeated Mg evaluations at fixed (f, n, r).
 
     Scan-grade ratios come from ``fixed_log_integral`` with the cap integral
     and the radial mass read from ``_UniformLookup`` tables, and at n = 1 from
     the mass table alone; final values are exact (``geometry._log_measures``,
-    or the unit ball's lens).  ``exact_fixed`` counts the candidates whose four
-    rows that rule's two orders settled, and ``exact_geometry`` the lens and
-    the candidates with a row on the adaptive route.
+    or the unit ball's lens from n = 2 on).  ``exact_fixed`` counts the candidates
+    whose four rows that rule's two orders settled, and ``exact_geometry`` the
+    lens and the candidates with a row on the adaptive route.
     """
 
     def __init__(self, f: RadialDensity, n: int, r: float, *, max_rho: float,
                  t_points: int = 512):
-        _check_dimension(n)
+        n = check_dimension(n, most=MAX_ORACLE_DIMENSION)
         check_radius("test-function radius r", r, positive=True)
         # before the tables: a NaN or infinite horizon fills them with -inf or NaN
         check_radius("max_rho", max_rho)
@@ -210,7 +203,7 @@ class _MaximalEvaluator:
         self._log_ball = _UniformLookup(radii, log_ball_measure_grid(f, n, radii))
         self._phi = radial_log_integrand(f, n)
         self.exact_fixed = self.exact_geometry = 0
-        self._lens = isinstance(f, UnitBallIndicator)
+        self._lens = n > 1 and isinstance(f, UnitBallIndicator)
         self._cap_j = _j_lookup(n)
         self._log_omega_sub = _band_log_weight(n)[0]
 
@@ -322,6 +315,7 @@ def log_maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
 
 def _log_profile(f: RadialDensity, n: int, r: float, points: int, t_points: int):
     """(rho_max, radii, log Mg, the evaluator) on ``maximal_profile``'s grid."""
+    n = check_dimension(n, most=MAX_ORACLE_DIMENSION)
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     rho_max = upper_cutoff(f, n)
@@ -338,8 +332,8 @@ def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
     The grading follows the smoothstep map (dense at both ends, where Mg
     is flat at 1/mu(B_r) and where the level-set boundary sits).
     """
-    rho_max, radii, log_mg, _ = _log_profile(f, n, r, points, t_points)
-    meta = {"kind": f.kind, "n": n, "r": repr(r),
+    rho_max, radii, log_mg, ev = _log_profile(f, n, r, points, t_points)
+    meta = {"kind": f.kind, "n": ev.n, "r": repr(r),
             "grid": f"smoothstep:{points}:0:{rho_max!r}", "seed": "none"}
     return RadialProfile(radii=radii, log_values=log_mg, meta=meta)
 
@@ -356,7 +350,7 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
         raise ValueError("need 0 < r < R")
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
-    _check_dimension(n)
+    n = check_dimension(n, most=MAX_ORACLE_DIMENSION)
     log_mu_btilde = off_center_ball_measure(f, n, R, R + r)
     log_threshold = -log_mu_btilde
     ev = _MaximalEvaluator(f, n, r, max_rho=R, t_points=t_points)
@@ -389,7 +383,6 @@ def log_constant_estimate(f: RadialDensity, n: int, r: float, p: float, *,
     _check_p(p)
     if points < 2:  # one radius bounds no cell to integrate over
         raise ValueError(f"points must be >= 2, got {points}")
-    _check_dimension(n)
     _, radii, log_mg, ev = _log_profile(f, n, r, points, t_points)
     with np.errstate(over="ignore"):
         if not np.isfinite(p * log_mg).all():
@@ -427,8 +420,7 @@ def monte_carlo_ball_measure(f: RadialDensity, n: int, d: float, t: float,
     normalized standard normals.  Fixed seed (and the fixed chunk size)
     make the estimate bit-identical across runs.
     """
-    if not 2 <= n <= MAX_ORACLE_DIMENSION:
-        raise ValueError(f"Monte Carlo supports 2 <= n <= {MAX_ORACLE_DIMENSION}")
+    n = check_dimension(n, least=2, most=MAX_ORACLE_DIMENSION)
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
     check_radius("d", d)

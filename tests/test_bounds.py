@@ -434,6 +434,12 @@ class TestGaussianUpperBound:
         with pytest.raises(ValueError):
             gaussian_upper_bound(10, 1.05, gaussian_mode_radius(10) * 1.2, 0.1)
 
+    @pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+    def test_p_is_checked_as_everywhere(self, p):
+        # p = 0.5 used to give 15.016727110942046, and p = nan gave nan
+        with pytest.raises(ValueError, match="^p must be "):
+            gaussian_upper_bound(10, p, 1.0, 0.2)
+
 
 class TestUnitBall:
     @pytest.mark.parametrize("n", [5, 10, 20, 50, 100])

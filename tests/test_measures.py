@@ -1,17 +1,19 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from radialmax import measures
+from radialmax import bounds, geometry, measures, oracle, quadrature
 from radialmax.densities import Gaussian, RadialDensity, TabulatedDecreasing, UnitBallIndicator
 from radialmax.logspace import LOG_ZERO
 from radialmax.measures import (_decay_radius, log_ball_measure, log_ball_measure_grid,
                                 log_mass, log_sphere_area, radial_log_integrand,
                                 sphere_ratio_bounds, upper_cutoff)
 from radialmax.geometry import intersect_with_centered_ball, off_center_ball_measure
-from radialmax.oracle import monte_carlo_ball_measure
+from radialmax.oracle import (log_constant_estimate, log_maximal_function_at, maximal_profile,
+                              monte_carlo_ball_measure, verify_level_set_inclusion)
 from radialmax.quadrature import fixed_log_integral, log_integral
 
 
@@ -321,6 +323,97 @@ class TestRadiusRefusals:
             measures.check_radius("x", value, positive=positive)
         measures.check_radius("x", 0.0 if not positive else 5e-324, positive=positive)
         measures.check_radius("x", 1e308, positive=positive)
+
+
+_G = Gaussian()
+_BETA0 = geometry.contact_angle(0.2)
+# every public entry that takes the dimension n: (entry, call, the least n, the most n)
+_DIMENSION_ENTRIES = [
+    ("log_sphere_area", log_sphere_area, 1, math.inf),
+    ("log_ball_measure", lambda n: log_ball_measure(_G, n, 1.0), 1, math.inf),
+    ("log_ball_measure_grid", lambda n: log_ball_measure_grid(_G, n, [0.5, 1.0]), 1, math.inf),
+    ("off_center_ball_measure", lambda n: off_center_ball_measure(_G, n, 0.3, 0.5), 1, math.inf),
+    ("intersect_with_centered_ball",
+     lambda n: intersect_with_centered_ball(_G, n, 0.3, 0.5, 0.8), 1, math.inf),
+    ("solve_radius_equation",
+     lambda n: bounds.solve_radius_equation(_G, n, _BETA0, 0.5), 1, math.inf),
+    ("log_t_exact", lambda n: bounds.log_t_exact(_G, n, 1.1, 1.0, 0.2), 1, math.inf),
+    ("general_construction",
+     lambda n: bounds.general_construction(_G, n, 1.01, 0.2), 1, math.inf),
+    ("gaussian_construction", lambda n: bounds.gaussian_construction(n, 1.01, 0.2), 2, math.inf),
+    ("unitball_construction",
+     lambda n: bounds.unitball_construction(n, 1.01, 1.0, 0.2), 1, math.inf),
+    ("unitball_case_analysis",
+     lambda n: bounds.unitball_case_analysis(n, 1.01, 1.0, 0.2), 1, math.inf),
+    ("gaussian_mode_radius", bounds.gaussian_mode_radius, 1, math.inf),
+    ("gaussian_ball_sandwich", lambda n: bounds.gaussian_ball_sandwich(n, 0.1), 1, math.inf),
+    ("gaussian_mass_concentration", bounds.gaussian_mass_concentration, 2, math.inf),
+    ("gaussian_upper_bound",
+     lambda n: bounds.gaussian_upper_bound(n, 1.01, 0.5, 0.1), 1, math.inf),
+    ("log_maximal_function_at", lambda n: log_maximal_function_at(_G, n, 0.2, 0.5), 1, 6),
+    ("maximal_profile", lambda n: maximal_profile(_G, n, 0.2, points=4, t_points=16), 1, 6),
+    ("verify_level_set_inclusion",
+     lambda n: verify_level_set_inclusion(_G, n, 0.5, 0.2, n_points=4), 1, 6),
+    ("log_constant_estimate",
+     lambda n: log_constant_estimate(_G, n, 0.2, 2.0, points=4, t_points=16), 1, 6),
+    ("monte_carlo_ball_measure",
+     lambda n: monte_carlo_ball_measure(_G, n, 0.5, 1.0, 10_000, seed=1), 2, 6),
+]
+
+
+def _dimension_refusals():
+    for entry, call, least, most in _DIMENSION_ENTRIES:
+        bad = [0, -1, 2.5, math.nan, math.inf, True] + [least - 1] * (least > 1)
+        for n in bad + [most + 1] * (most < math.inf):
+            yield pytest.param(call, least, most, n, id=f"{entry}-{n!r}")
+
+
+@pytest.fixture
+def no_integrals(monkeypatch):
+    """Every integral, adaptive or fixed-rule, fails with an error that is not a ValueError."""
+    def fail(*args, **kwargs):
+        raise AssertionError("an integral ran")
+
+    for module in (quadrature, measures, geometry, oracle):
+        for name in ("log_integral", "fixed_log_integral"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+
+
+class TestDimensionRefusals:
+    @pytest.mark.parametrize("call,least,most,n", _dimension_refusals())
+    def test_refused_by_name_before_any_integral(self, no_integrals, call, least, most, n):
+        message = f"the dimension must be an integer in [{least}, {most}], got n = {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(n)
+
+    @pytest.mark.parametrize("n", [3.0, np.int64(3), np.float64(3.0)])
+    def test_an_integral_float_or_numpy_n_runs_as_the_int(self, n):
+        want = [log_ball_measure(_G, 3, 1.0), *log_ball_measure_grid(_G, 3, [0.5, 1.0]).tolist(),
+                off_center_ball_measure(_G, 3, 0.3, 0.5),
+                bounds.gaussian_construction(3, 1.01, 0.2).log_t_exact]
+        report = bounds.gaussian_construction(n, 1.01, 0.2)
+        got = [log_ball_measure(_G, n, 1.0), *log_ball_measure_grid(_G, n, [0.5, 1.0]).tolist(),
+               off_center_ball_measure(_G, n, 0.3, 0.5), report.log_t_exact]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert type(report.n) is int and report.n == 3
+
+    @pytest.mark.parametrize("n", [2.0, np.int64(2)])
+    def test_an_integral_n_gives_the_int_margins(self, n):
+        want = verify_level_set_inclusion(_G, 2, 0.5, 0.2, n_points=4)
+        got = verify_level_set_inclusion(_G, n, 0.5, 0.2, n_points=4)
+        assert [r.margin.hex() for r in got.rows] == [r.margin.hex() for r in want.rows]
+        assert type(got.n) is int
+
+    def test_check_dimension(self):
+        for n in (1, 3.0, np.int64(3), np.float64(7.0), 10**6):
+            got = measures.check_dimension(n)
+            assert type(got) is int and got == n
+        assert measures.check_dimension(2, least=2, most=2) == 2
+        for n, least, most in [(np.bool_(True), 1, math.inf), (1, 2, math.inf), (7, 1, 6),
+                               (-math.inf, 1, math.inf), (3.0000000000000004, 1, math.inf)]:
+            with pytest.raises(ValueError, match=re.escape(f"[{least}, {most}], got n = {n!r}")):
+                measures.check_dimension(n, least=least, most=most)
 
 
 class _CountingGaussian(Gaussian):

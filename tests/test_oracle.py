@@ -532,11 +532,12 @@ class TestExactPass:
     @pytest.mark.parametrize("f,n", [(Gaussian(), 1), (UnitBallIndicator(), 1),
                                      (UnitBallIndicator(), 2), (UnitBallIndicator(), 5)])
     def test_closed_form_and_one_dimensional_paths_unchanged(self, f, n):
-        # the unit ball takes geometry's public functions, to the last bit;
-        # the Gaussian at n = 1 settles by the fixed rule, as at n >= 2,
-        # within 1e-12 of the adaptive reference on the same rows
+        # the unit ball's lens, from n = 2 on, is geometry's public functions;
+        # at n = 1 both densities settle by the fixed rule, as the Gaussian does
+        # at n >= 2, within 1e-12 of the adaptive reference on the same rows, and
+        # the unit ball's combined call gives the public functions' floats
         ev = _MaximalEvaluator(f, n, 0.3, max_rho=1.0)
-        fixed = isinstance(f, Gaussian)
+        fixed = n == 1
         for rho, t in [(0.5, 0.1), (0.5, 0.9), (0.8, 2e-4), (0.2, 1.7)]:
             got = ev._exact_ratio(rho, t)
             if fixed:
@@ -544,11 +545,22 @@ class TestExactPass:
                 assert by_rule and got == num - den
                 for part, cap in zip((num, den), (0.3, math.inf)):
                     assert _close(part, _adaptive_reference(f, n, rho, t, cap), 1e-12)
-            else:
+            if isinstance(f, UnitBallIndicator):
                 num = intersect_with_centered_ball(f, n, rho, t, 0.3)
                 den = off_center_ball_measure(f, n, rho, t)
                 assert got.hex() == (-math.inf if den == -math.inf else num - den).hex()
         assert (ev.exact_fixed, ev.exact_geometry) == ((4, 0) if fixed else (0, 4))
+
+    def test_one_dimensional_unit_ball_takes_the_public_floats(self):
+        # at n = 1 the unit ball has no lens: the exact pass's one combined
+        # call on the caps r and inf is the two public functions, float for float
+        f, rng = UnitBallIndicator(), np.random.default_rng(5)
+        for _ in range(300):
+            rho, t, r = rng.uniform(0.0, 2.0), rng.uniform(1e-4, 3.0), rng.uniform(1e-3, 1.2)
+            (num, den), by_rule = _log_measures(f, 1, rho, t, (r, math.inf))
+            assert by_rule
+            assert num.hex() == intersect_with_centered_ball(f, 1, rho, t, r).hex()
+            assert den.hex() == off_center_ball_measure(f, 1, rho, t).hex()
 
     def test_report_counts_every_candidate(self, monkeypatch):
         calls = []
