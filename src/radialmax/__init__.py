@@ -18,8 +18,7 @@ from .bounds import (BoundReport, gaussian_ball_sandwich, gaussian_construction,
 from .densities import (Gaussian, RadialDensity, TabulatedDecreasing, UnitBallIndicator,
                         density_from_name)
 from .errors import BracketError, NoBalancedRadiusError
-from .geometry import (contact_angle, contact_angle_unit_ball, intersect_with_centered_ball,
-                       off_center_ball_measure)
+from .geometry import intersect_with_centered_ball, off_center_ball_measure
 from .logspace import LOG_ZERO
 from .measures import log_ball_measure, log_mass, log_sphere_area, sphere_ratio_bounds
 from .optimize import (SupremumResult, find_root, growth_base_log,
@@ -41,8 +40,6 @@ __all__ = [
     "SupremumResult",
     "TabulatedDecreasing",
     "UnitBallIndicator",
-    "contact_angle",
-    "contact_angle_unit_ball",
     "density_from_name",
     "find_root",
     "gaussian_ball_sandwich",

@@ -21,7 +21,9 @@ whose base alpha > 1 drives exponential growth in the dimension:
 Each growth base is affine in q = (p-1)/p, log alpha = a(lam) + q b(lam),
 so alpha crosses 1 at p*(lam) = b/(a+b).  The four families' (a, b) are
 written once, in ``growth_parts``, which the constructions and the
-searches of ``optimize`` all read.
+searches of ``optimize`` all read.  All rest on the contact angle b0 of
+``_angle_parts``, the one place cos b0 is written: each construction's
+b0 is the acos of that float, which its alpha was built on.
 
 Every intermediate estimate of a construction is recorded in
 ``BoundReport.terms`` so each displayed inequality is individually
@@ -46,23 +48,36 @@ import numpy as np
 
 from .densities import Gaussian, RadialDensity, UnitBallIndicator
 from .errors import NoBalancedRadiusError
-from .geometry import contact_angle, contact_angle_unit_ball, off_center_ball_measure
-from .measures import (check_dimension, log_ball_measure, log_ball_measure_grid,
-                       log_sphere_area)
+from .geometry import off_center_ball_measure
+from .measures import (check_dimension, check_radius, log_ball_measure,
+                       log_ball_measure_grid, log_sphere_area)
 
 LAMBDA_MAX = math.sqrt(2.0) - 1.0
 T_EXACT_MAX_N = 10_000  # the constructions' exact T stops here; above, it is untested
 
 
-def _angle_parts(lam):
-    """(cos b0, sin b0) of the contact angle, vectorized in lam."""
+def _angle_parts(lam, R=1.0):
+    """(cos b0, sin b0) of the contact angle, vectorized in lam: the one formula of b0.
+
+    B(R xi, R + r), r = lam R, meets the sphere |y| = R at the angle b0,
+    cos b0 = 1 - (1+lam)^2 / 2.  The unit ball's case analysis passes its R
+    for the paper's 1 - R^2 (1+lam)^2 / 2, the angle against the unit sphere
+    at R = 1 only.
+    """
     lam = np.asarray(lam, dtype=float)
     # products, not ** 2: numpy squares a 0-d float64 through pow, which is
     # not correctly rounded, and an array by multiplication, which is
     one_lam = 1.0 + lam
-    cos_b0 = 1.0 - one_lam * one_lam / 2.0
+    cos_b0 = 1.0 - R * R * one_lam * one_lam / 2.0
     sin_b0 = np.sqrt(np.maximum(1.0 - cos_b0 * cos_b0, 1e-300))
     return cos_b0, sin_b0
+
+
+def _contact_angle(lam: float, R: float = 1.0):
+    """(b0, cos b0) at one lam; every caller checks lam, and 0 < R <= 1, first,
+    which puts cos b0 in (-1, 1), so acos needs no clamp."""
+    cos_b0 = float(_angle_parts(lam, R)[0])
+    return math.acos(cos_b0), cos_b0
 
 
 def _annulus_exponent(lam):
@@ -201,6 +216,7 @@ def _check_p(p: float):
 
 def log_t_exact(f: RadialDensity, n: int, p: float, R: float, r: float) -> float:
     """log T(R, r) by exact quadrature of the three measures involved."""
+    check_radius("R", R, positive=True)
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
     _check_p(p)
@@ -261,9 +277,13 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> f
     return 0.5 * (lo + hi)
 
 
-def _check_lam_p(lam: float, p: float):
+def _check_lam(lam: float):
     if not 0.0 < lam < LAMBDA_MAX:
         raise ValueError(f"lam must lie in (0, sqrt(2)-1), got {lam!r}")
+
+
+def _check_lam_p(lam: float, p: float):
+    _check_lam(lam)
     _check_p(p)
 
 
@@ -274,7 +294,7 @@ def growth_base_log(kind: str, p: float, lam: float) -> float:
 
 
 def _general_parameters(lam: float):
-    """(b0, sin b0, log sin b0, l, k) of the general construction at lam.
+    """(b0, cos b0, sin b0, log sin b0, l, k) of the general construction at lam.
 
     l is the smallest integer with sin(b0)^(-l) >= 2 + lam, read from the
     annulus exponent of the growth table; k = 1/(1+l).
@@ -282,19 +302,19 @@ def _general_parameters(lam: float):
     nu = float(_annulus_exponent(lam))
     if not math.isfinite(nu):
         raise ValueError(f"lam = {lam!r} is too close to sqrt(2)-1: sin b0 rounds to 1")
-    beta0 = contact_angle(lam)
+    beta0, cos_b0 = _contact_angle(lam)
     s = math.sin(beta0)
     l = math.ceil(nu)
-    return beta0, s, math.log(s), l, 1.0 / (1.0 + l)
+    return beta0, cos_b0, s, math.log(s), l, 1.0 / (1.0 + l)
 
 
 @functools.lru_cache(maxsize=1)
 def _general_stage(f: RadialDensity, n: int, lam: float):
     """The p-free part of ``general_construction``: the radius and the measures."""
-    beta0, s, log_s, l, k = _general_parameters(lam)
+    beta0, cos_b0, s, log_s, l, k = _general_parameters(lam)
     R = solve_radius_equation(f, n, beta0, k)
     r = lam * R
-    Q = 1.0 / (math.sqrt(math.pi) * s * math.cos(beta0))
+    Q = 1.0 / (math.sqrt(math.pi) * s * cos_b0)
     terms = {
         "ratio_lower_log": -math.log1p(Q) - n * k * log_s,
         "annulus_power_margin": -l * log_s - math.log(2.0 + lam),
@@ -365,7 +385,8 @@ def radius_growth_report(f: RadialDensity, n_values, lam: float) -> GrowthReport
     allowance) and that the density value there decays at least like
     f(0) sin(b0)^(n (1-k)).
     """
-    beta0, s, _, _, k = _general_parameters(lam)
+    _check_lam(lam)
+    beta0, _, s, _, _, k = _general_parameters(lam)
     log_f0 = f.log_density_at_zero
     rows = []
     nondecreasing = True
@@ -389,8 +410,9 @@ def gaussian_ball_sandwich(n: int, rho: float):
     """Elementary bracket for the Gaussian ball measure below the mode radius.
 
     omega e^(-pi rho^2) rho^n / n <= mu(B_rho) <= omega e^(-pi rho^2) rho^n,
-    valid for 0 < rho < sqrt((n-1)/(2 pi)).  Returns the three logs.
+    valid for 0 < rho < sqrt((n-1)/(2 pi)), n >= 2.  Returns the three logs.
     """
+    n = check_dimension(n, least=2)
     R_n = gaussian_mode_radius(n)
     if not 0.0 < rho < R_n:
         raise ValueError(f"need 0 < rho < {R_n!r}")
@@ -415,9 +437,9 @@ def gaussian_mass_concentration(n: int):
 def _gaussian_stage(n: int, lam: float):
     """The p-free part of ``gaussian_construction``: the radius, the estimates
     and the measures."""
-    beta0 = contact_angle(lam)
+    beta0, cos_b0 = _contact_angle(lam)
     s = math.sin(beta0)
-    c = math.cos(beta0) ** 2
+    c = cos_b0 * cos_b0
     e_c = math.exp(-c)
     R_n = gaussian_mode_radius(n)
     R = math.exp(-0.5 * c) * R_n
@@ -427,7 +449,7 @@ def _gaussian_stage(n: int, lam: float):
     terms = {
         "bound_cap_cover": lsa - math.pi * R * R * s * s + n * math.log(R * s),
         "bound_outside": (lsa + n * math.log(s)
-                          - math.log(math.sqrt(math.pi) * s * math.cos(beta0))
+                          - math.log(math.sqrt(math.pi) * s * cos_b0)
                           + math.log(R + r) - math.pi * R_n * R_n
                           + (n - 1.0) * math.log(R_n)),
         "bound_offcenter_total": (lsa + math.log(2.0)
@@ -478,8 +500,9 @@ def gaussian_upper_bound(n: int, p: float, R: float, r: float) -> float:
 
     sqrt(pi) n sin(b0) e^((lam^2-1)/2 (p-1)/p)
       * ((e^((1-lam^2)/2) lam)^((p-1)/p) / sin b0)^n,
-    valid for 0 < r < R <= sqrt((n-1)/(2 pi)).
+    valid for 0 < r < R <= sqrt((n-1)/(2 pi)), n >= 2.
     """
+    n = check_dimension(n, least=2)
     _check_p(p)
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
@@ -502,7 +525,7 @@ def _unitball_beta0(R: float, lam: float) -> float:
         raise ValueError("lam must be positive")
     if R >= math.sqrt(2.0) / (1.0 + lam):
         raise ValueError("sandwich needs R < sqrt(2)/(1+lam)")
-    return contact_angle_unit_ball(R, lam)
+    return _contact_angle(lam)[0]
 
 
 def unitball_case_analysis(n: int, p: float, R: float, lam: float):
@@ -524,7 +547,7 @@ def unitball_case_analysis(n: int, p: float, R: float, lam: float):
     threshold = math.sqrt(2.0) / (1.0 + lam)
     if R >= threshold:
         return 4, math.log(2.0) + n * q * math.log(lam)
-    if R != 1.0 and R <= math.sin(contact_angle_unit_ball(R, lam)):
+    if R != 1.0 and R <= math.sin(_contact_angle(lam, R)[0]):
         return 3, math.log(math.sqrt(math.pi) * n) + n * q * math.log(lam)
     # R < threshold (case 1), or sin b0 < R < threshold (case 2), forces
     # lam < sqrt(2)-1, the growth table's domain

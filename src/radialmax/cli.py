@@ -51,8 +51,6 @@ class _Parser(argparse.ArgumentParser):
 def _emit(text: str, path):
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

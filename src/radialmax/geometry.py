@@ -1,4 +1,4 @@
-"""Off-center balls, spherical caps and contact angles in log space.
+"""Off-center balls and spherical caps in log space.
 
 Rotation invariance reduces every ball B(x, t) to the pair (d, t) with
 d = |x|.  The sphere of radius s meets B(d xi, t) in a polar cap whose
@@ -53,7 +53,6 @@ from .measures import (_probe_hints, check_dimension, check_radius, log_ball_vol
                        log_sphere_area, radial_log_integrand)
 from .quadrature import N_PROBES, WINDOW_DROP, fixed_log_integral, log_integral
 
-_ARCCOS_SLACK = 1e-12
 _TAIL_WIDTH = 40.0  # the rule stops at x^2 = a^2 + 40: a dropped tail below e^-40
 _TAIL_PANELS = 2
 _TAIL_ORDER = 16
@@ -62,13 +61,6 @@ _SERIES_TERMS = 16     # of the even-m series, on theta <= pi/4
 _RULE_PANELS = 8       # the off-center measure's two-order fixed rule
 _RULE_ORDERS = (16, 24)
 _RULE_AGREEMENT = 1e-12
-
-
-def arccos_clamped(x: float) -> float:
-    """arccos with tolerance for rounding just past +-1; beyond is an error."""
-    if abs(x) > 1.0 + _ARCCOS_SLACK:
-        raise ValueError(f"arccos argument {x!r} outside [-1, 1] beyond rounding slack")
-    return math.acos(min(1.0, max(-1.0, x)))
 
 
 def cap_angle(d, t, s):
@@ -87,33 +79,6 @@ def cap_angle(d, t, s):
     gap = np.abs(d - s)
     return 2.0 * np.arctan2(np.sqrt(np.maximum(t - gap, 0.0) * (t + gap)),
                             np.sqrt(np.maximum(d + s - t, 0.0) * (d + s + t)))
-
-
-def contact_angle(lam: float) -> float:
-    """Angle at the origin cut by B(R xi, R + r) on the sphere |y| = R, lam = r/R.
-
-    Law of cosines on (origin, R xi, contact point): cos = 1 - (1+lam)^2/2.
-    Positive cosine needs lam < sqrt(2) - 1.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must be in (0, 1)")
-    return arccos_clamped(1.0 - (1.0 + lam) ** 2 / 2.0)
-
-
-def contact_angle_unit_ball(R: float, lam: float) -> float:
-    """Contact angle against the unit sphere: cos = 1 - R^2 (1+lam)^2 / 2.
-
-    Implemented exactly as this closed form.  A direct law-of-cosines
-    derivation for the triangle (origin, R xi, boundary contact point)
-    gives (R^2 + 1 - R^2(1+lam)^2)/(2R), which differs for R < 1; the two
-    agree at R = 1, the only radius used for reproducing the reference
-    exponents, so the closed form is kept verbatim.
-    """
-    if not 0.0 < R <= 1.0:
-        raise ValueError("R must be in (0, 1]")
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    return arccos_clamped(1.0 - R * R * (1.0 + lam) ** 2 / 2.0)
 
 
 @lru_cache(maxsize=_ELEMENTARY_MAX_M)

@@ -68,9 +68,9 @@ def sphere_ratio_bounds(n):
     Lower: (n-1)/(n sqrt(pi)).  Upper: (n-1)/sqrt(2 pi) * sqrt(1 + 1/n),
     the log-convexity bound.  Both are finite positive reals.
     """
+    for m in np.ravel(n) if np.ndim(n) > 0 else [n]:
+        check_dimension(m, least=2)
     arr = np.asarray(n, dtype=float)
-    if np.any(arr < 2):
-        raise ValueError("the sphere ratio needs n >= 2")
     lower = (arr - 1.0) / (arr * math.sqrt(math.pi))
     upper = (arr - 1.0) / math.sqrt(2.0 * math.pi) * np.sqrt(1.0 + 1.0 / arr)
     if np.ndim(n) == 0:

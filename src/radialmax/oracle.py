@@ -189,6 +189,8 @@ class _MaximalEvaluator:
         check_radius("test-function radius r", r, positive=True)
         # before the tables: a NaN or infinite horizon fills them with -inf or NaN
         check_radius("max_rho", max_rho)
+        if t_points < 1:
+            raise ValueError(f"t_points must be >= 1, got {t_points}")
         self.f, self.n, self.r = f, n, r
         self.t_points = t_points
         self.support = upper_cutoff(f, n)
@@ -346,6 +348,7 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
     the level 1/mu(B(R xi, R + r)); the report carries the slack at every
     radius and lists any offenders.
     """
+    check_radius("R", R, positive=True)
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
     if n_points < 1:

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from radialmax import bounds, measures
-from radialmax.bounds import (BoundReport, LAMBDA_MAX, _annulus_exponent, _general_parameters,
+from radialmax.bounds import (BoundReport, LAMBDA_MAX, _angle_parts, _annulus_exponent,
+                              _contact_angle, _general_parameters,
                               gaussian_ball_sandwich, gaussian_construction,
                               gaussian_mass_concentration, gaussian_mode_radius,
                               gaussian_upper_bound, general_construction,
@@ -14,7 +16,6 @@ from radialmax.bounds import (BoundReport, LAMBDA_MAX, _annulus_exponent, _gener
                               unitball_construction)
 from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
 from radialmax.errors import NoBalancedRadiusError
-from radialmax.geometry import contact_angle
 from radialmax.measures import log_ball_measure
 from radialmax.quadrature import log_integral
 
@@ -45,6 +46,11 @@ class TestTExact:
         with pytest.raises(ValueError):
             log_t_exact(Gaussian(), 3, 0.9, 1.0, 0.5)
 
+    def test_infinite_R_refused_by_name(self):
+        # it was refused as "d must be finite", by the off-center measure
+        with pytest.raises(ValueError, match="^R must be finite$"):
+            log_t_exact(Gaussian(), 3, 1.1, math.inf, 0.2)
+
     def test_scale_invariance_in_the_density(self):
         # T is a ratio of measures, so a constant rescaling of f drops out;
         # unnormalized tabulated densities are therefore acceptable
@@ -56,11 +62,60 @@ class TestTExact:
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
+class TestContactAngle:
+    """cos b0 = 1 - R^2 (1+lam)^2 / 2 of the growth table, the one formula of b0."""
+
+    def test_positivity_boundary(self):
+        assert _contact_angle(LAMBDA_MAX)[0] == pytest.approx(math.pi / 2.0, rel=1e-12)
+
+    def test_reference_value(self):
+        # lam = 0.2 -> cos = 1 - 1.44/2 = 0.28
+        assert float(_angle_parts(0.2)[0]) == pytest.approx(0.28, rel=1e-14)
+
+    def test_small_lambda_limit(self):
+        assert _contact_angle(1e-9)[0] == pytest.approx(math.pi / 3.0, rel=1e-6)
+
+    def test_unit_ball_variant(self):
+        # R = 1 is the concentric formula, float for float
+        for lam in (0.05, 0.2, 0.3, 0.4):
+            assert ([float(x).hex() for x in _angle_parts(lam, 1.0)]
+                    == [float(x).hex() for x in _angle_parts(lam)])
+        assert float(_angle_parts(0.15, 0.9)[0]) == pytest.approx(1.0 - 0.81 * 1.3225 / 2.0,
+                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.2, 0.38])
+    def test_every_report_carries_the_table_angle(self, lam):
+        cos_b0 = float(_angle_parts(lam)[0])
+        beta0 = math.acos(cos_b0)
+        general = general_construction(Gaussian(), 20, 1.01, lam)
+        gaussian = gaussian_construction(20, 1.01, lam)
+        unitball = unitball_construction(20, 1.01, 1.0, lam)
+        assert [rep.beta0 for rep in (general, gaussian, unitball)] == [beta0] * 3
+        assert general.Q == 1.0 / (math.sqrt(math.pi) * math.sin(beta0) * cos_b0)
+        c = cos_b0 * cos_b0
+        assert gaussian.terms["dominance_margin"] == (1.0 - c) * -math.expm1(-c)
+
+    def test_domains_through_the_constructions(self):
+        for lam in (0.0, 1.0, LAMBDA_MAX):
+            message = f"^{re.escape(f'lam must lie in (0, sqrt(2)-1), got {lam!r}')}$"
+            with pytest.raises(ValueError, match=message):
+                general_construction(Gaussian(), 5, 1.01, lam)
+            with pytest.raises(ValueError, match=message):
+                gaussian_construction(5, 1.01, lam)
+            with pytest.raises(ValueError, match=message):
+                radius_growth_report(Gaussian(), [5], lam)
+        with pytest.raises(ValueError, match=r"^R must lie in \(0, 1\]$"):
+            unitball_construction(5, 1.01, 1.5, 0.2)
+        for lam in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="^lam must be positive$"):
+                unitball_construction(5, 1.01, 1.0, lam)
+
+
 class TestRadiusEquation:
     def test_unitball_closed_form(self):
         # for the unit ball the equation solves to R = sin(b0)^(k-1)
         lam = 0.2
-        beta0 = contact_angle(lam)
+        beta0, _ = _contact_angle(lam)
         k = 1.0 / 21.0
         got = solve_radius_equation(UnitBallIndicator(), 30, beta0, k)
         expected = math.sin(beta0) ** (k - 1.0)
@@ -68,7 +123,7 @@ class TestRadiusEquation:
 
     def test_gaussian_against_dense_scan_oracle(self):
         n, lam, k = 100, 0.2, 1.0 / 21.0
-        beta0 = contact_angle(lam)
+        beta0, _ = _contact_angle(lam)
         s = math.sin(beta0)
         got = solve_radius_equation(Gaussian(), n, beta0, k)
 
@@ -152,7 +207,7 @@ class TestRadiusCrossingSearch:
                                          (Gaussian(), 5000, 0.2), (_STEP_DENSITY, 40, 0.2),
                                          (_STEP_DENSITY, 300, 0.1)])
     def test_same_radius_as_the_loop(self, f, n, lam):
-        beta0, _, _, _, k = _general_parameters(lam)
+        beta0, _, _, _, _, k = _general_parameters(lam)
         got = solve_radius_equation(f, n, beta0, k)
         assert got.hex() == _loop_solve_radius_equation(f, n, beta0, k).hex()
 
@@ -161,7 +216,7 @@ class TestRadiusCrossingSearch:
         """Make the scan's g the given array; the doubling and bisection stay real."""
         # not lam = 0.2, where sin b0 = 0.96 puts some radii * s on the scan grid
         f, n = Gaussian(), 5
-        beta0, s, _, _, k = _general_parameters(0.1)
+        beta0, _, s, _, _, k = _general_parameters(0.1)
         target = n * k * math.log(s)
         scanned = []  # the top of each scan, R_max
 
@@ -230,7 +285,7 @@ class TestGeneralConstruction:
     def test_annulus_power_margin_on_lambda_grid(self):
         # sin(b0)^(-l) >= 2 + lam must hold for every admissible lam
         for lam in np.linspace(0.01, LAMBDA_MAX - 0.01, 40):
-            beta0 = contact_angle(float(lam))
+            beta0, _ = _contact_angle(float(lam))
             log_s = math.log(math.sin(beta0))
             l = math.ceil(-math.log(2.0 + lam) / log_s)
             assert -l * log_s >= math.log(2.0 + lam) - 1e-12
@@ -259,7 +314,7 @@ class TestGeneralConstruction:
 
 
 def _solve_and_construct(f, n):
-    beta0, _, _, _, k = _general_parameters(0.2)
+    beta0, _, _, _, _, k = _general_parameters(0.2)
     R = solve_radius_equation(f, n, beta0, k)
     terms = general_construction(f, n, 1.003, 0.2).terms
     return [R.hex()] + [(key, value.hex()) for key, value in sorted(terms.items())]
@@ -479,15 +534,14 @@ class TestUnitBall:
         Rs = np.linspace(lo + 1e-3, 1.0, 30)
         bases = []
         for R in Rs:
-            from radialmax.geometry import contact_angle_unit_ball
-            bases.append(R / math.sin(contact_angle_unit_ball(float(R), lam)))
+            bases.append(R / math.sin(_contact_angle(lam, float(R))[0]))
         assert all(b > a for a, b in zip(bases, bases[1:]))
 
     def test_case_classification(self):
         # R = 1, small lam: case 1 with alpha < 1 for p above the critical value
         case, bound = unitball_case_analysis(20, 1.1, 1.0, 0.2)
         assert case == 1
-        alpha = 0.2 ** (0.1 / 1.1) / math.sin(contact_angle(0.2))
+        alpha = 0.2 ** (0.1 / 1.1) / math.sin(_contact_angle(0.2)[0])
         assert alpha < 1.0
         assert bound == pytest.approx(math.log(math.sqrt(math.pi) * 20) + 20 * math.log(alpha),
                                       rel=1e-12)
@@ -671,7 +725,7 @@ class TestGrowthTable:
     def test_gaussian_upper_bound_is_n_upper_growth_bases(self):
         n, p, lam = 50, 1.06, 0.2
         R = 0.8 * gaussian_mode_radius(n)
-        a = -math.log(math.sin(contact_angle(lam)))
+        a = -math.log(math.sin(_contact_angle(lam)[0]))
         rest = (gaussian_upper_bound(n, p, R, lam * R) - 0.5 * math.log(math.pi)
                 - math.log(n) + a - 0.5 * (lam * lam - 1.0) * (p - 1.0) / p)
         assert rest == pytest.approx(n * growth_base_log("gaussian-upper", p, lam),

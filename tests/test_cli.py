@@ -157,6 +157,16 @@ class TestDensityFileOption:
         assert ("radialmax bound: error: argument --density-file: "
                 + message.format(path=path)) in err
 
+    def test_the_general_construction_by_default(self, capsys, tmp_path):
+        path = tmp_path / "density.txt"
+        path.write_text(FOUR_KNOTS, encoding="utf-8")
+        argv = ["bound", "--measure", "tabulated", "--density-file", str(path),
+                "--n", "7", "--p", "1.01", "--lambda", "0.2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["construction"] == "general"
+        assert run(capsys, *argv, "--construction", "general") == (0, out, "")
+
     def test_two_zero_steps_in_a_row_load(self, capsys, tmp_path):
         path = tmp_path / "zeros.txt"
         path.write_text("0.5 0\n1.0 -inf\n2.0 -inf\n", encoding="utf-8")
@@ -358,6 +368,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("option,spec,message", [
         ("--n-range", "5:3", "bad range '5:3'"),
+        ("--n-range", "1:9:2:1", "bad range '1:9:2:1'; expected start:stop[:step]"),
         ("--n-range", "5,q", "'q'"),
         ("--lambda", "x", "'x'"),
         ("--p", "abc", "'abc'"),

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
-from radialmax.bounds import gaussian_construction
+from radialmax.bounds import _contact_angle, gaussian_construction
 from radialmax.geometry import (_band_log_weight, _cap_j_log, _cap_j_log_half,
-                                _cap_j_log_half_pi, _log_measures, arccos_clamped, cap_angle,
-                                contact_angle, contact_angle_unit_ball,
+                                _cap_j_log_half_pi, _log_measures, cap_angle,
                                 intersect_with_centered_ball, off_center_ball_measure)
 from radialmax.logspace import LOG_ZERO
 from radialmax.measures import (_probe_hints, log_ball_measure, log_sphere_area,
                                 radial_log_integrand, upper_cutoff)
 from radialmax.quadrature import log_integral
-
-SQRT2_M1 = math.sqrt(2.0) - 1.0
 
 # log of the classical two-unit-disk lens area at center distance 1
 LOG_UNIT_LENS = math.log(2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0)
@@ -163,16 +160,6 @@ class TestIntersectionAngle:
                 want = 2 * mpmath.atan(mpmath.sqrt((T * T - (D - S) ** 2)
                                                    / ((D + S) ** 2 - T * T)))
                 assert abs(gi - float(want)) <= 1e-15 * float(want)
-
-
-class TestArccosClamped:
-    def test_clamps_rounding(self):
-        assert arccos_clamped(1.0 + 5e-13) == 0.0
-        assert arccos_clamped(-1.0 - 5e-13) == pytest.approx(math.pi)
-
-    def test_rejects_genuine_misuse(self):
-        with pytest.raises(ValueError):
-            arccos_clamped(1.1)
 
 
 class TestCapArea:
@@ -375,39 +362,6 @@ class TestTailRule:
         assert [x.hex() for x in got.ravel().tolist()] == alone
 
 
-class TestContactAngles:
-    def test_positivity_boundary(self):
-        assert contact_angle(SQRT2_M1) == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-    def test_reference_value(self):
-        # lam = 0.2 -> cos = 1 - 1.44/2 = 0.28
-        assert math.cos(contact_angle(0.2)) == pytest.approx(0.28, rel=1e-14)
-
-    def test_small_lambda_limit(self):
-        assert contact_angle(1e-9) == pytest.approx(math.pi / 3.0, rel=1e-6)
-
-    def test_unit_ball_variant(self):
-        # R=1 coincides with the concentric formula
-        assert contact_angle_unit_ball(1.0, 0.3) == pytest.approx(contact_angle(0.3), rel=1e-14)
-        # R = sqrt(2)/(1+lam) is the positivity threshold
-        lam = 0.2
-        R = math.sqrt(2.0) / (1.0 + lam)
-        assert R > 1.0  # for this lam the threshold is beyond the admissible range
-        assert math.cos(contact_angle_unit_ball(0.9, 0.15)) == pytest.approx(
-            1.0 - 0.81 * 1.3225 / 2.0, rel=1e-12)
-
-    def test_domains(self):
-        with pytest.raises(ValueError):
-            contact_angle(0.0)
-        with pytest.raises(ValueError):
-            contact_angle(1.0)
-        with pytest.raises(ValueError):
-            contact_angle_unit_ball(1.5, 0.2)
-        for lam in (0.0, -0.5, math.nan):
-            with pytest.raises(ValueError, match="lam must be positive"):
-                contact_angle_unit_ball(1.0, lam)
-
-
 class TestOffCenterBall:
     def test_centered_reduction(self):
         # at d = 0 the band is empty and the core is c = min(t, rho, support).
@@ -501,7 +455,7 @@ class TestOffCenterBall:
         f = Gaussian()
         for R in (0.6, 1.0, 1.6):
             for lam in (0.1, 0.25, 0.38):
-                b0 = contact_angle(lam)
+                b0, _ = _contact_angle(lam)
                 lhs = intersect_with_centered_ball(f, n, R, R * (1.0 + lam), R)
                 rhs = log_ball_measure(f, n, R * math.sin(b0))
                 assert lhs <= rhs + 1e-9

@@ -102,6 +102,14 @@ class TestSphereRatio:
         with pytest.raises(ValueError):
             sphere_ratio_bounds(1)
 
+    def test_each_element_of_an_array_is_a_dimension(self):
+        # 2.5 gave a bracket, NaN gave (nan, nan), and inf warned
+        for bad in (2.5, math.nan, math.inf):
+            message = ("the dimension must be an integer in [2, inf], "
+                       f"got n = {np.float64(bad)!r}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sphere_ratio_bounds(np.array([2.0, bad, 3.0]))
+
 
 class TestBallMeasure:
     def test_lebesgue_ball_closed_form(self):
@@ -326,10 +334,11 @@ class TestRadiusRefusals:
 
 
 _G = Gaussian()
-_BETA0 = geometry.contact_angle(0.2)
+_BETA0, _ = bounds._contact_angle(0.2)
 # every public entry that takes the dimension n: (entry, call, the least n, the most n)
 _DIMENSION_ENTRIES = [
     ("log_sphere_area", log_sphere_area, 1, math.inf),
+    ("sphere_ratio_bounds", sphere_ratio_bounds, 2, math.inf),
     ("log_ball_measure", lambda n: log_ball_measure(_G, n, 1.0), 1, math.inf),
     ("log_ball_measure_grid", lambda n: log_ball_measure_grid(_G, n, [0.5, 1.0]), 1, math.inf),
     ("off_center_ball_measure", lambda n: off_center_ball_measure(_G, n, 0.3, 0.5), 1, math.inf),
@@ -346,10 +355,10 @@ _DIMENSION_ENTRIES = [
     ("unitball_case_analysis",
      lambda n: bounds.unitball_case_analysis(n, 1.01, 1.0, 0.2), 1, math.inf),
     ("gaussian_mode_radius", bounds.gaussian_mode_radius, 1, math.inf),
-    ("gaussian_ball_sandwich", lambda n: bounds.gaussian_ball_sandwich(n, 0.1), 1, math.inf),
+    ("gaussian_ball_sandwich", lambda n: bounds.gaussian_ball_sandwich(n, 0.1), 2, math.inf),
     ("gaussian_mass_concentration", bounds.gaussian_mass_concentration, 2, math.inf),
     ("gaussian_upper_bound",
-     lambda n: bounds.gaussian_upper_bound(n, 1.01, 0.5, 0.1), 1, math.inf),
+     lambda n: bounds.gaussian_upper_bound(n, 1.01, 0.5, 0.1), 2, math.inf),
     ("log_maximal_function_at", lambda n: log_maximal_function_at(_G, n, 0.2, 0.5), 1, 6),
     ("maximal_profile", lambda n: maximal_profile(_G, n, 0.2, points=4, t_points=16), 1, 6),
     ("verify_level_set_inclusion",

@@ -32,9 +32,9 @@ class TestFindRoot:
 
     def test_radius_equation_form(self):
         # same residual shape the radius solver bisects, unit-ball closed form
-        from radialmax.geometry import contact_angle
+        from radialmax.bounds import _contact_angle
         lam, k, n = 0.2, 1.0 / 21.0, 7
-        s = math.sin(contact_angle(lam))
+        s = math.sin(_contact_angle(lam)[0])
 
         def g(R):
             return n * math.log(min(R * s, 1.0)) - n * math.log(min(R, 1.0)) \
@@ -459,6 +459,13 @@ class TestBatchedJumpSearch:
         want = _scalar_jump_locator(a, b)
         assert _hex(got) == _hex(want)
         assert all(type(x) is float for x in got)
+
+    def test_locator_finds_nothing_where_sin_b0_rounds_to_one(self):
+        # the annulus exponent is +inf from the cell's start on, so no
+        # integer crossing lies in it
+        a = LAMBDA_MAX - 1e-9
+        assert _annulus_exponent(a) == math.inf
+        assert _jump_locator_general(a, LAMBDA_MAX) == []
 
     def test_locator_caps_the_crowded_cell(self):
         # next to sqrt(2)-1 the annulus exponent diverges: 128 crossings

@@ -120,6 +120,16 @@ class TestMaximalFunction:
         with pytest.raises(ValueError, match=message):
             log_maximal_function_at(Gaussian(), 3, r, rho)
 
+    @pytest.mark.parametrize("t_points", [0, -1])
+    def test_empty_scan_refused_before_the_table(self, monkeypatch, t_points):
+        # t_points = 0 skipped the scan and returned the witness-only value
+        def no_table(*args):
+            raise AssertionError("the ball-measure table was built")
+
+        monkeypatch.setattr(oracle, "log_ball_measure_grid", no_table)
+        with pytest.raises(ValueError, match=rf"^t_points must be >= 1, got {t_points}$"):
+            log_maximal_function_at(Gaussian(), 2, 0.2, 0.5, t_points=t_points)
+
     def test_nan_rho_refused_before_the_evaluator(self, monkeypatch):
         def no_evaluator(*args, **kwargs):
             raise AssertionError("the evaluator was built")
@@ -672,6 +682,11 @@ class TestLevelSetInclusion:
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_level_set_inclusion(Gaussian(), 2, 0.5, 0.7)
+
+    def test_infinite_R_refused_by_name(self):
+        # it was refused as "d must be finite", by the off-center measure
+        with pytest.raises(ValueError, match="^R must be finite$"):
+            verify_level_set_inclusion(Gaussian(), 2, math.inf, 0.2, n_points=4)
 
     @pytest.mark.parametrize("n_points", [0, -1])
     def test_refuses_empty_grid(self, n_points):

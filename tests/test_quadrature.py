@@ -34,6 +34,16 @@ def test_empty_interval():
     assert log_integral(lambda x: np.zeros_like(x), 2.0, 2.0).log_value == LOG_ZERO
 
 
+def test_a_panel_exhausted_at_machine_precision_drops_its_error():
+    # odd about the centre of an 8-ulp interval: the total is 0 up to
+    # rounding, so the stop test waits for rounding-level errors, and the
+    # loop bisects down to a one-ulp panel, whose mid rounds to an end
+    ulp = math.ulp(1.0)
+    res = integrate(lambda x: x - (1.0 + 4 * ulp), 1.0, 1.0 + 8 * ulp)
+    assert res.converged
+    assert abs(res.value) <= 1e-2 * (8 * ulp) * (4 * ulp)
+
+
 def test_eval_cap_flags_not_converged():
     res = integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, max_evals=200)
     assert not res.converged
@@ -118,6 +128,12 @@ def test_log_integral_all_zero_integrand():
                        0.0, 1.0)
     assert res.log_value == LOG_ZERO
     assert res.converged
+
+
+def test_log_integral_window_whose_integral_rounds_to_zero():
+    # half of the one-subnormal width rounds to 0, so every panel sums to 0
+    res = log_integral(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0, 5e-324)
+    assert (res.log_value, res.rel_error, res.converged, res.shift) == (LOG_ZERO, 0.0, True, 0.0)
 
 
 def test_log_integral_skips_zero_plateau():
@@ -878,7 +894,7 @@ def test_panels_same_floats_as_a_dot_per_panel(rows):
 def _solver_floats(density, n):
     """The balanced radius, and the general construction's radii, exact log T and terms."""
     bounds.clear_stage_caches()
-    beta0, _, _, _, k = bounds._general_parameters(0.2)
+    beta0, _, _, _, _, k = bounds._general_parameters(0.2)
     rep = bounds.general_construction(density, n, 1.01, 0.2)
     bounds.clear_stage_caches()
     floats = [bounds.solve_radius_equation(density, n, beta0, k), rep.R, rep.r,
