@@ -161,7 +161,8 @@ def _log_mass(f: RadialDensity, n: int, cutoff: float) -> float:
 def _log_ball_integral(f: RadialDensity, n: int, b: float) -> float:
     """log mu(B_b) by the adaptive quadrature over [0, b]."""
     res = log_integral(radial_log_integrand(f, n), 0.0, b,
-                       probe_points=[h for h in _probe_hints(f, n) if h <= b])
+                       probe_points=[h for h in _probe_hints(f, n) if h <= b],
+                       knots=f.probe_points())
     return float(log_sphere_area(n) + res.log_value)
 
 

@@ -172,6 +172,16 @@ def _j_lookup(n: int) -> _UniformLookup:
     return _UniformLookup(_J_THETAS, _band_log_weight(n)[1](_J_THETAS))
 
 
+def _check_count(name: str, value, least: int) -> int:
+    """A grid size as an int; a bool, a non-integral value or one below ``least``
+    is refused by a ValueError that names it (3.0 and ``np.int64(3)`` run as 3)."""
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 class _MaximalEvaluator:
     """Shared tables for repeated Mg evaluations at fixed (f, n, r).
 
@@ -189,10 +199,8 @@ class _MaximalEvaluator:
         check_radius("test-function radius r", r, positive=True)
         # before the tables: a NaN or infinite horizon fills them with -inf or NaN
         check_radius("max_rho", max_rho)
-        if t_points < 1:
-            raise ValueError(f"t_points must be >= 1, got {t_points}")
+        self.t_points = _check_count("t_points", t_points, 1)
         self.f, self.n, self.r = f, n, r
-        self.t_points = t_points
         self.support = upper_cutoff(f, n)
         self.horizon = 2.0 * (max_rho + r) + self.support + 1.0
         if self.horizon == math.inf:
@@ -318,8 +326,6 @@ def log_maximal_function_at(f: RadialDensity, n: int, r: float, rho: float, *,
 def _log_profile(f: RadialDensity, n: int, r: float, points: int, t_points: int):
     """(rho_max, radii, log Mg, the evaluator) on ``maximal_profile``'s grid."""
     n = check_dimension(n, most=MAX_ORACLE_DIMENSION)
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
     rho_max = upper_cutoff(f, n)
     u = np.linspace(0.0, 1.0, points)
     radii = np.unique(rho_max * (3.0 * u ** 2 - 2.0 * u ** 3))
@@ -334,6 +340,7 @@ def maximal_profile(f: RadialDensity, n: int, r: float, *, points: int = 256,
     The grading follows the smoothstep map (dense at both ends, where Mg
     is flat at 1/mu(B_r) and where the level-set boundary sits).
     """
+    points = _check_count("points", points, 1)
     rho_max, radii, log_mg, ev = _log_profile(f, n, r, points, t_points)
     meta = {"kind": f.kind, "n": ev.n, "r": repr(r),
             "grid": f"smoothstep:{points}:0:{rho_max!r}", "seed": "none"}
@@ -351,8 +358,7 @@ def verify_level_set_inclusion(f: RadialDensity, n: int, R: float, r: float, *,
     check_radius("R", R, positive=True)
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    n_points = _check_count("n_points", n_points, 1)
     n = check_dimension(n, most=MAX_ORACLE_DIMENSION)
     log_mu_btilde = off_center_ball_measure(f, n, R, R + r)
     log_threshold = -log_mu_btilde
@@ -384,8 +390,7 @@ def log_constant_estimate(f: RadialDensity, n: int, r: float, p: float, *,
     the p = 1 masses relative to the largest cell's, so no scale of f moves it.
     """
     _check_p(p)
-    if points < 2:  # one radius bounds no cell to integrate over
-        raise ValueError(f"points must be >= 2, got {points}")
+    points = _check_count("points", points, 2)  # one radius bounds no cell to integrate over
     _, radii, log_mg, ev = _log_profile(f, n, r, points, t_points)
     with np.errstate(over="ignore"):
         if not np.isfinite(p * log_mg).all():

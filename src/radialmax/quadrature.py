@@ -16,7 +16,10 @@ thousands of log-units across its interval.  The recipe is
   4. run global adaptive Gauss-Legendre on ``exp(phi - m)`` inside the
      window.  The loop bisects one panel per step; one integrand call
      evaluates the halves of every panel it must bisect before it can stop,
-     and the steps take them from there.
+     and the steps take them from there.  Given the jumps of a step
+     density (``knots``), the same call also evaluates the halves of the
+     panels a bisection toward each knot meets, KNOT_CHAIN levels down, so
+     the loop reaches a jump in a few calls, not one call per level.
 
 Truncation error is then below the quadrature tolerance, DEFAULT_REL_TOL,
 which is the one tolerance of every measure in the library, and the shifted
@@ -26,8 +29,10 @@ result: each rule is one dot product per panel (``np.vecdot`` runs the
 ``ddot`` of a per-panel ``np.dot`` on every row), the steps and the panel
 table are those of a loop that calls the integrand once per bisected
 panel, and the panel sums run left to right in a fixed order, the same on
-every Python version.  The evaluation counts, and so the cap, count only
-the panels the loop uses.
+every Python version.  A panel's values depend only on its ends, so the
+halves evaluated toward a knot, stored by their ends until the loop makes
+the panel, are the floats a later call would give.  The evaluation
+counts, and so the cap, count only the panels the loop uses.
 
 A step that takes stored halves costs O(1) Python work and no numpy
 call: O(log k) heap operations and a dozen float operations, for k panels.
@@ -65,6 +70,7 @@ with each block (``args``).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -82,6 +88,7 @@ PANEL_EVALS = 37       # a 25- and a 12-point Gauss-Legendre rule per panel
 BISECT_STEPS = 90      # evaluations charged per bisected window edge
 BISECT_LEVELS = 3      # bisection steps per call of the integrand, at least
 BISECT_PATH = 24       # predicted midpoints per window edge and call of the integrand
+KNOT_CHAIN = 12        # bisection levels toward a knot per call of the integrand
 BLOCK_NODES = 8192     # fixed-rule nodes per block: 64 KiB per float64 temporary
 
 
@@ -182,8 +189,51 @@ def _ahead(lo, hi, err, k, worst, error, budget, splits_left, known):
     return ahead
 
 
-def integrate(f, a: float, b: float, *,
-              max_evals: int = DEFAULT_MAX_EVALS) -> QuadratureResult:
+def _toward_knots(left, right, knots, out):
+    """The panels a bisection of [left, right] toward each knot strictly inside meets.
+
+    Adds to the dict ``out`` the ends of the half of [left, right] that holds
+    the knot, of its half that holds it, and so on for KNOT_CHAIN levels:
+    the panels whose halves the refinement loop takes next if it keeps
+    bisecting toward a jump of the integrand at that knot.  The chain ends
+    early where the knot is a midpoint, so that neither half holds it
+    strictly inside.  A half that does hold it splits: a float lies
+    strictly between its ends, and then so does their rounded midpoint.
+    ``knots`` is sorted.
+    """
+    start = bisect.bisect_right(knots, left)
+    for knot in knots[start:bisect.bisect_left(knots, right, start)]:
+        x, y = left, right
+        for _ in range(KNOT_CHAIN):
+            mid = 0.5 * (x + y)
+            if knot < mid:
+                y = mid
+            elif knot > mid:
+                x = mid
+            else:
+                break
+            out[x, y] = None
+
+
+def _halves(f, pairs, whole=()):
+    """The halves of every panel (left, right) in ``pairs``, from one call of f.
+
+    Returns the values and errors of the panels ``whole`` (the whole window,
+    on the first call), and for each of ``pairs`` its mid, its right end and
+    its halves' values and errors, as the refinement loop stores them.
+    """
+    lefts, rights = [p[0] for p in pairs], [p[1] for p in pairs]
+    mids = [0.5 * (x + y) for x, y in zip(lefts, rights)]
+    n, m = len(pairs), len(whole)
+    # the whole panels, the left halves, then the right ones
+    values, errors = _panels(f, np.array([w[0] for w in whole] + lefts + mids),
+                             np.array([w[1] for w in whole] + mids + rights))
+    return list(zip(values[:m], errors[:m])), list(zip(
+        mids, rights, values[m:m + n], errors[m:m + n], values[m + n:], errors[m + n:]))
+
+
+def integrate(f, a: float, b: float, *, max_evals: int = DEFAULT_MAX_EVALS,
+              knots=()) -> QuadratureResult:
     """Globally adaptive integral of a vectorized, finite integrand.
 
     Starting from the one panel [a, b], the panel with the worst error
@@ -198,6 +248,14 @@ def integrate(f, a: float, b: float, *,
     every float, are those of a loop that calls ``f`` once per bisected
     panel.
 
+    ``knots`` are points where ``f`` may jump (a step density's radii).
+    The first call, and every call for the panels ``_ahead`` selects, also
+    evaluates the halves of each panel a bisection toward a knot strictly
+    inside meets (see ``_toward_knots``), keyed by the panel's ends, since
+    the loop has not made it yet; the step that makes such a panel files
+    its halves under its column.  With no knot inside [a, b] the loop runs
+    as it does without knots.
+
     The worst panel comes from a heap, and the stop test from running sums
     (see the module docstring).  A NaN error's key has a third entry,
     which puts it first.  The running sums are at most the rounding of
@@ -209,7 +267,16 @@ def integrate(f, a: float, b: float, *,
     if not b > a:
         return QuadratureResult(0.0, 0.0, 0, True)
     a, b = float(a), float(b)
-    (v,), (e,) = _panels(f, np.array([a]), np.array([b]))
+    knots = sorted(c for c in map(float, knots) if a < c < b)
+    # the panels the bisections toward the knots meet: their ends -> their
+    # halves, moved to ``halves`` when the loop makes the panel
+    split = {}
+    if knots:
+        split[a, b] = None
+        _toward_knots(a, b, knots, split)
+    ((v, e),), found = _halves(f, list(split), whole=[(a, b)])
+    chain = dict(zip(split, found))
+    halves = {0: chain.pop((a, b))} if chain else {}  # panel -> its halves, see _halves
     k = 1
     # the panel table, one column per panel with its ends, value and error;
     # a bisected panel keeps its column for its left half and appends its
@@ -218,7 +285,6 @@ def integrate(f, a: float, b: float, *,
     lo, hi, val, err = table
     heap = [(-e, 0) if e == e else (-math.inf, -1, 0)]
     evals = PANEL_EVALS * k
-    halves = {}  # panel -> its mid, its right end and its halves' values and errors
     # not finite: the first stop test sums exactly
     total = error = scale = math.nan
     ops = 0
@@ -246,14 +312,15 @@ def integrate(f, a: float, b: float, *,
             splits_left = -(-(max_evals - evals) // (2 * PANEL_EVALS))  # before the cap
             ahead = _ahead(lo, hi, err, k, worst, error,
                            DEFAULT_REL_TOL * (abs(total) + error), splits_left, halves)
-            lefts, rights = [lo.item(i) for i in ahead], [hi.item(i) for i in ahead]
-            mids = [0.5 * (x + y) for x, y in zip(lefts, rights)]
-            # the left halves, then the right ones
-            n = len(ahead)
-            ends = np.array(lefts + mids + rights)
-            values, errors = _panels(f, ends[:2 * n], ends[n:])
-            halves.update(zip(ahead, zip(mids, rights, values, errors,
-                                         values[n:], errors[n:])))
+            pairs = [(lo.item(i), hi.item(i)) for i in ahead]
+            if knots:
+                toward = {}
+                for left, right in pairs:
+                    _toward_knots(left, right, knots, toward)
+                pairs += [p for p in toward if p not in chain]
+            _, found = _halves(f, pairs)
+            halves.update(zip(ahead, found))
+            chain.update(zip(pairs[len(ahead):], found[len(ahead):]))
         mid, right, v1, e1, v2, e2 = halves.pop(worst)
         v, e = val.item(worst), err.item(worst)
         evals += 2 * PANEL_EVALS
@@ -262,6 +329,10 @@ def integrate(f, a: float, b: float, *,
             lo, hi, val, err = table
         hi[worst], val[worst], err[worst] = mid, v1, e1
         lo[k], hi[k], val[k], err[k] = mid, right, v2, e2
+        if chain:
+            for column, ends in ((worst, (lo.item(worst), mid)), (k, (mid, right))):
+                if ends in chain:
+                    halves[column] = chain.pop(ends)
         total += v1 + v2 - v
         error += e1 + e2 - e
         ops += 3
@@ -431,7 +502,8 @@ def fixed_log_integral(log_f, lo, hi, panels: int, order: int, args=()):
         return np.where(total > 0.0, shift + np.log(total), LOG_ZERO).reshape(shape)
 
 
-def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralResult:
+def log_integral(log_f, a: float, b: float, *, probe_points=(),
+                 knots=()) -> LogIntegralResult:
     """log of the integral of exp(log_f) over [a, b], to DEFAULT_REL_TOL.
 
     ``probe_points`` should include any interior maxima the caller knows
@@ -440,7 +512,10 @@ def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralRe
     that is not finite, or positive and so large that m - WINDOW_DROP == m,
     is refused with a ValueError: no window below it can be formed.  A
     negative m that large keeps the whole interval as its window, where
-    every value rounds to m.
+    every value rounds to m.  A window that sums to 0 gives LOG_ZERO
+    flagged unconverged: it holds the probed maximum, so its integral is
+    positive.  ``knots``, the jumps of a step density, go to ``integrate``:
+    they save calls of ``log_f`` and change no float.
     """
     if not b > a:
         return LogIntegralResult(LOG_ZERO, 0.0, 0, True, LOG_ZERO, (a, b))
@@ -474,9 +549,12 @@ def log_integral(log_f, a: float, b: float, *, probe_points=()) -> LogIntegralRe
         with np.errstate(over="ignore"):
             return np.exp(np.asarray(log_f(x), dtype=float) - m)
 
-    res = integrate(shifted, lo, hi, max_evals=max(DEFAULT_MAX_EVALS - evals, 10 ** 4))
+    res = integrate(shifted, lo, hi, max_evals=max(DEFAULT_MAX_EVALS - evals, 10 ** 4),
+                    knots=knots)
     evals += res.evaluations
     if res.value <= 0.0:
-        return LogIntegralResult(LOG_ZERO, 0.0, evals, res.converged, m, (lo, hi))
+        # the window holds the probed maximum, where the shifted integrand
+        # is 1: a zero sum over it underflowed (a subnormal width)
+        return LogIntegralResult(LOG_ZERO, 0.0, evals, False, m, (lo, hi))
     return LogIntegralResult(m + math.log(res.value), res.error / res.value,
                              evals, res.converged, m, (lo, hi))

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from functools import lru_cache
 
@@ -709,6 +710,52 @@ class TestLevelSetInclusion:
         assert time.perf_counter() - start < 5.0
         assert len(rep.rows) == 4
         assert all(math.isfinite(row.log_mg) for row in rep.rows)
+
+
+class TestGridSizes:
+    """Each public entry refuses a bool or non-integral grid size by its name.
+
+    A float 2.5 raised numpy's TypeError, and True ran as 1.
+    """
+
+    BAD = [True, np.True_, 2.5, np.float64(16.5), math.nan, math.inf]
+
+    @staticmethod
+    def _refused(name, value, call):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call()
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_log_maximal_function_at(self, value):
+        self._refused("t_points", value, lambda: log_maximal_function_at(
+            Gaussian(), 2, 0.2, 0.5, t_points=value))
+
+    @pytest.mark.parametrize("name", ["points", "t_points"])
+    @pytest.mark.parametrize("value", BAD)
+    def test_maximal_profile(self, name, value):
+        kwargs = {"points": 4, "t_points": 16, name: value}
+        self._refused(name, value, lambda: maximal_profile(Gaussian(), 2, 0.3, **kwargs))
+
+    @pytest.mark.parametrize("name", ["n_points", "t_points"])
+    @pytest.mark.parametrize("value", BAD)
+    def test_verify_level_set_inclusion(self, name, value):
+        kwargs = {"n_points": 2, "t_points": 16, name: value}
+        self._refused(name, value, lambda: verify_level_set_inclusion(
+            Gaussian(), 2, 0.8, 0.2, **kwargs))
+
+    @pytest.mark.parametrize("name", ["points", "t_points"])
+    @pytest.mark.parametrize("value", BAD)
+    def test_log_constant_estimate(self, name, value):
+        kwargs = {"points": 4, "t_points": 16, name: value}
+        self._refused(name, value, lambda: log_constant_estimate(
+            Gaussian(), 2, 0.3, 2.0, **kwargs))
+
+    def test_integral_sizes_run_as_ints(self):
+        want = maximal_profile(Gaussian(), 2, 0.3, points=4, t_points=16)
+        got = maximal_profile(Gaussian(), 2, 0.3, points=4.0, t_points=np.int64(16))
+        assert got.meta == want.meta
+        assert got.log_values.tobytes() == want.log_values.tobytes()
 
 
 _STEP = TabulatedDecreasing([0.25, 0.67, 1.19, 1.45], [0.0, -0.5, -0.8, -1.7])

@@ -131,9 +131,12 @@ def test_log_integral_all_zero_integrand():
 
 
 def test_log_integral_window_whose_integral_rounds_to_zero():
-    # half of the one-subnormal width rounds to 0, so every panel sums to 0
+    # half of the one-subnormal width rounds to 0, so every panel sums to 0;
+    # the integral is 5e-324 (log -744.4), so the zero is flagged, where it
+    # was returned as converged
     res = log_integral(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0, 5e-324)
-    assert (res.log_value, res.rel_error, res.converged, res.shift) == (LOG_ZERO, 0.0, True, 0.0)
+    assert (res.log_value, res.rel_error, res.converged, res.shift) == (LOG_ZERO, 0.0, False, 0.0)
+    assert res.window == (0.0, 5e-324)
 
 
 def test_log_integral_skips_zero_plateau():
@@ -481,8 +484,12 @@ def _panel_integrate(f, a, b, *, max_evals=quadrature.DEFAULT_MAX_EVALS):
         segs.append([e2, v2, mid, hi])
 
 
-def _panel_log_integral(log_f, a, b, *, probe_points=()):
-    """log_integral with the one-point bisection and the one-panel rule."""
+def _panel_log_integral(log_f, a, b, *, probe_points=(), knots=()):
+    """log_integral with the one-point bisection and the one-panel rule.
+
+    ``knots`` is taken and ignored: the one-panel loop bisects the panels
+    toward them one call at a time.
+    """
     pts = {float(a), float(b)}
     pts.update(float(p) for p in probe_points if a <= p <= b)
     grid = np.unique(np.concatenate([np.linspace(a, b, quadrature.N_PROBES),
@@ -920,3 +927,121 @@ def test_solver_same_floats_as_with_the_one_panel_loop(case, monkeypatch):
     monkeypatch.setattr(geometry, "log_integral", reference)
     assert _solver_floats(density, int(n))[0] == got
     assert len(calls) >= 50
+
+
+# --- the bisection chain toward each knot -------------------------------
+# log_integral and integrate take a step density's knots (``knots``); each
+# call of the integrand then also evaluates the halves of the panels a
+# bisection toward each knot meets, KNOT_CHAIN levels deep, and the loop
+# takes them by their ends once it makes those panels.  The floats, the
+# counts and the flags stay those of the same integral without knots.
+
+def _random_knotted(seed):
+    """A random step density with 1-32 knots, a dimension in 1..40, and a
+    radius inside its support (odd seeds) or past it (even seeds)."""
+    rng = np.random.default_rng(5000 + seed)
+    knots = int(rng.integers(1, 33))
+    radii = np.sort(rng.uniform(0.05, 3.0, knots))
+    log_f = np.concatenate([[0.0], -np.cumsum(rng.exponential(0.5, knots - 1))])
+    support = float(radii[-1])
+    rho = support * (rng.uniform(0.05, 1.0) if seed % 2 else rng.uniform(1.0, 2.0))
+    return TabulatedDecreasing(radii, log_f), int(rng.integers(1, 41)), rho
+
+
+def _with_and_without_knots(density, n, rho):
+    """log_integral of the radial integrand over [0, rho], as measures calls
+    it, with the knots and without; and the integrand calls of each."""
+    phi = radial_log_integrand(density, n)
+    knots = density.probe_points()
+    kwargs = {"probe_points": [k for k in knots if k <= rho]}
+    chained, plain = _Counted(phi), _Counted(phi)
+    return (log_integral(chained, 0.0, rho, knots=knots, **kwargs),
+            log_integral(plain, 0.0, rho, **kwargs), chained.sizes, plain.sizes)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_knot_chain_same_floats_as_without_knots(seed):
+    got, want, chained, plain = _with_and_without_knots(*_random_knotted(seed))
+    # log_value, rel_error, evaluations, converged, shift and window
+    assert _hex_result(got) == _hex_result(want)
+    # every call takes at least the halves the call without knots takes
+    assert len(chained) <= len(plain)
+
+
+def test_knot_chain_saves_most_calls():
+    chained = plain = 0
+    for seed in range(40):
+        _, _, got, want = _with_and_without_knots(*_random_knotted(seed))
+        chained, plain = chained + len(got), plain + len(want)
+    assert chained <= plain / 2
+
+
+def _jumps(points):
+    """A smooth integrand with a jump at each of ``points``."""
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(-x) + sum((x > p).astype(float) for p in points)
+    return f
+
+
+def _integrate_both(f, a, b, knots, **kwargs):
+    chained, plain = _Counted(f), _Counted(f)
+    got = integrate(chained, a, b, knots=knots, **kwargs)
+    want = integrate(plain, a, b, **kwargs)
+    assert _hex_result(got) == _hex_result(want)
+    assert _hex_result(got) == _hex_result(_panel_integrate(f, a, b, **kwargs))
+    return got, chained.sizes, plain.sizes
+
+
+def test_knot_at_a_dyadic_midpoint():
+    # 0.5 is the window's midpoint and 0.75 that of its right half: the
+    # chain toward each ends where the knot becomes a panel end
+    got, chained, plain = _integrate_both(_jumps([0.5, 0.75]), 0.0, 1.0, [0.5, 0.75])
+    assert got.converged
+    # the window, its halves, and the halves of [0.5, 1]
+    assert chained[0] == 5 * quadrature.PANEL_EVALS
+    assert len(chained) < len(plain)
+
+
+@pytest.mark.parametrize("knots", [[0.0, 1.0], [-1.0, 2.0], [1.0, 0.0, -0.5, 3.0]])
+def test_knots_on_or_outside_the_window_add_nothing(knots):
+    _, chained, plain = _integrate_both(_jumps([0.3]), 0.0, 1.0, knots)
+    assert chained == plain
+
+
+def test_knot_chain_down_to_panels_too_narrow_to_split():
+    # odd about the centre of an 8-ulp window: the loop bisects down to
+    # one-ulp panels, whose mids round to an end, and drops their errors;
+    # the chain toward a knot 3 ulps in ends where the knot is a mid
+    ulp = math.ulp(1.0)
+    f = lambda x: np.asarray(x, dtype=float) - (1.0 + 4 * ulp)
+    got, chained, plain = _integrate_both(f, 1.0, 1.0 + 8 * ulp, [1.0 + 3 * ulp])
+    assert got.converged
+    # the window, its halves, and those of [1, 1 + 4 ulp] and [1 + 2 ulp, 1 + 4 ulp]
+    assert chained[0] == 7 * quadrature.PANEL_EVALS
+    assert len(chained) < len(plain)
+
+
+@pytest.mark.parametrize("max_evals", [1000, 3001, 6000, 9990, 15000])
+def test_knot_chain_stops_at_the_cap_where_the_panel_loop_stops(max_evals):
+    density, n = _random_step(3)
+    phi = radial_log_integrand(density, n)
+    b = float(density.probe_points()[-1])
+    f = lambda x: np.exp(phi(x))
+    got, _, _ = _integrate_both(f, 0.0, b, density.probe_points(), max_evals=max_evals)
+    assert not got.converged
+    assert max_evals <= got.evaluations < max_evals + 2 * quadrature.PANEL_EVALS
+
+
+def test_step_density_ball_in_at_most_three_calls(monkeypatch):
+    # the refinement loop called this integrand 31 times, one bisection
+    # level toward each jump per call
+    sizes, inner = [], quadrature.integrate
+
+    def counted(f, a, b, **kwargs):
+        return inner(lambda x: sizes.append(np.size(x)) or f(x), a, b, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    density = TabulatedDecreasing([0.25, 0.67, 1.19, 1.45], [0.0, -0.5, -0.8, -1.7])
+    assert measures.log_ball_measure(density, 7, 1.36).hex() == "0x1.3b2c7a84081eep+1"
+    assert 1 <= len(sizes) <= 3

@@ -1,6 +1,6 @@
 """Check every benchmark catalogue item against perfbench/reference.json.
 
-    python3 tools/check_catalogue.py [--workload NAME ...]
+    python3 tools/check_catalogue.py [--workload NAME ...] [--dump PATH]
 
 Runs each item of the named workloads (default: all) once, in this
 process, against ``src/`` of this checkout, through the benchmark's own
@@ -9,13 +9,17 @@ temporary directory, and nothing under ``perfbench/`` is written.  Prints,
 per workload, the item count, the failures, the largest relative gap to
 the reference and a SHA-256 over every item's id, exit code, output (the
 margins and growth values as ``float.hex``) and stderr, which is equal on
-two trees exactly when their outputs are byte-identical.  Exits 1 when an
-item fails.
+two trees exactly when their outputs are byte-identical.  ``--dump PATH``
+also writes those four fields of every item to PATH, one JSON object a
+line ({"id", "rc", "out", "err"}, in catalogue order), so that two trees
+whose hashes differ can be diffed item by item; PATH may not lie under
+``perfbench/``.  Exits 1 when an item fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -40,11 +44,16 @@ def _hashable(out):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
+    parser.add_argument("--dump", type=Path, metavar="PATH",
+                        help="write every item's id, exit code, output and stderr as JSON lines")
     args = parser.parse_args(argv)
+    if args.dump and (ROOT / "perfbench") in args.dump.resolve().parents:
+        parser.error("--dump may not write under perfbench/")
     program = worker._load_program(str(ROOT / "src"))
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())["items"]
     failed = 0
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            (open(args.dump, "w") if args.dump else contextlib.nullcontext()) as dump:
         for name in args.workload or list(WORKLOADS):
             digest, worst, bad, count = hashlib.sha256(), 0.0, 0, 0
             for cell in range(WORKLOADS[name].cells):
@@ -53,7 +62,10 @@ def main(argv=None) -> int:
                                                 Path(tmp))
                     rc, out, err = worker.run_item(program, item)
                     count += 1
-                    digest.update(json.dumps([item["id"], rc, _hashable(out), err]).encode())
+                    fields = [item["id"], rc, _hashable(out), err]
+                    digest.update(json.dumps(fields).encode())
+                    if dump:
+                        dump.write(json.dumps(dict(zip(("id", "rc", "out", "err"), fields))) + "\n")
                     reason = checks.check_item(dict(item, rc=rc, out=out, err=err), reference)
                     if reason is not None:
                         print(f"FAIL {item['id']}: {reason}")
