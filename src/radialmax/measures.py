@@ -79,14 +79,25 @@ def sphere_ratio_bounds(n):
 
 
 def radial_log_integrand(f: RadialDensity, n: int):
-    """phi(s) = log f(s) + (n-1) log s, vectorized, -inf-safe at s = 0."""
+    """phi(s) = log f(s) + (n-1) log s, vectorized, -inf-safe at s = 0.
+
+    From n = 2 on, ``phi(s, out)`` writes the values into ``out``, a float
+    array of s's shape, and allocates no float array of that size but what
+    ``f.log_density`` returns: the oracle's scan calls it on every block.
+    """
     if n == 1:
         return lambda s: np.asarray(f.log_density(s), dtype=float)
 
-    def phi(s):
+    def phi(s, out=None):
         s = np.asarray(s, dtype=float)
-        radial = np.where(s > 0.0, (n - 1) * np.log(np.maximum(s, 1e-300)), LOG_ZERO)
-        return np.asarray(f.log_density(s), dtype=float) + radial
+        outside = s > 0.0
+        np.logical_not(outside, out=outside)  # s <= 0, and NaN
+        radial = np.maximum(s, 1e-300, out=np.empty(s.shape) if out is None else out)
+        np.log(radial, out=radial)
+        radial *= n - 1
+        np.copyto(radial, LOG_ZERO, where=outside)
+        radial += np.asarray(f.log_density(s), dtype=float)
+        return radial
 
     return phi
 
@@ -166,38 +177,54 @@ def _log_ball_integral(f: RadialDensity, n: int, b: float) -> float:
     return float(log_sphere_area(n) + res.log_value)
 
 
-def _log_cells(f: RadialDensity, n: int, edges: np.ndarray, log_weight=None) -> np.ndarray:
+def _log_cells(f: RadialDensity, n: int, edges: np.ndarray, log_weight=None, *,
+               from_zero: bool = False) -> np.ndarray:
     """log int e^(log_weight(s)) f(s) s^(n-1) ds (no weight: 0) on each cell of the
     sorted ``edges``, cut at the density's knots and support strictly inside it:
     one _GRID_ORDER-point Gauss-Legendre panel per piece, exact on a step density
     up to n = 2 _GRID_ORDER, and the pieces added in logs.  Equal edges give
-    LOG_ZERO; with no cut inside, the pieces are the cells."""
+    LOG_ZERO; with no cut inside, the pieces are the cells.  ``from_zero`` puts
+    a first cell [0, edges[0]] before them: its 0 goes in with the cuts, so the
+    edges are copied once, and not at all where nothing goes in."""
     phi = radial_log_integrand(f, n)
     log_f = phi if log_weight is None else lambda s: log_weight(s) + phi(s)
     cuts = np.unique(np.append(f.probe_points(), f.support_upper_bound))
     at = np.searchsorted(edges, cuts)
-    inside = (at > 0) & (at < len(edges)) & (at == np.searchsorted(edges, cuts, "right"))
-    if not inside.any():  # the pieces are the cells, and the edges need no copy
+    inside = (at < len(edges)) & (at == np.searchsorted(edges, cuts, "right"))
+    inside &= (at > 0) | (from_zero & (cuts > 0.0))
+    cuts, at = cuts[inside], at[inside]
+    if from_zero:
+        points = np.insert(edges, np.append(0, at), np.append(0.0, cuts))
+        at += 1  # the cuts' places among the edges after the 0
+    elif cuts.size:
+        points = np.insert(edges, at, cuts)
+    else:  # the pieces are the cells, and the edges need no copy
         return fixed_log_integral(log_f, edges[:-1], edges[1:], 1, _GRID_ORDER)
-    cuts = cuts[inside]
-    points = np.insert(edges, at[inside], cuts)
     pieces = fixed_log_integral(log_f, points[:-1], points[1:], 1, _GRID_ORDER)
-    # cell i starts at edges[i], after i edges and the cuts below it
-    return np.logaddexp.reduceat(pieces, np.arange(len(edges) - 1)
-                                 + np.searchsorted(cuts, edges[:-1]))
+    if not cuts.size:
+        return pieces
+    # cell i starts at its left edge, after i edges and the cuts below it
+    starts = np.arange(len(pieces) - len(cuts))
+    for place in at.tolist():
+        starts[place:] += 1
+    return np.logaddexp.reduceat(pieces, starts)
 
 
 def log_ball_measure_grid(f: RadialDensity, n: int, radii):
     """log mu(B_r) on a sorted grid of finite radii: the running log-sum of the
     ``_log_cells`` from 0, for the scans of many radii (the radius solver's, the
     oracle's mass table, the Monte Carlo inverse CDF).  A radius of 0 gives
-    LOG_ZERO; the adaptive path remains the accuracy reference."""
+    LOG_ZERO; the adaptive path remains the accuracy reference.  The sums run
+    in place on the cells, so a grid of N radii holds few arrays of N floats."""
     n = check_dimension(n)
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size == 0 or np.any(np.diff(radii) < 0) or radii[0] < 0:
+    if radii.ndim != 1 or radii.size == 0 or np.any(radii[1:] < radii[:-1]) or radii[0] < 0:
         raise ValueError("radii must be a sorted nonnegative 1-D grid")
     check_radius("radii", np.max(radii))  # a NaN anywhere, or an infinite radius
-    return log_sphere_area(n) + np.logaddexp.accumulate(_log_cells(f, n, np.append(0.0, radii)))
+    cells = _log_cells(f, n, radii, from_zero=True)
+    np.logaddexp.accumulate(cells, out=cells)
+    cells += log_sphere_area(n)
+    return cells
 
 
 def log_mass(f: RadialDensity, n: int) -> float:

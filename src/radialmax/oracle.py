@@ -26,7 +26,10 @@ goes through ``geometry``'s ``intersect_with_centered_ball`` and
 ``quadrature.fixed_log_integral`` (24 panels of 8 nodes), in one call for
 every t's numerator and denominator cap bands that are not empty and not
 copies of each other (the three zooms share one scan); the rule runs the
-rows in blocks, each with its own t.  At n = 1 a band radius holds one of
+rows in blocks, each with its own t, and the scan's integrand writes the
+angle, the cap lookup and phi into work arrays its evaluator keeps, so a
+warmed scan allocates no array the size of a block but the density's
+log f, and takes no page faults.  At n = 1 a band radius holds one of
 the two points +-s, with weight 1 and no cap
 (``geometry._band_log_weight``), and the scan's band is half the ball
 table's difference, taken in logs, at a sixth of the fixed rule's cost.  The
@@ -135,6 +138,11 @@ class _UniformLookup:
     xp[-1]], infinite x among them, and every result that is not finite: NaN
     x, a last knot read in its own cell (slope NaN) and the cells next to a
     -inf.  Read-only.
+
+    ``out`` takes the values, and ``work`` is four arrays of x's shape: a
+    float, an intp and two bools.  Given both, a lookup allocates nothing
+    unless some point falls to ``np.interp``; missing ones are made, so an
+    evaluator hands its own arrays to a lookup that evaluators share.
     """
 
     def __init__(self, xp: np.ndarray, fp: np.ndarray):
@@ -147,19 +155,22 @@ class _UniformLookup:
         for table in (xp, fp, self._slope):
             table.flags.writeable = False
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x, out=None, work=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        u = x * self._inv_h
-        u -= self._offset
-        # a NaN or infinite x casts to any index; its value is np.interp's
+        tmp, j, edge, beyond = work or (np.empty(x.shape), np.empty(x.shape, np.intp),
+                                        np.empty(x.shape, bool), np.empty(x.shape, bool))
+        out = np.multiply(x, self._inv_h, out=out)  # the cell coordinate first
+        out -= self._offset
+        # a NaN or infinite x casts to any index (astype's C cast); its value is np.interp's
         with np.errstate(invalid="ignore"):
-            j = u.astype(np.intp)
-            d = x - self.xp.take(j, mode="clip")
-            out = self._slope.take(j, mode="clip") * d
-            out += self.fp.take(j, mode="clip")
-        edge = ~np.isfinite(out)
-        edge |= x < self.xp[0]
-        edge |= x > self.xp[-1]
+            np.copyto(j, out, casting="unsafe")
+            np.subtract(x, self.xp.take(j, mode="clip", out=tmp), out=out)
+            out *= self._slope.take(j, mode="clip", out=tmp)
+            out += self.fp.take(j, mode="clip", out=tmp)
+        np.isfinite(out, out=edge)
+        np.logical_not(edge, out=edge)
+        edge |= np.less(x, self.xp[0], out=beyond)
+        edge |= np.greater(x, self.xp[-1], out=beyond)
         if edge.any():
             out[edge] = np.interp(x[edge], self.xp, self.fp)
         return out
@@ -190,7 +201,8 @@ class _MaximalEvaluator:
     the mass table alone; final values are exact (``geometry._log_measures``,
     or the unit ball's lens from n = 2 on).  ``exact_fixed`` counts the candidates
     whose four rows that rule's two orders settled, and ``exact_geometry`` the
-    lens and the candidates with a row on the adaptive route.
+    lens and the candidates with a row on the adaptive route.  The scan's work
+    arrays are the evaluator's own, so one evaluator serves one thread.
     """
 
     def __init__(self, f: RadialDensity, n: int, r: float, *, max_rho: float,
@@ -216,6 +228,23 @@ class _MaximalEvaluator:
         self._lens = n > 1 and isinstance(f, UnitBallIndicator)
         self._cap_j = _j_lookup(n)
         self._log_omega_sub = _band_log_weight(n)[0]
+        self._work, self._work_views = None, (None, None)
+
+    def _scan_work(self, shape):
+        """The scan integrand's work arrays for one block of nodes: three floats,
+        an intp and two bools of that shape, views of arrays this evaluator keeps
+        and grows to the largest block so far, so that the blocks of every scan
+        after the first allocate none."""
+        if self._work_views[0] != shape:
+            size = math.prod(shape)
+            if self._work is None or self._work[1].size < size:
+                self._work = (np.empty((3, size)), np.empty(size, np.intp),
+                              np.empty((2, size), bool))
+            floats, index, flags = self._work
+            self._work_views = (shape, ([a[:size].reshape(shape) for a in floats],
+                                        index[:size].reshape(shape),
+                                        [a[:size].reshape(shape) for a in flags]))
+        return self._work_views[1]
 
     def _scan_pair(self, rho: float, ts: np.ndarray):
         """(log numerator, log denominator) for all t at once, scan grade.
@@ -225,6 +254,9 @@ class _MaximalEvaluator:
         ``fixed_log_integral`` call, which reduces each row on its own.  A
         row with hi <= lo gives LOG_ZERO without it, and a numerator row
         equal to its denominator row (rho + t <= r) takes that row's value.
+        Each block's integrand runs the operations of its formula, in its
+        order, in ``_scan_work``'s arrays and the rule's nodes, so it gives
+        the floats of fresh arrays.
         """
         inner = np.abs(ts - rho)
         if self.n == 1:
@@ -245,10 +277,18 @@ class _MaximalEvaluator:
             t = np.concatenate([ts[den_rows], ts[num_rows]])[:, None, None]
 
             def log_f(s, t):
+                (angle, value, cap), index, flags = self._scan_work(s.shape)
                 # the law-of-cosines angle: it only ranks candidates, and costs
                 # less than ``cap_angle``'s half-angle form on this many nodes
-                cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
-                return self._phi(s) + self._cap_j(np.arccos(np.clip(cos, -1.0, 1.0)))
+                np.multiply(s, s, out=angle)
+                angle += rho * rho
+                angle -= t * t
+                angle /= np.maximum(np.multiply(2.0 * rho, s, out=value), 1e-300, out=value)
+                np.arccos(np.clip(angle, -1.0, 1.0, out=angle), out=angle)
+                self._cap_j(angle, out=cap, work=(value, index, *flags))
+                value = self._phi(s, out=value)
+                value += cap
+                return value
 
             bands = fixed_log_integral(
                 log_f, np.concatenate([den_lo[den_rows], num_lo[num_rows]]),

@@ -56,15 +56,19 @@ error estimate.  It is the library's one fixed rule: the cap integral J
 above exponent 6, the ball-measure grid (and so the Monte Carlo CDF) and
 the oracle's scan and exact pass all call it, each with its own panel
 count and order.  It runs the rows in blocks of at most BLOCK_NODES
-nodes, and builds each block's panel centres with it, so no temporary
-exceeds 64 KiB.  glibc maps every allocation above
-its mmap threshold afresh, and pays page faults on it; the threshold
-starts at 128 KiB and rises only to the largest mapped block freed so
-far.  A whole oracle scan (512 t x 24 panels x 8 nodes, 786 KB per
-temporary) took about 1,700 page faults unless some earlier call had
-freed a larger array; in blocks it takes none.  Blocks of 96 KiB were
-slower in the benchmark's workers, and blocks of 32 KiB cost more in
-per-block calls than they save.  Per-row data of the integrand travel
+nodes (64 KiB per float64 array; a whole oracle scan in one block, 786
+KB per temporary, took about 1,700 page faults), and builds each
+block's panel centres with it.  One node array per call, sized to the
+first block, takes every block's nodes and then its shifted values, and
+the oracle's scan integrand writes into work arrays its evaluator keeps,
+so a warmed scan allocates no block-sized array but the density's
+``log_density`` values.  glibc hands the top of the heap back once
+enough of it lies free: fresh temporaries in every block were faulted in
+again by the next, about 800 minor faults per ``oracle-inclusion`` item,
+and the workload ran at one of two speeds that followed the process
+layout.  Blocks of 96 KiB were slower in the benchmark's workers, and
+blocks of 32 KiB cost more in per-block calls than they save (both
+measured with fresh temporaries).  Per-row data of the integrand travel
 with each block (``args``).
 """
 
@@ -89,7 +93,7 @@ BISECT_STEPS = 90      # evaluations charged per bisected window edge
 BISECT_LEVELS = 3      # bisection steps per call of the integrand, at least
 BISECT_PATH = 24       # predicted midpoints per window edge and call of the integrand
 KNOT_CHAIN = 12        # bisection levels toward a knot per call of the integrand
-BLOCK_NODES = 8192     # fixed-rule nodes per block: 64 KiB per float64 temporary
+BLOCK_NODES = 8192     # fixed-rule nodes per block: 64 KiB per float64 array
 
 
 @lru_cache(maxsize=32)
@@ -470,36 +474,51 @@ def fixed_log_integral(log_f, lo, hi, panels: int, order: int, args=()):
     per row along that axis.  A ``log_f`` that needs per-row data takes it
     from ``args``: a closure over the whole batch would not match a
     block.  Each row is reduced on its own, so the blocks change no float.
-    Each row is shifted by its largest finite value before the
-    exponential.  A row with hi <= lo, or with no mass, gives LOG_ZERO.
-    No error estimate: this is the bulk path, and ``log_integral`` the
-    accuracy reference.
+    Each row is shifted by its largest value, where that is finite, before
+    the exponential; a row holding +inf gives +inf and one holding NaN
+    LOG_ZERO, whatever the shift.  A row with hi <= lo, or with no mass,
+    gives LOG_ZERO.  The blocks share one node array, sized to the first
+    block, which after ``log_f`` returns takes the block's shifted values:
+    ``log_f`` may write into and return arrays of its own, which the rule
+    only reads.  No error estimate: this is the bulk path, and
+    ``log_integral`` the accuracy reference.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     shape = lo.shape
     lo, hi = np.atleast_1d(lo, hi)  # a 0-d batch is one row
     x, w = gauss_legendre_nodes(order)
-    half = 0.5 * (hi - lo) / panels
+    half = hi - lo
+    half *= 0.5
+    half /= panels
     odd = np.arange(1.0, 2.0 * panels, 2.0)
     shift, total = np.empty(lo.shape), np.empty(lo.shape)
     step = max(1, BLOCK_NODES // (panels * order * math.prod(lo.shape[1:])))
+    # the first block's nodes, which no later block outgrows
+    nodes = np.empty(lo[:step].shape + (panels, order))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, len(lo), step):
             block = slice(start, start + step)
+            block_nodes = nodes[:min(step, len(lo) - start)]
             centers = lo[block, ..., None] + half[block, ..., None] * odd
-            vals = np.asarray(log_f(centers[..., None] + half[block, ..., None, None] * x,
-                                    *(arg[block] for arg in args)), dtype=float)
-            top = np.max(vals, axis=(-2, -1), initial=-np.inf, where=np.isfinite(vals))
+            np.add(centers[..., None], half[block, ..., None, None] * x, out=block_nodes)
+            vals = np.asarray(log_f(block_nodes, *(arg[block] for arg in args)), dtype=float)
+            # a row whose largest value is +inf or NaN sums to +inf or NaN
+            # whatever its shift
+            top = vals.max(axis=(-2, -1))
             top = np.where(np.isfinite(top), top, 0.0)
-            # a new array, exponentiated and weighted in place
-            vals = vals - top[..., None, None]
-            np.exp(vals, out=vals)
-            vals *= w
-            vals.sum(axis=(-2, -1), out=total[block])
+            # the nodes are spent: shifted, exponentiated and weighted there,
+            # so what log_f returned is left as it was
+            shifted = np.subtract(vals, top[..., None, None], out=block_nodes)
+            np.exp(shifted, out=shifted)
+            shifted *= w
+            shifted.sum(axis=(-2, -1), out=total[block])
             shift[block] = top
         total *= half
-        # total > 0 also fails for hi <= lo, where half <= 0
-        return np.where(total > 0.0, shift + np.log(total), LOG_ZERO).reshape(shape)
+        empty = ~(total > 0.0)  # also where hi <= lo, and so half <= 0
+        np.log(total, out=total)
+        total += shift
+        np.copyto(total, LOG_ZERO, where=empty)
+    return total.reshape(shape)
 
 
 def log_integral(log_f, a: float, b: float, *, probe_points=(),
@@ -513,9 +532,10 @@ def log_integral(log_f, a: float, b: float, *, probe_points=(),
     is refused with a ValueError: no window below it can be formed.  A
     negative m that large keeps the whole interval as its window, where
     every value rounds to m.  A window that sums to 0 gives LOG_ZERO
-    flagged unconverged: it holds the probed maximum, so its integral is
-    positive.  ``knots``, the jumps of a step density, go to ``integrate``:
-    they save calls of ``log_f`` and change no float.
+    flagged unconverged, with ``rel_error`` inf: it holds the probed
+    maximum, so its integral is positive.  ``knots``, the jumps of a step
+    density, go to ``integrate``: they save calls of ``log_f`` and change
+    no float.
     """
     if not b > a:
         return LogIntegralResult(LOG_ZERO, 0.0, 0, True, LOG_ZERO, (a, b))
@@ -554,7 +574,8 @@ def log_integral(log_f, a: float, b: float, *, probe_points=(),
     evals += res.evaluations
     if res.value <= 0.0:
         # the window holds the probed maximum, where the shifted integrand
-        # is 1: a zero sum over it underflowed (a subnormal width)
-        return LogIntegralResult(LOG_ZERO, 0.0, evals, False, m, (lo, hi))
+        # is 1: a zero sum over it underflowed (a subnormal width), and no
+        # relative error bounds it
+        return LogIntegralResult(LOG_ZERO, math.inf, evals, False, m, (lo, hi))
     return LogIntegralResult(m + math.log(res.value), res.error / res.value,
                              evals, res.converged, m, (lo, hi))

@@ -262,6 +262,21 @@ class TestGridCells:
         for rho, value in zip(radii[2:].tolist(), got[2:].tolist()):
             assert value == pytest.approx(_exact_step_log_ball(STEP, 3, rho), rel=1e-13)
 
+    @pytest.mark.parametrize("edges", [[0.1, 0.5, 1.3, 2.0], [0.3, 0.67, 0.9], [0.0, 0.25, 1.0],
+                                       [0.25, 0.25, 1.45, 3.0], [0.7], [0.0], [2.0, 2.5],
+                                       list(np.linspace(0.0, 2.0, 41))])
+    @pytest.mark.parametrize("kind", ["gaussian", "unitball", "step", "step with a knot at 0"])
+    def test_first_cell_from_zero_keeps_the_floats_of_a_zero_edge(self, kind, edges):
+        # the 0 goes in with the cuts, in the one copy of the edges that a cut
+        # needs: the cells of the edges with a 0 put before them, float for float
+        f = {"gaussian": Gaussian(), "unitball": UnitBallIndicator(), "step": STEP,
+             "step with a knot at 0": TabulatedDecreasing([0.0, 0.2, 0.8], [0.3, 0.0, -1.0])}[kind]
+        edges = np.array(edges)
+        for n, weight in [(1, None), (3, None), (7, None), (2, lambda s: s)]:
+            got = measures._log_cells(f, n, edges, weight, from_zero=True)
+            want = measures._log_cells(f, n, np.append(0.0, edges), weight)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], n
+
     def test_weighted_cells_cut_at_the_knots(self):
         # a weight e^s at n = 2: each piece integrates f_i s e^s, whose
         # antiderivative is f_i (s - 1) e^s
@@ -279,6 +294,25 @@ class TestGridCells:
                         total += mpmath.exp(v) * ((b - 1) * mpmath.exp(b) - (a - 1) * mpmath.exp(a))
                         a = b
                 assert value == pytest.approx(float(mpmath.log(total)), rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "unitball", "step"])
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_phi_into_out_keeps_the_floats(kind, n):
+    # phi writes into the scan's work array with the floats of its formula:
+    # LOG_ZERO for s <= 0 and NaN, and a subnormal s counted as 1e-300
+    f = {"gaussian": Gaussian(), "unitball": UnitBallIndicator(), "step": STEP}[kind]
+    s = np.concatenate([[-1.0, -0.0, 0.0, 5e-324, 1e-310, 1e-300, 0.25, 1.0, 1.45, 40.0,
+                         math.nan], np.random.default_rng(n).uniform(0.0, 2.0, 200)])
+    s = s.reshape(1, -1, 1)
+    want = (np.asarray(f.log_density(s), dtype=float)
+            + np.where(s > 0.0, (n - 1) * np.log(np.maximum(s, 1e-300)), LOG_ZERO))
+    out = np.full(s.shape, 3.0)
+    phi = radial_log_integrand(f, n)
+    assert phi(s, out=out) is out
+    hexes = [x.hex() for x in want.ravel().tolist()]
+    assert [x.hex() for x in out.ravel().tolist()] == hexes
+    assert [x.hex() for x in phi(s).ravel().tolist()] == hexes
 
 
 _REFUSAL_DENSITIES = {"gaussian": Gaussian(), "unitball": UnitBallIndicator(), "step": STEP}

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -421,6 +422,83 @@ class TestScan:
             assert integral(rows) == [everything[i] for i in rows], size
         for i in (0, 511, 1023):
             assert integral(np.array([i])) == [everything[i]]
+
+
+def _scan_t(ev, rho, points):
+    return np.geomspace(max(1e-6, rho - ev.r) * (1.0 - 1e-9), 2.0 * (rho + ev.r) + ev.support,
+                        points)
+
+
+class TestScanWorkArrays:
+    """The scan's blocks write into the rule's node array and into work arrays
+    the evaluator keeps, with the floats of fresh arrays."""
+
+    @pytest.mark.parametrize("kind", sorted(_SCAN_DENSITIES))
+    def test_warm_scan_peaks_below_half_of_fresh_arrays(self, kind):
+        # with fresh arrays in every block, a warmed 512-t scan peaked at about
+        # 700 KiB on each of these densities, and the heap handed back after
+        # one block was faulted in again by the next
+        ev = _MaximalEvaluator(_SCAN_DENSITIES[kind], 3, 0.3, max_rho=_MAX_RHO)
+        ts = _scan_t(ev, 0.7, 512)
+        ev._scan_pair(0.7, ts)
+        work = ev._work
+        tracemalloc.start()
+        try:
+            ev._scan_pair(0.7, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 350 * 1024, peak
+        assert ev._work is work  # no block outgrew the arrays of the first scan
+
+    def test_work_arrays_are_the_evaluators_own(self):
+        # evaluators share the cap lookup, and each keeps its own work arrays
+        lookup_state = dict(vars(_j_lookup(3)))
+        a, b = (_MaximalEvaluator(Gaussian(), 3, r, max_rho=1.0) for r in (0.2, 0.3))
+        for ev in (a, b):
+            ev._scan_pair(0.6, _scan_t(ev, 0.6, 64))
+        assert a._work[0] is not b._work[0]
+        assert vars(_j_lookup(3)).keys() == lookup_state.keys()
+        assert all(vars(_j_lookup(3))[k] is v for k, v in lookup_state.items())
+
+    @pytest.mark.parametrize("kind", sorted(_SCAN_DENSITIES))
+    def test_row_from_zero_with_nodes_at_zero(self, monkeypatch, kind):
+        # rho = t = 24 subnormal steps: the row [0, rho + t] has panels one
+        # step wide, so some of its nodes round to 0, where phi is LOG_ZERO,
+        # and others to 1 step; the integrand written
+        # into work arrays gives, float for float, the one of fresh arrays
+        ev = _MaximalEvaluator(_SCAN_DENSITIES[kind], 3, 0.3, max_rho=1.0)
+        seen = []
+
+        def recorded(log_f, lo, hi, panels, order, args=()):
+            def logged(s, t):
+                seen.append((s.copy(), t.copy(), log_f(s, t).copy()))
+                return seen[-1][2]
+            return fixed_log_integral(logged, lo, hi, panels, order, args)
+
+        monkeypatch.setattr(oracle, "fixed_log_integral", recorded)
+        rho = 24 * 5e-324
+        ts = np.array([rho, 3.0 * rho])
+        got = ev._scan_pair(rho, ts)
+        s, t, vals = seen[0]
+        assert np.any(s[0] == 0.0) and np.any(s[0] > 0.0)
+        cos = (rho * rho + s * s - t * t) / np.maximum(2.0 * rho * s, 1e-300)
+        want = ev._phi(s) + ev._cap_j(np.arccos(np.clip(cos, -1.0, 1.0)))
+        assert _hexes(vals) == _hexes(want)
+        assert _hexes(vals[s == 0.0]) == [LOG_ZERO.hex()] * np.count_nonzero(s == 0.0)
+        assert [_hexes(a) for a in got] == [_hexes(a) for a in _reference_scan_pair(ev, rho, ts)]
+
+    @pytest.mark.parametrize("name", sorted(_LOOKUPS))
+    def test_lookup_into_work_arrays_keeps_the_floats(self, name):
+        lookup = _LOOKUPS[name]()
+        lo, hi = float(lookup.xp[0]), float(lookup.xp[-1])
+        x = np.concatenate([np.random.default_rng(11).uniform(lo - 1.0, hi + 1.0, 5000),
+                            lookup.xp, [math.nan, -math.inf, math.inf]]).reshape(1, -1)
+        out = np.full(x.shape, 3.0)
+        work = (np.empty(x.shape), np.empty(x.shape, np.intp), np.empty(x.shape, bool),
+                np.empty(x.shape, bool))
+        assert lookup(x, out=out, work=work) is out
+        assert _hexes(out) == _hexes(lookup(x))
 
 
 def _log_gaussian_interval(x0, x1):

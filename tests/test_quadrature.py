@@ -133,9 +133,11 @@ def test_log_integral_all_zero_integrand():
 def test_log_integral_window_whose_integral_rounds_to_zero():
     # half of the one-subnormal width rounds to 0, so every panel sums to 0;
     # the integral is 5e-324 (log -744.4), so the zero is flagged, where it
-    # was returned as converged
+    # was returned as converged, and its relative error is infinite, where it
+    # read 0.0 as if exact
     res = log_integral(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0, 5e-324)
-    assert (res.log_value, res.rel_error, res.converged, res.shift) == (LOG_ZERO, 0.0, False, 0.0)
+    assert (res.log_value, res.rel_error, res.converged, res.shift) == (LOG_ZERO, math.inf,
+                                                                      False, 0.0)
     assert res.window == (0.0, 5e-324)
 
 
@@ -272,6 +274,49 @@ def test_fixed_rule_blocks_change_no_float(monkeypatch, panels, order, rows, blo
     assert [x.hex() for x in got.tolist()] == want
     assert sum(seen) == rows
     assert max(seen) == max(1, min(rows, block_nodes // (panels * order)))
+
+
+@pytest.mark.parametrize("panels, order, rows", _CALLER_SHAPES)
+def test_fixed_rule_blocks_share_one_node_array(panels, order, rows):
+    # every block's nodes are a slice of one array, sized to the first block,
+    # and the values log_f returns are only read: here they are read-only
+    log_f, lo, hi, args = _blocked_case(panels, order, rows)
+    want = [x.hex() for x in fixed_log_integral(log_f, lo, hi, panels, order, args).tolist()]
+    starts, returned = set(), []
+
+    def read_only(x, *block_args):
+        starts.add(x.__array_interface__["data"][0])
+        vals = log_f(x, *block_args)
+        vals.flags.writeable = False
+        returned.append((vals, vals.copy()))
+        return vals
+
+    got = fixed_log_integral(read_only, lo, hi, panels, order, args)
+    assert [x.hex() for x in got.tolist()] == want
+    assert len(starts) == 1 and len(returned) > 1
+    assert all(np.array_equal(vals, copy, equal_nan=True) for vals, copy in returned)
+
+
+def test_fixed_rule_rows_holding_inf_or_nan():
+    # a row is shifted by its largest value where that is finite: a row
+    # holding +inf sums to +inf, and one holding NaN to NaN, whatever the
+    # shift, so they give +inf and LOG_ZERO; the finite rows of the block keep
+    # the floats they have alone
+    code = np.array([0, 1, 2, 3, 4, 0])
+
+    def log_f(x, code):
+        out = -x * x
+        out[code == 1, 0, 0] = math.nan
+        out[code == 2, 1, 2] = math.inf
+        out[code >= 3] = LOG_ZERO
+        out[code == 4, 0, 1] = math.inf
+        return out
+
+    got = fixed_log_integral(log_f, np.zeros(6), np.ones(6), 2, 4, (code,))
+    assert got[1:5].tolist() == [LOG_ZERO, math.inf, LOG_ZERO, math.inf]
+    alone = float(fixed_log_integral(lambda x: -x * x, np.zeros(1), np.ones(1), 2, 4)[0])
+    assert got[0].hex() == got[5].hex() == alone.hex()
+    assert alone == pytest.approx(math.log(0.5 * math.sqrt(math.pi) * math.erf(1.0)), rel=1e-6)
 
 
 # --- bit pinning ---------------------------------------------------------

@@ -9,7 +9,9 @@ temporary directory, and nothing under ``perfbench/`` is written.  Prints,
 per workload, the item count, the failures, the largest relative gap to
 the reference and a SHA-256 over every item's id, exit code, output (the
 margins and growth values as ``float.hex``) and stderr, which is equal on
-two trees exactly when their outputs are byte-identical.  ``--dump PATH``
+two trees exactly when their outputs are byte-identical.  Next to the hash
+it prints the minor page faults per item, from ``getrusage`` of this
+process over the workload's items: a reading, not a check.  ``--dump PATH``
 also writes those four fields of every item to PATH, one JSON object a
 line ({"id", "rc", "out", "err"}, in catalogue order), so that two trees
 whose hashes differ can be diffed item by item; PATH may not lie under
@@ -22,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import resource
 import sys
 import tempfile
 from pathlib import Path
@@ -56,6 +59,7 @@ def main(argv=None) -> int:
             (open(args.dump, "w") if args.dump else contextlib.nullcontext()) as dump:
         for name in args.workload or list(WORKLOADS):
             digest, worst, bad, count = hashlib.sha256(), 0.0, 0, 0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for cell in range(WORKLOADS[name].cells):
                 for variant in range(WORKLOADS[name].variants):
                     item, = write_density_files([catalogue_item(name, cell, variant)],
@@ -75,8 +79,9 @@ def main(argv=None) -> int:
                     for got, want in zip(values, reference.get(item["id"], [None, []])[1]):
                         if got is not None and want is not None:
                             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             print(f"{name}: {count} items, {bad} failed, worst relative gap {worst:.2g}, "
-                  f"sha256 {digest.hexdigest()}")
+                  f"sha256 {digest.hexdigest()}, {faults / count:.1f} minor faults per item")
             failed += bad
     return 1 if failed else 0
 
