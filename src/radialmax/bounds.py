@@ -49,8 +49,8 @@ import numpy as np
 from .densities import Gaussian, RadialDensity, UnitBallIndicator
 from .errors import NoBalancedRadiusError
 from .geometry import off_center_ball_measure
-from .measures import (check_dimension, check_radius, log_ball_measure,
-                       log_ball_measure_grid, log_sphere_area)
+from .measures import (_log_ball_for_signs, check_dimension, check_radius,
+                       log_ball_measure, log_ball_measure_grid, log_sphere_area)
 
 LAMBDA_MAX = math.sqrt(2.0) - 1.0
 T_EXACT_MAX_N = 10_000  # the constructions' exact T stops here; above, it is untested
@@ -231,6 +231,13 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> f
     ratio tends to 1, so the last crossing is bracketed by doubling until
     the ratio is within 1e-6 of 1, scanning down in steps of R_max/10^4,
     and bisecting the first sign change to 1e-10 relative in R.
+
+    The scan reads ``log_ball_measure_grid``; the doubling and the bisection
+    take their balls from ``measures._log_ball_for_signs``, which for the
+    Gaussian is the closed form log P(n/2, pi rho^2), so its solve runs no
+    quadrature.  R is the midpoint of a bracket that starts at two scan
+    radii and moves only on signs: a ball's float reaches R only through
+    the sign of g.
     """
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
@@ -240,11 +247,11 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> f
     target = n * k * math.log(s)
 
     def g(R):
-        return log_ball_measure(f, n, R * s) - log_ball_measure(f, n, R) - target
+        return _log_ball_for_signs(f, n, R * s) - _log_ball_for_signs(f, n, R) - target
 
     R_max = 1.0
     for _ in range(200):
-        delta = log_ball_measure(f, n, R_max * s) - log_ball_measure(f, n, R_max)
+        delta = _log_ball_for_signs(f, n, R_max * s) - _log_ball_for_signs(f, n, R_max)
         if delta >= -1e-6 and delta - target > 0.0:
             break
         R_max *= 2.0

@@ -8,6 +8,9 @@ with omega_{n-1} = n pi^(n/2) / Gamma(n/2 + 1) the surface measure of the
 unit sphere in R^n.  The integral runs through the shifted log-domain
 quadrature so dimensions up to 10**6 are routine.  The unit ball's
 centered ball needs no integral: it is the volume omega_{n-1}/n min(rho, 1)^n.
+The radius solver's sign decisions read ``_log_ball_for_signs``, where the
+Gaussian's centered ball is the closed form P(n/2, pi rho^2) of ``special``;
+its printed measures stay on the quadrature.
 Tables of many radii sum ``_log_cells``, fixed-rule cells cut at the density's
 knots; ``check_radius`` is the one check of every public measure's radii, and
 ``check_dimension`` of every public entry's dimension n.
@@ -20,10 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .densities import RadialDensity, UnitBallIndicator
+from .densities import Gaussian, RadialDensity, UnitBallIndicator
 from .logspace import LOG_ZERO
 from .quadrature import fixed_log_integral, log_integral
-from .special import lgamma
+from .special import _log_gamma_p, lgamma
 
 _GRID_ORDER = 12
 
@@ -66,10 +69,18 @@ def sphere_ratio_bounds(n):
     """Two-sided bracket for omega_{n-2}/omega_{n-1}, n >= 2.
 
     Lower: (n-1)/(n sqrt(pi)).  Upper: (n-1)/sqrt(2 pi) * sqrt(1 + 1/n),
-    the log-convexity bound.  Both are finite positive reals.
+    the log-convexity bound.  Both are finite positive reals.  An array is
+    checked in one pass, and its first element that is not a dimension >= 2
+    is refused as ``check_dimension`` refuses it.
     """
-    for m in np.ravel(n) if np.ndim(n) > 0 else [n]:
-        check_dimension(m, least=2)
+    if np.ndim(n) == 0:
+        check_dimension(n, least=2)
+    else:
+        flat = np.ravel(n)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail each test
+            whole = (flat >= 2) & (flat < math.inf) & (flat % 1 == 0)
+        if not whole.all():
+            check_dimension(flat[np.argmin(whole)], least=2)
     arr = np.asarray(n, dtype=float)
     lower = (arr - 1.0) / (arr * math.sqrt(math.pi))
     upper = (arr - 1.0) / math.sqrt(2.0 * math.pi) * np.sqrt(1.0 + 1.0 / arr)
@@ -167,6 +178,18 @@ def _log_mass(f: RadialDensity, n: int, cutoff: float) -> float:
     is ``upper_cutoff(f, n)``, so it adds nothing to the key.  A raised
     ``ValueError`` is not cached: it is raised again on every call."""
     return _log_ball_integral(f, n, cutoff)
+
+
+def _log_ball_for_signs(f: RadialDensity, n: int, rho: float) -> float:
+    """log mu(B_rho) for a caller that only compares it: the radius solver's
+    doubling and bisection.  The Gaussian's is the closed form
+    log P(n/2, pi rho^2); every other kind's is ``log_ball_measure``.  The
+    printed measures stay on ``log_ball_measure``, so for the Gaussian this
+    is a second route to one value (ROADMAP, the fork table)."""
+    n = check_dimension(n)
+    if isinstance(f, Gaussian):
+        return _log_gamma_p(0.5 * n, math.pi * rho * rho)
+    return log_ball_measure(f, n, rho)
 
 
 def _log_ball_integral(f: RadialDensity, n: int, b: float) -> float:

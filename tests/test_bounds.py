@@ -18,6 +18,7 @@ from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
 from radialmax.errors import NoBalancedRadiusError
 from radialmax.measures import log_ball_measure
 from radialmax.quadrature import log_integral
+from test_special import _mp_log_gamma_p
 
 
 class TestTExact:
@@ -156,17 +157,20 @@ class TestRadiusEquation:
         assert got == pytest.approx(oracle, rel=1e-6)
 
 
-def _loop_solve_radius_equation(f, n, beta0, k):
-    """solve_radius_equation with its first crossing found by a Python loop."""
+def _loop_solve_radius_equation(f, n, beta0, k, log_ball=None):
+    """solve_radius_equation with its first crossing found by a Python loop,
+    and the doubling's and the bisection's balls from ``log_ball`` (default
+    ``log_ball_measure``, the adaptive quadrature for the Gaussian too)."""
+    log_ball = log_ball or bounds.log_ball_measure
     s = math.sin(beta0)
     target = n * k * math.log(s)
 
     def g(R):
-        return bounds.log_ball_measure(f, n, R * s) - bounds.log_ball_measure(f, n, R) - target
+        return log_ball(f, n, R * s) - log_ball(f, n, R) - target
 
     R_max = 1.0
     for _ in range(200):
-        delta = bounds.log_ball_measure(f, n, R_max * s) - bounds.log_ball_measure(f, n, R_max)
+        delta = log_ball(f, n, R_max * s) - log_ball(f, n, R_max)
         if delta >= -1e-6 and delta - target > 0.0:
             break
         R_max *= 2.0
@@ -270,6 +274,40 @@ class TestRadiusCrossingSearch:
             _loop_solve_radius_equation(*args)
         assert str(got.value) == str(want.value)
         assert repr(got.value.ratio_range) == repr(want.value.ratio_range)
+
+
+def _mp_log_gaussian_ball(f, n, rho):
+    """log mu(B_rho) of the Gaussian as an mpmath number: log P(n/2, pi rho^2),
+    with rho the float the solver passes and pi rho^2 taken exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    return _mp_log_gamma_p(mpmath.mpf(n) / 2, mpmath.pi * mpmath.mpf(rho) ** 2)
+
+
+def _replay_draws():
+    """Seeded (n, lam): n log-uniform in [2, 10**6], lam uniform in (0.02, 0.41),
+    and 12 more with lam in [0.39, 0.41], where sin b0 -> 1 and g is flat."""
+    rng = np.random.default_rng(39)
+    n = np.exp(rng.uniform(math.log(2.0), math.log(1e6), 24)).astype(int)
+    lam = np.concatenate([rng.uniform(0.02, 0.41, 12), rng.uniform(0.39, 0.41, 12)])
+    return [pytest.param(int(a), float(b), id=f"{int(a)}-{float(b):.4f}")
+            for a, b in zip(n, lam)]
+
+
+class TestGaussianSolverSigns:
+    """The Gaussian solver decides each step by log P(n/2, pi rho^2)."""
+
+    @pytest.mark.parametrize("n,lam", _replay_draws())
+    def test_radius_of_the_bisection_with_exact_signs(self, n, lam):
+        # the doubling and the bisection replayed with every sign taken from
+        # 50-digit mpmath: the radius is that replay's, float for float.  With
+        # the adaptive quadrature's signs, 6 of these radii, all at lam >= 0.399,
+        # lay 5e-11 to 4.5e-10 (relative) away from it
+        mpmath = pytest.importorskip("mpmath")
+        beta0, _, _, _, _, k = _general_parameters(lam)
+        got = solve_radius_equation(Gaussian(), n, beta0, k)
+        with mpmath.workdps(50):
+            want = _loop_solve_radius_equation(Gaussian(), n, beta0, k, _mp_log_gaussian_ball)
+        assert got.hex() == want.hex()
 
 
 class TestGeneralConstruction:
