@@ -232,12 +232,15 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> f
     the ratio is within 1e-6 of 1, scanning down in steps of R_max/10^4,
     and bisecting the first sign change to 1e-10 relative in R.
 
-    The scan reads ``log_ball_measure_grid``; the doubling and the bisection
-    take their balls from ``measures._log_ball_for_signs``, which for the
-    Gaussian is the closed form log P(n/2, pi rho^2), so its solve runs no
-    quadrature.  R is the midpoint of a bracket that starts at two scan
-    radii and moves only on signs: a ball's float reaches R only through
-    the sign of g.
+    The doubling and the bisection take their balls from
+    ``measures._log_ball_for_signs``, which for the Gaussian is the closed
+    form log P(n/2, pi rho^2).  The Gaussian's g does not fall as R grows,
+    so its first sign change on the scan's radii is found by bisecting the
+    indices on those same signs (``_monotone_crossing``), and its solve runs
+    no quadrature.  Every other kind's scan reads one
+    ``log_ball_measure_grid``, for a step density its exact layer sum.  R is
+    the midpoint of a bracket that starts at two scan radii and moves only on
+    signs: a ball's float reaches R only through the sign of g.
     """
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
@@ -258,22 +261,12 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> f
     else:
         raise NoBalancedRadiusError("ball-measure ratio never approached 1 while doubling")
 
-    # one cumulative sweep gives the whole downward scan
     scan_points = 10_000
     radii = R_max * (1.0 - np.arange(scan_points) / scan_points)
-    merged = np.unique(np.concatenate([radii, radii * s]))
-    lb = log_ball_measure_grid(f, n, merged)
-    idx = np.searchsorted(merged, radii)
-    idx_s = np.searchsorted(merged, radii * s)
-    g_scan = lb[idx_s] - lb[idx] - target  # descending radii order
-    # the first j with g_scan[j] <= 0 < g_scan[j - 1]; NaN compares false
-    crossings = np.flatnonzero((g_scan[1:] <= 0.0) & (g_scan[:-1] > 0.0))
-    if crossings.size == 0:
-        deltas = g_scan + target
-        raise NoBalancedRadiusError(
-            "no sign change on the scanned range",
-            ratio_range=(float(np.min(deltas)), float(np.max(deltas))))
-    j = int(crossings[0]) + 1
+    if isinstance(f, Gaussian):
+        j = _monotone_crossing(g, radii, target)
+    else:
+        j = _scanned_crossing(f, n, s, target, radii)
     lo, hi = float(radii[j]), float(radii[j - 1])
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
@@ -282,6 +275,49 @@ def solve_radius_equation(f: RadialDensity, n: int, beta0: float, k: float) -> f
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _scanned_crossing(f: RadialDensity, n: int, s: float, target: float, radii) -> int:
+    """The first j with g(radii[j]) <= 0 < g(radii[j - 1]) on the descending
+    ``radii``, with g read from one ``log_ball_measure_grid`` of the radii and
+    their multiples by s; a NaN compares false on both sides."""
+    merged = np.unique(np.concatenate([radii, radii * s]))
+    lb = log_ball_measure_grid(f, n, merged)
+    g_scan = lb[np.searchsorted(merged, radii * s)] - lb[np.searchsorted(merged, radii)] - target
+    crossings = np.flatnonzero((g_scan[1:] <= 0.0) & (g_scan[:-1] > 0.0))
+    if crossings.size == 0:
+        deltas = g_scan + target
+        raise NoBalancedRadiusError(
+            "no sign change on the scanned range",
+            ratio_range=(float(np.min(deltas)), float(np.max(deltas))))
+    return int(crossings[0]) + 1
+
+
+def _monotone_crossing(g, radii, target: float) -> int:
+    """The first j with g(radii[j]) <= 0 < g(radii[j - 1]) on the descending
+    ``radii`` of a g that does not fall as R grows, by bisection over the
+    indices: about 14 calls of g where a scan makes one per radius.
+
+    The Gaussian's g is such a g.  Its ball is log mu(B_R) = h(u),
+    h(u) = log P(a, e^u) with a = n/2 and u = log(pi R^2); P(a, e^u) is the
+    CDF at u of log X for X ~ Gamma(a), whose density e^(au - e^u)/Gamma(a)
+    is log-concave, and a log-concave density has a log-concave CDF
+    (Prekopa), so h is concave.  Then g(R) = h(u + 2 log s) - h(u) - target
+    with 2 log s < 0: a concave h rises over [u + 2 log s, u] by no more as
+    u grows, so g does not fall.  At a monotone g's ends, the refusal's
+    ``ratio_range`` holds the scan's extremes."""
+    first, last = g(float(radii[0])), g(float(radii[-1]))
+    if not last <= 0.0 < first:
+        raise NoBalancedRadiusError("no sign change on the scanned range",
+                                    ratio_range=(last + target, first + target))
+    above, at = 0, len(radii) - 1  # g(radii[above]) > 0 >= g(radii[at])
+    while at - above > 1:
+        mid = (above + at) // 2
+        if g(float(radii[mid])) <= 0.0:
+            at = mid
+        else:
+            above = mid
+    return at
 
 
 def _check_lam(lam: float):

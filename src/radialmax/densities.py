@@ -101,9 +101,21 @@ class TabulatedDecreasing(RadialDensity):
         # search lands on the appended zero
         self._table = np.append(vals, LOG_ZERO)
         self.support_upper_bound = float(radii[-1])
+        # c_i = f_i - f_(i+1) > 0 only below a drop; an equal step and every
+        # step of a -inf tail weigh nothing, and take no -inf - -inf
+        drop = self._table[:-1] > self._table[1:]
+        self._log_layers = np.full(radii.size, LOG_ZERO)
+        above, below = self._table[:-1][drop], self._table[1:][drop]
+        self._log_layers[drop] = above + np.log(-np.expm1(below - above))
 
     def log_density(self, s):
         return self._table[np.searchsorted(self._radii, s, side="left")]
+
+    def layers(self):
+        """The layer-cake form f = sum_i c_i 1_[0, h_i] (Lieb & Loss, Analysis,
+        Thm 1.13): the knots h_i and log c_i = v_i + log(-expm1(v_(i+1) - v_i)),
+        with v = -inf past the last knot, and LOG_ZERO where f does not drop."""
+        return self._radii, self._log_layers
 
     def probe_points(self) -> tuple:
         return tuple(self._radii)

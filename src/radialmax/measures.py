@@ -12,7 +12,9 @@ The radius solver's sign decisions read ``_log_ball_for_signs``, where the
 Gaussian's centered ball is the closed form P(n/2, pi rho^2) of ``special``;
 its printed measures stay on the quadrature.
 Tables of many radii sum ``_log_cells``, fixed-rule cells cut at the density's
-knots; ``check_radius`` is the one check of every public measure's radii, and
+knots, except a step density's, which is its exact layer sum
+omega_{n-1}/n sum_i c_i min(rho, h_i)^n over the layers f = sum_i c_i 1_[0, h_i];
+``check_radius`` is the one check of every public measure's radii, and
 ``check_dimension`` of every public entry's dimension n.
 """
 
@@ -23,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .densities import Gaussian, RadialDensity, UnitBallIndicator
+from .densities import Gaussian, RadialDensity, TabulatedDecreasing, UnitBallIndicator
 from .logspace import LOG_ZERO
 from .quadrature import fixed_log_integral, log_integral
 from .special import _log_gamma_p, lgamma
@@ -234,20 +236,43 @@ def _log_cells(f: RadialDensity, n: int, edges: np.ndarray, log_weight=None, *,
 
 
 def log_ball_measure_grid(f: RadialDensity, n: int, radii):
-    """log mu(B_r) on a sorted grid of finite radii: the running log-sum of the
-    ``_log_cells`` from 0, for the scans of many radii (the radius solver's, the
-    oracle's mass table, the Monte Carlo inverse CDF).  A radius of 0 gives
-    LOG_ZERO; the adaptive path remains the accuracy reference.  The sums run
-    in place on the cells, so a grid of N radii holds few arrays of N floats."""
+    """log mu(B_r) on a sorted grid of finite radii, for the scans of many radii
+    (the radius solver's, the oracle's mass table, the Monte Carlo inverse CDF).
+    A step density's is its exact layer sum (``_log_layer_sum``), at every n.
+    Every other kind's is the running log-sum of the ``_log_cells`` from 0,
+    which the adaptive path checks; the sums run in place on the cells, so a
+    grid of N radii holds few arrays of N floats.  A radius of 0 gives LOG_ZERO."""
     n = check_dimension(n)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or np.any(radii[1:] < radii[:-1]) or radii[0] < 0:
         raise ValueError("radii must be a sorted nonnegative 1-D grid")
     check_radius("radii", np.max(radii))  # a NaN anywhere, or an infinite radius
+    if isinstance(f, TabulatedDecreasing):
+        return _log_layer_sum(f, n, radii)
     cells = _log_cells(f, n, radii, from_zero=True)
     np.logaddexp.accumulate(cells, out=cells)
     cells += log_sphere_area(n)
     return cells
+
+
+def _log_layer_sum(f: TabulatedDecreasing, n: int, radii: np.ndarray) -> np.ndarray:
+    """log mu(B_r) of a step density at finite radii r >= 0 in closed form: with
+    f = sum_i c_i 1_[0, h_i] (``TabulatedDecreasing.layers``),
+
+        mu(B_r) = omega_{n-1}/n (sum_{h_i < r} c_i h_i^n + f(r) r^n),
+
+    since the layers at and above r sum to f(r), which the table's own
+    left-continuous search reads.  The first sum is a prefix of one
+    ``np.logaddexp.accumulate`` over the knots."""
+    heights, log_c = f.layers()
+    with np.errstate(divide="ignore"):  # log 0 of a knot or a radius at 0
+        log_h, log_r = np.log(heights), np.log(radii)
+    below = np.logaddexp.accumulate(np.append(LOG_ZERO, log_c + n * log_h))
+    top = f.log_density(radii) + n * log_r
+    inner = below[np.searchsorted(heights, radii, side="left")]
+    np.logaddexp(inner, top, out=top)
+    top += log_sphere_area(n) - math.log(n)
+    return top
 
 
 def log_mass(f: RadialDensity, n: int) -> float:

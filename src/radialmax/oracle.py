@@ -37,10 +37,11 @@ scan reads J_{n-2} from a table of 4097 angles, built once per dimension and
 shared read-only, and the centered ball measure from a
 ``log_ball_measure_grid`` table: on these uniform grids a lookup finds a
 point's cell by one multiplication and gives ``np.interp``'s float away from
-a knot.  That table, the Monte Carlo inverse CDF and the cells of
-``log_constant_estimate`` are ``measures._log_cells``, cut at the density's
-knots.  Every cap integral here has exponent at most 6, so ``geometry``
-gives it in elementary functions.
+a knot.  That table and the Monte Carlo inverse CDF are, for a step density,
+its exact layer sum, and otherwise ``measures._log_cells``, cut at the
+density's knots, as are the cells of ``log_constant_estimate``.  Every cap
+integral here has exponent at most 6, so ``geometry`` gives it in elementary
+functions.
 """
 
 from __future__ import annotations

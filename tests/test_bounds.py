@@ -18,6 +18,7 @@ from radialmax.densities import Gaussian, TabulatedDecreasing, UnitBallIndicator
 from radialmax.errors import NoBalancedRadiusError
 from radialmax.measures import log_ball_measure
 from radialmax.quadrature import log_integral
+from test_measures import _mp_step_log_ball
 from test_special import _mp_log_gamma_p
 
 
@@ -205,7 +206,8 @@ _STEP_DENSITY = TabulatedDecreasing([0.4, 0.9, 1.6, 2.5], [0.0, -0.8, -2.1, -3.7
 
 
 class TestRadiusCrossingSearch:
-    """The scan's first sign change, found by one vectorized search, against the loop."""
+    """The scan's first sign change, found by one vectorized search (every kind
+    but the Gaussian) or by bisecting the indices (the Gaussian), against the loop."""
 
     @pytest.mark.parametrize("f,n,lam", [(Gaussian(), 5, 0.1), (Gaussian(), 60, 0.3),
                                          (Gaussian(), 5000, 0.2), (_STEP_DENSITY, 40, 0.2),
@@ -217,9 +219,10 @@ class TestRadiusCrossingSearch:
 
     @staticmethod
     def _synthetic_scan(monkeypatch, g_of_j):
-        """Make the scan's g the given array; the doubling and bisection stay real."""
+        """Make the scan's g the given array; the doubling and bisection stay real.
+        The density is a step density: the Gaussian's crossing is not scanned."""
         # not lam = 0.2, where sin b0 = 0.96 puts some radii * s on the scan grid
-        f, n = Gaussian(), 5
+        f, n = _STEP_DENSITY, 5
         beta0, _, s, _, _, k = _general_parameters(0.1)
         target = n * k * math.log(s)
         scanned = []  # the top of each scan, R_max
@@ -276,6 +279,66 @@ class TestRadiusCrossingSearch:
         assert repr(got.value.ratio_range) == repr(want.value.ratio_range)
 
 
+class TestGaussianIndexSearch:
+    """The Gaussian's g does not fall as R grows, so the first sign change on
+    the scan's radii is found by bisecting their indices on log P's signs."""
+
+    @pytest.mark.parametrize("n,lam", [
+        pytest.param(int(a), float(b), id=f"{int(a)}-{float(b):.4f}") for a, b in zip(
+            np.exp(np.random.default_rng(40).uniform(math.log(2.0), math.log(1e6), 16)).astype(int),
+            np.random.default_rng(41).uniform(0.02, 0.41, 16))])
+    def test_same_radius_as_the_full_grid_loop(self, n, lam):
+        beta0, _, _, _, _, k = _general_parameters(lam)
+        got = solve_radius_equation(Gaussian(), n, beta0, k)
+        want = _loop_solve_radius_equation(Gaussian(), n, beta0, k, measures._log_ball_for_signs)
+        assert got.hex() == want.hex()
+
+    @staticmethod
+    def _synthetic_signs(monkeypatch, g_of_j):
+        """Make the Gaussian's g on the scan's radii (R_max = 1) the given
+        array: the log balls are 0 at the radii and g + target at their
+        multiples by s.  Every other log ball is 0, so the bisection's g is
+        -target > 0.  The table's radii that are read go to the returned list."""
+        f, n = Gaussian(), 5
+        beta0, _, s, _, _, k = _general_parameters(0.1)
+        target = n * k * math.log(s)
+        radii = (1.0 - np.arange(10_000) / 10_000).tolist()
+        table = dict.fromkeys(radii, 0.0)
+        table.update({r * s: g + target for r, g in zip(radii, g_of_j.tolist())})
+        assert len(table) == 2 * len(radii)  # no radius times s on the grid
+        read = []
+
+        def log_ball(f_, n_, rho):
+            if rho in table:
+                read.append(rho)
+            return table.get(rho, 0.0)
+
+        monkeypatch.setattr(bounds, "_log_ball_for_signs", log_ball)
+        full_grid = np.array([table[r * s] - table[r] - target for r in radii])
+        return (f, n, beta0, k), full_grid, target, read
+
+    @pytest.mark.parametrize("j", [1, 2, 4321, 9998, 9999])
+    def test_crossing_at_j(self, monkeypatch, j):
+        g = (j - 0.5 - np.arange(10_000)) / 10_000  # falls along the descending radii
+        g[0] = 1.0  # so that the doubling stops at R_max = 1: g(1) > -target
+        args, full_grid, _, read = self._synthetic_signs(monkeypatch, g)
+        assert np.flatnonzero((full_grid[1:] <= 0.0) & (full_grid[:-1] > 0.0)).tolist() == [j - 1]
+        got = solve_radius_equation(*args)
+        assert 1.0 - j / 10_000 <= got <= 1.0 - (j - 1) / 10_000
+        # the doubling's two balls at R_max = 1, then two per g: both ends
+        # and at most 14 halvings of the 9999 index gaps
+        assert len(read) <= 2 + 2 * (2 + 14)
+
+    def test_no_crossing(self, monkeypatch):
+        g = np.linspace(2.0, 1.0, 10_000)
+        args, full_grid, target, _ = self._synthetic_signs(monkeypatch, g)
+        with pytest.raises(NoBalancedRadiusError) as got:
+            solve_radius_equation(*args)
+        assert str(got.value) == "no sign change on the scanned range"
+        deltas = full_grid + target  # what the full-grid loop reports
+        assert got.value.ratio_range == (float(np.min(deltas)), float(np.max(deltas)))
+
+
 def _mp_log_gaussian_ball(f, n, rho):
     """log mu(B_rho) of the Gaussian as an mpmath number: log P(n/2, pi rho^2),
     with rho the float the solver passes and pi rho^2 taken exactly."""
@@ -307,6 +370,44 @@ class TestGaussianSolverSigns:
         got = solve_radius_equation(Gaussian(), n, beta0, k)
         with mpmath.workdps(50):
             want = _loop_solve_radius_equation(Gaussian(), n, beta0, k, _mp_log_gaussian_ball)
+        assert got.hex() == want.hex()
+
+
+def _layer_sum_ball(f, n, rho):
+    """log mu(B_rho) of a step density by the exact layer sum of ``log_ball_measure_grid``."""
+    return float(measures.log_ball_measure_grid(f, n, [rho])[0])
+
+
+def _step_draw(seed, n_max):
+    """A step density like the benchmark's, 8-32 knots up to a support in
+    [1.8, 2.2] and log f falling by 5 to 7, with n log-uniform in [5, n_max]
+    and lam uniform in (0.05, 0.4)."""
+    rng = np.random.default_rng(4000 + seed)
+    knots = int(rng.integers(8, 33))
+    support = rng.uniform(1.8, 2.2)
+    radii = np.append(support * np.sort(rng.uniform(0.0, 1.0, knots - 1)), support)
+    log_f = np.concatenate([[0.0], -np.cumsum(rng.dirichlet(np.full(knots - 1, 20.0))
+                                              * rng.uniform(5.0, 7.0))])
+    n = int(math.exp(rng.uniform(math.log(5.0), math.log(n_max))))
+    return TabulatedDecreasing(radii, log_f), n, float(rng.uniform(0.05, 0.4))
+
+
+class TestStepSolverSigns:
+    """A step density's radius with the layer sum's signs, against exact signs."""
+
+    @pytest.mark.parametrize("seed,n_max", [(seed, 10 ** 6) for seed in range(12)]
+                             + [(seed, 100) for seed in range(12, 36)])
+    def test_layer_sum_signs_give_the_radius_of_exact_signs(self, seed, n_max):
+        # the doubling and the bisection replayed twice on the scan's bracket:
+        # every sign from the layer sum, and every sign from 40-digit mpmath.
+        # The solver's own signs, the adaptive quadrature's, miss this radius
+        # on 11 of these draws, all at n <= 100, by 9e-11 to 4e-6 relative
+        mpmath = pytest.importorskip("mpmath")
+        f, n, lam = _step_draw(seed, n_max)
+        beta0, _, _, _, _, k = _general_parameters(lam)
+        got = _loop_solve_radius_equation(f, n, beta0, k, _layer_sum_ball)
+        with mpmath.workdps(40):
+            want = _loop_solve_radius_equation(f, n, beta0, k, _mp_step_log_ball)
         assert got.hex() == want.hex()
 
 

@@ -207,23 +207,29 @@ class TestGridMeasure:
 STEP = TabulatedDecreasing([0.25, 0.67, 1.19, 1.45], [0.0, -0.5, -0.8, -1.7])
 
 
-def _exact_step_log_ball(f, n, rho):
-    """log mu(B_rho) of a step density in mpmath: omega_{n-1} sum_i f_i
-    (min(rho, h_i)^n - min(rho, h_{i-1})^n) / n, with h_0 = 0."""
+def _mp_step_log_ball(f, n, rho):
+    """log mu(B_rho) of a step density as an mpmath number at the working
+    precision: omega_{n-1} sum_i f_i (min(rho, h_i)^n - min(rho, h_{i-1})^n) / n,
+    with h_0 = 0, and -inf for an empty ball."""
     mpmath = pytest.importorskip("mpmath")
+    m = mpmath.mpf(n)
+    total, below = mpmath.mpf(0), mpmath.mpf(0)
+    knots = f.probe_points()
+    for h, v in zip(knots, f.log_density(np.asarray(knots)).tolist()):
+        top = min(mpmath.mpf(rho), mpmath.mpf(h))
+        total += mpmath.exp(v) * (top ** n - below ** n) / n
+        below = top
+    if total == 0:
+        return mpmath.mpf(LOG_ZERO)
+    return (mpmath.log(m) + m / 2 * mpmath.log(mpmath.pi)
+            - mpmath.loggamma(m / 2 + 1) + mpmath.log(total))
 
+
+def _exact_step_log_ball(f, n, rho):
+    """``_mp_step_log_ball`` to 40 digits, rounded to a float."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        m = mpmath.mpf(n)
-        total, below = mpmath.mpf(0), mpmath.mpf(0)
-        knots = f.probe_points()
-        for h, v in zip(knots, f.log_density(np.asarray(knots)).tolist()):
-            top = min(mpmath.mpf(rho), mpmath.mpf(h))
-            total += mpmath.exp(v) * (top ** n - below ** n) / n
-            below = top
-        if total == 0:
-            return LOG_ZERO
-        return float(mpmath.log(m) + m / 2 * mpmath.log(mpmath.pi)
-                     - mpmath.loggamma(m / 2 + 1) + mpmath.log(total))
+        return float(_mp_step_log_ball(f, n, rho))
 
 
 def _one_panel_grid(f, n, radii):
@@ -237,11 +243,11 @@ def _one_panel_grid(f, n, radii):
 
 
 class TestGridCells:
-    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 3, 10, 25, 300, 10 ** 4])
     @pytest.mark.parametrize("seed", [None] + list(range(6)))
     def test_step_density_grid_is_the_exact_step_sum(self, seed, n):
-        # one panel per piece between knots is exact for s^(n-1) up to degree
-        # 2 _GRID_ORDER - 1; one panel across a jump was off by up to 1e-2
+        # the layer sum is exact at every n; the knot-cut cells it replaced
+        # were exact only up to n = 2 _GRID_ORDER, and 1e-3 off at n = 300
         f = STEP if seed is None else _random_step(seed)[0]
         radii = np.linspace(0.0, 2.0, 41)
         got = log_ball_measure_grid(f, n, radii)
@@ -249,6 +255,30 @@ class TestGridCells:
         for rho, value in zip(radii[1:].tolist(), got[1:].tolist()):
             want = _exact_step_log_ball(f, n, rho)
             assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (rho, value, want)
+
+    @pytest.mark.parametrize("n", [1, 3, 25, 10 ** 4])
+    @pytest.mark.parametrize("case", ["knot at 0", "two equal steps", "-inf tail"])
+    def test_step_density_grid_edge_cases(self, case, n):
+        # no warning: no log of 0, no -inf - -inf; a radius of 0 is empty, a
+        # radius on a knot takes the step below it, and past the support
+        # every radius holds the whole mass
+        knots, log_f = {"knot at 0": ([0.0, 0.4, 1.0], [0.5, 0.0, -1.0]),
+                        "two equal steps": ([0.3, 0.6, 0.9, 1.2], [0.0, -0.5, -0.5, -1.1]),
+                        "-inf tail": ([0.5, 1.0, 1.5, 2.0], [0.0, -0.7, -np.inf, -np.inf])}[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = TabulatedDecreasing(knots, log_f)
+            radii = np.sort(np.concatenate([[0.0, 0.0, 0.2], knots, np.array(knots) + 0.05,
+                                            [2.5, 7.0]]))
+            got = log_ball_measure_grid(f, n, radii)
+        assert np.all(got[radii == 0.0] == LOG_ZERO)
+        for rho, value in zip(radii[radii > 0.0].tolist(), got[radii > 0.0].tolist()):
+            want = _exact_step_log_ball(f, n, rho)
+            assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (rho, value, want)
+        support = f.support_upper_bound if case != "-inf tail" else 1.0
+        past = got[radii >= support]
+        assert past.size >= 3 and np.all(past == past[0])
+        assert past[0] == pytest.approx(log_mass(f, n), rel=1e-9)
 
     @pytest.mark.parametrize("kind,n", [("gaussian", 2), ("gaussian", 6), ("gaussian", 40),
                                         ("gaussian", 10 ** 4), ("unitball", 2),
